@@ -5,7 +5,6 @@ from .symcore import (
     Support,
     EigenResult,
     PsdReport,
-    EigenConvergenceError,
     frobenius_inner,
     principal_submatrix,
     embed,

@@ -80,20 +80,33 @@ def _load_matrix(path: str) -> SymMatrix:
 def _load_poly(path: str):
     try:
         return load_poly_json(_load_json_file(path))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise _CliInputError(f"bad polynomial file {path}: {exc}")
 
 
-def _load_supports(path: str):
+def _load_supports(path: str, n: int, k: int):
+    """Supports of one size, at most k, inside range(n)."""
     obj = _load_json_file(path)
     if isinstance(obj, dict):
         obj = obj.get("supports")
     if not isinstance(obj, list):
         raise _CliInputError(f"{path}: expected a list of index lists")
     try:
-        return [Support.of(entry) for entry in obj]
+        supports = [Support.of(entry) for entry in obj]
     except (ValueError, TypeError) as exc:
         raise _CliInputError(f"bad support list in {path}: {exc}")
+    if len({len(K) for K in supports}) > 1:
+        raise _CliInputError(f"{path}: supports of mixed sizes")
+    for K in supports:
+        if len(K) > k or K.indices[-1] >= n:
+            raise _CliInputError(
+                f"{path}: support {list(K.indices)} does not fit k={k}, n={n}")
+    return supports
+
+
+def _check_width(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise _CliInputError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def _artifact_path(base: str, kind: str) -> Path:
@@ -114,12 +127,15 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def _solver_options(args, support_list=None) -> SolverOptions:
-    return SolverOptions(
-        rho=args.rho,
-        feas_tol=args.tol,
-        max_iter=args.max_iter,
-        support_list=support_list,
-    )
+    try:
+        return SolverOptions(
+            rho=args.rho,
+            feas_tol=args.tol,
+            max_iter=args.max_iter,
+            support_list=support_list,
+        )
+    except ValueError as exc:
+        raise _CliInputError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +145,9 @@ def _solver_options(args, support_list=None) -> SolverOptions:
 
 def cmd_check_fw(args) -> int:
     A = _load_matrix(args.matrix)
-    supports = _load_supports(args.supports) if args.supports else None
+    _check_width(args.k, A.n)
+    supports = (_load_supports(args.supports, A.n, args.k)
+                if args.supports else None)
     verdict = fw_membership(A, args.k, _solver_options(args, supports))
     artifacts = []
     if verdict.decomposition is not None:
@@ -151,14 +169,13 @@ def cmd_check_fw(args) -> int:
         "iterations": verdict.diagnostics.get("iterations"),
         "value": verdict.diagnostics.get("certificate_value"),
         "artifacts": artifacts,
-        "seed": args.seed,
-        "threads": args.threads,
     })
     return _verdict_exit(verdict.status)
 
 
 def cmd_check_dual(args) -> int:
     B = _load_matrix(args.matrix)
+    _check_width(args.k, B.n)
     report = dual_membership(B, args.k, args.tol)
     verdict = "member" if report.is_member else "non_member"
     _emit({
@@ -169,14 +186,14 @@ def cmd_check_dual(args) -> int:
         "worst_margin": report.worst_margin,
         "worst_support": list(report.worst_support.indices),
         "artifacts": [],
-        "seed": args.seed,
-        "threads": args.threads,
     })
     return _verdict_exit(verdict)
 
 
 def cmd_soks(args) -> int:
     p = _load_poly(args.poly)
+    if p.degree % 2 != 0:
+        raise _CliInputError("so-k-s needs an even-degree polynomial")
     lam = None
     if args.lam:
         try:
@@ -188,8 +205,9 @@ def cmd_soks(args) -> int:
             raise _CliInputError("-r expects a quadratic input polynomial")
         q = QuadraticForm(Q=quadratic_gram(p))
         lam = lam or [1] * p.n
-        if len(lam) != p.n:
-            raise _CliInputError("--lambda length must match variable count")
+        if len(lam) != p.n or not any(lam):
+            raise _CliInputError("--lambda needs one weight per variable, "
+                                 "not all zero")
         p = multiply_weighted_power(q, lam, args.r)
     if args.gram:
         gram = _load_matrix(args.gram)
@@ -197,6 +215,7 @@ def cmd_soks(args) -> int:
         gram = quadratic_gram(p)
     else:
         gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
+    _check_width(args.k, gram.n)
     verdict = soks_test(p, args.k, gram, _solver_options(args))
     artifacts = []
     if verdict.certificate is not None:
@@ -213,8 +232,6 @@ def cmd_soks(args) -> int:
         "residual": verdict.diagnostics.get("primal_residual"),
         "gram_conditional": verdict.diagnostics.get("gram_conditional"),
         "artifacts": artifacts,
-        "seed": args.seed,
-        "threads": args.threads,
     })
     return _verdict_exit(verdict.status)
 
@@ -230,14 +247,15 @@ def cmd_pna(args) -> int:
         "k": args.k,
         "threshold": str(threshold),
         "artifacts": [],
-        "seed": args.seed,
-        "threads": args.threads,
     }
     if args.a is None:
         report["verdict"] = "found"
         _emit(report)
         return EXIT_OK
-    a = Fraction(args.a)
+    try:
+        a = Fraction(args.a)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliInputError(f"bad value a={args.a!r}: {exc}")
     report["a"] = str(a)
     if a >= threshold:
         d = pna_witness_decomposition(args.n, args.k, a)
@@ -253,6 +271,7 @@ def cmd_pna(args) -> int:
 
 def cmd_certify(args) -> int:
     Q = _load_matrix(args.matrix)
+    _check_width(args.k, Q.n)
     cert = None
     if Q.n == 4 and args.k == 3:
         cert = cos_certificate_search(Q)
@@ -272,8 +291,6 @@ def cmd_certify(args) -> int:
         "normalized_value": None if cert is None else cert.normalized_value(Q),
         "worst_margin": None if cert is None else cert.worst_minor_margin,
         "artifacts": artifacts,
-        "seed": args.seed,
-        "threads": args.threads,
     })
     return EXIT_OK if cert else EXIT_NEGATIVE
 
@@ -290,8 +307,6 @@ def cmd_eig(args) -> int:
         "eigenvalues": lam,
         "min_eigenvalue": lam[0],
         "artifacts": [],
-        "seed": args.seed,
-        "threads": args.threads,
     })
     return EXIT_OK if psd else EXIT_NEGATIVE
 
@@ -299,15 +314,6 @@ def cmd_eig(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized search (none currently; "
-                          "recorded for reproducibility)")
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="solver parallelism (current backend is vectorized; "
-                          "results are identical for any value)")
 
 
 def _add_solver_flags(sub):
@@ -328,7 +334,6 @@ def build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("--supports", help="JSON file restricting the support list")
     _add_solver_flags(s)
-    _add_common(s)
     s.set_defaults(func=cmd_check_fw)
 
     s = subs.add_parser("check-dual", help="decide membership in (FW_k)*")
@@ -336,7 +341,6 @@ def build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("--tol", type=float, default=1e-9,
                    help="psd tolerance; 0 selects the exact path on rationals")
-    _add_common(s)
     s.set_defaults(func=cmd_check_dual)
 
     s = subs.add_parser("soks", help="sum-of-k-nomial-squares test")
@@ -348,7 +352,6 @@ def build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam",
                    help="comma-separated multiplier weights")
     _add_solver_flags(s)
-    _add_common(s)
     s.set_defaults(func=cmd_soks)
 
     s = subs.add_parser("pna", help="threshold and witness for the symmetric "
@@ -356,7 +359,6 @@ def build_parser() -> _Parser:
     s.add_argument("n", type=int)
     s.add_argument("k", type=int)
     s.add_argument("a", nargs="?", default=None)
-    _add_common(s)
     s.set_defaults(func=cmd_pna)
 
     s = subs.add_parser("certify", help="search for a separating dual "
@@ -364,12 +366,10 @@ def build_parser() -> _Parser:
     s.add_argument("matrix")
     s.add_argument("k", type=int)
     s.add_argument("--max-cycles", type=int, default=5000)
-    _add_common(s)
     s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("eig", help="eigenvalues of a symmetric matrix")
     s.add_argument("matrix")
-    _add_common(s)
     s.set_defaults(func=cmd_eig)
 
     return parser
@@ -381,9 +381,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except _CliInputError as exc:

@@ -27,7 +27,7 @@ from .symcore import (
     Support,
     eigen_sym,
     is_psd,
-    _project_psd_batch,
+    _project_psd,
 )
 
 __all__ = [
@@ -333,7 +333,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         return None
 
     for it in range(1, opts.max_iter + 1):
-        X = _project_psd_batch(Z - U)
+        X = _project_psd(Z - U)
         acc = index.accumulate(X)
         res = float(np.max(np.abs(Af - acc)))
         if it % 100 == 0 or it == 1:
@@ -341,7 +341,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         if res <= target:
             # prefer the consensus-exact side when it is already feasible;
             # its clipped blocks give a much smaller recomputed residual
-            Xz = _project_psd_batch(Z)
+            Xz = _project_psd(Z)
             accz = index.accumulate(Xz)
             if float(np.max(np.abs(Af - accz))) <= res:
                 found = _accept(Xz, it)
@@ -353,7 +353,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         if it % zcheck_every == 0:
             # the Z iterate is consensus-exact by construction; once its
             # blocks are (numerically) psd, clipping them is a solution
-            Xz = _project_psd_batch(Z)
+            Xz = _project_psd(Z)
             accz = index.accumulate(Xz)
             if float(np.max(np.abs(Af - accz))) <= target:
                 found = _accept(Xz, it)
@@ -386,7 +386,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         Z = W + index.gather(corr)
         U += opts.rho * (X - Z)
 
-    X = _project_psd_batch(Z - U)
+    X = _project_psd(Z - U)
     d = _polish(A, k, supports, X, target)
     if d is not None:
         return d, {"iterations": opts.max_iter, "residual": d.residual,

@@ -28,7 +28,7 @@ from .symcore import (
     frobenius_inner,
     is_psd,
     principal_submatrix,
-    _project_psd_float,
+    _project_psd,
 )
 from .polyforms import monomial_basis
 
@@ -94,7 +94,7 @@ class CosExtremeRay:
             raise ValueError("diagonal scales must be nonzero")
 
     def matrix(self) -> SymMatrix:
-        base = cos_ray(self.a, self.c).as_array()
+        base = _cos_ray_array(self.a, self.c)
         out = _apply_perm_scale(base, self.permutation, np.array(self.diag_scale))
         return SymMatrix.from_array(out)
 
@@ -159,14 +159,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
 
 def cos_ray(a: float, c: float) -> SymMatrix:
     """The circulant-patterned 4x4 extreme-ray normal form with angles (a, c)."""
-    ca, cc, cac = math.cos(a), math.cos(c), math.cos(a - c)
-    rows = [
-        [1.0, ca, cac, cc],
-        [ca, 1.0, cc, cac],
-        [cac, cc, 1.0, ca],
-        [cc, cac, ca, 1.0],
-    ]
-    return SymMatrix.from_rows(rows)
+    return SymMatrix.from_array(_cos_ray_array(a, c))
 
 
 def _cos_ray_array(a: float, c: float) -> np.ndarray:
@@ -303,7 +296,7 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
         if np.all(margins >= -1e-9 * scales):
             break
         for ix in ix_list:
-            y[ix] = _project_psd_float(y[ix])
+            y[ix] = _project_psd(y[ix])
     ynorm = float(np.linalg.norm(y))
     if ynorm < 1e-10:
         return None
@@ -333,7 +326,6 @@ def _splitting_gap_candidate(Q: SymMatrix, k: int, iters: int = 1500
     its ambient assembly is (up to sign and polish) a separating certificate.
     """
     from .decompose import _coverage, _SupportIndex, enumerate_supports
-    from .symcore import _project_psd_batch
 
     n = Q.n
     supports = enumerate_supports(n, k)
@@ -348,7 +340,7 @@ def _splitting_gap_candidate(Q: SymMatrix, k: int, iters: int = 1500
     Z = index.gather(Af * inv_mult)
     U = np.zeros_like(Z)
     for _ in range(iters):
-        X = _project_psd_batch(Z - U)
+        X = _project_psd(Z - U)
         W = X + U
         corr = (Af - index.accumulate(W)) * inv_mult
         Z = W + index.gather(corr)
@@ -398,7 +390,7 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
     for cycle in range(1, max_cycles + 1):
         for s, ix in enumerate(ix_list):
             v = x[ix] + corr[s]
-            proj = _project_psd_float(v)
+            proj = _project_psd(v)
             corr[s] = v - proj
             x[ix] = proj
         xnorm = float(np.linalg.norm(x))

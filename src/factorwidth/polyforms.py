@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .symcore import SymMatrix
+from .symcore import SymMatrix, _parse_entry
 
 __all__ = [
     "ExponentTuple",
@@ -215,23 +215,14 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     of Q at the basis positions ``x^a x_i``; a width-k decomposition of Q thus
     lifts block-by-block, so this Gram is in FW_k whenever Q is.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     n = q.n
-    lam = [Fraction(v) for v in lam]
-    if len(lam) != n or all(v == 0 for v in lam):
-        raise ValueError("lambda must have length n and not be all zero")
+    terms = _weighted_power_terms(n, lam, r)
     Q = q.Q if q.Q.is_exact else q.Q.to_exact()
     basis = monomial_basis(n, r + 1)
     m = len(basis)
     rows = [[Fraction(0)] * m for _ in range(m)]
     unit = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
-    for alpha in _degree_tuples(n, r):
-        w = _multinomial(r, alpha)
-        for i in range(n):
-            w *= lam[i] ** (2 * alpha[i])
-        if w == 0:
-            continue
+    for alpha, w in terms:
         pos = [basis.position(_tuple_add(alpha, unit[i])) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -252,11 +243,24 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _multinomial(r: int, alpha: ExponentTuple) -> int:
-    out = math.factorial(r)
-    for a in alpha:
-        out //= math.factorial(a)
-    return out
+def _weighted_power_terms(n: int, lam: Sequence, r: int
+                          ) -> list[tuple[ExponentTuple, Fraction]]:
+    """Nonzero terms ``(alpha, w)`` of ``(sum_i (lam_i x_i)^2)^r``, which is
+    ``sum_alpha w x^(2 alpha)`` over exponent tuples alpha of degree r."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    lam = [Fraction(v) for v in lam]
+    if len(lam) != n or all(v == 0 for v in lam):
+        raise ValueError("lambda must have length n and not be all zero")
+    terms = []
+    for alpha in _degree_tuples(n, r):
+        w = Fraction(math.factorial(r),
+                     math.prod(math.factorial(a) for a in alpha))
+        for i in range(n):
+            w *= lam[i] ** (2 * alpha[i])
+        if w != 0:
+            terms.append((alpha, w))
+    return terms
 
 
 def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
@@ -265,24 +269,15 @@ def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
 
     Every monomial of the result has zero or two odd-degree variables.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     n = q.n
-    lam = [Fraction(v) for v in lam]
-    if len(lam) != n or all(v == 0 for v in lam):
-        raise ValueError("lambda must have length n and not be all zero")
+    terms = _weighted_power_terms(n, lam, r)
     Q = q.Q if q.Q.is_exact else q.Q.to_exact()
     coeffs: dict = {}
 
     def bump(t: ExponentTuple, c: Fraction):
         coeffs[t] = coeffs.get(t, Fraction(0)) + c
 
-    for alpha in _degree_tuples(n, r):
-        w = Fraction(_multinomial(r, alpha))
-        for i in range(n):
-            w *= lam[i] ** (2 * alpha[i])
-        if w == 0:
-            continue
+    for alpha, w in terms:
         base = tuple(2 * a for a in alpha)
         for i in range(n):
             qii = Fraction(Q[i, i])
@@ -339,7 +334,7 @@ def soks_test(p: HomogeneousPoly, k: int, gram: SymMatrix, opts=None):
         raise ValueError("so-k-s requires an even-degree polynomial")
     basis = monomial_basis(p.n, p.degree // 2)
     exact_gram = gram if gram.is_exact else gram.to_exact()
-    if gram_to_poly(exact_gram, basis) != p:
+    if exact_gram.n != len(basis) or gram_to_poly(exact_gram, basis) != p:
         raise GramMismatchError("Gram matrix does not reproduce the polynomial")
     verdict = fw_membership(gram, k, opts)
     verdict.diagnostics["gram_conditional"] = p.degree > 2
@@ -371,11 +366,6 @@ def load_poly_json(obj) -> HomogeneousPoly:
     coeffs: dict = {}
     for term in obj["terms"]:
         exp = tuple(int(e) for e in term["exp"])
-        c = term["coef"]
-        if isinstance(c, str):
-            num, _, den = c.partition("/")
-            c = Fraction(int(num), int(den) if den else 1)
-        else:
-            c = Fraction(c)
+        c = Fraction(_parse_entry(term["coef"]))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     return HomogeneousPoly(n=obj["n"], degree=obj["degree"], coefficients=coeffs)

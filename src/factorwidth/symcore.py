@@ -26,7 +26,6 @@ __all__ = [
     "Support",
     "EigenResult",
     "PsdReport",
-    "EigenConvergenceError",
     "frobenius_inner",
     "principal_submatrix",
     "embed",
@@ -41,18 +40,6 @@ __all__ = [
 Scalar = Union[int, Fraction, float]
 
 _PSD_TOL_DEFAULT = 1e-9
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm target was met."""
-
-    def __init__(self, off_norm: float, sweeps: int):
-        super().__init__(
-            f"Jacobi iteration did not converge after {sweeps} sweeps "
-            f"(achieved off-diagonal norm {off_norm:.3e})"
-        )
-        self.off_norm = off_norm
-        self.sweeps = sweeps
 
 
 def _tri_len(n: int) -> int:
@@ -316,68 +303,14 @@ def embed(B: SymMatrix, K, n: int) -> SymMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Eigen decomposition (cyclic Jacobi) and derived operations
+# Eigen decomposition and derived operations
 # ---------------------------------------------------------------------------
 
 
-def _off_norm(a: list[list[float]], n: int) -> float:
-    total = 0.0
-    for i in range(n):
-        row = a[i]
-        for j in range(i + 1, n):
-            total += 2.0 * row[j] * row[j]
-    return math.sqrt(total)
-
-
-def eigen_sym(A: SymMatrix, max_sweeps: int = 100) -> EigenResult:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``1e-12 * (1 + ||A||_F)``; exceeding ``max_sweeps`` raises
-    :class:`EigenConvergenceError` carrying the achieved off-norm.
-    """
-    n = A.n
-    a = [[float(A[i, j]) for j in range(n)] for i in range(n)]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    fro = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
-    target = 1e-12 * (1.0 + fro)
-
-    sweeps = 0
-    off = _off_norm(a, n)
-    while off > target:
-        if sweeps >= max_sweeps:
-            raise EigenConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip, aiq = a[i][p], a[i][q]
-                        a[i][p] = a[p][i] = aip - s * (aiq + tau * aip)
-                        a[i][q] = a[q][i] = aiq + s * (aip - tau * aiq)
-                for i in range(n):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = vip - s * (viq + tau * vip)
-                    v[i][q] = viq + s * (vip - tau * viq)
-        sweeps += 1
-        off = _off_norm(a, n)
-
-    lam = np.array([a[i][i] for i in range(n)])
-    vec = np.array(v)
-    order = np.argsort(lam, kind="stable")
-    return EigenResult(eigenvalues=lam[order], eigenvectors=vec[:, order])
+def eigen_sym(A: SymMatrix) -> EigenResult:
+    """Full symmetric eigendecomposition through LAPACK (``numpy.linalg.eigh``)."""
+    lam, vec = np.linalg.eigh(A.as_array())
+    return EigenResult(eigenvalues=lam, eigenvectors=vec)
 
 
 def _exact_psd(A: SymMatrix) -> bool:
@@ -437,30 +370,18 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
 
 def project_psd(A: SymMatrix) -> SymMatrix:
     """Frobenius-nearest psd matrix: clip negative eigenvalues to zero."""
-    res = eigen_sym(A)
-    lam = np.maximum(res.eigenvalues, 0.0)
-    m = (res.eigenvectors * lam) @ res.eigenvectors.T
-    return SymMatrix.from_array(m)
+    return SymMatrix.from_array(_project_psd(A.as_array()))
 
 
-# Internal float projection used by the iterative solvers.  Mathematically the
-# same operator as project_psd, but batched through LAPACK for speed; the two
-# are cross-checked in the test suite.
+def _project_psd(a: np.ndarray) -> np.ndarray:
+    """:func:`project_psd` on a float array: one matrix or a stack of them.
 
-
-def _project_psd_float(a: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh((a + a.T) / 2.0)
-    lam = np.maximum(lam, 0.0)
-    out = (vec * lam) @ vec.T
-    return (out + out.T) / 2.0
-
-
-def _project_psd_batch(stack: np.ndarray) -> np.ndarray:
-    sym = (stack + np.transpose(stack, (0, 2, 1))) / 2.0
-    lam, vec = np.linalg.eigh(sym)
-    lam = np.maximum(lam, 0.0)
-    out = np.einsum("sik,sk,sjk->sij", vec, lam, vec)
-    return (out + np.transpose(out, (0, 2, 1))) / 2.0
+    The iterative solvers call this on their arrays directly, a whole stack of
+    support blocks per LAPACK call.
+    """
+    lam, vec = np.linalg.eigh((a + np.swapaxes(a, -1, -2)) / 2.0)
+    out = (vec * np.maximum(lam, 0.0)[..., None, :]) @ np.swapaxes(vec, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +451,15 @@ def _parse_entry(v) -> Scalar:
     if isinstance(v, int):
         return v
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"entry {v!r} is not finite")
         return v
     if isinstance(v, str):
-        parts = v.split("/")
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
-        return Fraction(int(v))
+        num, sep, den = v.partition("/")
+        den = int(den) if sep else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {v!r}")
+        return Fraction(int(num), den)
     raise ValueError(f"cannot parse matrix entry {v!r}")
 
 

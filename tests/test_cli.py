@@ -162,6 +162,14 @@ class TestSoks:
         code, _ = run_cli(capsys, "soks", p, 2, "--gram", gram)
         assert code == 65
 
+    def test_gram_of_wrong_size_exit_code(self, capsys, tmp_path):
+        p = self.write_pna(tmp_path, 2, 1)
+        gram = tmp_path / "gram.json"
+        gram.write_text(json.dumps(
+            {"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        code, _ = run_cli(capsys, "soks", p, 2, "--gram", gram)
+        assert code == 65
+
     def test_r_requires_quadratic(self, capsys, tmp_path):
         quartic = tmp_path / "quartic.json"
         quartic.write_text(json.dumps(
@@ -233,14 +241,55 @@ class TestDeterminism:
         assert code1 == code2
         assert report1 == report2
 
-    def test_threads_flag_has_no_effect_on_results(self, capsys, fixture_files):
-        _, report1 = run_cli(capsys, "check-dual", fixture_files["A"], 4)
-        _, report2 = run_cli(capsys, "check-dual", fixture_files["A"], 4,
-                             "--threads", 4)
-        report2["threads"] = report1["threads"]
-        assert report1 == report2
-
-    def test_bad_threads(self, capsys, fixture_files):
-        code, _ = run_cli(capsys, "check-dual", fixture_files["A"], 4,
-                          "--threads", 0)
+    def test_threads_flag_rejected(self, capsys, fixture_files):
+        code, report = run_cli(capsys, "check-dual", fixture_files["A"], 4,
+                               "--threads", 2)
         assert code == 64
+        assert report is None
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-fw", "{M}", 9),
+    ("check-fw", "{M}", 0),
+    ("check-fw", "{M}", 3, "--supports", "{mixed}"),
+    ("check-fw", "{M}", 2, "--supports", "{s27}"),
+    ("check-fw", "{M}", 4, "--max-iter", 0),
+    ("check-dual", "{M}", 0),
+    ("certify", "{M}", 7),
+    ("eig", "{zero_den}"),
+    ("soks", "{zero_den_poly}", 2),
+    ("soks", "{inf_poly}", 2),
+    ("soks", "{quad}", 3),
+    ("soks", "{quad}", 2, "-r", 1, "--lambda", "0,0"),
+    ("soks", "{cubic}", 1),
+    ("soks", "{no_coef}", 2),
+    ("pna", 4, 3, "abc"),
+    ("pna", 4, 3, "1/0"),
+], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
+def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
+    files = {
+        "M": fixture_files["M"],
+        "s27": fixture_files["s27"],
+        "mixed": _write(tmp_path / "mixed.json", [[0, 1], [0, 1, 2]]),
+        "zero_den": _write(tmp_path / "zero_den.json",
+                           {"n": 2, "rows": [[1, "1/0"], ["1/0", 1]]}),
+        "zero_den_poly": _write(tmp_path / "zero_den_poly.json", {
+            "n": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": "1/0"}]}),
+        "inf_poly": _write(tmp_path / "inf_poly.json", {
+            "n": 2, "degree": 2,
+            "terms": [{"exp": [2, 0], "coef": float("inf")}]}),
+        "quad": _write(tmp_path / "quad.json", {
+            "n": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": 1}]}),
+        "cubic": _write(tmp_path / "cubic.json", {
+            "n": 1, "degree": 3, "terms": [{"exp": [3], "coef": 1}]}),
+        "no_coef": _write(tmp_path / "no_coef.json", {
+            "n": 2, "degree": 2, "terms": [{"exp": [2, 0]}]}),
+    }
+    code, report = run_cli(capsys, *(str(a).format(**files) for a in argv))
+    assert code == 64
+    assert report is None

@@ -256,6 +256,20 @@ class TestMultiplierGram:
         assert multiplier_gram(q, [1, 1, 1], 0) == q.Q
 
 
+@pytest.mark.parametrize("fn", [multiplier_gram, multiply_weighted_power])
+@pytest.mark.parametrize("lam, r", [
+    ([1, 1, 1], -1),      # negative power
+    ([1, 1], 1),          # too few weights
+    ([1, 1, 1, 1], 1),    # too many weights
+    ([0, 0, 0], 1),       # all weights zero
+    ([0, 0, 0], 0),       # all zero even when the power is trivial
+])
+def test_bad_lambda_or_power_rejected(fn, lam, r):
+    q = QuadraticForm(Q=SymMatrix.identity(3))
+    with pytest.raises(ValueError):
+        fn(q, lam, r)
+
+
 class TestPolyJson:
     def test_round_trip(self):
         p = HomogeneousPoly(3, 2, {(2, 0, 0): Fraction(1, 3), (1, 1, 0): -2})

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorwidth.symcore import (
-    EigenConvergenceError,
     SymMatrix,
     Support,
     embed,
@@ -199,12 +198,6 @@ class TestEigenSym:
             ref = np.linalg.eigvalsh(a.as_array())
             assert np.allclose(mine, ref, atol=1e-9 * (1 + a.max_abs()))
 
-    def test_nonconvergence_reports_off_norm(self):
-        a = SymMatrix.from_rows([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(EigenConvergenceError) as exc:
-            eigen_sym(a, max_sweeps=0)
-        assert exc.value.off_norm > 0
-
 
 class TestIsPsd:
     def test_diagonal(self):
@@ -314,15 +307,21 @@ class TestProjectPsd:
             assert base <= np.linalg.norm(a.as_array() - s) + 1e-12
 
     def test_batch_matches_public_projection(self):
-        from factorwidth.symcore import _project_psd_batch
+        from factorwidth.symcore import _project_psd
 
         rng = np.random.default_rng(14)
         mats = [random_sym(rng, 4) for _ in range(6)]
         stack = np.stack([m.as_array() for m in mats])
-        batch = _project_psd_batch(stack)
+        batch = _project_psd(stack)
         for m, b in zip(mats, batch):
-            ref = project_psd(m).as_array()
-            assert np.max(np.abs(ref - b)) <= 1e-10 * (1 + m.max_abs())
+            tol = 1e-10 * (1 + m.max_abs())
+            single = _project_psd(m.as_array())
+            assert np.max(np.abs(single - b)) <= tol
+            assert np.max(np.abs(project_psd(m).as_array() - b)) <= tol
+            # Moreau: A = P(A) - N with N psd and <P(A), N> = 0
+            rest = b - m.as_array()
+            assert np.linalg.eigvalsh(rest)[0] >= -tol
+            assert abs(np.vdot(b, rest)) <= tol
 
 
 class TestScaleCongruence:
