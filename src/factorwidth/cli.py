@@ -8,6 +8,7 @@ Every command prints one RunReport JSON object to stdout (schema shipped in
     2   inconclusive
     64  malformed input
     65  Gram/polynomial mismatch
+    70  internal error (an unexpected exception; never a verdict)
 
 All commands are deterministic for fixed inputs and flags.
 """
@@ -49,6 +50,7 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_BAD_INPUT = 64
 EXIT_GRAM_MISMATCH = 65
+EXIT_INTERNAL = 70
 
 
 class _CliInputError(ValueError):
@@ -176,7 +178,10 @@ def cmd_check_fw(args) -> int:
 def cmd_check_dual(args) -> int:
     B = _load_matrix(args.matrix)
     _check_width(args.k, B.n)
-    report = dual_membership(B, args.k, args.tol)
+    try:
+        report = dual_membership(B, args.k, args.tol)
+    except ValueError as exc:
+        raise _CliInputError(str(exc))
     verdict = "member" if report.is_member else "non_member"
     _emit({
         "command": "check-dual",
@@ -272,6 +277,8 @@ def cmd_pna(args) -> int:
 def cmd_certify(args) -> int:
     Q = _load_matrix(args.matrix)
     _check_width(args.k, Q.n)
+    if args.max_cycles < 0:
+        raise _CliInputError("--max-cycles must be nonnegative")
     cert = None
     if Q.n == 4 and args.k == 3:
         cert = cos_certificate_search(Q)
@@ -389,6 +396,10 @@ def main(argv=None) -> int:
     except GramMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAM_MISMATCH
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ class DecompositionFailure(RuntimeError):
     ``gap_candidate`` holds the ambient assembly of the block-space gap
     direction, which for infeasible instances approximates a separating
     certificate (up to sign); it is unverified and must be checked by the
-    dual-cone machinery before any use.
+    dual-cone machinery before any use (``fw_membership`` and phase 1 of
+    ``dualcone.dykstra_dual_certificate`` do).  ``None`` if the loop never ran.
     """
 
     def __init__(self, message: str, best_residual: float, iterations: int,
@@ -72,10 +73,10 @@ class SolverOptions:
     support_list: Optional[Sequence] = None
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.feas_tol > 0:
-            raise ValueError("feas_tol must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
+        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
+            raise ValueError("feas_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

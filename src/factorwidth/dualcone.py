@@ -6,8 +6,9 @@ search strategies produce separating certificates for non-members of FW_k:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
   matrices), scanned over a grid and refined by coordinate descent;
-* Dykstra cyclic projections onto the submatrix-psd sets, started at the
-  steepest separating direction -Q/||Q||_F, for arbitrary (n, k).
+* for arbitrary (n, k), the ``decompose`` splitting core's gap direction,
+  then Dykstra cyclic projections onto the submatrix-psd sets, started at
+  the steepest separating direction -Q/||Q||_F.
 
 No unverified certificate leaves this module: every returned matrix re-passes
 the dual membership battery and pairs strictly negatively with its target.
@@ -22,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .decompose import DecompositionFailure, SolverOptions, fw_decompose
 from .symcore import (
     SymMatrix,
     Support,
@@ -136,6 +138,8 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     n = B.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     subsets = _k_subsets(n, k)
     margins, scales = _submatrix_margins(B.as_array(), subsets)
     worst = int(np.argmin(margins))
@@ -273,6 +277,8 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
 # Dykstra projection onto the dual cone
 # ---------------------------------------------------------------------------
 
+_GAP_ITERATIONS = 1500  # splitting iterations spent on the phase-1 direction
+
 
 def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
                      cleanup_passes: int = 100) -> Optional[DualCertificate]:
@@ -317,50 +323,16 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
         normalization=B.frob_norm())
 
 
-def _splitting_gap_candidate(Q: SymMatrix, k: int, iters: int = 1500
-                             ) -> Optional[np.ndarray]:
-    """Run the bare consensus splitting and read off the infeasibility gap.
-
-    For targets outside FW_k the scaled-multiplier trajectory settles onto the
-    minimal displacement between the psd product and the consensus subspace;
-    its ambient assembly is (up to sign and polish) a separating certificate.
-    """
-    from .decompose import _coverage, _SupportIndex, enumerate_supports
-
-    n = Q.n
-    supports = enumerate_supports(n, k)
-    Af = Q.as_array()
-    mult = _coverage(n, supports)
-    if np.any((mult == 0) & (np.abs(Af) > 0)):
-        # entries outside every support separate trivially
-        gap = np.where(mult == 0, -Af, 0.0)
-        return gap / np.linalg.norm(gap)
-    index = _SupportIndex(n, supports)
-    inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
-    Z = index.gather(Af * inv_mult)
-    U = np.zeros_like(Z)
-    for _ in range(iters):
-        X = _project_psd(Z - U)
-        W = X + U
-        corr = (Af - index.accumulate(W)) * inv_mult
-        Z = W + index.gather(corr)
-        U += X - Z
-    gap = index.accumulate(X - Z) * inv_mult
-    norm = float(np.linalg.norm(gap))
-    if norm == 0.0 or not np.all(np.isfinite(gap)):
-        return None
-    return gap / norm
-
-
 def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
                              ) -> Optional[DualCertificate]:
     """Separating-certificate search in (FW_k^n)* for an arbitrary target.
 
     Two phases, both ending in the same strict verification:
 
-    1. gap extraction: the consensus-splitting gap direction is assembled,
-       polished and verified (this nails thin separations that projection
-       iterations approach only sublinearly);
+    1. the ``decompose`` splitting core's gap direction; a verified
+       decomposition ends the search with ``None``.  Otherwise the direction
+       is polished and verified with both signs (this nails thin separations
+       that projection iterations approach only sublinearly);
     2. Dykstra cyclic projections onto the sets {B : B_K psd} from the
        steepest separating direction -Q/||Q||_F, testing the iterate after
        each full cycle, giving up after ``max_cycles``.
@@ -370,18 +342,19 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
     n = Q.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    qnorm = Q.frob_norm()
-    if qnorm == 0:
-        return None
 
-    candidate = _splitting_gap_candidate(Q, k)
+    try:
+        fw_decompose(Q, k, SolverOptions(max_iter=_GAP_ITERATIONS))
+        return None  # Q has a verified decomposition, so nothing separates it
+    except DecompositionFailure as fail:
+        candidate = fail.gap_candidate
     if candidate is not None:
         for sign in (1.0, -1.0):
             cert = verify_candidate(sign * candidate, Q, k)
             if cert is not None:
                 return cert
 
-    Qf = Q.as_array()
+    Qf, qnorm = Q.as_array(), Q.frob_norm()  # qnorm > 0: Q = 0 decomposes
     subsets = _k_subsets(n, k)
     ix_list = [np.ix_(K, K) for K in subsets]
     x = -Qf / qnorm

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .symcore import SymMatrix, _parse_entry
+from .symcore import SymMatrix, _as_int, _parse_entry
 
 __all__ = [
     "ExponentTuple",
@@ -365,7 +365,7 @@ def load_poly_json(obj) -> HomogeneousPoly:
         raise ValueError('polynomial JSON must be {"n", "degree", "terms"}')
     coeffs: dict = {}
     for term in obj["terms"]:
-        exp = tuple(int(e) for e in term["exp"])
+        exp = tuple(_as_int(e) for e in term["exp"])
         c = Fraction(_parse_entry(term["coef"]))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     return HomogeneousPoly(n=obj["n"], degree=obj["degree"], coefficients=coeffs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -227,13 +228,21 @@ class Support:
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "Support":
-        return cls(tuple(int(i) for i in indices))
+        return cls(tuple(_as_int(i) for i in indices))
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
         return iter(self.indices)
+
+
+def _as_int(v) -> int:
+    """``v`` as an int; booleans and non-integral values raise ValueError."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or
+                                   isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 def _as_support(K) -> Support:

@@ -259,8 +259,14 @@ def _write(path, obj):
     ("check-fw", "{M}", 3, "--supports", "{mixed}"),
     ("check-fw", "{M}", 2, "--supports", "{s27}"),
     ("check-fw", "{M}", 4, "--max-iter", 0),
+    ("check-fw", "{M}", 4, "--tol", "inf"),
+    ("check-fw", "{M}", 4, "--rho", "inf"),
+    ("check-fw", "{M}", 4, "--supports", "{frac_support}"),
     ("check-dual", "{M}", 0),
+    ("check-dual", "{M}", 4, "--tol", "nan"),
+    ("check-dual", "{M}", 4, "--tol", -1),
     ("certify", "{M}", 7),
+    ("certify", "{M}", 4, "--max-cycles", -5),
     ("eig", "{zero_den}"),
     ("soks", "{zero_den_poly}", 2),
     ("soks", "{inf_poly}", 2),
@@ -268,6 +274,7 @@ def _write(path, obj):
     ("soks", "{quad}", 2, "-r", 1, "--lambda", "0,0"),
     ("soks", "{cubic}", 1),
     ("soks", "{no_coef}", 2),
+    ("soks", "{frac_exp}", 2),
     ("pna", 4, 3, "abc"),
     ("pna", 4, 3, "1/0"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
@@ -276,6 +283,8 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
         "M": fixture_files["M"],
         "s27": fixture_files["s27"],
         "mixed": _write(tmp_path / "mixed.json", [[0, 1], [0, 1, 2]]),
+        "frac_support": _write(tmp_path / "frac_support.json",
+                               [[0, 1.7, 2, 3]]),
         "zero_den": _write(tmp_path / "zero_den.json",
                            {"n": 2, "rows": [[1, "1/0"], ["1/0", 1]]}),
         "zero_den_poly": _write(tmp_path / "zero_den_poly.json", {
@@ -289,7 +298,18 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
             "n": 1, "degree": 3, "terms": [{"exp": [3], "coef": 1}]}),
         "no_coef": _write(tmp_path / "no_coef.json", {
             "n": 2, "degree": 2, "terms": [{"exp": [2, 0]}]}),
+        "frac_exp": _write(tmp_path / "frac_exp.json", {
+            "n": 3, "degree": 2, "terms": [{"exp": [2.9, 0, 0], "coef": 1}]}),
     }
     code, report = run_cli(capsys, *(str(a).format(**files) for a in argv))
     assert code == 64
     assert report is None
+
+
+def test_unexpected_exception_exits_70(capsys, fixture_files):
+    # finite but so large that the multipliers overflow inside the solver
+    code = main(["check-fw", str(fixture_files["M"]), "4", "--rho", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ")

@@ -251,3 +251,7 @@ class TestSolverOptions:
             SolverOptions(feas_tol=0)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+        for field in ("rho", "feas_tol"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SolverOptions(**{field: value})

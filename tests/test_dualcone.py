@@ -55,6 +55,11 @@ class TestDualMembership:
         B = SymMatrix.from_array(w @ w.T)
         assert dual_membership(B, 3).is_member
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            dual_membership(SymMatrix.identity(3), 2, tol)
+
     def test_fixture_a_in_dual_of_width4(self):
         fx = example_m_fixtures()
         report = dual_membership(fx.A, 4, 0)
@@ -202,6 +207,32 @@ class TestDykstra:
         cert = dykstra_dual_certificate(Q, 2)
         assert cert is not None
         assert cert.normalized_value(Q) < -1e-4
+
+    def test_width1_target_with_off_diagonal_mass(self):
+        # no width-1 support covers an off-diagonal entry, so the splitting
+        # core yields no gap direction and the Dykstra cycles must separate
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 5))
+        Q = SymMatrix.from_array(a @ a.T)
+        cert = dykstra_dual_certificate(Q, 1)
+        assert cert is not None
+        assert cert.value < 0
+        assert dual_membership(cert.B, 1).is_member
+
+    def test_member_returns_none_without_verifying(self, monkeypatch):
+        from factorwidth import dualcone
+
+        def fail(*args, **kwargs):
+            raise AssertionError("certificate search ran on a member")
+
+        # neither the candidate check nor the Dykstra cycles may run
+        monkeypatch.setattr(dualcone, "verify_candidate", fail)
+        monkeypatch.setattr(dualcone, "_project_psd", fail)
+        n, k = 6, 4
+        Q = pna_form(PnaSpec(n, 1.35 * (n - 1) / (k - 1))).Q.to_float()
+        perm = np.random.default_rng(3).permutation(n)
+        Q = SymMatrix.from_array(Q.as_array()[np.ix_(perm, perm)])
+        assert dykstra_dual_certificate(Q, k, max_cycles=400) is None
 
     def test_verify_candidate_rejects_junk(self):
         rng = np.random.default_rng(2)

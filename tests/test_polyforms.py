@@ -282,3 +282,6 @@ class TestPolyJson:
         with pytest.raises(ValueError):
             load_poly_json({"n": 2, "degree": 2,
                             "terms": [{"exp": [1, 0], "coef": 1}]})
+        with pytest.raises(ValueError, match="not an integer"):
+            load_poly_json({"n": 3, "degree": 2,
+                            "terms": [{"exp": [2.9, 0, 0], "coef": 1}]})

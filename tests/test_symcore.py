@@ -161,6 +161,10 @@ class TestSubmatrixAndEmbed:
             Support.of([1, 1])
         with pytest.raises(ValueError):
             Support.of([])
+        for bad in (1.7, True, "2", math.inf, math.nan):
+            with pytest.raises(ValueError, match="not an integer"):
+                Support.of([0, bad, 5])
+        assert Support.of([0, 2.0, np.int64(3)]).indices == (0, 2, 3)
 
 
 class TestEigenSym:
