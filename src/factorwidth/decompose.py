@@ -51,9 +51,10 @@ class DecompositionFailure(RuntimeError):
 
     ``gap_candidate`` holds the ambient assembly of the block-space gap
     direction, which for infeasible instances approximates a separating
-    certificate (up to sign); it is unverified and must be checked by the
-    dual-cone machinery before any use (``fw_membership`` and phase 1 of
-    ``dualcone.dykstra_dual_certificate`` do).  ``None`` if the loop never ran.
+    certificate (up to sign); it is unverified.  ``fw_membership`` and
+    ``dualcone.dykstra_dual_certificate`` hand the whole failure to
+    ``dualcone.separating_certificate``, the one place that turns it into a
+    certificate.  ``None`` if the loop never ran.
     """
 
     def __init__(self, message: str, best_residual: float, iterations: int,
@@ -65,16 +66,23 @@ class DecompositionFailure(RuntimeError):
         self.gap_candidate = gap_candidate
 
 
+_RHO_MAX = (1.0 + math.sqrt(5.0)) / 2.0
+
+
 @dataclass
 class SolverOptions:
+    """Splitting options.  ``rho`` is the multiplier step only (the penalty
+    cancels in this feasibility problem); it must lie in Glowinski's
+    convergence range 0 < rho < (1 + sqrt 5) / 2."""
+
     rho: float = 1.0
     feas_tol: float = 1e-7
     max_iter: int = 20000
     support_list: Optional[Sequence] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite")
+        if not 0.0 < self.rho < _RHO_MAX:
+            raise ValueError(f"rho must be finite and in (0, {_RHO_MAX:.6f})")
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
             raise ValueError("feas_tol must be positive and finite")
         if self.max_iter < 1:
@@ -205,13 +213,12 @@ def _assemble_gap(index: "_SupportIndex", inv_mult, X, Z):
     return gap / norm
 
 
-def _polish(A: SymMatrix, k: int, supports, X: np.ndarray,
-            target: float):
+def _polish(A: SymMatrix, supports, X: np.ndarray):
     """Least-squares finish on the active faces of the current blocks.
 
     Eigenvectors with non-negligible eigenvalues are frozen per block and the
     remaining low-dimensional coefficients are fit to the consensus constraint
-    exactly.  Returns a verified BlockDecomposition or None.
+    exactly.  Returns the stack of fitted blocks (unverified) or None.
     """
     n = A.n
     scale = 1.0 + A.max_abs()
@@ -223,9 +230,7 @@ def _polish(A: SymMatrix, k: int, supports, X: np.ndarray,
         bases.append(vec[:, keep])
     cols = sum(v.shape[1] * (v.shape[1] + 1) // 2 for v in bases)
     if cols == 0:
-        if A.max_abs() <= target:
-            return BlockDecomposition.build(A, k, [])
-        return None
+        return np.zeros_like(X)
     if cols > 4000:
         return None  # out of polish scope; let the splitting continue
 
@@ -253,9 +258,9 @@ def _polish(A: SymMatrix, k: int, supports, X: np.ndarray,
         rhs[r_idx] = float(A[i, j])
     theta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
 
-    blocks = []
+    out = np.zeros_like(X)
     pos = 0
-    for s, K in enumerate(supports):
+    for s in range(len(supports)):
         V = bases[s]
         r = V.shape[1]
         if r == 0:
@@ -272,19 +277,12 @@ def _polish(A: SymMatrix, k: int, supports, X: np.ndarray,
             # clip stray negatives; the residual re-check decides acceptance
             B = (vec * np.maximum(lam, 0.0)) @ vec.T
             B = (B + B.T) / 2.0
-        if np.max(np.abs(B)) == 0.0:
-            continue
-        blocks.append((K, SymMatrix.from_array(B)))
-    try:
-        d = BlockDecomposition.build(A, k, blocks)
-    except ValueError:
-        return None
-    if d.residual <= target:
-        return d
-    return None
+        out[s] = B
+    return out
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
+    """Splitting core: ``(decomposition, iterations)`` or DecompositionFailure."""
     n = A.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -324,14 +322,18 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     zcheck_every = 25
     resets_left = 2
 
-    def _accept(stack, it, polished=False):
+    def _accept(stack):
+        """The one member exit: the re-verified blocks of ``stack`` if they
+        reproduce A within the target, else None."""
+        if stack is None:
+            return None
         blocks = [(supports[s], SymMatrix.from_array(stack[s]))
                   for s in range(m) if np.max(np.abs(stack[s])) > 0.0]
-        d = BlockDecomposition.build(A, k, blocks)
-        if d.residual <= target:
-            return d, {"iterations": it, "residual": d.residual,
-                       "history": history, "polished": polished}
-        return None
+        try:
+            d = BlockDecomposition.build(A, k, blocks)
+        except ValueError:
+            return None
+        return d if d.residual <= target else None
 
     for it in range(1, opts.max_iter + 1):
         X = _project_psd(Z - U)
@@ -339,36 +341,30 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         res = float(np.max(np.abs(Af - acc)))
         if it % 100 == 0 or it == 1:
             history.append((it, res))
-        if res <= target:
-            # prefer the consensus-exact side when it is already feasible;
-            # its clipped blocks give a much smaller recomputed residual
-            Xz = _project_psd(Z)
-            accz = index.accumulate(Xz)
-            if float(np.max(np.abs(Af - accz))) <= res:
-                found = _accept(Xz, it)
-                if found:
-                    return found
-            found = _accept(X, it)
-            if found:
-                return found
-        if it % zcheck_every == 0:
+        zcheck = it % zcheck_every == 0
+        if res <= target or zcheck:
             # the Z iterate is consensus-exact by construction; once its
-            # blocks are (numerically) psd, clipping them is a solution
+            # blocks are (numerically) psd, clipping them is a solution, and
+            # when X is feasible too the side with the smaller recomputed
+            # residual is tried first
             Xz = _project_psd(Z)
-            accz = index.accumulate(Xz)
-            if float(np.max(np.abs(Af - accz))) <= target:
-                found = _accept(Xz, it)
-                if found:
-                    return found
+            resz = float(np.max(np.abs(Af - index.accumulate(Xz))))
+            tries = [(Xz, (zcheck or resz <= res) and resz <= target),
+                     (X, res <= target)]
+            if resz > res:
+                tries.reverse()
+            for stack, worth in tries:
+                d = _accept(stack) if worth else None
+                if d is not None:
+                    return d, it
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
         stalled = (it - last_improve) > stall_window
         if stalled or (it % polish_every == 0 and res < 0.2 * scale):
-            d = _polish(A, k, supports, X, target)
+            d = _accept(_polish(A, supports, X))
             if d is not None:
-                return d, {"iterations": it, "residual": d.residual,
-                           "history": history, "polished": True}
+                return d, it
             if stalled and resets_left > 0:
                 # restart the multipliers: spiralling near a spurious
                 # configuration is broken by dropping the dual bias
@@ -388,10 +384,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         U += opts.rho * (X - Z)
 
     X = _project_psd(Z - U)
-    d = _polish(A, k, supports, X, target)
+    d = _accept(_polish(A, supports, X))
     if d is not None:
-        return d, {"iterations": opts.max_iter, "residual": d.residual,
-                   "history": history, "polished": True}
+        return d, opts.max_iter
     acc = index.accumulate(X)
     res = float(np.max(np.abs(Af - acc)))
     history.append((opts.max_iter, res))
@@ -415,44 +410,30 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
                   ) -> MembershipVerdict:
     """Three-way membership decision for FW_k.
 
-    Member verdicts carry a re-verified decomposition; non-member verdicts
-    carry an independently re-verified separating certificate.  A solver stall
-    without a certificate yields "inconclusive", never "non_member".
+    One splitting run decides it.  Member verdicts carry its re-verified
+    decomposition; on failure ``dualcone.separating_certificate`` turns the
+    failure into a certificate that passed ``dualcone.verify_candidate``.  A
+    solver stall without a certificate yields "inconclusive", never
+    "non_member".
     """
     from . import dualcone
-    from .symcore import frobenius_inner
 
-    opts = opts or SolverOptions()
     try:
-        d, stats = _fw_decompose_impl(A, k, opts)
-        return MembershipVerdict(
-            status="member", decomposition=d,
-            diagnostics={"iterations": stats["iterations"],
-                         "primal_residual": d.residual})
+        d, iterations = _fw_decompose_impl(A, k, opts or SolverOptions())
     except DecompositionFailure as fail:
-        cert = None
-        if fail.gap_candidate is not None:
-            for sign in (1.0, -1.0):
-                cert = dualcone.verify_candidate(sign * fail.gap_candidate, A, k)
-                if cert is not None:
-                    break
+        diagnostics = {"iterations": fail.iterations,
+                       "primal_residual": fail.best_residual}
+        cert = dualcone.separating_certificate(A, k, fail)
         if cert is None:
-            cert = dualcone.dykstra_dual_certificate(A, k)
-        if cert is not None:
-            report = dualcone.dual_membership(cert.B, k, 1e-9)
-            value = float(frobenius_inner(cert.B, A))
-            norms = cert.B.frob_norm() * A.frob_norm()
-            if report.is_member and value < -1e-8 * norms:
-                return MembershipVerdict(
-                    status="non_member", certificate=cert,
-                    diagnostics={"iterations": fail.iterations,
-                                 "primal_residual": fail.best_residual,
-                                 "certificate_value": value})
-        return MembershipVerdict(
-            status="inconclusive",
-            diagnostics={"iterations": fail.iterations,
-                         "primal_residual": fail.best_residual,
-                         "certificate_found": False})
+            diagnostics["certificate_found"] = False
+            return MembershipVerdict(status="inconclusive",
+                                     diagnostics=diagnostics)
+        diagnostics["certificate_value"] = cert.value
+        return MembershipVerdict(status="non_member", certificate=cert,
+                                 diagnostics=diagnostics)
+    return MembershipVerdict(
+        status="member", decomposition=d,
+        diagnostics={"iterations": iterations, "primal_residual": d.residual})
 
 
 def extract_factors(d: BlockDecomposition) -> np.ndarray:

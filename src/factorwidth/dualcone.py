@@ -6,12 +6,15 @@ search strategies produce separating certificates for non-members of FW_k:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
   matrices), scanned over a grid and refined by coordinate descent;
-* for arbitrary (n, k), the ``decompose`` splitting core's gap direction,
-  then Dykstra cyclic projections onto the submatrix-psd sets, started at
-  the steepest separating direction -Q/||Q||_F.
+* for arbitrary (n, k), ``separating_certificate``: the gap direction of a
+  failed ``decompose`` splitting run, then Dykstra cyclic projections onto
+  the submatrix-psd sets, started at the steepest separating direction
+  -Q/||Q||_F.  ``fw_membership`` and ``dykstra_dual_certificate`` both end
+  there.
 
-No unverified certificate leaves this module: every returned matrix re-passes
-the dual membership battery and pairs strictly negatively with its target.
+``verify_candidate`` is the one certificate gate: every ``DualCertificate``
+is built there, after one dual membership battery and the scale-free strict
+check <B, Q> < -1e-8 ||B||_F ||Q||_F.  No other path tests a candidate.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "CosExtremeRay",
     "dual_membership",
     "verify_candidate",
+    "separating_certificate",
     "cos_ray",
     "cos_certificate_search",
     "dykstra_dual_certificate",
@@ -59,7 +63,6 @@ class DualCertificate:
     k: int
     value: float
     worst_minor_margin: float
-    normalization: float
 
     def __post_init__(self):
         bound = -1e-9 * (1.0 + self.B.max_abs())
@@ -192,9 +195,9 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
     Grid phase: all angle cells, 24 permutations and 16 diagonal sign patterns,
     minimizing <D P B(a,c) P^T D, Q> / ||.||_F; ties break toward the smallest
     (a-index, c-index, permutation, sign) tuple.  Refinement runs coordinate
-    descent on the angles and multiplicative positive diagonal scales.  A
-    certificate is returned only if the minimum is below -1e-8 and the dual
-    membership battery re-verifies at k = 3.
+    descent on the angles and multiplicative positive diagonal scales.  The
+    refined matrix is returned only if it passes ``verify_candidate`` at
+    k = 3, so the search is invariant under positive scaling of Q.
     """
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
@@ -260,17 +263,8 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
             if step_ang < 1e-12:
                 break
 
-    if val >= -1e-8:
-        return None
     _, mat = objective(a, c, d)
-    mat = mat / np.linalg.norm(mat)
-    B = SymMatrix.from_array(mat)
-    report = dual_membership(B, 3, 1e-9)
-    if not report.is_member:
-        return None
-    return DualCertificate(
-        B=B, k=3, value=float(frobenius_inner(B, Q)),
-        worst_minor_margin=report.worst_margin, normalization=B.frob_norm())
+    return verify_candidate(mat, Q, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +276,20 @@ _GAP_ITERATIONS = 1500  # splitting iterations spent on the phase-1 direction
 
 def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
                      cleanup_passes: int = 100) -> Optional[DualCertificate]:
-    """Polish an unverified certificate direction and verify it strictly.
+    """The one certificate gate: repair a candidate direction, verify it.
 
-    The candidate is normalized, repaired by plain cyclic projections onto the
-    submatrix-psd sets until it passes the membership battery, re-normalized,
-    and accepted only with <B, Q> < -1e-8 ||Q||_F ||B||_F.  Both the input
-    direction and its negative are worth trying; this handles one sign.
+    The candidate is normalized and repaired by up to ``cleanup_passes``
+    plain cyclic projections onto the submatrix-psd sets, then re-normalized.
+    It becomes a certificate only if it passes one ``dual_membership``
+    battery at tolerance 1e-9 and pairs strictly negatively with Q,
+    <B, Q> < -1e-8 ||B||_F ||Q||_F.  Both checks are scale-free.  Both the
+    input direction and its negative are worth trying; this handles one sign.
     """
-    n = Q.n
     qnorm = Q.frob_norm()
     norm = float(np.linalg.norm(candidate))
     if norm == 0.0 or qnorm == 0.0 or not np.all(np.isfinite(candidate)):
         return None
-    subsets = _k_subsets(n, k)
+    subsets = _k_subsets(Q.n, k)
     ix_list = [np.ix_(K, K) for K in subsets]
     y = candidate / norm
     for _ in range(cleanup_passes):
@@ -306,58 +301,40 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
     ynorm = float(np.linalg.norm(y))
     if ynorm < 1e-10:
         return None
-    y = y / ynorm
-    margins, scales = _submatrix_margins(y, subsets)
-    if np.any(margins < -1e-9 * scales):
-        return None
-    value = float(np.vdot(y, Q.as_array()))
-    if value >= -1e-8 * qnorm:
-        return None
-    B = SymMatrix.from_array(y)
+    B = SymMatrix.from_array(y / ynorm)
     report = dual_membership(B, k, 1e-9)
     if not report.is_member:
         return None
-    return DualCertificate(
-        B=B, k=k, value=float(frobenius_inner(B, Q)),
-        worst_minor_margin=report.worst_margin,
-        normalization=B.frob_norm())
+    value = float(frobenius_inner(B, Q))
+    if value >= -1e-8 * B.frob_norm() * qnorm:
+        return None
+    return DualCertificate(B=B, k=k, value=value,
+                           worst_minor_margin=report.worst_margin)
 
 
-def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
-                             ) -> Optional[DualCertificate]:
-    """Separating-certificate search in (FW_k^n)* for an arbitrary target.
+def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
+                           max_cycles: int = 5000
+                           ) -> Optional[DualCertificate]:
+    """Turn a failed splitting run on Q into a certificate, or None.
 
-    Two phases, both ending in the same strict verification:
-
-    1. the ``decompose`` splitting core's gap direction; a verified
-       decomposition ends the search with ``None``.  Otherwise the direction
-       is polished and verified with both signs (this nails thin separations
-       that projection iterations approach only sublinearly);
-    2. Dykstra cyclic projections onto the sets {B : B_K psd} from the
-       steepest separating direction -Q/||Q||_F, testing the iterate after
-       each full cycle, giving up after ``max_cycles``.
-
-    ``None`` means no certificate was found; it is never a membership proof.
+    The failure's gap direction is tried with both signs (this nails thin
+    separations that projection iterations approach only sublinearly).
+    Then Dykstra cyclic projections onto the sets {B : B_K psd} run from the
+    steepest separating direction -Q/||Q||_F.  An iterate inside the dual
+    cone goes to ``verify_candidate`` as it is; every 25th cycle one outside
+    it goes there with repair passes.  The search gives up after
+    ``max_cycles`` cycles.
     """
-    n = Q.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-
-    try:
-        fw_decompose(Q, k, SolverOptions(max_iter=_GAP_ITERATIONS))
-        return None  # Q has a verified decomposition, so nothing separates it
-    except DecompositionFailure as fail:
-        candidate = fail.gap_candidate
-    if candidate is not None:
+    if failure.gap_candidate is not None:
         for sign in (1.0, -1.0):
-            cert = verify_candidate(sign * candidate, Q, k)
+            cert = verify_candidate(sign * failure.gap_candidate, Q, k)
             if cert is not None:
                 return cert
 
-    Qf, qnorm = Q.as_array(), Q.frob_norm()  # qnorm > 0: Q = 0 decomposes
-    subsets = _k_subsets(n, k)
+    qnorm = Q.frob_norm()  # > 0: a zero target never fails to decompose
+    subsets = _k_subsets(Q.n, k)
     ix_list = [np.ix_(K, K) for K in subsets]
-    x = -Qf / qnorm
+    x = -Q.as_array() / qnorm
     corr = np.zeros((len(subsets), k, k))
 
     for cycle in range(1, max_cycles + 1):
@@ -369,19 +346,38 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
         xnorm = float(np.linalg.norm(x))
         if xnorm < 1e-12:
             return None  # iterate collapsed onto the origin: no separator here
-        xhat = x / xnorm
-        margins, scales = _submatrix_margins(xhat, subsets)
+        margins, scales = _submatrix_margins(x / xnorm, subsets)
         if np.all(margins >= -1e-9 * scales):
-            value = float(np.vdot(xhat, Qf))
-            if value < -1e-8 * qnorm:
-                cert = verify_candidate(xhat, Q, k, cleanup_passes=0)
-                if cert is not None:
-                    return cert
+            cert = verify_candidate(x, Q, k, cleanup_passes=0)
         elif cycle % 25 == 0:
-            cert = verify_candidate(xhat, Q, k)
-            if cert is not None:
-                return cert
+            cert = verify_candidate(x, Q, k)
+        else:
+            continue
+        if cert is not None:
+            return cert
     return None
+
+
+def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
+                             ) -> Optional[DualCertificate]:
+    """Separating-certificate search in (FW_k^n)* for an arbitrary target.
+
+    Runs the ``decompose`` splitting core for ``_GAP_ITERATIONS`` iterations;
+    a verified decomposition ends the search with ``None``.  Otherwise the
+    failure goes to ``separating_certificate`` (gap direction, then at most
+    ``max_cycles`` Dykstra cycles), whose every result passed
+    ``verify_candidate``.
+
+    ``None`` means no certificate was found; it is never a membership proof.
+    """
+    n = Q.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    try:
+        fw_decompose(Q, k, SolverOptions(max_iter=_GAP_ITERATIONS))
+    except DecompositionFailure as fail:
+        return separating_certificate(Q, k, fail, max_cycles)
+    return None  # Q has a verified decomposition, so nothing separates it
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,8 @@ def _write(path, obj):
     ("check-fw", "{M}", 4, "--max-iter", 0),
     ("check-fw", "{M}", 4, "--tol", "inf"),
     ("check-fw", "{M}", 4, "--rho", "inf"),
+    ("check-fw", "{M}", 4, "--rho", "1e308"),
+    ("check-fw", "{M}", 4, "--rho", 2),
     ("check-fw", "{M}", 4, "--supports", "{frac_support}"),
     ("check-dual", "{M}", 0),
     ("check-dual", "{M}", 4, "--tol", "nan"),
@@ -306,9 +308,14 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     assert report is None
 
 
-def test_unexpected_exception_exits_70(capsys, fixture_files):
-    # finite but so large that the multipliers overflow inside the solver
-    code = main(["check-fw", str(fixture_files["M"]), "4", "--rho", "1e308"])
+def test_unexpected_exception_exits_70(capsys, monkeypatch, fixture_files):
+    from factorwidth import cli
+
+    def broken(args):
+        raise RuntimeError("simulated fault inside a command")
+
+    monkeypatch.setattr(cli, "cmd_check_fw", broken)
+    code = main(["check-fw", str(fixture_files["M"]), "4"])
     captured = capsys.readouterr()
     assert code == 70
     assert captured.out == ""

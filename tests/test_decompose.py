@@ -193,6 +193,29 @@ class TestFwMembership:
         assert v.certificate is None
         assert v.diagnostics["certificate_found"] is False
 
+    @pytest.mark.parametrize("case", ["width1_off_diagonal", "M_width4"])
+    def test_one_splitting_run_per_verdict(self, monkeypatch, case):
+        from factorwidth import decompose
+
+        if case == "M_width4":
+            A, k = example_m_fixtures().M, 4
+        else:
+            # no width-1 support covers an off-diagonal entry: the run fails
+            # without a gap direction and the Dykstra cycles must separate
+            a = np.random.default_rng(5).standard_normal((4, 4))
+            A, k = SymMatrix.from_array(a @ a.T), 1
+        calls = []
+        impl = decompose._fw_decompose_impl
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return impl(*args, **kwargs)
+
+        monkeypatch.setattr(decompose, "_fw_decompose_impl", counted)
+        v = fw_membership(A, k)
+        assert v.status == "non_member"
+        assert calls == [k]
+
     def test_monotone_in_width(self):
         rng = np.random.default_rng(0)
         for n, k in [(4, 2), (5, 2), (5, 3)]:
@@ -247,6 +270,9 @@ class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(rho=0)
+        for rho in (2.0, 1e308):  # outside the step range (0, golden ratio)
+            with pytest.raises(ValueError):
+                SolverOptions(rho=rho)
         with pytest.raises(ValueError):
             SolverOptions(feas_tol=0)
         with pytest.raises(ValueError):

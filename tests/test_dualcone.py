@@ -189,6 +189,21 @@ class TestCosCertificateSearch:
         c2 = cos_certificate_search(Q)
         assert c1.B == c2.B
 
+    @pytest.mark.parametrize("a", [1.49999995, 1.49999998])
+    def test_invariant_under_positive_scaling(self, a):
+        # powers of two scale every float step exactly, so a scale-free
+        # search must agree on found-or-none at all three scales
+        Qf = pna_form(PnaSpec(4, a)).Q.to_float().as_array()
+        found = []
+        for c in (2.0 ** -10, 1.0, 2.0 ** 10):
+            Q = SymMatrix.from_array(c * Qf)
+            cert = cos_certificate_search(Q)
+            found.append(cert is not None)
+            if cert is not None:
+                bound = -1e-8 * cert.B.frob_norm() * Q.frob_norm()
+                assert cert.value < bound
+        assert len(set(found)) == 1
+
 
 class TestDykstra:
     def test_m_separated_at_width4(self):
