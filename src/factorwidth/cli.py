@@ -93,6 +93,8 @@ def _load_supports(path: str, n: int, k: int):
         obj = obj.get("supports")
     if not isinstance(obj, list):
         raise _CliInputError(f"{path}: expected a list of index lists")
+    if not obj:
+        raise _CliInputError(f"{path}: the support list is empty")
     try:
         supports = [Support.of(entry) for entry in obj]
     except (ValueError, TypeError) as exc:
@@ -199,6 +201,8 @@ def cmd_soks(args) -> int:
     p = _load_poly(args.poly)
     if p.degree % 2 != 0:
         raise _CliInputError("so-k-s needs an even-degree polynomial")
+    if args.r < 0:
+        raise _CliInputError("-r must be nonnegative")
     lam = None
     if args.lam:
         try:

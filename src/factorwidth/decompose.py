@@ -7,6 +7,9 @@ residual is distributed by entry multiplicity, which makes that step an exact
 projection), and scaled multipliers accumulate the disagreement.  A
 least-squares polish on the numerically active faces finishes instances whose
 solutions sit on the boundary of the psd cones, where plain splitting crawls.
+Every block read and write (consensus, coverage counts, the polish design)
+goes through one ``symcore._BlockIndex``; only ``BlockDecomposition.build``
+re-accumulates the blocks on its own, as the independent re-verification.
 
 Non-membership is never declared from a solver stall; it requires a verified
 separating certificate from :mod:`factorwidth.dualcone`.
@@ -14,7 +17,6 @@ separating certificate from :mod:`factorwidth.dualcone`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +28,9 @@ from .symcore import (
     SymMatrix,
     Support,
     eigen_sym,
+    enumerate_supports,
     is_psd,
+    _BlockIndex,
     _project_psd,
 )
 
@@ -87,13 +91,6 @@ class SolverOptions:
             raise ValueError("feas_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-def enumerate_supports(n: int, k: int) -> list[Support]:
-    """All C(n, k) supports of size k, in lexicographic order."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return [Support(c) for c in itertools.combinations(range(n), k)]
 
 
 @dataclass
@@ -174,37 +171,7 @@ def _normalize_supports(n: int, k: int, support_list) -> list[Support]:
     return out
 
 
-def _coverage(n: int, supports: list[Support]) -> np.ndarray:
-    mult = np.zeros((n, n))
-    for K in supports:
-        ix = np.ix_(K.indices, K.indices)
-        mult[ix] += 1.0
-    return mult
-
-
-class _SupportIndex:
-    """Flat scatter/gather indices for a stack of same-size support blocks."""
-
-    def __init__(self, n: int, supports: list[Support]):
-        self.n = n
-        self.m = len(supports)
-        self.k = len(supports[0])
-        rows = []
-        for K in supports:
-            idx = np.asarray(K.indices)
-            rows.append((idx[:, None] * n + idx[None, :]).ravel())
-        self.flat = np.concatenate(rows)
-
-    def accumulate(self, stack: np.ndarray) -> np.ndarray:
-        acc = np.bincount(self.flat, weights=stack.ravel(),
-                          minlength=self.n * self.n)
-        return acc.reshape(self.n, self.n)
-
-    def gather(self, mat: np.ndarray) -> np.ndarray:
-        return mat.ravel()[self.flat].reshape(self.m, self.k, self.k)
-
-
-def _assemble_gap(index: "_SupportIndex", inv_mult, X, Z):
+def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
     """Ambient image of the block-space gap X - Z (the would-be certificate)."""
     gap = index.accumulate(X - Z) * inv_mult
     norm = float(np.linalg.norm(gap))
@@ -213,69 +180,53 @@ def _assemble_gap(index: "_SupportIndex", inv_mult, X, Z):
     return gap / norm
 
 
-def _polish(A: SymMatrix, supports, X: np.ndarray):
+def _polish(A: SymMatrix, index: _BlockIndex, X: np.ndarray):
     """Least-squares finish on the active faces of the current blocks.
 
     Eigenvectors with non-negligible eigenvalues are frozen per block and the
     remaining low-dimensional coefficients are fit to the consensus constraint
     exactly.  Returns the stack of fitted blocks (unverified) or None.
     """
-    n = A.n
-    scale = 1.0 + A.max_abs()
-    rank_cut = 1e-5 * scale
-    bases = []
-    for s in range(len(supports)):
-        lam, vec = np.linalg.eigh((X[s] + X[s].T) / 2.0)
-        keep = lam > rank_cut
-        bases.append(vec[:, keep])
-    cols = sum(v.shape[1] * (v.shape[1] + 1) // 2 for v in bases)
+    n, k = A.n, index.k
+    rank_cut = 1e-5 * (1.0 + A.max_abs())
+    lam, vec = np.linalg.eigh((X + np.swapaxes(X, 1, 2)) / 2.0)
+    keep = lam > rank_cut
+    # one column per block s and kept eigenvector pair al <= be, block-major
+    ua, ub = np.triu_indices(k)
+    s_col, p_col = np.nonzero(keep[:, ua] & keep[:, ub])
+    cols = len(s_col)
     if cols == 0:
         return np.zeros_like(X)
     if cols > 4000:
         return None  # out of polish scope; let the splitting continue
 
-    row_of = {}
-    for i in range(n):
-        for j in range(i, n):
-            row_of[(i, j)] = len(row_of)
-    design = np.zeros((len(row_of), cols))
-    col = 0
-    for s, K in enumerate(supports):
-        V = bases[s]
-        idx = K.indices
-        r = V.shape[1]
-        for al in range(r):
-            for be in range(al, r):
-                contrib = np.outer(V[:, al], V[:, be])
-                if al != be:
-                    contrib = contrib + contrib.T
-                for a in range(len(idx)):
-                    for b in range(a, len(idx)):
-                        design[row_of[(idx[a], idx[b])], col] += contrib[a, b]
-                col += 1
-    rhs = np.zeros(len(row_of))
-    for (i, j), r_idx in row_of.items():
-        rhs[r_idx] = float(A[i, j])
-    theta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    # entry (a, b) of a column's block is va_a vb_b, plus va_b vb_a when al < be
+    va = vec[s_col, :, ua[p_col]]
+    vb = vec[s_col, :, ub[p_col]]
+    contrib = va[:, ua] * vb[:, ub]
+    off = ua[p_col] != ub[p_col]
+    contrib[off] += va[off][:, ub] * vb[off][:, ua]
+    # rows of the design are the upper-triangle entries (i, j) of A
+    iu = np.triu_indices(n)
+    row_at = np.zeros(n * n, dtype=int)
+    row_at[iu[0] * n + iu[1]] = np.arange(len(iu[0]))
+    rows = row_at[index.flat[s_col][:, ua * k + ub]]
+    design = np.zeros((len(iu[0]), cols))
+    design[rows, np.arange(cols)[:, None]] += contrib
+    theta, *_ = np.linalg.lstsq(design, A.as_array()[iu], rcond=None)
 
+    coef = np.zeros_like(X)  # theta as symmetric matrices in each eigenbasis
+    coef[s_col, ua[p_col], ub[p_col]] = theta
+    coef[s_col, ub[p_col], ua[p_col]] = theta
     out = np.zeros_like(X)
-    pos = 0
-    for s in range(len(supports)):
-        V = bases[s]
-        r = V.shape[1]
-        if r == 0:
-            continue
-        S = np.zeros((r, r))
-        for al in range(r):
-            for be in range(al, r):
-                S[al, be] = S[be, al] = theta[pos]
-                pos += 1
-        B = V @ S @ V.T
+    for s in np.flatnonzero(keep.any(axis=1)):
+        V = vec[s][:, keep[s]]
+        B = V @ coef[s][keep[s]][:, keep[s]] @ V.T
         B = (B + B.T) / 2.0
-        lam, vec = np.linalg.eigh(B)
-        if lam[0] < 0.0:
+        lam_b, vec_b = np.linalg.eigh(B)
+        if lam_b[0] < 0.0:
             # clip stray negatives; the residual re-check decides acceptance
-            B = (vec * np.maximum(lam, 0.0)) @ vec.T
+            B = (vec_b * np.maximum(lam_b, 0.0)) @ vec_b.T
             B = (B + B.T) / 2.0
         out[s] = B
     return out
@@ -286,18 +237,15 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     n = A.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    supports = _normalize_supports(n, k, opts.support_list)
+    index = _BlockIndex(n, _normalize_supports(n, k, opts.support_list))
+    supports = index.supports
     m = len(supports)
-    kmax = max(len(K) for K in supports)
-    if any(len(K) != kmax for K in supports):
-        raise ValueError("mixed support sizes are not supported")
 
     Af = A.as_array()
     scale = 1.0 + A.max_abs()
     target = opts.feas_tol * scale
 
-    index = _SupportIndex(n, supports)
-    mult = _coverage(n, supports)
+    mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(Af) > target)
     if np.any(uncovered):
         i, j = map(int, np.argwhere(uncovered)[0])
@@ -362,7 +310,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
             last_improve = it
         stalled = (it - last_improve) > stall_window
         if stalled or (it % polish_every == 0 and res < 0.2 * scale):
-            d = _accept(_polish(A, supports, X))
+            d = _accept(_polish(A, index, X))
             if d is not None:
                 return d, it
             if stalled and resets_left > 0:
@@ -384,7 +332,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         U += opts.rho * (X - Z)
 
     X = _project_psd(Z - U)
-    d = _accept(_polish(A, supports, X))
+    d = _accept(_polish(A, index, X))
     if d is not None:
         return d, opts.max_iter
     acc = index.accumulate(X)

@@ -1,7 +1,10 @@
 """Membership in the dual cones (FW_k^n)* and separating-certificate search.
 
 A symmetric matrix is in the dual cone exactly when every k x k principal
-submatrix is psd, so membership is a finite battery of small psd tests.  Two
+submatrix is psd, so membership is a finite battery of small psd tests.  The
+battery, the repair passes, the Dykstra cycles and the extreme-ray ranks read
+and write those blocks through one ``symcore._BlockIndex`` over all C(n, k)
+supports, the index the ``decompose`` splitting core uses.  Two
 search strategies produce separating certificates for non-members of FW_k:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
@@ -30,9 +33,11 @@ from .decompose import DecompositionFailure, SolverOptions, fw_decompose
 from .symcore import (
     SymMatrix,
     Support,
+    enumerate_supports,
     frobenius_inner,
     is_psd,
     principal_submatrix,
+    _BlockIndex,
     _project_psd,
 )
 from .polyforms import monomial_basis
@@ -119,12 +124,12 @@ class ExtremeRayReport:
 # ---------------------------------------------------------------------------
 
 
-def _k_subsets(n: int, k: int):
-    return list(itertools.combinations(range(n), k))
+def _full_index(n: int, k: int) -> _BlockIndex:
+    return _BlockIndex(n, enumerate_supports(n, k))
 
 
-def _submatrix_margins(Bf: np.ndarray, subsets) -> tuple[np.ndarray, np.ndarray]:
-    stack = np.stack([Bf[np.ix_(K, K)] for K in subsets])
+def _submatrix_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue and scale ``1 + max|entry|`` of each block."""
     lam = np.linalg.eigvalsh((stack + np.transpose(stack, (0, 2, 1))) / 2.0)
     margins = lam[:, 0]
     scales = 1.0 + np.max(np.abs(stack), axis=(1, 2))
@@ -143,19 +148,17 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    subsets = _k_subsets(n, k)
-    margins, scales = _submatrix_margins(B.as_array(), subsets)
+    index = _full_index(n, k)
+    margins, scales = _submatrix_margins(index.gather(B.as_array()))
     worst = int(np.argmin(margins))
     exact = B.is_exact and tol == 0
     if exact:
-        member = all(
-            is_psd(principal_submatrix(B, Support.of(K)), 0).is_psd
-            for K in subsets
-        )
+        member = all(is_psd(principal_submatrix(B, K), 0).is_psd
+                     for K in index.supports)
     else:
         member = bool(np.all(margins >= -tol * scales))
     return DualMembershipReport(
-        is_member=member, k=k, worst_support=Support.of(subsets[worst]),
+        is_member=member, k=k, worst_support=index.supports[worst],
         worst_margin=float(margins[worst]), exact=exact)
 
 
@@ -289,15 +292,15 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
     norm = float(np.linalg.norm(candidate))
     if norm == 0.0 or qnorm == 0.0 or not np.all(np.isfinite(candidate)):
         return None
-    subsets = _k_subsets(Q.n, k)
-    ix_list = [np.ix_(K, K) for K in subsets]
-    y = candidate / norm
+    index = _full_index(Q.n, k)
+    yf = (candidate / norm).ravel()  # repaired in place, block s at yf[flat[s]]
+    y = yf.reshape(Q.n, Q.n)
     for _ in range(cleanup_passes):
-        margins, scales = _submatrix_margins(y, subsets)
+        margins, scales = _submatrix_margins(index.gather(y))
         if np.all(margins >= -1e-9 * scales):
             break
-        for ix in ix_list:
-            y[ix] = _project_psd(y[ix])
+        for f in index.flat:
+            yf[f] = _project_psd(yf[f].reshape(k, k)).ravel()
     ynorm = float(np.linalg.norm(y))
     if ynorm < 1e-10:
         return None
@@ -332,21 +335,21 @@ def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
                 return cert
 
     qnorm = Q.frob_norm()  # > 0: a zero target never fails to decompose
-    subsets = _k_subsets(Q.n, k)
-    ix_list = [np.ix_(K, K) for K in subsets]
-    x = -Q.as_array() / qnorm
-    corr = np.zeros((len(subsets), k, k))
+    index = _full_index(Q.n, k)
+    xf = (-Q.as_array() / qnorm).ravel()  # block s at xf[flat[s]]
+    x = xf.reshape(Q.n, Q.n)
+    corr = np.zeros((len(index.supports), k, k))
 
     for cycle in range(1, max_cycles + 1):
-        for s, ix in enumerate(ix_list):
-            v = x[ix] + corr[s]
+        for s, f in enumerate(index.flat):
+            v = xf[f].reshape(k, k) + corr[s]
             proj = _project_psd(v)
             corr[s] = v - proj
-            x[ix] = proj
+            xf[f] = proj.ravel()
         xnorm = float(np.linalg.norm(x))
         if xnorm < 1e-12:
             return None  # iterate collapsed onto the origin: no separator here
-        margins, scales = _submatrix_margins(x / xnorm, subsets)
+        margins, scales = _submatrix_margins(index.gather(x / xnorm))
         if np.all(margins >= -1e-9 * scales):
             cert = verify_candidate(x, Q, k, cleanup_passes=0)
         elif cycle % 25 == 0:
@@ -406,13 +409,11 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
             reason=f"psd with rank {rank}"
             + (": spans an extreme ray" if rank == 1 else ": decomposable"))
     report = dual_membership(B, n - 1, 1e-9)
-    subsets = _k_subsets(n, n - 1)
-    ranks = []
-    for K in subsets:
-        sub = Bf[np.ix_(K, K)]
-        sl = np.linalg.eigvalsh(sub)
-        sub_scale = max(float(np.max(np.abs(sub))), 1e-300)
-        ranks.append(int(np.sum(np.abs(sl) > 1e-8 * sub_scale)))
+    stack = _full_index(n, n - 1).gather(Bf)
+    sub_scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    sub_lam = np.linalg.eigvalsh(stack)
+    ranks = np.sum(np.abs(sub_lam) > 1e-8 * sub_scales[:, None],
+                   axis=1).tolist()
     extreme = report.is_member and all(r == n - 2 for r in ranks)
     if not report.is_member:
         reason = "not in the dual cone"

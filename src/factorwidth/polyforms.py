@@ -100,9 +100,6 @@ class HomogeneousPoly:
                 clean[t] = c
         self.coefficients = clean
 
-    def coefficient(self, t: ExponentTuple) -> Fraction:
-        return self.coefficients.get(tuple(t), Fraction(0))
-
     def __eq__(self, other):
         if not isinstance(other, HomogeneousPoly):
             return NotImplemented
@@ -363,9 +360,12 @@ def load_poly_json(obj) -> HomogeneousPoly:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not {"n", "degree", "terms"} <= obj.keys():
         raise ValueError('polynomial JSON must be {"n", "degree", "terms"}')
+    n, degree = _as_int(obj["n"]), _as_int(obj["degree"])
+    if n < 1 or degree < 0:
+        raise ValueError("need n >= 1 and degree >= 0")
     coeffs: dict = {}
     for term in obj["terms"]:
         exp = tuple(_as_int(e) for e in term["exp"])
         c = Fraction(_parse_entry(term["coef"]))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-    return HomogeneousPoly(n=obj["n"], degree=obj["degree"], coefficients=coeffs)
+    return HomogeneousPoly(n=n, degree=degree, coefficients=coeffs)

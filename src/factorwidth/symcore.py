@@ -13,6 +13,7 @@ never happens silently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "SymMatrix",
     "Support",
+    "enumerate_supports",
     "EigenResult",
     "PsdReport",
     "frobenius_inner",
@@ -99,13 +101,12 @@ class SymMatrix:
         return cls(n, upper)
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, symmetrize: bool = True) -> "SymMatrix":
+    def from_array(cls, arr: np.ndarray) -> "SymMatrix":
         """Build a float matrix from a numpy array, averaging the triangles."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-D array")
-        if symmetrize:
-            a = (a + a.T) / 2.0
+        a = (a + a.T) / 2.0
         n = a.shape[0]
         upper = [float(a[i, j]) for i in range(n) for j in range(i, n)]
         return cls(n, upper)
@@ -164,27 +165,6 @@ class SymMatrix:
         """Exact copy; floats convert via their exact binary value."""
         return SymMatrix(self.n, [e if isinstance(e, (int, Fraction)) else Fraction(e)
                                   for e in self.data])
-
-    # -- small arithmetic helpers ------------------------------------------
-
-    def add(self, other: "SymMatrix") -> "SymMatrix":
-        self._check_same_world(other)
-        return SymMatrix(self.n, [a + b for a, b in zip(self.data, other.data)])
-
-    def sub(self, other: "SymMatrix") -> "SymMatrix":
-        self._check_same_world(other)
-        return SymMatrix(self.n, [a - b for a, b in zip(self.data, other.data)])
-
-    def scale(self, c: Scalar) -> "SymMatrix":
-        if isinstance(c, float) and self.is_exact:
-            raise TypeError("scaling an exact matrix by a float; convert explicitly")
-        return SymMatrix(self.n, [c * e for e in self.data])
-
-    def _check_same_world(self, other: "SymMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        if self.is_exact != other.is_exact:
-            raise TypeError("mixing exact and float matrices; convert explicitly")
 
     # -- norms / predicates --------------------------------------------------
 
@@ -247,6 +227,47 @@ def _as_int(v) -> int:
 
 def _as_support(K) -> Support:
     return K if isinstance(K, Support) else Support.of(K)
+
+
+def enumerate_supports(n: int, k: int) -> list[Support]:
+    """All C(n, k) supports of size k, in lexicographic order."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return [Support(c) for c in itertools.combinations(range(n), k)]
+
+
+class _BlockIndex:
+    """The principal blocks of an ``n x n`` matrix on same-size supports.
+
+    Both cones read and write blocks only through this index: an FW_k member
+    is ``accumulate`` of a stack of psd blocks, and a dual member has every
+    block of ``gather`` psd.  Row ``s`` of ``flat`` holds the row-major flat
+    positions of block ``s`` in the raveled matrix, so ``m.ravel()[flat[s]]``
+    is block ``s`` of ``m`` raveled.
+    """
+
+    def __init__(self, n: int, supports: Sequence[Support]):
+        if not supports:
+            raise ValueError("the support list is empty")
+        k = len(supports[0])
+        if any(len(K) != k for K in supports):
+            raise ValueError("mixed support sizes are not supported")
+        idx = np.array([K.indices for K in supports])
+        self.n = n
+        self.k = k
+        self.supports = list(supports)
+        self.flat = (idx[:, :, None] * n + idx[:, None, :]).reshape(-1, k * k)
+
+    def gather(self, mat: np.ndarray) -> np.ndarray:
+        """The ``(m, k, k)`` stack of blocks of ``mat``."""
+        return mat.ravel()[self.flat].reshape(-1, self.k, self.k)
+
+    def accumulate(self, stack: np.ndarray) -> np.ndarray:
+        """The ``n x n`` sum of the blocks of ``stack`` placed on their supports
+        (the adjoint of ``gather``)."""
+        acc = np.bincount(self.flat.ravel(), weights=stack.ravel(),
+                          minlength=self.n * self.n)
+        return acc.reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -492,9 +513,9 @@ def load_matrix_json(obj) -> SymMatrix:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise ValueError('matrix JSON must be {"n": ..., "rows": [[...]]}')
-    n = obj["n"]
+    n = _as_int(obj["n"])
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if n < 1:
         raise ValueError("n must be a positive integer")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"rows must form an {n}x{n} matrix")

@@ -264,6 +264,9 @@ def _write(path, obj):
     ("check-fw", "{M}", 4, "--rho", "1e308"),
     ("check-fw", "{M}", 4, "--rho", 2),
     ("check-fw", "{M}", 4, "--supports", "{frac_support}"),
+    ("check-fw", "{M}", 4, "--supports", "{empty_list}"),
+    ("check-fw", "{M}", 4, "--supports", "{empty_supports}"),
+    ("check-fw", "{n_true}", 1),
     ("check-dual", "{M}", 0),
     ("check-dual", "{M}", 4, "--tol", "nan"),
     ("check-dual", "{M}", 4, "--tol", -1),
@@ -277,6 +280,10 @@ def _write(path, obj):
     ("soks", "{cubic}", 1),
     ("soks", "{no_coef}", 2),
     ("soks", "{frac_exp}", 2),
+    ("soks", "{n_zero_poly}", 2),
+    ("soks", "{n_str_poly}", 2),
+    ("soks", "{neg_degree_poly}", 2),
+    ("soks", "{quad}", 2, "-r", -1),
     ("pna", 4, 3, "abc"),
     ("pna", 4, 3, "1/0"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
@@ -302,6 +309,16 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
             "n": 2, "degree": 2, "terms": [{"exp": [2, 0]}]}),
         "frac_exp": _write(tmp_path / "frac_exp.json", {
             "n": 3, "degree": 2, "terms": [{"exp": [2.9, 0, 0], "coef": 1}]}),
+        "empty_list": _write(tmp_path / "empty_list.json", []),
+        "empty_supports": _write(tmp_path / "empty_supports.json",
+                                 {"supports": []}),
+        "n_true": _write(tmp_path / "n_true.json", {"n": True, "rows": [[1]]}),
+        "n_zero_poly": _write(tmp_path / "n_zero_poly.json", {
+            "n": 0, "degree": 2, "terms": []}),
+        "n_str_poly": _write(tmp_path / "n_str_poly.json", {
+            "n": "2", "degree": 2, "terms": []}),
+        "neg_degree_poly": _write(tmp_path / "neg_degree_poly.json", {
+            "n": 2, "degree": -2, "terms": []}),
     }
     code, report = run_cli(capsys, *(str(a).format(**files) for a in argv))
     assert code == 64

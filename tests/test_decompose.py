@@ -61,10 +61,11 @@ class TestEnumerateSupports:
 class TestCoverageCounts:
     def test_full_support_multiplicity_matches_binomials(self):
         # entry (i,i) is covered by C(n-1,k-1) supports, (i,j) by C(n-2,k-2)
-        from factorwidth.decompose import _coverage
+        from factorwidth.symcore import _BlockIndex
 
         for n, k in [(4, 2), (5, 3), (6, 4)]:
-            mult = _coverage(n, enumerate_supports(n, k))
+            index = _BlockIndex(n, enumerate_supports(n, k))
+            mult = index.accumulate(np.ones((math.comb(n, k), k, k)))
             for i in range(n):
                 for j in range(n):
                     expected = (math.comb(n - 1, k - 1) if i == j
@@ -159,6 +160,11 @@ class TestFwDecompose:
         with pytest.raises(ValueError, match="mixed support sizes"):
             fw_decompose(A, 2, SolverOptions(
                 support_list=[Support.of([0]), Support.of([1, 2])]))
+
+    def test_empty_support_list_rejected(self):
+        with pytest.raises(ValueError, match="support list is empty"):
+            fw_decompose(SymMatrix.identity(3), 2,
+                         SolverOptions(support_list=[]))
 
 
 class TestFwMembership:

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from factorwidth.symcore import (
     SymMatrix,
     Support,
+    _BlockIndex,
     embed,
     eigen_sym,
+    enumerate_supports,
     frobenius_inner,
     is_psd,
     load_matrix_json,
@@ -147,6 +149,24 @@ class TestSubmatrixAndEmbed:
             lhs = frobenius_inner(embed(b, K, 6), a)
             rhs = frobenius_inner(b, principal_submatrix(a, K))
             assert lhs == rhs
+
+    def test_block_index_gather_and_accumulate_are_adjoint(self):
+        # <gather(M), S> == <M, accumulate(S)>, and gather reads the same
+        # blocks as principal_submatrix
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(1, n + 1))
+            index = _BlockIndex(n, enumerate_supports(n, k))
+            M = random_sym(rng, n)
+            S = rng.standard_normal((len(index.supports), k, k))
+            stack = index.gather(M.as_array())
+            lhs = float(np.sum(stack * S))
+            rhs = float(np.sum(M.as_array() * index.accumulate(S)))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            for s, K in enumerate(index.supports):
+                assert np.array_equal(stack[s],
+                                      principal_submatrix(M, K).as_array())
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
