@@ -172,6 +172,7 @@ def cmd_check_fw(args) -> int:
         "residual": verdict.diagnostics.get("primal_residual"),
         "iterations": verdict.diagnostics.get("iterations"),
         "value": verdict.diagnostics.get("certificate_value"),
+        "certificate_source": verdict.diagnostics.get("certificate_source"),
         "artifacts": artifacts,
     })
     return _verdict_exit(verdict.status)

@@ -11,6 +11,13 @@ Every block read and write (consensus, coverage counts, the polish design)
 goes through one ``symcore._BlockIndex``; only ``BlockDecomposition.build``
 re-accumulates the blocks on its own, as the independent re-verification.
 
+Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
+Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment
+over rho) converges to a separating direction.  Every z-check shifts it by
+the multiple of the identity that puts it in the dual cone and, when the
+shifted direction pairs negatively with A, hands it to the certificate gate;
+a pass stops the run with the certificate.
+
 Non-membership is never declared from a solver stall; it requires a verified
 separating certificate from :mod:`factorwidth.dualcone`.
 """
@@ -31,6 +38,7 @@ from .symcore import (
     enumerate_supports,
     is_psd,
     _BlockIndex,
+    _full_index,
     _project_psd,
 )
 
@@ -53,21 +61,30 @@ _BLOCK_PSD_TOL = 1e-8
 class DecompositionFailure(RuntimeError):
     """Splitting gave up; carries the residual history for diagnosis.
 
+    ``certificate`` is a ``dualcone.DualCertificate`` when the run stopped
+    because a z-check certified non-membership from its shifted gap
+    direction (it passed ``dualcone.verify_candidate``), else ``None``.
+
     ``gap_candidate`` holds the ambient assembly of the block-space gap
-    direction, which for infeasible instances approximates a separating
-    certificate (up to sign); it is unverified.  ``fw_membership`` and
-    ``dualcone.dykstra_dual_certificate`` hand the whole failure to
-    ``dualcone.separating_certificate``, the one place that turns it into a
-    certificate.  ``None`` if the loop never ran.
+    direction at the final iterate, which for infeasible instances
+    approximates a separating certificate (up to sign); it is unverified.
+    When an entry of A lies outside every support it is the closed-form
+    direction -sign(A_ij)(e_i e_j^T + e_j e_i^T), normalized, which at k = 1
+    is an exact certificate.  ``None`` if the gap vanished.
+
+    ``fw_membership`` and ``dualcone.dykstra_dual_certificate`` hand the
+    whole failure to ``dualcone.separating_certificate``, the one place that
+    turns it into a certificate.
     """
 
     def __init__(self, message: str, best_residual: float, iterations: int,
-                 residual_history: list, gap_candidate=None):
+                 residual_history: list, gap_candidate=None, certificate=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.iterations = iterations
         self.residual_history = residual_history
         self.gap_candidate = gap_candidate
+        self.certificate = certificate
 
 
 _RHO_MAX = (1.0 + math.sqrt(5.0)) / 2.0
@@ -154,8 +171,6 @@ class MembershipVerdict:
 
 
 def _normalize_supports(n: int, k: int, support_list) -> list[Support]:
-    if support_list is None:
-        return enumerate_supports(n, k)
     seen = set()
     out = []
     for K in support_list:
@@ -178,6 +193,42 @@ def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
     if norm == 0.0 or not np.all(np.isfinite(gap)):
         return None
     return gap / norm
+
+
+def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
+                     index: _BlockIndex, restricted: bool, gap):
+    """A verified certificate from the gap direction, shifted, or None.
+
+    Adding eps*I raises every principal block by eps.  So with eps the most
+    negative block eigenvalue of +gap (or of -gap), +gap + eps*I (or
+    -gap + eps*I) lies exactly in the dual of the run's cone and pairs with
+    A as <+-gap, A> + eps tr A.  A member of that cone pairs nonnegatively
+    with it, so only a strictly negative pairing goes on; a restricted run
+    then recomputes eps over all C(n, k) supports, and the candidate meets
+    the one certificate gate without repair passes.  ``Af`` is A as an array.
+    """
+    from . import dualcone
+
+    if gap is None:
+        return None
+    inner, trace = float(np.vdot(gap, Af)), float(np.trace(Af))
+
+    def separating(idx):
+        lam = np.linalg.eigvalsh(idx.gather(gap))
+        shifts = (max(0.0, -float(lam[:, 0].min())),
+                  max(0.0, float(lam[:, -1].max())))
+        return [(sign, eps) for sign, eps in zip((1.0, -1.0), shifts)
+                if sign * inner + eps * trace < 0.0]
+
+    candidates = separating(index)
+    if candidates and restricted:
+        candidates = separating(_full_index(A.n, k))
+    for sign, eps in candidates:
+        cert = dualcone.verify_candidate(sign * gap + eps * np.eye(A.n), A, k,
+                                         cleanup_passes=0)
+        if cert is not None:
+            return cert
+    return None
 
 
 def _polish(A: SymMatrix, index: _BlockIndex, X: np.ndarray):
@@ -233,11 +284,15 @@ def _polish(A: SymMatrix, index: _BlockIndex, X: np.ndarray):
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
-    """Splitting core: ``(decomposition, iterations)`` or DecompositionFailure."""
+    """Splitting core: ``(decomposition, iterations, residual_history)`` or
+    DecompositionFailure (with a verified certificate when a z-check found
+    one)."""
     n = A.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    index = _BlockIndex(n, _normalize_supports(n, k, opts.support_list))
+    restricted = opts.support_list is not None
+    index = (_BlockIndex(n, _normalize_supports(n, k, opts.support_list))
+             if restricted else _full_index(n, k))
     supports = index.supports
     m = len(supports)
 
@@ -249,12 +304,14 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     uncovered = (mult == 0) & (np.abs(Af) > target)
     if np.any(uncovered):
         i, j = map(int, np.argwhere(uncovered)[0])
+        direction = np.zeros((n, n))
+        direction[i, j] = direction[j, i] = -np.sign(Af[i, j])
         raise DecompositionFailure(
             f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
             best_residual=float(np.max(np.abs(Af[mult == 0]))),
             iterations=0,
             residual_history=[],
-            gap_candidate=None,
+            gap_candidate=direction / np.linalg.norm(direction),
         )
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
 
@@ -304,7 +361,19 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
             for stack, worth in tries:
                 d = _accept(stack) if worth else None
                 if d is not None:
-                    return d, it
+                    return d, it, history
+        if zcheck:
+            # infeasibility detection: the gap X - Z converges to a
+            # separating direction on non-members
+            cert = _gap_certificate(A, Af, k, index, restricted,
+                                    _assemble_gap(index, inv_mult, X, Z))
+            if cert is not None:
+                history.append((it, res))
+                raise DecompositionFailure(
+                    f"gap direction certified non-membership after {it} "
+                    f"iterations", best_residual=min(best, res),
+                    iterations=it, residual_history=history,
+                    certificate=cert)
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
@@ -312,7 +381,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         if stalled or (it % polish_every == 0 and res < 0.2 * scale):
             d = _accept(_polish(A, index, X))
             if d is not None:
-                return d, it
+                return d, it, history
             if stalled and resets_left > 0:
                 # restart the multipliers: spiralling near a spurious
                 # configuration is broken by dropping the dual bias
@@ -334,7 +403,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     X = _project_psd(Z - U)
     d = _accept(_polish(A, index, X))
     if d is not None:
-        return d, opts.max_iter
+        return d, opts.max_iter, history
     acc = index.accumulate(X)
     res = float(np.max(np.abs(Af - acc)))
     history.append((opts.max_iter, res))
@@ -350,8 +419,7 @@ def fw_decompose(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
                  ) -> BlockDecomposition:
     """Find psd blocks on k-supports summing to A, or raise
     :class:`DecompositionFailure` with the residual history."""
-    d, _ = _fw_decompose_impl(A, k, opts or SolverOptions())
-    return d
+    return _fw_decompose_impl(A, k, opts or SolverOptions())[0]
 
 
 def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
@@ -363,25 +431,35 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     failure into a certificate that passed ``dualcone.verify_candidate``.  A
     solver stall without a certificate yields "inconclusive", never
     "non_member".
+
+    ``diagnostics`` holds ``iterations``, ``primal_residual`` and the
+    ``residual_history`` of the run as ``(iteration, residual)`` pairs; a
+    non-member adds ``certificate_value`` and ``certificate_source``:
+    ``"in_loop_gap"`` (a z-check of the splitting core), ``"final_gap"``
+    (the gap direction of the failed run) or ``"dykstra"`` (the cycles).
     """
     from . import dualcone
 
     try:
-        d, iterations = _fw_decompose_impl(A, k, opts or SolverOptions())
+        d, iterations, history = _fw_decompose_impl(A, k,
+                                                    opts or SolverOptions())
     except DecompositionFailure as fail:
         diagnostics = {"iterations": fail.iterations,
-                       "primal_residual": fail.best_residual}
-        cert = dualcone.separating_certificate(A, k, fail)
+                       "primal_residual": fail.best_residual,
+                       "residual_history": fail.residual_history}
+        cert, source = dualcone.separating_certificate(A, k, fail)
         if cert is None:
             diagnostics["certificate_found"] = False
             return MembershipVerdict(status="inconclusive",
                                      diagnostics=diagnostics)
         diagnostics["certificate_value"] = cert.value
+        diagnostics["certificate_source"] = source
         return MembershipVerdict(status="non_member", certificate=cert,
                                  diagnostics=diagnostics)
     return MembershipVerdict(
         status="member", decomposition=d,
-        diagnostics={"iterations": iterations, "primal_residual": d.residual})
+        diagnostics={"iterations": iterations, "primal_residual": d.residual,
+                     "residual_history": history})
 
 
 def extract_factors(d: BlockDecomposition) -> np.ndarray:

@@ -3,17 +3,18 @@
 A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership is a finite battery of small psd tests.  The
 battery, the repair passes, the Dykstra cycles and the extreme-ray ranks read
-and write those blocks through one ``symcore._BlockIndex`` over all C(n, k)
-supports, the index the ``decompose`` splitting core uses.  Two
-search strategies produce separating certificates for non-members of FW_k:
+and write those blocks through the one cached ``symcore._full_index(n, k)``
+over all C(n, k) supports, the index the ``decompose`` splitting core uses
+when it runs on every support.  Two search strategies produce separating
+certificates for non-members of FW_k:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
   matrices), scanned over a grid and refined by coordinate descent;
-* for arbitrary (n, k), ``separating_certificate``: the gap direction of a
-  failed ``decompose`` splitting run, then Dykstra cyclic projections onto
-  the submatrix-psd sets, started at the steepest separating direction
-  -Q/||Q||_F.  ``fw_membership`` and ``dykstra_dual_certificate`` both end
-  there.
+* for arbitrary (n, k), ``separating_certificate``: the certificate a
+  ``decompose`` splitting run verified at a z-check, else the gap direction
+  of the failed run, then Dykstra cyclic projections onto the submatrix-psd
+  sets, started at the steepest separating direction -Q/||Q||_F.
+  ``fw_membership`` and ``dykstra_dual_certificate`` both end there.
 
 ``verify_candidate`` is the one certificate gate: every ``DualCertificate``
 is built there, after one dual membership battery and the scale-free strict
@@ -29,15 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .decompose import DecompositionFailure, SolverOptions, fw_decompose
+from .decompose import DecompositionFailure, fw_decompose
 from .symcore import (
     SymMatrix,
     Support,
-    enumerate_supports,
     frobenius_inner,
     is_psd,
     principal_submatrix,
-    _BlockIndex,
+    _full_index,
     _project_psd,
 )
 from .polyforms import monomial_basis
@@ -122,10 +122,6 @@ class ExtremeRayReport:
 # ---------------------------------------------------------------------------
 # Dual membership battery
 # ---------------------------------------------------------------------------
-
-
-def _full_index(n: int, k: int) -> _BlockIndex:
-    return _BlockIndex(n, enumerate_supports(n, k))
 
 
 def _submatrix_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +270,6 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
 # Dykstra projection onto the dual cone
 # ---------------------------------------------------------------------------
 
-_GAP_ITERATIONS = 1500  # splitting iterations spent on the phase-1 direction
-
 
 def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
                      cleanup_passes: int = 100) -> Optional[DualCertificate]:
@@ -317,22 +311,30 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
 
 def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
                            max_cycles: int = 5000
-                           ) -> Optional[DualCertificate]:
-    """Turn a failed splitting run on Q into a certificate, or None.
+                           ) -> tuple[Optional[DualCertificate], Optional[str]]:
+    """Turn a failed splitting run on Q into ``(certificate, source)``.
 
-    The failure's gap direction is tried with both signs (this nails thin
-    separations that projection iterations approach only sublinearly).
-    Then Dykstra cyclic projections onto the sets {B : B_K psd} run from the
-    steepest separating direction -Q/||Q||_F.  An iterate inside the dual
-    cone goes to ``verify_candidate`` as it is; every 25th cycle one outside
-    it goes there with repair passes.  The search gives up after
-    ``max_cycles`` cycles.
+    The source names the stage that produced the certificate:
+    ``"in_loop_gap"``, ``"final_gap"`` or ``"dykstra"``; ``(None, None)``
+    when none did.  A certificate the run already verified at a z-check
+    (its shifted gap direction; see ``decompose.DecompositionFailure``) is
+    returned as it is.  Otherwise the failure's final gap direction is tried
+    with both signs (this nails thin separations that projection iterations
+    approach only sublinearly); at k = 1 that direction is the closed-form
+    certificate of an entry outside every support.  Then Dykstra cyclic
+    projections onto the sets {B : B_K psd} run from the steepest separating
+    direction -Q/||Q||_F.  An iterate inside the dual cone goes to
+    ``verify_candidate`` as it is; every 25th cycle one outside it goes
+    there with repair passes.  The search gives up after ``max_cycles``
+    cycles.
     """
+    if failure.certificate is not None:
+        return failure.certificate, "in_loop_gap"
     if failure.gap_candidate is not None:
         for sign in (1.0, -1.0):
             cert = verify_candidate(sign * failure.gap_candidate, Q, k)
             if cert is not None:
-                return cert
+                return cert, "final_gap"
 
     qnorm = Q.frob_norm()  # > 0: a zero target never fails to decompose
     index = _full_index(Q.n, k)
@@ -348,7 +350,7 @@ def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
             xf[f] = proj.ravel()
         xnorm = float(np.linalg.norm(x))
         if xnorm < 1e-12:
-            return None  # iterate collapsed onto the origin: no separator here
+            return None, None  # iterate collapsed onto the origin
         margins, scales = _submatrix_margins(index.gather(x / xnorm))
         if np.all(margins >= -1e-9 * scales):
             cert = verify_candidate(x, Q, k, cleanup_passes=0)
@@ -357,19 +359,23 @@ def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
         else:
             continue
         if cert is not None:
-            return cert
-    return None
+            return cert, "dykstra"
+    return None, None
 
 
 def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
                              ) -> Optional[DualCertificate]:
     """Separating-certificate search in (FW_k^n)* for an arbitrary target.
 
-    Runs the ``decompose`` splitting core for ``_GAP_ITERATIONS`` iterations;
-    a verified decomposition ends the search with ``None``.  Otherwise the
-    failure goes to ``separating_certificate`` (gap direction, then at most
-    ``max_cycles`` Dykstra cycles), whose every result passed
-    ``verify_candidate``.
+    Runs the ``decompose`` splitting core with default options, the same
+    run as ``fw_membership``; a verified decomposition ends the search with
+    ``None``.  The core's z-checks test the shifted gap direction as they
+    go, so a non-member usually stops within a few z-checks with a verified
+    certificate.  The failure goes to ``separating_certificate`` (that
+    certificate, else the final gap direction, then at most ``max_cycles``
+    Dykstra cycles), whose every result passed ``verify_candidate``.  So
+    with the default ``max_cycles`` this finds a certificate exactly when
+    ``fw_membership`` returns "non_member".
 
     ``None`` means no certificate was found; it is never a membership proof.
     """
@@ -377,9 +383,9 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     try:
-        fw_decompose(Q, k, SolverOptions(max_iter=_GAP_ITERATIONS))
+        fw_decompose(Q, k)
     except DecompositionFailure as fail:
-        return separating_certificate(Q, k, fail, max_cycles)
+        return separating_certificate(Q, k, fail, max_cycles)[0]
     return None  # Q has a verified decomposition, so nothing separates it
 
 

@@ -13,6 +13,7 @@ never happens silently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -243,7 +244,8 @@ class _BlockIndex:
     is ``accumulate`` of a stack of psd blocks, and a dual member has every
     block of ``gather`` psd.  Row ``s`` of ``flat`` holds the row-major flat
     positions of block ``s`` in the raveled matrix, so ``m.ravel()[flat[s]]``
-    is block ``s`` of ``m`` raveled.
+    is block ``s`` of ``m`` raveled.  An index is read-only once built, so
+    one instance can be shared (see ``_full_index``).
     """
 
     def __init__(self, n: int, supports: Sequence[Support]):
@@ -255,8 +257,9 @@ class _BlockIndex:
         idx = np.array([K.indices for K in supports])
         self.n = n
         self.k = k
-        self.supports = list(supports)
+        self.supports = tuple(supports)
         self.flat = (idx[:, :, None] * n + idx[:, None, :]).reshape(-1, k * k)
+        self.flat.flags.writeable = False
 
     def gather(self, mat: np.ndarray) -> np.ndarray:
         """The ``(m, k, k)`` stack of blocks of ``mat``."""
@@ -268,6 +271,12 @@ class _BlockIndex:
         acc = np.bincount(self.flat.ravel(), weights=stack.ravel(),
                           minlength=self.n * self.n)
         return acc.reshape(self.n, self.n)
+
+
+@functools.lru_cache(maxsize=32)
+def _full_index(n: int, k: int) -> _BlockIndex:
+    """The shared index over all C(n, k) supports, built once per (n, k)."""
+    return _BlockIndex(n, enumerate_supports(n, k))
 
 
 @dataclass(frozen=True)

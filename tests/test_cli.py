@@ -48,7 +48,11 @@ class TestCheckFw:
         code, report = run_cli(capsys, "check-fw", fixture_files["M"], 4)
         assert code == 1
         assert report["verdict"] == "non_member"
+        assert report["certificate_source"] == "in_loop_gap"
         jsonschema.validate(report, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**report, "certificate_source": "guess"},
+                                schema)
         cert_path = fixture_files["M"].parent / "M.certificate.json"
         assert cert_path.exists()
         cert = json.loads(cert_path.read_text())
@@ -58,6 +62,7 @@ class TestCheckFw:
         code, report = run_cli(capsys, "check-fw", fixture_files["I5"], 1)
         assert code == 0
         assert report["verdict"] == "member"
+        assert report["certificate_source"] is None
         jsonschema.validate(report, schema)
         assert (fixture_files["I5"].parent
                 / "identity5.decomposition.json").exists()

@@ -17,7 +17,12 @@ from factorwidth.decompose import (
     fw_membership,
 )
 from factorwidth.dualcone import dual_membership
-from factorwidth.families import example_m_fixtures, pna_form, PnaSpec
+from factorwidth.families import (
+    PnaSpec,
+    example_m_fixtures,
+    pna_form,
+    sobs_comparison,
+)
 from factorwidth.symcore import (
     SymMatrix,
     Support,
@@ -207,7 +212,7 @@ class TestFwMembership:
             A, k = example_m_fixtures().M, 4
         else:
             # no width-1 support covers an off-diagonal entry: the run fails
-            # without a gap direction and the Dykstra cycles must separate
+            # at once with the closed-form direction of that entry
             a = np.random.default_rng(5).standard_normal((4, 4))
             A, k = SymMatrix.from_array(a @ a.T), 1
         calls = []
@@ -221,6 +226,17 @@ class TestFwMembership:
         v = fw_membership(A, k)
         assert v.status == "non_member"
         assert calls == [k]
+
+    def test_diagnostics_keep_residual_history(self):
+        fx = example_m_fixtures()
+        for v in (fw_membership(fx.M, 4),
+                  fw_membership(fx.Qprime, 4, SolverOptions(
+                      support_list=list(fx.supports27)))):
+            history = v.diagnostics["residual_history"]
+            assert history and history[0][0] == 1
+            its = [it for it, _ in history]
+            assert its == sorted(its) and its[-1] <= v.diagnostics["iterations"]
+            assert all(res >= 0 for _, res in history)
 
     def test_monotone_in_width(self):
         rng = np.random.default_rng(0)
@@ -287,3 +303,73 @@ class TestSolverOptions:
             for value in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="finite"):
                     SolverOptions(**{field: value})
+
+
+class TestEarlyInfeasibility:
+    """z-checks certify non-members from the shifted gap direction."""
+
+    def test_criterion_7_non_members_certified_within_100_iterations(self):
+        rng = np.random.default_rng(7)
+        non_members = 0
+        for trial in range(60):
+            n = 3 if trial % 2 == 0 else 4
+            w = rng.standard_normal((n, n))
+            noise = rng.standard_normal((n, n))
+            sigma = (0.1, 0.3, 1.0)[trial % 3]
+            A = SymMatrix.from_array(w @ w.T / n + sigma * (noise + noise.T) / 2)
+            oracle = sobs_comparison(A)
+            band = 1e-4 * (1.0 + oracle.comparison.max_abs())
+            if abs(oracle.psd_report.min_eigenvalue) <= band:
+                continue
+            v = fw_membership(A, 2)
+            assert (v.status == "member") == oracle.is_sobs, trial
+            if v.status == "non_member":
+                non_members += 1
+                assert v.diagnostics["iterations"] <= 100, trial
+                assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        assert non_members >= 20
+
+    def test_member_runs_never_call_the_gate(self, monkeypatch):
+        from factorwidth import dualcone
+
+        def fail(*args, **kwargs):
+            raise AssertionError("certificate gate called on a member run")
+
+        monkeypatch.setattr(dualcone, "verify_candidate", fail)
+        fx = example_m_fixtures()
+        v = fw_membership(fx.Qprime, 4,
+                          SolverOptions(support_list=list(fx.supports27)))
+        assert v.status == "member"
+        rng = np.random.default_rng(11)
+        for n, k in [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 3), (6, 4)]:
+            A = random_fw_member(rng, n, k)
+            assert fw_membership(A, k).status == "member", (n, k)
+
+    @pytest.mark.parametrize("n,k,a", [(5, 3, 1.0), (6, 3, 1.2)])
+    def test_restricted_run_certificate_passes_full_battery(self, n, k, a):
+        # the two dropped supports make the run's cone smaller than FW_k;
+        # at (5, 3) its gap direction needs a larger shift over all C(n, k)
+        # blocks than over the run's own, so only that shift certifies here
+        A = pna_form(PnaSpec(n, a)).Q.to_float()
+        supports = enumerate_supports(n, k)[2:]
+        v = fw_membership(A, k, SolverOptions(support_list=supports))
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        B = v.certificate.B
+        assert dual_membership(B, k, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+    def test_width_one_closed_form_certificate(self, monkeypatch):
+        from factorwidth import dualcone
+
+        def fail(*args, **kwargs):
+            raise AssertionError("Dykstra cycles ran at k = 1")
+
+        monkeypatch.setattr(dualcone, "_project_psd", fail)
+        A = SymMatrix.from_rows([[2, 0, -3], [0, 1, 0], [-3, 0, 5]])
+        v = fw_membership(A, 1)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "final_gap"
+        expected = np.zeros((3, 3))
+        expected[0, 2] = expected[2, 0] = 1.0 / math.sqrt(2.0)
+        np.testing.assert_allclose(v.certificate.B.as_array(), expected)

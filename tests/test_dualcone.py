@@ -17,6 +17,7 @@ from factorwidth.dualcone import (
     lift_quaternary_certificate,
     verify_candidate,
 )
+from factorwidth.decompose import fw_membership
 from factorwidth.families import example_m_fixtures, pna_form, PnaSpec
 from factorwidth.polyforms import monomial_basis
 from factorwidth.symcore import (
@@ -177,8 +178,6 @@ class TestCosCertificateSearch:
         assert dual_membership(cert.B, 3).is_member
 
     def test_at_threshold_none_and_membership_accepts(self):
-        from factorwidth.decompose import fw_membership
-
         Q = pna_form(PnaSpec(4, Fraction(3, 2))).Q
         assert cos_certificate_search(Q) is None
         assert fw_membership(Q, 3).status == "member"
@@ -225,7 +224,7 @@ class TestDykstra:
 
     def test_width1_target_with_off_diagonal_mass(self):
         # no width-1 support covers an off-diagonal entry, so the splitting
-        # core yields no gap direction and the Dykstra cycles must separate
+        # core fails at once with the closed-form direction of that entry
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 5))
         Q = SymMatrix.from_array(a @ a.T)
@@ -233,6 +232,24 @@ class TestDykstra:
         assert cert is not None
         assert cert.value < 0
         assert dual_membership(cert.B, 1).is_member
+
+    def test_finds_every_rank_one_non_member_of_fw_membership(self):
+        # rank-1 5x5 targets at width 4 are thin separations; the splitting
+        # run of certify is the one of fw_membership, so whenever that says
+        # non_member a certificate must come out here too
+        rng = np.random.default_rng(5)
+        non_members = 0
+        for trial in range(12):
+            u = rng.standard_normal(5)
+            Q = SymMatrix.from_array(np.outer(u, u))
+            if fw_membership(Q, 4).status != "non_member":
+                continue
+            non_members += 1
+            cert = dykstra_dual_certificate(Q, 4)
+            assert cert is not None, trial
+            assert dual_membership(cert.B, 4).is_member
+            assert cert.value < 0
+        assert non_members >= 10
 
     def test_member_returns_none_without_verifying(self, monkeypatch):
         from factorwidth import dualcone
