@@ -10,7 +10,8 @@ Every command prints one RunReport JSON object to stdout (schema shipped in
     65  Gram/polynomial mismatch
     70  internal error (an unexpected exception; never a verdict)
 
-All commands are deterministic for fixed inputs and flags.
+All commands are deterministic for fixed inputs and flags.  ``certify``
+still accepts ``--max-cycles`` (a nonnegative integer), which has no effect.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def cmd_certify(args) -> int:
     if Q.n == 4 and args.k == 3:
         cert = cos_certificate_search(Q)
     if cert is None:
-        cert = dykstra_dual_certificate(Q, args.k, max_cycles=args.max_cycles)
+        cert = dykstra_dual_certificate(Q, args.k)
     artifacts = []
     if cert is not None:
         out = _artifact_path(args.matrix, "certificate")
@@ -378,7 +379,8 @@ def build_parser() -> _Parser:
                                         "certificate")
     s.add_argument("matrix")
     s.add_argument("k", type=int)
-    s.add_argument("--max-cycles", type=int, default=5000)
+    s.add_argument("--max-cycles", type=int, default=5000,
+                   help="no effect; accepted for compatibility")
     s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("eig", help="eigenvalues of a symmetric matrix")

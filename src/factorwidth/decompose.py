@@ -18,14 +18,16 @@ the multiple of the identity that puts it in the dual cone and, when the
 shifted direction pairs negatively with A, hands it to the certificate gate;
 a pass stops the run with the certificate.
 
-Non-membership is never declared from a solver stall; it requires a verified
-separating certificate from :mod:`factorwidth.dualcone`.
+The exits that end a run (plateau, iteration budget, an entry outside every
+support) try their final gap direction through the same shift.  Non-membership
+is never declared from a solver stall; it requires a certificate that passed
+the gate of :mod:`factorwidth.dualcone`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,30 +63,23 @@ _BLOCK_PSD_TOL = 1e-8
 class DecompositionFailure(RuntimeError):
     """Splitting gave up; carries the residual history for diagnosis.
 
-    ``certificate`` is a ``dualcone.DualCertificate`` when the run stopped
-    because a z-check certified non-membership from its shifted gap
-    direction (it passed ``dualcone.verify_candidate``), else ``None``.
-
-    ``gap_candidate`` holds the ambient assembly of the block-space gap
-    direction at the final iterate, which for infeasible instances
-    approximates a separating certificate (up to sign); it is unverified.
-    When an entry of A lies outside every support it is the closed-form
-    direction -sign(A_ij)(e_i e_j^T + e_j e_i^T), normalized, which at k = 1
-    is an exact certificate.  ``None`` if the gap vanished.
-
-    ``fw_membership`` and ``dualcone.dykstra_dual_certificate`` hand the
-    whole failure to ``dualcone.separating_certificate``, the one place that
-    turns it into a certificate.
+    ``certificate`` is a ``dualcone.DualCertificate`` (it passed
+    ``dualcone.verify_candidate``) when the shifted gap direction certified
+    non-membership, else ``None``.  ``source`` names the exit that found
+    it: ``"in_loop_gap"`` (a z-check) or ``"final_gap"`` (the plateau,
+    iteration-budget or uncovered-entry exit); ``None`` without a
+    certificate.  The splitting core is the only producer of non-member
+    certificates.
     """
 
     def __init__(self, message: str, best_residual: float, iterations: int,
-                 residual_history: list, gap_candidate=None, certificate=None):
+                 residual_history: list, certificate=None, source=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.iterations = iterations
         self.residual_history = residual_history
-        self.gap_candidate = gap_candidate
         self.certificate = certificate
+        self.source = source
 
 
 _RHO_MAX = (1.0 + math.sqrt(5.0)) / 2.0
@@ -204,8 +199,8 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     -gap + eps*I) lies exactly in the dual of the run's cone and pairs with
     A as <+-gap, A> + eps tr A.  A member of that cone pairs nonnegatively
     with it, so only a strictly negative pairing goes on; a restricted run
-    then recomputes eps over all C(n, k) supports, and the candidate meets
-    the one certificate gate without repair passes.  ``Af`` is A as an array.
+    then recomputes eps over all C(n, k) supports, and the candidate goes
+    to the one certificate gate as it is.  ``Af`` is A as an array.
     """
     from . import dualcone
 
@@ -224,8 +219,7 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     if candidates and restricted:
         candidates = separating(_full_index(A.n, k))
     for sign, eps in candidates:
-        cert = dualcone.verify_candidate(sign * gap + eps * np.eye(A.n), A, k,
-                                         cleanup_passes=0)
+        cert = dualcone.verify_candidate(sign * gap + eps * np.eye(A.n), A, k)
         if cert is not None:
             return cert
     return None
@@ -285,8 +279,8 @@ def _polish(A: SymMatrix, index: _BlockIndex, X: np.ndarray):
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     """Splitting core: ``(decomposition, iterations, residual_history)`` or
-    DecompositionFailure (with a verified certificate when a z-check found
-    one)."""
+    DecompositionFailure (with a verified certificate when the shifted gap
+    direction of a z-check or of the final exit separates)."""
     n = A.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -300,26 +294,34 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     scale = 1.0 + A.max_abs()
     target = opts.feas_tol * scale
 
+    history: list[tuple[int, float]] = []
+
+    def _give_up(message, best_residual, it, gap):
+        """Every exit that ends the run: the final gap direction goes
+        through the same shift as the z-checks."""
+        cert = _gap_certificate(A, Af, k, index, restricted, gap)
+        return DecompositionFailure(
+            message, best_residual=best_residual, iterations=it,
+            residual_history=history, certificate=cert,
+            source=None if cert is None else "final_gap")
+
     mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(Af) > target)
     if np.any(uncovered):
+        # the direction -sign(A_ij)(e_i e_j^T + e_j e_i^T) has zero blocks
+        # on the run's supports, so at k = 1 it needs no shift at all
         i, j = map(int, np.argwhere(uncovered)[0])
         direction = np.zeros((n, n))
         direction[i, j] = direction[j, i] = -np.sign(Af[i, j])
-        raise DecompositionFailure(
+        raise _give_up(
             f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
-            best_residual=float(np.max(np.abs(Af[mult == 0]))),
-            iterations=0,
-            residual_history=[],
-            gap_candidate=direction / np.linalg.norm(direction),
-        )
+            float(np.max(np.abs(Af[mult == 0]))), 0, direction)
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
 
     # consensus initialisation: distribute A over the supports by multiplicity
     Z = index.gather(Af * inv_mult)
     U = np.zeros_like(Z)
 
-    history: list[tuple[int, float]] = []
     best = math.inf
     last_improve = 0
     stall_window = 600
@@ -373,7 +375,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
                     f"gap direction certified non-membership after {it} "
                     f"iterations", best_residual=min(best, res),
                     iterations=it, residual_history=history,
-                    certificate=cert)
+                    certificate=cert, source="in_loop_gap")
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
@@ -390,11 +392,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
                 last_improve = it
             elif stalled:
                 history.append((it, res))
-                raise DecompositionFailure(
+                raise _give_up(
                     f"residual plateau at {best:.3e} after {it} iterations "
                     f"(target {target:.3e})",
-                    best_residual=best, iterations=it, residual_history=history,
-                    gap_candidate=_assemble_gap(index, inv_mult, X, Z))
+                    best, it, _assemble_gap(index, inv_mult, X, Z))
         W = X + U
         corr = (Af - index.accumulate(W)) * inv_mult
         Z = W + index.gather(corr)
@@ -407,12 +408,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     acc = index.accumulate(X)
     res = float(np.max(np.abs(Af - acc)))
     history.append((opts.max_iter, res))
-    raise DecompositionFailure(
+    raise _give_up(
         f"no decomposition within {opts.max_iter} iterations "
         f"(best residual {best:.3e}, target {target:.3e})",
-        best_residual=min(best, res), iterations=opts.max_iter,
-        residual_history=history,
-        gap_candidate=_assemble_gap(index, inv_mult, X, Z))
+        min(best, res), opts.max_iter, _assemble_gap(index, inv_mult, X, Z))
 
 
 def fw_decompose(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
@@ -427,27 +426,36 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     """Three-way membership decision for FW_k.
 
     One splitting run decides it.  Member verdicts carry its re-verified
-    decomposition; on failure ``dualcone.separating_certificate`` turns the
-    failure into a certificate that passed ``dualcone.verify_candidate``.  A
-    solver stall without a certificate yields "inconclusive", never
-    "non_member".
+    decomposition; non-member verdicts carry the certificate the run's
+    shifted gap direction gave, which passed ``dualcone.verify_candidate``.
+    A run with a ``support_list`` searches a smaller cone than FW_k and can
+    fail without a separating direction; then one more run of the same core
+    on all C(n, k) supports is made for its certificate only (should it
+    decompose A, the verdict stays "inconclusive").  A solver stall without
+    a certificate yields "inconclusive", never "non_member".
 
-    ``diagnostics`` holds ``iterations``, ``primal_residual`` and the
-    ``residual_history`` of the run as ``(iteration, residual)`` pairs; a
-    non-member adds ``certificate_value`` and ``certificate_source``:
-    ``"in_loop_gap"`` (a z-check of the splitting core), ``"final_gap"``
-    (the gap direction of the failed run) or ``"dykstra"`` (the cycles).
+    ``diagnostics`` holds ``iterations`` (of both runs after a rerun),
+    ``primal_residual`` and the ``residual_history`` of the first run as
+    ``(iteration, residual)`` pairs; a non-member adds ``certificate_value``
+    and ``certificate_source``: ``"in_loop_gap"`` (a z-check) or
+    ``"final_gap"`` (the exit that ended the run).
     """
-    from . import dualcone
-
+    opts = opts or SolverOptions()
     try:
-        d, iterations, history = _fw_decompose_impl(A, k,
-                                                    opts or SolverOptions())
+        d, iterations, history = _fw_decompose_impl(A, k, opts)
     except DecompositionFailure as fail:
-        diagnostics = {"iterations": fail.iterations,
+        cert, source = fail.certificate, fail.source
+        iterations = fail.iterations
+        if cert is None and opts.support_list is not None:
+            try:
+                iterations += _fw_decompose_impl(
+                    A, k, replace(opts, support_list=None))[1]
+            except DecompositionFailure as full:
+                cert, source = full.certificate, full.source
+                iterations += full.iterations
+        diagnostics = {"iterations": iterations,
                        "primal_residual": fail.best_residual,
                        "residual_history": fail.residual_history}
-        cert, source = dualcone.separating_certificate(A, k, fail)
         if cert is None:
             diagnostics["certificate_found"] = False
             return MembershipVerdict(status="inconclusive",

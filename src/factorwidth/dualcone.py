@@ -1,20 +1,17 @@
-"""Membership in the dual cones (FW_k^n)* and separating-certificate search.
+"""Membership in the dual cones (FW_k^n)* and separating certificates.
 
 A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership is a finite battery of small psd tests.  The
-battery, the repair passes, the Dykstra cycles and the extreme-ray ranks read
-and write those blocks through the one cached ``symcore._full_index(n, k)``
-over all C(n, k) supports, the index the ``decompose`` splitting core uses
-when it runs on every support.  Two search strategies produce separating
-certificates for non-members of FW_k:
+battery and the extreme-ray ranks read those blocks through the one cached
+``symcore._full_index(n, k)`` over all C(n, k) supports, the index the
+``decompose`` splitting core uses when it runs on every support.
+Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
   matrices), scanned over a grid and refined by coordinate descent;
-* for arbitrary (n, k), ``separating_certificate``: the certificate a
-  ``decompose`` splitting run verified at a z-check, else the gap direction
-  of the failed run, then Dykstra cyclic projections onto the submatrix-psd
-  sets, started at the steepest separating direction -Q/||Q||_F.
-  ``fw_membership`` and ``dykstra_dual_certificate`` both end there.
+* for arbitrary (n, k), the ``decompose`` splitting core, whose shifted gap
+  direction is the only other source; ``dykstra_dual_certificate`` reads it
+  from ``fw_membership``.
 
 ``verify_candidate`` is the one certificate gate: every ``DualCertificate``
 is built there, after one dual membership battery and the scale-free strict
@@ -30,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decompose import DecompositionFailure, fw_decompose
+from .decompose import fw_membership
 from .symcore import (
     SymMatrix,
     Support,
@@ -38,7 +35,6 @@ from .symcore import (
     is_psd,
     principal_submatrix,
     _full_index,
-    _project_psd,
 )
 from .polyforms import monomial_basis
 
@@ -49,7 +45,6 @@ __all__ = [
     "CosExtremeRay",
     "dual_membership",
     "verify_candidate",
-    "separating_certificate",
     "cos_ray",
     "cos_certificate_search",
     "dykstra_dual_certificate",
@@ -124,14 +119,6 @@ class ExtremeRayReport:
 # ---------------------------------------------------------------------------
 
 
-def _submatrix_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue and scale ``1 + max|entry|`` of each block."""
-    lam = np.linalg.eigvalsh((stack + np.transpose(stack, (0, 2, 1))) / 2.0)
-    margins = lam[:, 0]
-    scales = 1.0 + np.max(np.abs(stack), axis=(1, 2))
-    return margins, scales
-
-
 def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
                     ) -> DualMembershipReport:
     """Check all C(n, k) principal submatrices of B for psd-ness.
@@ -145,7 +132,10 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     index = _full_index(n, k)
-    margins, scales = _submatrix_margins(index.gather(B.as_array()))
+    stack = index.gather(B.as_array())
+    margins = np.linalg.eigvalsh((stack + np.transpose(stack, (0, 2, 1)))
+                                 / 2.0)[:, 0]
+    scales = 1.0 + np.max(np.abs(stack), axis=(1, 2))
     worst = int(np.argmin(margins))
     exact = B.is_exact and tol == 0
     if exact:
@@ -267,38 +257,25 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# Dykstra projection onto the dual cone
+# The certificate gate
 # ---------------------------------------------------------------------------
 
 
-def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
-                     cleanup_passes: int = 100) -> Optional[DualCertificate]:
-    """The one certificate gate: repair a candidate direction, verify it.
+def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int
+                     ) -> Optional[DualCertificate]:
+    """The one certificate gate: normalize a candidate direction, verify it.
 
-    The candidate is normalized and repaired by up to ``cleanup_passes``
-    plain cyclic projections onto the submatrix-psd sets, then re-normalized.
-    It becomes a certificate only if it passes one ``dual_membership``
-    battery at tolerance 1e-9 and pairs strictly negatively with Q,
-    <B, Q> < -1e-8 ||B||_F ||Q||_F.  Both checks are scale-free.  Both the
-    input direction and its negative are worth trying; this handles one sign.
+    The candidate becomes a certificate only if it passes one
+    ``dual_membership`` battery at tolerance 1e-9 and pairs strictly
+    negatively with Q, <B, Q> < -1e-8 ||B||_F ||Q||_F.  Both checks are
+    scale-free.  Nothing is repaired: a candidate outside the dual cone is
+    rejected.
     """
     qnorm = Q.frob_norm()
     norm = float(np.linalg.norm(candidate))
     if norm == 0.0 or qnorm == 0.0 or not np.all(np.isfinite(candidate)):
         return None
-    index = _full_index(Q.n, k)
-    yf = (candidate / norm).ravel()  # repaired in place, block s at yf[flat[s]]
-    y = yf.reshape(Q.n, Q.n)
-    for _ in range(cleanup_passes):
-        margins, scales = _submatrix_margins(index.gather(y))
-        if np.all(margins >= -1e-9 * scales):
-            break
-        for f in index.flat:
-            yf[f] = _project_psd(yf[f].reshape(k, k)).ravel()
-    ynorm = float(np.linalg.norm(y))
-    if ynorm < 1e-10:
-        return None
-    B = SymMatrix.from_array(y / ynorm)
+    B = SymMatrix.from_array(candidate / norm)
     report = dual_membership(B, k, 1e-9)
     if not report.is_member:
         return None
@@ -309,84 +286,15 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int,
                            worst_minor_margin=report.worst_margin)
 
 
-def separating_certificate(Q: SymMatrix, k: int, failure: DecompositionFailure,
-                           max_cycles: int = 5000
-                           ) -> tuple[Optional[DualCertificate], Optional[str]]:
-    """Turn a failed splitting run on Q into ``(certificate, source)``.
-
-    The source names the stage that produced the certificate:
-    ``"in_loop_gap"``, ``"final_gap"`` or ``"dykstra"``; ``(None, None)``
-    when none did.  A certificate the run already verified at a z-check
-    (its shifted gap direction; see ``decompose.DecompositionFailure``) is
-    returned as it is.  Otherwise the failure's final gap direction is tried
-    with both signs (this nails thin separations that projection iterations
-    approach only sublinearly); at k = 1 that direction is the closed-form
-    certificate of an entry outside every support.  Then Dykstra cyclic
-    projections onto the sets {B : B_K psd} run from the steepest separating
-    direction -Q/||Q||_F.  An iterate inside the dual cone goes to
-    ``verify_candidate`` as it is; every 25th cycle one outside it goes
-    there with repair passes.  The search gives up after ``max_cycles``
-    cycles.
-    """
-    if failure.certificate is not None:
-        return failure.certificate, "in_loop_gap"
-    if failure.gap_candidate is not None:
-        for sign in (1.0, -1.0):
-            cert = verify_candidate(sign * failure.gap_candidate, Q, k)
-            if cert is not None:
-                return cert, "final_gap"
-
-    qnorm = Q.frob_norm()  # > 0: a zero target never fails to decompose
-    index = _full_index(Q.n, k)
-    xf = (-Q.as_array() / qnorm).ravel()  # block s at xf[flat[s]]
-    x = xf.reshape(Q.n, Q.n)
-    corr = np.zeros((len(index.supports), k, k))
-
-    for cycle in range(1, max_cycles + 1):
-        for s, f in enumerate(index.flat):
-            v = xf[f].reshape(k, k) + corr[s]
-            proj = _project_psd(v)
-            corr[s] = v - proj
-            xf[f] = proj.ravel()
-        xnorm = float(np.linalg.norm(x))
-        if xnorm < 1e-12:
-            return None, None  # iterate collapsed onto the origin
-        margins, scales = _submatrix_margins(index.gather(x / xnorm))
-        if np.all(margins >= -1e-9 * scales):
-            cert = verify_candidate(x, Q, k, cleanup_passes=0)
-        elif cycle % 25 == 0:
-            cert = verify_candidate(x, Q, k)
-        else:
-            continue
-        if cert is not None:
-            return cert, "dykstra"
-    return None, None
-
-
-def dykstra_dual_certificate(Q: SymMatrix, k: int, max_cycles: int = 5000
+def dykstra_dual_certificate(Q: SymMatrix, k: int
                              ) -> Optional[DualCertificate]:
-    """Separating-certificate search in (FW_k^n)* for an arbitrary target.
+    """Separating certificate in (FW_k^n)* for an arbitrary target, or None.
 
-    Runs the ``decompose`` splitting core with default options, the same
-    run as ``fw_membership``; a verified decomposition ends the search with
-    ``None``.  The core's z-checks test the shifted gap direction as they
-    go, so a non-member usually stops within a few z-checks with a verified
-    certificate.  The failure goes to ``separating_certificate`` (that
-    certificate, else the final gap direction, then at most ``max_cycles``
-    Dykstra cycles), whose every result passed ``verify_candidate``.  So
-    with the default ``max_cycles`` this finds a certificate exactly when
-    ``fw_membership`` returns "non_member".
-
-    ``None`` means no certificate was found; it is never a membership proof.
+    This is ``fw_membership(Q, k).certificate``: a certificate exactly when
+    ``fw_membership`` returns "non_member"; the name is historical.  ``None``
+    means no certificate was found; it is never a membership proof.
     """
-    n = Q.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    try:
-        fw_decompose(Q, k)
-    except DecompositionFailure as fail:
-        return separating_certificate(Q, k, fail, max_cycles)[0]
-    return None  # Q has a verified decomposition, so nothing separates it
+    return fw_membership(Q, k).certificate
 
 
 # ---------------------------------------------------------------------------

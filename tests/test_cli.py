@@ -50,9 +50,10 @@ class TestCheckFw:
         assert report["verdict"] == "non_member"
         assert report["certificate_source"] == "in_loop_gap"
         jsonschema.validate(report, schema)
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({**report, "certificate_source": "guess"},
-                                schema)
+        for source in ("guess", "dykstra"):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**report, "certificate_source": source},
+                                    schema)
         cert_path = fixture_files["M"].parent / "M.certificate.json"
         assert cert_path.exists()
         cert = json.loads(cert_path.read_text())

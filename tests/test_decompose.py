@@ -360,12 +360,12 @@ class TestEarlyInfeasibility:
         assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
 
     def test_width_one_closed_form_certificate(self, monkeypatch):
-        from factorwidth import dualcone
+        from factorwidth import decompose
 
         def fail(*args, **kwargs):
-            raise AssertionError("Dykstra cycles ran at k = 1")
+            raise AssertionError("a splitting iteration ran at k = 1")
 
-        monkeypatch.setattr(dualcone, "_project_psd", fail)
+        monkeypatch.setattr(decompose, "_project_psd", fail)
         A = SymMatrix.from_rows([[2, 0, -3], [0, 1, 0], [-3, 0, 5]])
         v = fw_membership(A, 1)
         assert v.status == "non_member"
@@ -373,3 +373,53 @@ class TestEarlyInfeasibility:
         expected = np.zeros((3, 3))
         expected[0, 2] = expected[2, 0] = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(v.certificate.B.as_array(), expected)
+
+
+class TestRestrictedFallback:
+    """A restricted run without a certificate borrows the full run's."""
+
+    @staticmethod
+    def _counted_runs(monkeypatch):
+        from factorwidth import decompose
+
+        runs = []
+        impl = decompose._fw_decompose_impl
+
+        def counted(A, k, opts):
+            try:
+                out = impl(A, k, opts)
+            except DecompositionFailure as fail:
+                runs.append((opts.support_list is None, fail.iterations))
+                raise
+            runs.append((opts.support_list is None, out[1]))
+            return out
+
+        monkeypatch.setattr(decompose, "_fw_decompose_impl", counted)
+        return runs
+
+    def test_m_on_four_supports_is_non_member(self, monkeypatch):
+        runs = self._counted_runs(monkeypatch)
+        M = example_m_fixtures().M
+        supports = [K for K in enumerate_supports(5, 4)
+                    if K.indices != (0, 1, 2, 3)]
+        v = fw_membership(M, 4, SolverOptions(support_list=supports))
+        assert v.status == "non_member"
+        assert [full for full, _ in runs] == [False, True]
+        assert v.diagnostics["iterations"] == sum(it for _, it in runs)
+        B = v.certificate.B
+        assert dual_membership(B, 4, 1e-9).is_member
+        assert float(frobenius_inner(B, M)) < -1e-8 * B.frob_norm() * M.frob_norm()
+
+    def test_uncovered_entry_certified_by_the_full_run(self, monkeypatch):
+        # (0, 1) is outside every support; its closed-form direction needs
+        # too large a shift over all C(5, 2) blocks to separate
+        runs = self._counted_runs(monkeypatch)
+        A = pna_form(PnaSpec(5, 1.5)).Q.to_float()
+        supports = [K for K in enumerate_supports(5, 2) if K.indices != (0, 1)]
+        v = fw_membership(A, 2, SolverOptions(support_list=supports))
+        assert v.status == "non_member"
+        assert len(runs) == 2 and runs[0] == (False, 0)
+        assert v.diagnostics["iterations"] == runs[1][1]
+        B = v.certificate.B
+        assert dual_membership(B, 2, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
