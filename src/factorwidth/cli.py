@@ -134,7 +134,6 @@ def _verdict_exit(verdict: str) -> int:
 def _solver_options(args, support_list=None) -> SolverOptions:
     try:
         return SolverOptions(
-            rho=args.rho,
             feas_tol=args.tol,
             max_iter=args.max_iter,
             support_list=support_list,
@@ -333,8 +332,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-7,
                      help="relative feasibility tolerance (default 1e-7)")
     sub.add_argument("--max-iter", type=int, default=20000)
-    sub.add_argument("--rho", type=float, default=1.0,
-                     help="multiplier step, 0 < rho < (1+sqrt(5))/2")
 
 
 def build_parser() -> _Parser:

@@ -4,19 +4,19 @@ The feasibility question "is A a sum of psd blocks supported on k-subsets?"
 is solved by alternating-direction splitting: per-support blocks are projected
 onto the psd cone, a closed-form affine correction restores consensus (the
 residual is distributed by entry multiplicity, which makes that step an exact
-projection), and scaled multipliers accumulate the disagreement.  A
-least-squares polish on the numerically active faces finishes instances whose
-solutions sit on the boundary of the psd cones, where plain splitting crawls.
-Every block read and write (consensus, coverage counts, the polish design)
-goes through one ``symcore._BlockIndex``; only ``BlockDecomposition.build``
-re-accumulates the blocks on its own, as the independent re-verification.
+projection), and scaled multipliers accumulate the disagreement.  A member is
+proved by the consensus-exact Z iterate with its blocks clipped to the psd
+cone, or by the X iterate, re-verified as they stand.  Every block read and
+write (consensus and coverage counts) goes through one
+``symcore._BlockIndex``; only ``BlockDecomposition.build`` re-accumulates the
+blocks on its own, as the independent re-verification.
 
 Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
-Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment
-over rho) converges to a separating direction.  Every z-check shifts it by
-the multiple of the identity that puts it in the dual cone and, when the
-shifted direction pairs negatively with A, hands it to the certificate gate;
-a pass stops the run with the certificate.
+Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment)
+converges to a separating direction.  Every z-check shifts it by the multiple
+of the identity that puts it in the dual cone and, when the shifted direction
+pairs negatively with A, hands it to the certificate gate; a pass stops the
+run with the certificate.
 
 The exits that end a run (plateau, iteration budget, an entry outside every
 support) try their final gap direction through the same shift.  Non-membership
@@ -82,23 +82,17 @@ class DecompositionFailure(RuntimeError):
         self.source = source
 
 
-_RHO_MAX = (1.0 + math.sqrt(5.0)) / 2.0
-
-
 @dataclass
 class SolverOptions:
-    """Splitting options.  ``rho`` is the multiplier step only (the penalty
-    cancels in this feasibility problem); it must lie in Glowinski's
-    convergence range 0 < rho < (1 + sqrt 5) / 2."""
+    """Splitting options.  A member must reproduce A within
+    ``feas_tol * (1 + max|A|)``; ``max_iter`` bounds the iterations and
+    ``support_list`` restricts the blocks to those supports."""
 
-    rho: float = 1.0
     feas_tol: float = 1e-7
     max_iter: int = 20000
     support_list: Optional[Sequence] = None
 
     def __post_init__(self):
-        if not 0.0 < self.rho < _RHO_MAX:
-            raise ValueError(f"rho must be finite and in (0, {_RHO_MAX:.6f})")
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
             raise ValueError("feas_tol must be positive and finite")
         if self.max_iter < 1:
@@ -225,62 +219,15 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     return None
 
 
-def _polish(A: SymMatrix, index: _BlockIndex, X: np.ndarray):
-    """Least-squares finish on the active faces of the current blocks.
-
-    Eigenvectors with non-negligible eigenvalues are frozen per block and the
-    remaining low-dimensional coefficients are fit to the consensus constraint
-    exactly.  Returns the stack of fitted blocks (unverified) or None.
-    """
-    n, k = A.n, index.k
-    rank_cut = 1e-5 * (1.0 + A.max_abs())
-    lam, vec = np.linalg.eigh((X + np.swapaxes(X, 1, 2)) / 2.0)
-    keep = lam > rank_cut
-    # one column per block s and kept eigenvector pair al <= be, block-major
-    ua, ub = np.triu_indices(k)
-    s_col, p_col = np.nonzero(keep[:, ua] & keep[:, ub])
-    cols = len(s_col)
-    if cols == 0:
-        return np.zeros_like(X)
-    if cols > 4000:
-        return None  # out of polish scope; let the splitting continue
-
-    # entry (a, b) of a column's block is va_a vb_b, plus va_b vb_a when al < be
-    va = vec[s_col, :, ua[p_col]]
-    vb = vec[s_col, :, ub[p_col]]
-    contrib = va[:, ua] * vb[:, ub]
-    off = ua[p_col] != ub[p_col]
-    contrib[off] += va[off][:, ub] * vb[off][:, ua]
-    # rows of the design are the upper-triangle entries (i, j) of A
-    iu = np.triu_indices(n)
-    row_at = np.zeros(n * n, dtype=int)
-    row_at[iu[0] * n + iu[1]] = np.arange(len(iu[0]))
-    rows = row_at[index.flat[s_col][:, ua * k + ub]]
-    design = np.zeros((len(iu[0]), cols))
-    design[rows, np.arange(cols)[:, None]] += contrib
-    theta, *_ = np.linalg.lstsq(design, A.as_array()[iu], rcond=None)
-
-    coef = np.zeros_like(X)  # theta as symmetric matrices in each eigenbasis
-    coef[s_col, ua[p_col], ub[p_col]] = theta
-    coef[s_col, ub[p_col], ua[p_col]] = theta
-    out = np.zeros_like(X)
-    for s in np.flatnonzero(keep.any(axis=1)):
-        V = vec[s][:, keep[s]]
-        B = V @ coef[s][keep[s]][:, keep[s]] @ V.T
-        B = (B + B.T) / 2.0
-        lam_b, vec_b = np.linalg.eigh(B)
-        if lam_b[0] < 0.0:
-            # clip stray negatives; the residual re-check decides acceptance
-            B = (vec_b * np.maximum(lam_b, 0.0)) @ vec_b.T
-            B = (B + B.T) / 2.0
-        out[s] = B
-    return out
-
-
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     """Splitting core: ``(decomposition, iterations, residual_history)`` or
     DecompositionFailure (with a verified certificate when the shifted gap
-    direction of a z-check or of the final exit separates)."""
+    direction of a z-check or of the final exit separates).
+
+    A member is found at a residual hit or a z-check, from the clipped Z
+    iterate or the projected X iterate.  A stall resets the multipliers at
+    most twice and then gives up, as does the end of the iteration budget.
+    """
     n = A.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -291,8 +238,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     m = len(supports)
 
     Af = A.as_array()
-    scale = 1.0 + A.max_abs()
-    target = opts.feas_tol * scale
+    target = opts.feas_tol * (1.0 + A.max_abs())
 
     history: list[tuple[int, float]] = []
 
@@ -325,15 +271,13 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     best = math.inf
     last_improve = 0
     stall_window = 600
-    polish_every = 400
     zcheck_every = 25
     resets_left = 2
 
     def _accept(stack):
-        """The one member exit: the re-verified blocks of ``stack`` if they
-        reproduce A within the target, else None."""
-        if stack is None:
-            return None
+        """The one member exit: the re-verified blocks of ``stack`` (the
+        clipped Z or the X iterate) if they reproduce A within the target,
+        else None."""
         blocks = [(supports[s], SymMatrix.from_array(stack[s]))
                   for s in range(m) if np.max(np.abs(stack[s])) > 0.0]
         try:
@@ -351,17 +295,15 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         zcheck = it % zcheck_every == 0
         if res <= target or zcheck:
             # the Z iterate is consensus-exact by construction; once its
-            # blocks are (numerically) psd, clipping them is a solution, and
-            # when X is feasible too the side with the smaller recomputed
-            # residual is tried first
+            # blocks are (numerically) psd, clipping them is a solution.
+            # Each side within the target is tried, the smaller recomputed
+            # residual first
             Xz = _project_psd(Z)
             resz = float(np.max(np.abs(Af - index.accumulate(Xz))))
-            tries = [(Xz, (zcheck or resz <= res) and resz <= target),
-                     (X, res <= target)]
-            if resz > res:
-                tries.reverse()
-            for stack, worth in tries:
-                d = _accept(stack) if worth else None
+            tries = ([(resz, Xz), (res, X)] if resz <= res
+                     else [(res, X), (resz, Xz)])
+            for r, stack in tries:
+                d = _accept(stack) if r <= target else None
                 if d is not None:
                     return d, it, history
         if zcheck:
@@ -379,18 +321,14 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
-        stalled = (it - last_improve) > stall_window
-        if stalled or (it % polish_every == 0 and res < 0.2 * scale):
-            d = _accept(_polish(A, index, X))
-            if d is not None:
-                return d, it, history
-            if stalled and resets_left > 0:
+        if it - last_improve > stall_window:
+            if resets_left > 0:
                 # restart the multipliers: spiralling near a spurious
                 # configuration is broken by dropping the dual bias
                 U[:] = 0.0
                 resets_left -= 1
                 last_improve = it
-            elif stalled:
+            else:
                 history.append((it, res))
                 raise _give_up(
                     f"residual plateau at {best:.3e} after {it} iterations "
@@ -399,14 +337,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         W = X + U
         corr = (Af - index.accumulate(W)) * inv_mult
         Z = W + index.gather(corr)
-        U += opts.rho * (X - Z)
+        U += X - Z
 
     X = _project_psd(Z - U)
-    d = _accept(_polish(A, index, X))
-    if d is not None:
-        return d, opts.max_iter, history
-    acc = index.accumulate(X)
-    res = float(np.max(np.abs(Af - acc)))
+    res = float(np.max(np.abs(Af - index.accumulate(X))))
     history.append((opts.max_iter, res))
     raise _give_up(
         f"no decomposition within {opts.max_iter} iterations "

@@ -32,8 +32,8 @@ from .symcore import (
     SymMatrix,
     Support,
     frobenius_inner,
-    is_psd,
     principal_submatrix,
+    _exact_psd,
     _full_index,
 )
 from .polyforms import monomial_basis
@@ -139,7 +139,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     worst = int(np.argmin(margins))
     exact = B.is_exact and tol == 0
     if exact:
-        member = all(is_psd(principal_submatrix(B, K), 0).is_psd
+        member = all(_exact_psd(principal_submatrix(B, K))
                      for K in index.supports)
     else:
         member = bool(np.all(margins >= -tol * scales))

@@ -266,9 +266,7 @@ def _write(path, obj):
     ("check-fw", "{M}", 2, "--supports", "{s27}"),
     ("check-fw", "{M}", 4, "--max-iter", 0),
     ("check-fw", "{M}", 4, "--tol", "inf"),
-    ("check-fw", "{M}", 4, "--rho", "inf"),
-    ("check-fw", "{M}", 4, "--rho", "1e308"),
-    ("check-fw", "{M}", 4, "--rho", 2),
+    ("check-fw", "{M}", 4, "--rho", 1),
     ("check-fw", "{M}", 4, "--supports", "{frac_support}"),
     ("check-fw", "{M}", 4, "--supports", "{empty_list}"),
     ("check-fw", "{M}", 4, "--supports", "{empty_supports}"),

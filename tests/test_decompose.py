@@ -139,10 +139,11 @@ class TestFwDecompose:
         for _, block in d.blocks:
             assert is_psd(block, 1e-8).is_psd
 
-    def test_m_fails_with_plateau(self):
+    def test_m_failure_carries_residual_history(self):
         fx = example_m_fixtures()
         with pytest.raises(DecompositionFailure) as exc:
             fw_decompose(fx.M, 4)
+        assert exc.value.source == "in_loop_gap"
         assert exc.value.residual_history
         assert exc.value.best_residual > 1e-3
 
@@ -291,18 +292,37 @@ class TestExtractFactors:
 class TestSolverOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(rho=0)
-        for rho in (2.0, 1e308):  # outside the step range (0, golden ratio)
-            with pytest.raises(ValueError):
-                SolverOptions(rho=rho)
-        with pytest.raises(ValueError):
             SolverOptions(feas_tol=0)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
-        for field in ("rho", "feas_tol"):
-            for value in (math.inf, math.nan):
-                with pytest.raises(ValueError, match="finite"):
-                    SolverOptions(**{field: value})
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SolverOptions(feas_tol=value)
+
+
+class TestIterationBudget:
+    """The exit at the end of the iteration budget."""
+
+    def test_budget_exit_certifies_from_the_final_gap(self):
+        Q = pna_form(PnaSpec(5, 0.9)).Q
+        v = fw_membership(Q, 3, SolverOptions(max_iter=10))
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "final_gap"
+        assert v.diagnostics["iterations"] == 10
+        B = v.certificate.B
+        assert dual_membership(B, 3, 1e-9).is_member
+        assert float(frobenius_inner(B, Q)) < -1e-8 * B.frob_norm() * Q.frob_norm()
+
+    def test_budget_exit_without_certificate_is_inconclusive(self):
+        # Qprime is a member; neither the restricted run nor the full rerun
+        # finishes within 50 iterations, and neither may certify
+        fx = example_m_fixtures()
+        v = fw_membership(fx.Qprime, 4, SolverOptions(
+            support_list=list(fx.supports27), max_iter=50))
+        assert v.status == "inconclusive"
+        assert v.certificate is None
+        assert v.diagnostics["certificate_found"] is False
+        assert v.diagnostics["iterations"] == 100
 
 
 class TestEarlyInfeasibility:

@@ -50,3 +50,43 @@ def test_every_export_resolves(path):
     missing = sorted(n for n in getattr(module, "__all__", ())
                      if not hasattr(module, n))
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _private_definitions(tree):
+    """Module-level ``_name`` functions, classes and constants, with the
+    top-level statement that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node):
+    """Names a statement reads: loads, attribute accesses and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_dead_private_definitions():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    dead = []
+    for name, tree in trees.items():
+        for private, definition in _private_definitions(tree):
+            used = any(private in _references(node)
+                       for other in trees.values() for node in other.body
+                       if node is not definition)
+            if not used:
+                dead.append(f"{name}: {private} (line {definition.lineno})")
+    assert not dead, f"private definitions referenced nowhere: {dead}"
