@@ -15,7 +15,7 @@ Run:  python3 demos/01_quinary_separation.py
 
 from fractions import Fraction
 
-from factorwidth.decompose import SolverOptions, fw_decompose, fw_membership
+from factorwidth.decompose import SolverOptions, fw_membership
 from factorwidth.dualcone import dual_membership
 from factorwidth.families import example_m_fixtures
 from factorwidth.symcore import Support, frobenius_inner, is_psd, principal_submatrix
@@ -54,7 +54,7 @@ print("\nStep 2 -- multiplying by (x1^2 + ... + x5^2) repairs it.")
 print("The lifted Gram (15x15, exact rationals, one sign fixed against the")
 print("expansion identity) decomposes over the 27 published supports:")
 opts = SolverOptions(feas_tol=1e-7, support_list=list(fx.supports27))
-d = fw_decompose(fx.Qprime, 4, opts)
+d = fw_membership(fx.Qprime, 4, opts).decomposition
 print(f"    blocks: {len(d.blocks)}   recomputed residual: {d.residual:.2e}")
 print(f"    target was 1e-6 * (1 + max|Q'|) = "
       f"{1e-6 * (1 + fx.Qprime.max_abs()):.2e}")

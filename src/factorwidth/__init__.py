@@ -19,9 +19,7 @@ from .decompose import (
     SolverOptions,
     BlockDecomposition,
     MembershipVerdict,
-    DecompositionFailure,
     enumerate_supports,
-    fw_decompose,
     fw_membership,
     extract_factors,
 )

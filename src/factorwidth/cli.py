@@ -114,9 +114,32 @@ def _check_width(k: int, n: int) -> None:
         raise _CliInputError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def _artifact_path(base: str, kind: str) -> Path:
+def _write_artifacts(base: str, decomposition=None, certificate=None
+                     ) -> list[str]:
+    """Write each witness given as ``<stem>.<kind>.json`` beside ``base``;
+    the paths written."""
     p = Path(base)
-    return p.with_name(p.stem + f".{kind}.json")
+    written = []
+    for kind, obj, to_json in (
+            ("decomposition", decomposition, decomposition_to_json),
+            ("certificate", certificate, certificate_to_json)):
+        if obj is not None:
+            out = p.with_name(f"{p.stem}.{kind}.json")
+            out.write_text(json.dumps(to_json(obj), indent=2))
+            written.append(str(out))
+    return written
+
+
+def _verdict_fields(verdict) -> dict:
+    """The RunReport fields of a ``MembershipVerdict``."""
+    d = verdict.diagnostics
+    return {
+        "verdict": verdict.status,
+        "residual": d.get("primal_residual"),
+        "iterations": d.get("iterations"),
+        "value": d.get("certificate_value"),
+        "certificate_source": d.get("certificate_source"),
+    }
 
 
 def _emit(report: dict) -> None:
@@ -153,27 +176,13 @@ def cmd_check_fw(args) -> int:
     supports = (_load_supports(args.supports, A.n, args.k)
                 if args.supports else None)
     verdict = fw_membership(A, args.k, _solver_options(args, supports))
-    artifacts = []
-    if verdict.decomposition is not None:
-        out = _artifact_path(args.matrix, "decomposition")
-        out.write_text(json.dumps(decomposition_to_json(verdict.decomposition),
-                                  indent=2))
-        artifacts.append(str(out))
-    if verdict.certificate is not None:
-        out = _artifact_path(args.matrix, "certificate")
-        out.write_text(json.dumps(certificate_to_json(verdict.certificate),
-                                  indent=2))
-        artifacts.append(str(out))
     _emit({
         "command": "check-fw",
-        "verdict": verdict.status,
         "n": A.n,
         "k": args.k,
-        "residual": verdict.diagnostics.get("primal_residual"),
-        "iterations": verdict.diagnostics.get("iterations"),
-        "value": verdict.diagnostics.get("certificate_value"),
-        "certificate_source": verdict.diagnostics.get("certificate_source"),
-        "artifacts": artifacts,
+        **_verdict_fields(verdict),
+        "artifacts": _write_artifacts(args.matrix, verdict.decomposition,
+                                      verdict.certificate),
     })
     return _verdict_exit(verdict.status)
 
@@ -227,21 +236,15 @@ def cmd_soks(args) -> int:
         gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
     _check_width(args.k, gram.n)
     verdict = soks_test(p, args.k, gram, _solver_options(args))
-    artifacts = []
-    if verdict.certificate is not None:
-        out = _artifact_path(args.poly, "certificate")
-        out.write_text(json.dumps(certificate_to_json(verdict.certificate),
-                                  indent=2))
-        artifacts.append(str(out))
     _emit({
         "command": "soks",
-        "verdict": verdict.status,
         "n": p.n,
         "k": args.k,
         "r": args.r,
-        "residual": verdict.diagnostics.get("primal_residual"),
+        **_verdict_fields(verdict),
         "gram_conditional": verdict.diagnostics.get("gram_conditional"),
-        "artifacts": artifacts,
+        "artifacts": _write_artifacts(args.poly,
+                                      certificate=verdict.certificate),
     })
     return _verdict_exit(verdict.status)
 
@@ -289,11 +292,6 @@ def cmd_certify(args) -> int:
         cert = cos_certificate_search(Q)
     if cert is None:
         cert = dykstra_dual_certificate(Q, args.k)
-    artifacts = []
-    if cert is not None:
-        out = _artifact_path(args.matrix, "certificate")
-        out.write_text(json.dumps(certificate_to_json(cert), indent=2))
-        artifacts.append(str(out))
     _emit({
         "command": "certify",
         "verdict": "found" if cert else "none",
@@ -302,7 +300,7 @@ def cmd_certify(args) -> int:
         "value": None if cert is None else float(cert.value),
         "normalized_value": None if cert is None else cert.normalized_value(Q),
         "worst_margin": None if cert is None else cert.worst_minor_margin,
-        "artifacts": artifacts,
+        "artifacts": _write_artifacts(args.matrix, certificate=cert),
     })
     return EXIT_OK if cert else EXIT_NEGATIVE
 

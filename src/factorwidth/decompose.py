@@ -21,7 +21,9 @@ run with the certificate.
 The exits that end a run (plateau, iteration budget, an entry outside every
 support) try their final gap direction through the same shift.  Non-membership
 is never declared from a solver stall; it requires a certificate that passed
-the gate of :mod:`factorwidth.dualcone`.
+the gate of :mod:`factorwidth.dualcone`.  Every run returns a
+:class:`MembershipVerdict`, and every verdict but a member names the exit that
+ended its run in ``diagnostics["stop"]``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ __all__ = [
     "SolverOptions",
     "BlockDecomposition",
     "MembershipVerdict",
-    "DecompositionFailure",
     "enumerate_supports",
-    "fw_decompose",
     "fw_membership",
     "extract_factors",
     "decomposition_to_json",
@@ -58,28 +58,6 @@ __all__ = [
 ]
 
 _BLOCK_PSD_TOL = 1e-8
-
-
-class DecompositionFailure(RuntimeError):
-    """Splitting gave up; carries the residual history for diagnosis.
-
-    ``certificate`` is a ``dualcone.DualCertificate`` (it passed
-    ``dualcone.verify_candidate``) when the shifted gap direction certified
-    non-membership, else ``None``.  ``source`` names the exit that found
-    it: ``"in_loop_gap"`` (a z-check) or ``"final_gap"`` (the plateau,
-    iteration-budget or uncovered-entry exit); ``None`` without a
-    certificate.  The splitting core is the only producer of non-member
-    certificates.
-    """
-
-    def __init__(self, message: str, best_residual: float, iterations: int,
-                 residual_history: list, certificate=None, source=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-        self.iterations = iterations
-        self.residual_history = residual_history
-        self.certificate = certificate
-        self.source = source
 
 
 @dataclass
@@ -219,14 +197,18 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     return None
 
 
-def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
-    """Splitting core: ``(decomposition, iterations, residual_history)`` or
-    DecompositionFailure (with a verified certificate when the shifted gap
-    direction of a z-check or of the final exit separates).
+def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
+                       ) -> MembershipVerdict:
+    """Splitting core: one run, one verdict.
 
     A member is found at a residual hit or a z-check, from the clipped Z
-    iterate or the projected X iterate.  A stall resets the multipliers at
-    most twice and then gives up, as does the end of the iteration budget.
+    iterate or the projected X iterate.  A z-check whose shifted gap
+    direction certifies ends the run ``non_member`` (``in_loop_gap``).  A
+    stall resets the multipliers at most twice and then gives up, as does
+    the end of the iteration budget or an entry outside every support; the
+    final gap direction then certifies (``final_gap``) or the verdict is
+    ``inconclusive``.  Every verdict but a member says in
+    ``diagnostics["stop"]`` why the run ended.
     """
     n = A.n
     if not 1 <= k <= n:
@@ -242,14 +224,24 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
 
     history: list[tuple[int, float]] = []
 
-    def _give_up(message, best_residual, it, gap):
-        """Every exit that ends the run: the final gap direction goes
-        through the same shift as the z-checks."""
-        cert = _gap_certificate(A, Af, k, index, restricted, gap)
-        return DecompositionFailure(
-            message, best_residual=best_residual, iterations=it,
-            residual_history=history, certificate=cert,
-            source=None if cert is None else "final_gap")
+    def _stop(message, residual, it, cert, source="final_gap"):
+        """Every exit without a member: ``non_member`` with the certificate
+        and the exit that found it, else ``inconclusive``."""
+        diagnostics = {"iterations": it, "primal_residual": residual,
+                       "residual_history": history, "stop": message}
+        if cert is None:
+            diagnostics["certificate_found"] = False
+            return MembershipVerdict("inconclusive", diagnostics=diagnostics)
+        diagnostics["certificate_value"] = cert.value
+        diagnostics["certificate_source"] = source
+        return MembershipVerdict("non_member", certificate=cert,
+                                 diagnostics=diagnostics)
+
+    def _give_up(message, residual, it, gap):
+        """The exits that end the run: the final gap direction goes through
+        the same shift as the z-checks."""
+        return _stop(message, residual, it,
+                     _gap_certificate(A, Af, k, index, restricted, gap))
 
     mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(Af) > target)
@@ -259,7 +251,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
         i, j = map(int, np.argwhere(uncovered)[0])
         direction = np.zeros((n, n))
         direction[i, j] = direction[j, i] = -np.sign(Af[i, j])
-        raise _give_up(
+        return _give_up(
             f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
             float(np.max(np.abs(Af[mult == 0]))), 0, direction)
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
@@ -305,7 +297,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
             for r, stack in tries:
                 d = _accept(stack) if r <= target else None
                 if d is not None:
-                    return d, it, history
+                    return MembershipVerdict(
+                        "member", decomposition=d, diagnostics={
+                            "iterations": it, "primal_residual": d.residual,
+                            "residual_history": history})
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
@@ -313,11 +308,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
                                     _assemble_gap(index, inv_mult, X, Z))
             if cert is not None:
                 history.append((it, res))
-                raise DecompositionFailure(
-                    f"gap direction certified non-membership after {it} "
-                    f"iterations", best_residual=min(best, res),
-                    iterations=it, residual_history=history,
-                    certificate=cert, source="in_loop_gap")
+                return _stop(f"gap direction certified non-membership after "
+                             f"{it} iterations", min(best, res), it, cert,
+                             "in_loop_gap")
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
@@ -330,7 +323,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
                 last_improve = it
             else:
                 history.append((it, res))
-                raise _give_up(
+                return _give_up(
                     f"residual plateau at {best:.3e} after {it} iterations "
                     f"(target {target:.3e})",
                     best, it, _assemble_gap(index, inv_mult, X, Z))
@@ -342,17 +335,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions):
     X = _project_psd(Z - U)
     res = float(np.max(np.abs(Af - index.accumulate(X))))
     history.append((opts.max_iter, res))
-    raise _give_up(
+    return _give_up(
         f"no decomposition within {opts.max_iter} iterations "
         f"(best residual {best:.3e}, target {target:.3e})",
         min(best, res), opts.max_iter, _assemble_gap(index, inv_mult, X, Z))
-
-
-def fw_decompose(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
-                 ) -> BlockDecomposition:
-    """Find psd blocks on k-supports summing to A, or raise
-    :class:`DecompositionFailure` with the residual history."""
-    return _fw_decompose_impl(A, k, opts or SolverOptions())[0]
 
 
 def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
@@ -363,45 +349,29 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     decomposition; non-member verdicts carry the certificate the run's
     shifted gap direction gave, which passed ``dualcone.verify_candidate``.
     A run with a ``support_list`` searches a smaller cone than FW_k and can
-    fail without a separating direction; then one more run of the same core
-    on all C(n, k) supports is made for its certificate only (should it
-    decompose A, the verdict stays "inconclusive").  A solver stall without
-    a certificate yields "inconclusive", never "non_member".
+    end inconclusive without a separating direction; then one more run of
+    the same core on all C(n, k) supports is made for its certificate only:
+    its verdict is returned if it is ``non_member``, else the restricted
+    one (should it decompose A, the verdict stays "inconclusive").  A solver
+    stall without a certificate yields "inconclusive", never "non_member".
 
-    ``diagnostics`` holds ``iterations`` (of both runs after a rerun),
-    ``primal_residual`` and the ``residual_history`` of the first run as
-    ``(iteration, residual)`` pairs; a non-member adds ``certificate_value``
-    and ``certificate_source``: ``"in_loop_gap"`` (a z-check) or
-    ``"final_gap"`` (the exit that ended the run).
+    ``diagnostics`` holds ``iterations`` (of both runs after a rerun), and
+    the ``primal_residual`` and ``residual_history`` (``(iteration,
+    residual)`` pairs) of the returned run; every verdict but a member
+    says why the run ended in ``stop``, and a non-member adds
+    ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
+    z-check) or ``"final_gap"`` (the exit that ended the run).
     """
     opts = opts or SolverOptions()
-    try:
-        d, iterations, history = _fw_decompose_impl(A, k, opts)
-    except DecompositionFailure as fail:
-        cert, source = fail.certificate, fail.source
-        iterations = fail.iterations
-        if cert is None and opts.support_list is not None:
-            try:
-                iterations += _fw_decompose_impl(
-                    A, k, replace(opts, support_list=None))[1]
-            except DecompositionFailure as full:
-                cert, source = full.certificate, full.source
-                iterations += full.iterations
-        diagnostics = {"iterations": iterations,
-                       "primal_residual": fail.best_residual,
-                       "residual_history": fail.residual_history}
-        if cert is None:
-            diagnostics["certificate_found"] = False
-            return MembershipVerdict(status="inconclusive",
-                                     diagnostics=diagnostics)
-        diagnostics["certificate_value"] = cert.value
-        diagnostics["certificate_source"] = source
-        return MembershipVerdict(status="non_member", certificate=cert,
-                                 diagnostics=diagnostics)
-    return MembershipVerdict(
-        status="member", decomposition=d,
-        diagnostics={"iterations": iterations, "primal_residual": d.residual,
-                     "residual_history": history})
+    verdict = _fw_decompose_impl(A, k, opts)
+    if verdict.status == "inconclusive" and opts.support_list is not None:
+        full = _fw_decompose_impl(A, k, replace(opts, support_list=None))
+        iterations = (verdict.diagnostics["iterations"]
+                      + full.diagnostics["iterations"])
+        if full.status == "non_member":
+            verdict = full
+        verdict.diagnostics["iterations"] = iterations
+    return verdict
 
 
 def extract_factors(d: BlockDecomposition) -> np.ndarray:

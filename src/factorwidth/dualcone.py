@@ -177,8 +177,11 @@ def _apply_perm_scale(base: np.ndarray, perm, dfull: np.ndarray) -> np.ndarray:
     return out * np.outer(dfull, dfull)
 
 
-def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
-                           refine_iters: int = 200) -> Optional[DualCertificate]:
+_COS_GRID = 64  # angle cells per axis of the grid phase
+_COS_REFINE_ITERS = 200  # coordinate-descent sweeps of the refinement
+
+
+def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     """Search the cosine family for a normalized separator of a 4x4 target.
 
     Grid phase: all angle cells, 24 permutations and 16 diagonal sign patterns,
@@ -191,10 +194,10 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
     Qf = Q.as_array()
-    step = 2.0 * math.pi / grid_size
-    grid = -math.pi + (np.arange(grid_size) + 0.5) * step
-    CA = np.cos(grid)[:, None] * np.ones((1, grid_size))
-    CC = np.ones((grid_size, 1)) * np.cos(grid)[None, :]
+    step = 2.0 * math.pi / _COS_GRID
+    grid = -math.pi + (np.arange(_COS_GRID) + 0.5) * step
+    CA = np.cos(grid)[:, None] * np.ones((1, _COS_GRID))
+    CC = np.ones((_COS_GRID, 1)) * np.cos(grid)[None, :]
     CAC = np.cos(grid[:, None] - grid[None, :])
     norm_b = np.sqrt(4.0 * (1.0 + CA ** 2 + CAC ** 2 + CC ** 2))
 
@@ -211,7 +214,7 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
             w3 = 2.0 * (Y[0, 3] + Y[1, 2])
             vals = (t0 + w1 * CA + w2 * CAC + w3 * CC) / norm_b
             flat = int(np.argmin(vals))
-            ia, ic = divmod(flat, grid_size)
+            ia, ic = divmod(flat, _COS_GRID)
             cand = (float(vals[ia, ic]), ia, ic, p_idx, s_idx)
             if best is None or cand < best:
                 best = cand
@@ -230,7 +233,7 @@ def cos_certificate_search(Q: SymMatrix, grid_size: int = 64,
     val, mat = objective(a, c, d)
     step_ang = step / 2.0
     step_mul = 1.25
-    for _ in range(refine_iters):
+    for _ in range(_COS_REFINE_ITERS):
         improved = False
         for delta in (step_ang, -step_ang):
             v2, _ = objective(a + delta, c, d)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy
 
-from factorwidth.decompose import SolverOptions, fw_decompose, fw_membership
+from factorwidth.decompose import SolverOptions, fw_membership
 from factorwidth.dualcone import (
     bnr_certificate,
     check_extreme_candidate,
@@ -99,7 +99,9 @@ def test_criterion_2_lifted_gram_decomposition():
     with _criterion(2, budget_seconds=60.0):
         fx = example_m_fixtures()
         opts = SolverOptions(feas_tol=1e-7, support_list=list(fx.supports27))
-        d = fw_decompose(fx.Qprime, 4, opts)
+        v = fw_membership(fx.Qprime, 4, opts)
+        assert v.status == "member"
+        d = v.decomposition
         assert d.residual <= 1e-6 * (1.0 + fx.Qprime.max_abs())
         assert len(d.blocks) <= 27
         for K, block in d.blocks:

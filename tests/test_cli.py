@@ -125,6 +125,19 @@ class TestSoks:
         assert report["gram_conditional"] is False
         jsonschema.validate(report, schema)
 
+    def test_reject_reports_the_verdict_fields(self, capsys, tmp_path, schema):
+        # soks reports its verdict through the same fields as check-fw
+        p = self.write_pna(tmp_path, 3, "19/10")
+        code, report = run_cli(capsys, "soks", p, 2)
+        assert code == 1
+        jsonschema.validate(report, schema)
+        assert isinstance(report["iterations"], int)
+        assert report["iterations"] >= 1
+        assert report["certificate_source"] in ("in_loop_gap", "final_gap")
+        assert report["value"] < 0
+        assert report["artifacts"] == [
+            str(p.with_name(p.stem + ".certificate.json"))]
+
     def test_binomial_accept_at_threshold(self, capsys, tmp_path):
         p = self.write_pna(tmp_path, 3, 2)
         code, report = run_cli(capsys, "soks", p, 2)

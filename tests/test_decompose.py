@@ -7,13 +7,11 @@ import pytest
 
 from factorwidth.decompose import (
     BlockDecomposition,
-    DecompositionFailure,
     SolverOptions,
     decomposition_from_json,
     decomposition_to_json,
     enumerate_supports,
     extract_factors,
-    fw_decompose,
     fw_membership,
 )
 from factorwidth.dualcone import dual_membership
@@ -29,6 +27,7 @@ from factorwidth.symcore import (
     embed,
     frobenius_inner,
     is_psd,
+    scale_congruence,
 )
 
 
@@ -100,7 +99,7 @@ class TestBlockDecomposition:
 
     def test_json_round_trip(self):
         A = SymMatrix.diag([1.0, 2.0, 0.0])
-        d = fw_decompose(A, 1)
+        d = fw_membership(A, 1).decomposition
         obj = decomposition_to_json(d)
         again = decomposition_from_json(obj, A)
         assert again.residual <= 1e-12
@@ -110,7 +109,7 @@ class TestBlockDecomposition:
         # a tampered block is caught on reload: psd-ness and the residual are
         # recomputed against the target, never read from the file
         A = SymMatrix.diag([1.0, 2.0])
-        d = fw_decompose(A, 1)
+        d = fw_membership(A, 1).decomposition
         obj = decomposition_to_json(d)
         obj["blocks"][0]["rows"] = [[-1.0]]
         with pytest.raises(ValueError):
@@ -122,55 +121,56 @@ class TestBlockDecomposition:
 
 class TestFwDecompose:
     def test_nonnegative_diagonal_width_one(self):
-        d = fw_decompose(SymMatrix.diag([1, 2, 3]), 1)
+        d = fw_membership(SymMatrix.diag([1, 2, 3]), 1).decomposition
         assert len(d.blocks) == 3
         assert {K.indices for K, _ in d.blocks} == {(0,), (1,), (2,)}
         assert d.residual <= 1e-12
 
     def test_width_one_rejects_offdiagonal(self):
         A = SymMatrix.from_rows([[1, 1], [1, 1]])
-        with pytest.raises(DecompositionFailure):
-            fw_decompose(A, 1)
+        v = fw_membership(A, 1)
+        assert v.status == "non_member"
+        assert v.decomposition is None
 
     def test_pna_above_threshold_member(self):
         Q = pna_form(PnaSpec(4, Fraction(3, 2))).Q
-        d = fw_decompose(Q, 3)
+        d = fw_membership(Q, 3).decomposition
         assert d.residual <= 1e-7 * (1 + Q.max_abs())
         for _, block in d.blocks:
             assert is_psd(block, 1e-8).is_psd
 
     def test_m_failure_carries_residual_history(self):
         fx = example_m_fixtures()
-        with pytest.raises(DecompositionFailure) as exc:
-            fw_decompose(fx.M, 4)
-        assert exc.value.source == "in_loop_gap"
-        assert exc.value.residual_history
-        assert exc.value.best_residual > 1e-3
+        v = fw_membership(fx.M, 4)
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        assert v.diagnostics["residual_history"]
+        assert v.diagnostics["primal_residual"] > 1e-3
 
     def test_qprime_27_supports(self):
         fx = example_m_fixtures()
         opts = SolverOptions(feas_tol=1e-7, support_list=list(fx.supports27))
-        d = fw_decompose(fx.Qprime, 4, opts)
+        d = fw_membership(fx.Qprime, 4, opts).decomposition
         assert d.residual <= 1e-6 * (1 + fx.Qprime.max_abs())
         assert len(d.blocks) <= 27
 
     def test_respects_explicit_support_list(self):
         A = SymMatrix.diag([1, 1, 1])
-        d = fw_decompose(A, 2, SolverOptions(
+        v = fw_membership(A, 2, SolverOptions(
             support_list=[Support.of([0, 1]), Support.of([1, 2])]))
+        d = v.decomposition
         used = {K.indices for K, _ in d.blocks}
         assert used <= {(0, 1), (1, 2)}
 
     def test_mixed_support_sizes_rejected(self):
         A = SymMatrix.identity(3)
         with pytest.raises(ValueError, match="mixed support sizes"):
-            fw_decompose(A, 2, SolverOptions(
+            fw_membership(A, 2, SolverOptions(
                 support_list=[Support.of([0]), Support.of([1, 2])]))
 
     def test_empty_support_list_rejected(self):
         with pytest.raises(ValueError, match="support list is empty"):
-            fw_decompose(SymMatrix.identity(3), 2,
-                         SolverOptions(support_list=[]))
+            fw_membership(SymMatrix.identity(3), 2,
+                          SolverOptions(support_list=[]))
 
 
 class TestFwMembership:
@@ -282,7 +282,7 @@ class TestExtractFactors:
     def test_reconstruction_and_sparsity(self):
         rng = np.random.default_rng(2)
         A = random_fw_member(rng, 5, 2)
-        d = fw_decompose(A, 2)
+        d = fw_membership(A, 2).decomposition
         V = extract_factors(d)
         assert np.max(np.abs(A.as_array() - V @ V.T)) <= d.residual + 1e-6
         for col in V.T:
@@ -406,13 +406,10 @@ class TestRestrictedFallback:
         impl = decompose._fw_decompose_impl
 
         def counted(A, k, opts):
-            try:
-                out = impl(A, k, opts)
-            except DecompositionFailure as fail:
-                runs.append((opts.support_list is None, fail.iterations))
-                raise
-            runs.append((opts.support_list is None, out[1]))
-            return out
+            v = impl(A, k, opts)
+            runs.append((opts.support_list is None,
+                         v.diagnostics["iterations"]))
+            return v
 
         monkeypatch.setattr(decompose, "_fw_decompose_impl", counted)
         return runs
@@ -426,6 +423,8 @@ class TestRestrictedFallback:
         assert v.status == "non_member"
         assert [full for full, _ in runs] == [False, True]
         assert v.diagnostics["iterations"] == sum(it for _, it in runs)
+        # the history is the deciding (full) run's
+        assert v.diagnostics["residual_history"][-1][0] == runs[1][1]
         B = v.certificate.B
         assert dual_membership(B, 4, 1e-9).is_member
         assert float(frobenius_inner(B, M)) < -1e-8 * B.frob_norm() * M.frob_norm()
@@ -443,3 +442,44 @@ class TestRestrictedFallback:
         B = v.certificate.B
         assert dual_membership(B, 2, 1e-9).is_member
         assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+
+class TestStopReason:
+    """Every verdict but a member names the exit that ended its run."""
+
+    def test_uncovered_entry(self):
+        v = fw_membership(SymMatrix.from_rows([[1, 1], [1, 1]]), 1)
+        assert v.status == "non_member"
+        assert "(0,1) is outside every support" in v.diagnostics["stop"]
+
+    def test_in_loop_gap(self):
+        v = fw_membership(example_m_fixtures().M, 4)
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        assert v.diagnostics["stop"] == (
+            f"gap direction certified non-membership after "
+            f"{v.diagnostics['iterations']} iterations")
+
+    def test_iteration_budget(self):
+        fx = example_m_fixtures()
+        v = fw_membership(fx.Qprime, 4, SolverOptions(
+            support_list=list(fx.supports27), max_iter=50))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["stop"].startswith(
+            "no decomposition within 50 iterations")
+
+    def test_plateau(self):
+        # below the width-2 threshold 3, so a non-member, but the congruence
+        # leaves the splitting stalled without a verified certificate
+        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-3))).Q
+        A = scale_congruence(Q, np.diag([1 / 8, 4, 1 / 2, 2]))
+        v = fw_membership(A, 2)
+        assert v.status == "inconclusive"
+        assert v.diagnostics["stop"].startswith("residual plateau")
+
+    def test_members_carry_no_stop(self):
+        fx = example_m_fixtures()
+        for v in (fw_membership(SymMatrix.identity(3), 1),
+                  fw_membership(fx.Qprime, 4, SolverOptions(
+                      support_list=list(fx.supports27)))):
+            assert v.status == "member"
+            assert "stop" not in v.diagnostics
