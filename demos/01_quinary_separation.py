@@ -56,8 +56,8 @@ print("expansion identity) decomposes over the 27 published supports:")
 opts = SolverOptions(feas_tol=1e-7, support_list=list(fx.supports27))
 d = fw_membership(fx.Qprime, 4, opts).decomposition
 print(f"    blocks: {len(d.blocks)}   recomputed residual: {d.residual:.2e}")
-print(f"    target was 1e-6 * (1 + max|Q'|) = "
-      f"{1e-6 * (1 + fx.Qprime.max_abs()):.2e}")
+print(f"    target was {opts.feas_tol:g} * (1 + max|Q'|) = "
+      f"{opts.feas_tol * (1 + fx.Qprime.max_abs()):.2e}")
 print("    first three supports used:",
       [K.indices for K, _ in d.blocks[:3]])
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +92,6 @@ class BlockDecomposition:
     @classmethod
     def build(cls, A: SymMatrix, k: int, blocks) -> "BlockDecomposition":
         n = A.n
-        all_exact = A.is_exact and all(b.is_exact for _, b in blocks)
         for K, block in blocks:
             if len(K) > k:
                 raise ValueError(f"support {K.indices} exceeds width {k}")
@@ -104,23 +102,12 @@ class BlockDecomposition:
             tol = 0 if block.is_exact else _BLOCK_PSD_TOL
             if not is_psd(block, tol).is_psd:
                 raise ValueError(f"block on {K.indices} is not psd")
-        if all_exact:
-            acc = [[Fraction(0)] * n for _ in range(n)]
-            for K, block in blocks:
-                idx = K.indices
-                for a in range(len(idx)):
-                    for b in range(len(idx)):
-                        acc[idx[a]][idx[b]] += Fraction(block[a, b])
-            residual = max(
-                abs(float(Fraction(A[i, j]) - acc[i][j]))
-                for i in range(n) for j in range(n)
-            )
-        else:
-            acc_f = np.zeros((n, n))
-            for K, block in blocks:
-                ix = np.ix_(K.indices, K.indices)
-                acc_f[ix] += block.as_array()
-            residual = float(np.max(np.abs(A.as_array() - acc_f)))
+        exact = A.is_exact and all(b.is_exact for _, b in blocks)
+        dtype = object if exact else float
+        acc = np.zeros((n, n), dtype=dtype)
+        for K, block in blocks:
+            acc[np.ix_(K.indices, K.indices)] += block.entries.astype(dtype)
+        residual = float(np.max(np.abs(A.entries.astype(dtype) - acc)))
         return cls(ambient_n=n, k=k, blocks=list(blocks), residual=residual)
 
 

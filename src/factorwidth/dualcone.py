@@ -32,7 +32,6 @@ from .symcore import (
     SymMatrix,
     Support,
     frobenius_inner,
-    principal_submatrix,
     _exact_psd,
     _full_index,
 )
@@ -139,8 +138,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     worst = int(np.argmin(margins))
     exact = B.is_exact and tol == 0
     if exact:
-        member = all(_exact_psd(principal_submatrix(B, K))
-                     for K in index.supports)
+        member = all(_exact_psd(block) for block in index.gather(B.entries))
     else:
         member = bool(np.all(margins >= -tol * scales))
     return DualMembershipReport(
@@ -171,9 +169,7 @@ def _cos_ray_array(a: float, c: float) -> np.ndarray:
 def _apply_perm_scale(base: np.ndarray, perm, dfull: np.ndarray) -> np.ndarray:
     """Return D P base P^T D with P[perm[i], i] = 1 and D = diag(dfull)."""
     out = np.empty_like(base)
-    for i in range(4):
-        for j in range(4):
-            out[perm[i], perm[j]] = base[i, j]
+    out[np.ix_(perm, perm)] = base
     return out * np.outer(dfull, dfull)
 
 
@@ -184,11 +180,16 @@ _COS_REFINE_ITERS = 200  # coordinate-descent sweeps of the refinement
 def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     """Search the cosine family for a normalized separator of a 4x4 target.
 
-    Grid phase: all angle cells, 24 permutations and 16 diagonal sign patterns,
-    minimizing <D P B(a,c) P^T D, Q> / ||.||_F; ties break toward the smallest
-    (a-index, c-index, permutation, sign) tuple.  Refinement runs coordinate
-    descent on the angles and multiplicative positive diagonal scales.  The
-    refined matrix is returned only if it passes ``verify_candidate`` at
+    Grid phase: all angle cells, the 6 permutations with p[0] = 0 and the 8
+    diagonal sign patterns with s[0] = +1, minimizing <D P B(a,c) P^T D, Q> /
+    ||.||_F; ties break toward the smallest (a-index, c-index, permutation,
+    sign) tuple.  The other 336 of the 24 x 16 cases repeat one of these
+    48: B(a,c) is invariant under the Klein four-group, each of whose
+    cosets holds one permutation with p[0] = 0, and D = s s^T under
+    s -> -s.  Every case of a class scores the same, and the kept one has
+    the smallest indices, so ties break as over all 384.  Refinement runs
+    coordinate descent on the angles and multiplicative positive diagonal
+    scales.  The refined matrix is returned only if it passes ``verify_candidate`` at
     k = 3, so the search is invariant under positive scaling of Q.
     """
     if Q.n != 4:
@@ -201,14 +202,14 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     CAC = np.cos(grid[:, None] - grid[None, :])
     norm_b = np.sqrt(4.0 * (1.0 + CA ** 2 + CAC ** 2 + CC ** 2))
 
-    perms = list(itertools.permutations(range(4)))
-    signs = list(itertools.product((1.0, -1.0), repeat=4))
+    perms = [p for p in itertools.permutations(range(4)) if p[0] == 0]
+    signs = [s for s in itertools.product((1.0, -1.0), repeat=4) if s[0] > 0]
+    t0 = float(np.trace(Qf))  # the trace of every case Y
     best = None
     for p_idx, perm in enumerate(perms):
         for s_idx, sg in enumerate(signs):
             D = np.outer(sg, sg)
             Y = (Qf * D)[np.ix_(perm, perm)]
-            t0 = float(np.trace(Y))
             w1 = 2.0 * (Y[0, 1] + Y[2, 3])
             w2 = 2.0 * (Y[0, 2] + Y[1, 3])
             w3 = 2.0 * (Y[0, 3] + Y[1, 2])

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .symcore import SymMatrix, _as_int, _parse_entry
+from .decompose import fw_membership
+from .symcore import SymMatrix, _as_int, _entry_to_json, _parse_entry
 
 __all__ = [
     "ExponentTuple",
@@ -325,8 +326,6 @@ def soks_test(p: HomogeneousPoly, k: int, gram: SymMatrix, opts=None):
     so a non-member verdict is conclusive for the polynomial; for higher degree
     the verdict is conditional on the supplied Gram (flagged in diagnostics).
     """
-    from .decompose import fw_membership
-
     if p.degree % 2 != 0:
         raise ValueError("so-k-s requires an even-degree polynomial")
     basis = monomial_basis(p.n, p.degree // 2)
@@ -343,14 +342,8 @@ def soks_test(p: HomogeneousPoly, k: int, gram: SymMatrix, opts=None):
 # ---------------------------------------------------------------------------
 
 
-def _coef_to_json(c: Fraction):
-    if c.denominator == 1:
-        return int(c)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def poly_to_json(p: HomogeneousPoly) -> dict:
-    terms = [{"exp": list(t), "coef": _coef_to_json(c)}
+    terms = [{"exp": list(t), "coef": _entry_to_json(c)}
              for t, c in sorted(p.coefficients.items(), reverse=True)]
     return {"n": p.n, "degree": p.degree, "terms": terms}
 

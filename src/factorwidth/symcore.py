@@ -1,14 +1,19 @@
 """Dense symmetric matrices and the spectral/psd machinery shared by all modules.
 
-Matrices live in one of two scalar worlds, chosen per instance:
+A :class:`SymMatrix` holds one read-only dense ``n x n`` numpy array, whose
+dtype picks one of two scalar worlds per instance:
 
-* exact: entries are ``int`` / ``fractions.Fraction`` and all arithmetic on
-  matched operands stays exact (used for paper fixtures and certificates);
-* float: entries are ``float`` (used by the iterative solvers).
+* exact: dtype ``object`` with ``int`` / ``fractions.Fraction`` entries; all
+  arithmetic on matched operands stays exact (used for paper fixtures and
+  certificates);
+* float: dtype ``float64`` (used by the iterative solvers).
 
 Conversion between the two worlds is always explicit (:meth:`SymMatrix.to_float`,
 :meth:`SymMatrix.to_exact`); mixing a Fraction matrix into a float computation
-never happens silently.
+never happens silently.  Both cones read their principal blocks through one
+:class:`_BlockIndex`, on the float array or, for the exact dual battery, on
+the object array; ``principal_submatrix`` and ``embed`` remain for single
+blocks.
 """
 
 from __future__ import annotations
@@ -46,45 +51,42 @@ Scalar = Union[int, Fraction, float]
 _PSD_TOL_DEFAULT = 1e-9
 
 
-def _tri_len(n: int) -> int:
-    return n * (n + 1) // 2
-
-
 class SymMatrix:
-    """Real symmetric ``n x n`` matrix storing the upper triangle row-major.
+    """Real symmetric ``n x n`` matrix held as one read-only dense array.
 
-    Symmetry is structural: only one triangle is stored, so ``A[i, j] == A[j, i]``
-    holds by construction.  ``is_exact`` tells whether the instance lives in the
-    rational world (all entries ``int``/``Fraction``) or the float world.
+    ``entries`` is the ``n x n`` numpy array: dtype ``object`` holding Python
+    ``int``/``Fraction`` entries when ``is_exact``, else ``float64``.  Every
+    constructor checks symmetry and the entry types once; the array is never
+    written afterwards, so ``A[i, j] == A[j, i]`` holds for the instance's
+    lifetime.
     """
 
-    __slots__ = ("n", "data", "is_exact")
+    __slots__ = ("n", "entries", "is_exact")
 
     def __init__(self, n: int, upper: Sequence[Scalar]):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
-        data = list(upper)
-        if len(data) != _tri_len(n):
+        upper = list(upper)
+        if len(upper) != n * (n + 1) // 2:
             raise ValueError(
-                f"upper triangle of a {n}x{n} matrix needs {_tri_len(n)} entries, "
-                f"got {len(data)}"
-            )
-        has_float = any(isinstance(e, float) for e in data)
-        if has_float:
-            if any(isinstance(e, Fraction) for e in data):
-                raise TypeError(
-                    "mixed Fraction and float entries; convert explicitly first"
-                )
-            data = [float(e) for e in data]
-            if not all(math.isfinite(e) for e in data):
-                raise ValueError("entries must be finite")
-        else:
-            for e in data:
-                if not isinstance(e, (int, Fraction)):
-                    raise TypeError(f"unsupported entry type {type(e).__name__}")
-        self.n = n
-        self.data = data
-        self.is_exact = not has_float
+                f"upper triangle of a {n}x{n} matrix needs {n * (n + 1) // 2} "
+                f"entries, got {len(upper)}")
+        a = np.empty((n, n), dtype=object)
+        iu = np.triu_indices(n)
+        a[iu] = a.T[iu] = upper
+        self._set(*_checked(a))
+
+    def _set(self, a: np.ndarray, exact: bool) -> None:
+        a.flags.writeable = False
+        self.n, self.entries, self.is_exact = a.shape[0], a, exact
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray, exact: bool) -> "SymMatrix":
+        """An instance on ``a``, a symmetric array already checked; it is
+        made read-only, so only arrays nothing else writes may be passed."""
+        m = cls.__new__(cls)
+        m._set(a, exact)
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -94,12 +96,9 @@ class SymMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows must form a square matrix")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"asymmetric input at ({i},{j})")
-        upper = [rows[i][j] for i in range(n) for j in range(i, n)]
-        return cls(n, upper)
+        a = np.array(rows, dtype=object).reshape(n, n)
+        _check_symmetric(a != a.T)
+        return cls._wrap(*_checked(a))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "SymMatrix":
@@ -107,89 +106,95 @@ class SymMatrix:
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-D array")
-        a = (a + a.T) / 2.0
-        n = a.shape[0]
-        upper = [float(a[i, j]) for i in range(n) for j in range(i, n)]
-        return cls(n, upper)
+        return cls._wrap(*_checked((a + a.T) / 2.0))
 
     @classmethod
     def zeros(cls, n: int, exact: bool = True) -> "SymMatrix":
-        fill: Scalar = 0 if exact else 0.0
-        return cls(n, [fill] * _tri_len(n))
+        return cls.diag([0 if exact else 0.0] * n)
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "SymMatrix":
-        m = cls.zeros(n, exact=exact)
-        one: Scalar = 1 if exact else 1.0
-        for i in range(n):
-            m.data[m._offset(i, i)] = one
-        return m
+        return cls.diag([1 if exact else 1.0] * n)
 
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> "SymMatrix":
-        n = len(values)
         has_float = any(isinstance(v, float) for v in values)
-        m = cls.zeros(n, exact=not has_float)
-        for i, v in enumerate(values):
-            m.data[m._offset(i, i)] = float(v) if has_float else v
-        return m
+        return cls._wrap(*_checked(
+            np.diag(np.array(values, dtype=float if has_float else object))))
 
     # -- element access ----------------------------------------------------
-
-    def _offset(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.n - (i * (i - 1)) // 2 + (j - i)
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError(f"index ({i},{j}) out of range for n={self.n}")
-        return self.data[self._offset(i, j)]
+        return self.entries.item(i, j)
 
     def rows(self) -> list[list[Scalar]]:
-        return [[self[i, j] for j in range(self.n)] for i in range(self.n)]
+        return self.entries.tolist()
 
     def as_array(self) -> np.ndarray:
-        a = np.empty((self.n, self.n), dtype=float)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                a[i, j] = a[j, i] = float(self.data[self._offset(i, j)])
-        return a
+        return self.entries.astype(float)
 
     # -- conversions -------------------------------------------------------
 
     def to_float(self) -> "SymMatrix":
-        return SymMatrix(self.n, [float(e) for e in self.data])
+        return SymMatrix._wrap(self.as_array(), False)
 
     def to_exact(self) -> "SymMatrix":
         """Exact copy; floats convert via their exact binary value."""
-        return SymMatrix(self.n, [e if isinstance(e, (int, Fraction)) else Fraction(e)
-                                  for e in self.data])
+        entries = (self.entries if self.is_exact
+                   else np.frompyfunc(Fraction, 1, 1)(self.entries))
+        return SymMatrix._wrap(entries, True)
 
     # -- norms / predicates --------------------------------------------------
 
     def max_abs(self) -> float:
-        return max(abs(float(e)) for e in self.data)
+        return float(np.max(np.abs(self.entries)))
 
     def frob_norm(self) -> float:
-        total = 0.0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                w = 1.0 if i == j else 2.0
-                total += w * float(self.data[self._offset(i, j)]) ** 2
-        return math.sqrt(total)
+        return float(np.linalg.norm(self.as_array()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        return self.n == other.n and all(a == b for a, b in zip(self.data, other.data))
+        return self.n == other.n and bool(np.all(self.entries == other.entries))
 
-    __hash__ = None  # unhashable, mutable payload
+    __hash__ = None  # unhashable: equality compares entries
 
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else "float"
         return f"SymMatrix(n={self.n}, {kind})"
+
+
+def _check_symmetric(differs: np.ndarray) -> None:
+    """Raise at the first strict-upper position where ``differs`` is set."""
+    bad = np.argwhere(np.triu(differs, 1))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"asymmetric input at ({i},{j})")
+
+
+def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A square symmetric array of entries as ``SymMatrix`` stores it, with
+    its exactness: ``float64`` when any entry is a float, else the object
+    array of ``int``/``Fraction`` entries."""
+    if a.shape[0] < 1:
+        raise ValueError("dimension must be >= 1, got 0")
+    if a.dtype == object:
+        entries = a.ravel().tolist()
+        if not any(isinstance(e, float) for e in entries):
+            for e in entries:
+                if not isinstance(e, (int, Fraction)):
+                    raise TypeError(f"unsupported entry type {type(e).__name__}")
+            return a, True
+        if any(isinstance(e, Fraction) for e in entries):
+            raise TypeError(
+                "mixed Fraction and float entries; convert explicitly first")
+    a = a.astype(float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    return a, False
 
 
 @dataclass(frozen=True)
@@ -304,15 +309,7 @@ def frobenius_inner(A: SymMatrix, B: SymMatrix):
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
     if A.is_exact and B.is_exact:
-        total = Fraction(0)
-        n = A.n
-        pos = 0
-        for i in range(n):
-            for j in range(i, n):
-                w = 1 if i == j else 2
-                total += w * Fraction(A.data[pos]) * Fraction(B.data[pos])
-                pos += 1
-        return total
+        return Fraction(np.sum(A.entries * B.entries))
     return float(np.vdot(A.as_array(), B.as_array()))
 
 
@@ -321,9 +318,7 @@ def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
     K = _as_support(K)
     if K.indices[-1] >= A.n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={A.n}")
-    idx = K.indices
-    upper = [A[idx[a], idx[b]] for a in range(len(idx)) for b in range(a, len(idx))]
-    return SymMatrix(len(idx), upper)
+    return SymMatrix._wrap(A.entries[np.ix_(K.indices, K.indices)], A.is_exact)
 
 
 def embed(B: SymMatrix, K, n: int) -> SymMatrix:
@@ -333,12 +328,9 @@ def embed(B: SymMatrix, K, n: int) -> SymMatrix:
         raise ValueError(f"support size {len(K)} does not match block size {B.n}")
     if K.indices[-1] >= n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={n}")
-    out = SymMatrix.zeros(n, exact=B.is_exact)
-    idx = K.indices
-    for a in range(len(idx)):
-        for b in range(a, len(idx)):
-            out.data[out._offset(idx[a], idx[b])] = B[a, b]
-    return out
+    out = np.zeros((n, n), dtype=B.entries.dtype)
+    out[np.ix_(K.indices, K.indices)] = B.entries
+    return SymMatrix._wrap(out, B.is_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +344,15 @@ def eigen_sym(A: SymMatrix) -> EigenResult:
     return EigenResult(eigenvalues=lam, eigenvectors=vec)
 
 
-def _exact_psd(A: SymMatrix) -> bool:
-    """Exact psd decision for rational matrices by pivoted symmetric elimination.
+def _exact_psd(a: np.ndarray) -> bool:
+    """Exact psd decision for a square array of rational entries by pivoted
+    symmetric elimination.
 
     Declares not-psd on any negative pivot; zero pivots force a zero row/column
     (else a negative 2x2 minor exists) and are eliminated by dropping the index.
     """
-    n = A.n
-    work = [[Fraction(A[i, j]) for j in range(n)] for i in range(n)]
-    alive = list(range(n))
+    work = [[Fraction(e) for e in row] for row in a.tolist()]
+    alive = list(range(len(work)))
     while alive:
         dmax = None
         pivot = -1
@@ -400,7 +392,7 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
         raise ValueError("tolerance must be nonnegative")
     min_eig = float(eigen_sym(A).eigenvalues[0])
     if A.is_exact and tol == 0:
-        return PsdReport(is_psd=_exact_psd(A), min_eigenvalue=min_eig,
+        return PsdReport(is_psd=_exact_psd(A.entries), min_eigenvalue=min_eig,
                          tolerance_used=0.0)
     threshold = tol * (1.0 + A.max_abs())
     return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,
@@ -464,19 +456,11 @@ def scale_congruence(A: SymMatrix, Q, allow_nonsingular_diagonal: bool = False
     else:
         q_rows = [list(r) for r in Q]
     kind, payload = _classify_congruence(q_rows, A.n, allow_nonsingular_diagonal)
-    n = A.n
     if kind == "perm":
-        pi = payload
-        rows = [[A[pi[i], pi[j]] for j in range(n)] for i in range(n)]
-        return SymMatrix.from_rows(rows)
-    d = payload
-    has_float = any(isinstance(x, float) for x in d) or not A.is_exact
-    if has_float:
-        d = [float(x) for x in d]
-        rows = [[d[i] * d[j] * float(A[i, j]) for j in range(n)] for i in range(n)]
-    else:
-        rows = [[d[i] * d[j] * A[i, j] for j in range(n)] for i in range(n)]
-    return SymMatrix.from_rows(rows)
+        return SymMatrix._wrap(A.entries[np.ix_(payload, payload)], A.is_exact)
+    exact = A.is_exact and not any(isinstance(x, float) for x in payload)
+    d = np.array(payload, dtype=object if exact else float)
+    return SymMatrix._wrap(*_checked(np.outer(d, d) * A.entries.astype(d.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +515,13 @@ def load_matrix_json(obj) -> SymMatrix:
     parsed = [[_parse_entry(v) for v in r] for r in rows]
     has_float = any(isinstance(v, float) for r in parsed for v in r)
     if has_float:
-        vals = [[float(v) for v in r] for r in parsed]
-        scale = max(abs(v) for r in vals for v in r)
-        limit = 1e-12 * (1.0 + scale)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(vals[i][j] - vals[j][i]) > limit:
-                    raise ValueError(f"asymmetric input at ({i},{j})")
-                avg = (vals[i][j] + vals[j][i]) / 2.0
-                vals[i][j] = vals[j][i] = avg
-        return SymMatrix.from_rows(vals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if parsed[i][j] != parsed[j][i]:
-                raise ValueError(f"asymmetric input at ({i},{j})")
+        a = np.array(parsed, dtype=float)
+        _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.max(np.abs(a))))
+        # average the strict triangles only: doubling a diagonal entry
+        # above half the float range would overflow
+        iu = np.triu_indices(n, 1)
+        a[iu] = a.T[iu] = (a[iu] + a.T[iu]) / 2.0
+        return SymMatrix._wrap(*_checked(a))
     return SymMatrix.from_rows(parsed)
 
 

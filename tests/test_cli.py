@@ -76,6 +76,18 @@ class TestCheckFw:
         assert report["verdict"] == "member"
         jsonschema.validate(report, schema)
 
+    def test_budget_exit_is_inconclusive(self, capsys, fixture_files, schema):
+        # 50 iterations decide neither way, on the 27 supports nor on the
+        # rerun over all of them: exit 2
+        code, report = run_cli(capsys, "check-fw", fixture_files["Qprime"], 4,
+                               "--supports", fixture_files["s27"],
+                               "--max-iter", 50)
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["certificate_source"] is None
+        assert report["artifacts"] == []
+        jsonschema.validate(report, schema)
+
     def test_malformed_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "rows": [[1, 2], [3, 4]]}')
@@ -174,6 +186,23 @@ class TestSoks:
         assert report["gram_conditional"] is True
         jsonschema.validate(report, schema)
 
+    def test_quartic_uses_the_default_gram(self, capsys, tmp_path, schema):
+        # (x^2 + y^2)^2 without --gram: the default Gram splits 2 x^2 y^2
+        # over (x^2, y^2) and (xy, xy), a width-2 matrix but not width 1
+        quartic = _write(tmp_path / "quartic.json", {
+            "n": 2, "degree": 4, "terms": [
+                {"exp": [4, 0], "coef": 1}, {"exp": [2, 2], "coef": 2},
+                {"exp": [0, 4], "coef": 1}]})
+        code, report = run_cli(capsys, "soks", quartic, 2)
+        assert code == 0
+        assert report["verdict"] == "member"
+        assert report["gram_conditional"] is True
+        jsonschema.validate(report, schema)
+        code, report = run_cli(capsys, "soks", quartic, 1)
+        assert code == 1
+        assert report["verdict"] == "non_member"
+        assert report["gram_conditional"] is True
+
     def test_gram_mismatch_exit_code(self, capsys, tmp_path):
         p = self.write_pna(tmp_path, 2, 1)
         gram = tmp_path / "gram.json"
@@ -227,6 +256,32 @@ class TestCertify:
         assert report["verdict"] == "found"
         assert report["value"] < 0
         jsonschema.validate(report, schema)
+
+    def test_cosine_stage_certifies_the_family(self, capsys, monkeypatch,
+                                               tmp_path, schema):
+        # pna_form(4, 1.4) lies below the width-3 threshold 3/2; the cosine
+        # search certifies it, so the splitting fallback must not run
+        from factorwidth import cli
+        from factorwidth.dualcone import dual_membership
+        from factorwidth.families import PnaSpec, pna_form
+        from factorwidth.symcore import frobenius_inner, load_matrix_json
+
+        def no_fallback(Q, k):
+            raise AssertionError("the splitting fallback ran")
+
+        monkeypatch.setattr(cli, "dykstra_dual_certificate", no_fallback)
+        Q = pna_form(PnaSpec(4, 1.4)).Q
+        path = _write(tmp_path / "pna.json", matrix_to_json(Q))
+        code, report = run_cli(capsys, "certify", path, 3)
+        assert code == 0
+        assert report["verdict"] == "found"
+        assert report["value"] < 0 and report["normalized_value"] < 0
+        jsonschema.validate(report, schema)
+        artifact = tmp_path / "pna.certificate.json"
+        assert report["artifacts"] == [str(artifact)]
+        B = load_matrix_json(json.loads(artifact.read_text())["B"])
+        assert dual_membership(B, 3).is_member
+        assert frobenius_inner(B, Q) < 0
 
     def test_identity_none(self, capsys, fixture_files):
         code, report = run_cli(capsys, "certify", fixture_files["I5"], 3,

@@ -70,6 +70,32 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix(3, [1, 2, 3])
 
+    def test_one_read_only_dense_array(self):
+        exact = SymMatrix(2, [1, Fraction(1, 2), 3])
+        assert exact.entries.dtype == object and exact.entries.shape == (2, 2)
+        assert exact.rows() == [[1, Fraction(1, 2)], [Fraction(1, 2), 3]]
+        assert type(exact[0, 0]) is int and type(exact[1, 0]) is Fraction
+        flt = exact.to_float()
+        assert flt.entries.dtype == np.float64
+        assert type(flt[0, 1]) is float
+        assert all(type(e) is float for row in flt.rows() for e in row)
+        for m in (exact, flt):
+            with pytest.raises(ValueError):
+                m.entries[0, 0] = 7
+            copy = m.as_array()
+            copy[0, 0] = 7.0  # as_array hands out a writable copy
+            assert m[0, 0] == 1
+        with pytest.raises(TypeError):
+            hash(exact)
+
+    def test_rejects_non_finite_and_foreign_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(2, [1.0, math.inf, 2.0])
+        with pytest.raises(ValueError):
+            SymMatrix.from_array(np.array([[1.0, math.nan], [0.0, 1.0]]))
+        with pytest.raises(TypeError, match="unsupported entry type"):
+            SymMatrix.from_rows([["1", 0], [0, 1]])
+
 
 class TestFrobeniusInner:
     def test_identity_case(self):
@@ -99,6 +125,19 @@ class TestFrobeniusInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_inner(SymMatrix.identity(2), SymMatrix.identity(3))
+
+    def test_norms_match_loop_oracles(self):
+        rng = np.random.default_rng(5)
+        rnd = random.Random(5)
+        for n in range(1, 7):
+            for m in (random_sym(rng, n), random_rational_sym(rnd, n)):
+                entries = [float(m[i, j]) for i in range(n) for j in range(n)]
+                assert m.max_abs() == max(abs(e) for e in entries)
+                assert m.frob_norm() == pytest.approx(
+                    math.sqrt(sum(e * e for e in entries)), rel=1e-14)
+                if m.is_exact:
+                    assert frobenius_inner(m, m) == sum(
+                        m[i, j] ** 2 for i in range(n) for j in range(n))
 
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=30, deadline=None)
@@ -391,6 +430,23 @@ class TestMatrixJson:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             load_matrix_json({"n": 2, "rows": [[1.0, 0.5], [0.6, 1.0]]})
+        with pytest.raises(ValueError, match=r"asymmetric input at \(1,2\)"):
+            load_matrix_json({"n": 3, "rows": [[1, 0, 0], [0, 1, "1/3"],
+                                               [0, "1/4", 1]]})
+
+    def test_averages_float_asymmetry_below_the_limit(self):
+        # the limit is 1e-12 (1 + max|entry|) = 4e-12 here
+        lower = 0.5 + 3e-12
+        m = load_matrix_json({"n": 3, "rows": [[1.0, 0.5, 0], [lower, 2.0, 0],
+                                               [0, 0, 3.0]]})
+        assert not m.is_exact
+        assert m[0, 1] == m[1, 0] == (0.5 + lower) / 2.0
+        assert m[0, 0] == 1.0 and m[2, 2] == 3.0
+        huge = load_matrix_json({"n": 2, "rows": [[1e308, 0.5], [0.5, 1.0]]})
+        assert huge[0, 0] == 1e308
+        with pytest.raises(ValueError, match=r"asymmetric input at \(0,1\)"):
+            load_matrix_json({"n": 3, "rows": [[1.0, 0.5, 0], [0.5 + 5e-12, 2.0, 0],
+                                               [0, 0, 3.0]]})
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
