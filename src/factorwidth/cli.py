@@ -230,8 +230,6 @@ def cmd_soks(args) -> int:
         p = multiply_weighted_power(q, lam, args.r)
     if args.gram:
         gram = _load_matrix(args.gram)
-    elif p.degree == 2:
-        gram = quadratic_gram(p)
     else:
         gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
     _check_width(args.k, gram.n)

@@ -365,7 +365,7 @@ def extract_factors(d: BlockDecomposition) -> np.ndarray:
     """Rectangular V with A ~= V V^T and at most k nonzeros per column."""
     cols = []
     for K, block in d.blocks:
-        res = eigen_sym(block if not block.is_exact else block.to_float())
+        res = eigen_sym(block)
         lam_max = float(np.max(np.abs(res.eigenvalues))) if block.n else 0.0
         cut = 1e-10 * (1.0 + lam_max)
         for i, lam in enumerate(res.eigenvalues):

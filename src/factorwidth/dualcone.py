@@ -35,7 +35,7 @@ from .symcore import (
     _exact_psd,
     _full_index,
 )
-from .polyforms import monomial_basis
+from .polyforms import _odd_masks
 
 __all__ = [
     "DualCertificate",
@@ -358,16 +358,8 @@ def bnr_certificate(n: int, r: int, k: int) -> SymMatrix:
     """
     if n < 1 or r < 0 or k < 2:
         raise ValueError("need n >= 1, r >= 0, k >= 2")
-    tuples = monomial_basis(n, r + 1).tuples
-    m = len(tuples)
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        ti = tuples[i]
-        for j in range(i, m):
-            tj = tuples[j]
-            even = all((a + b) % 2 == 0 for a, b in zip(ti, tj))
-            rows[i][j] = rows[j][i] = (k - 1) if even else -1
-    return SymMatrix.from_rows(rows)
+    even = _odd_masks(n, r + 1) == 0
+    return SymMatrix.from_rows(np.where(even, k - 1, -1))
 
 
 def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
@@ -386,28 +378,14 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
         ok = (di == 1) if B4.is_exact else abs(float(di) - 1.0) <= 1e-12
         if not ok:
             raise ValueError("base certificate must have unit diagonal")
-    tuples = monomial_basis(4, r + 1).tuples
-    m = len(tuples)
     exact = B4.is_exact and not isinstance(omega, float)
-    one = 1 if exact else 1.0
-    zero = 0 if exact else 0.0
-    om = omega if exact else float(omega)
-    rows = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        ti = tuples[i]
-        for j in range(i, m):
-            tj = tuples[j]
-            odd = [p for p in range(4) if (ti[p] + tj[p]) % 2 == 1]
-            if len(odd) == 0:
-                v = one
-            elif len(odd) == 2:
-                v = B4[odd[0], odd[1]] if exact else float(B4[odd[0], odd[1]])
-            elif len(odd) == 4:
-                v = om
-            else:
-                v = zero
-            rows[i][j] = rows[j][i] = v
-    return SymMatrix.from_rows(rows)
+    # the lifted entry of each odd-position bitmask over the 4 variables
+    table = [0] * 16
+    table[0], table[15] = 1, omega
+    for i, j in itertools.combinations(range(4), 2):
+        table[(1 << i) | (1 << j)] = B4[i, j]
+    table = np.array(table, dtype=object if exact else float)
+    return SymMatrix.from_rows(table[_odd_masks(4, r + 1)])
 
 
 # ---------------------------------------------------------------------------

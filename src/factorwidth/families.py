@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .symcore import SymMatrix, Support, frobenius_inner, is_psd, PsdReport
+import numpy as np
+
+from .symcore import (SymMatrix, Support, frobenius_inner, is_psd, PsdReport,
+                      scale_congruence)
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -245,12 +248,9 @@ def qprime_canonical():
     basis = monomial_basis(5, 2)
     paper_order = _colex_pair_order(5)
     perm = [basis.position(t) for t in paper_order]  # paper index -> canonical
-    m = len(perm)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            rows[perm[i]][perm[j]] = Fraction(fx.Qprime[i, j])
-    canon = SymMatrix.from_rows(rows)
+    # row i of this permutation matrix is e_perm[i], so the congruence moves
+    # entry (i, j) to (perm[i], perm[j])
+    canon = scale_congruence(fx.Qprime, np.eye(len(perm), dtype=int)[perm])
     supports = [Support.of(sorted(perm[i] for i in K.indices))
                 for K in fx.supports27]
     return canon, supports

@@ -3,15 +3,24 @@
 Everything in this module is exact: coefficients are ``fractions.Fraction``
 throughout, so the parity-aggregate identities hold with equality rather than
 within a tolerance.
+
+``_pair_classes`` is the one place that maps a pair of basis monomials
+(t_i, t_j) to the monomial t_i + t_j: ``gram_to_poly`` sums each monomial
+class of a Gram, ``default_gram`` splits each coefficient over its class, and
+the parity certificates of ``dualcone`` read the odd positions of each class
+through ``_odd_masks``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .decompose import fw_membership
 from .symcore import SymMatrix, _as_int, _entry_to_json, _parse_entry
@@ -127,83 +136,70 @@ class QuadraticForm:
 # ---------------------------------------------------------------------------
 
 
-def _tuple_add(a: ExponentTuple, b: ExponentTuple) -> ExponentTuple:
-    return tuple(x + y for x, y in zip(a, b))
+@functools.lru_cache(maxsize=32)
+def _pair_classes(n: int, d: int) -> tuple[MonomialBasis, np.ndarray]:
+    """The monomial class of every pair of degree-d basis monomials.
+
+    Returns ``monomial_basis(n, 2d)`` and a read-only ``m x m`` int array
+    (``m`` the size of ``monomial_basis(n, d)``) whose ``(i, j)`` entry is the
+    position of ``t_i + t_j`` in that basis.  Every Gram <-> polynomial
+    correspondence reads its pairs from here.
+    """
+    basis, full = monomial_basis(n, d), monomial_basis(n, 2 * d)
+    t = np.array(basis.tuples)
+    sums = (t[:, None, :] + t[None, :, :]).reshape(-1, n)
+    cls = np.array([full.index[s] for s in map(tuple, sums.tolist())]
+                   ).reshape(len(basis), len(basis))
+    cls.flags.writeable = False
+    return full, cls
 
 
-def _tuple_sub(a: ExponentTuple, b: ExponentTuple):
-    out = []
-    for x, y in zip(a, b):
-        if y > x:
-            return None
-        out.append(x - y)
-    return tuple(out)
+@functools.lru_cache(maxsize=32)
+def _odd_masks(n: int, d: int) -> np.ndarray:
+    """Read-only ``m x m`` array: bit ``p`` of entry ``(i, j)`` is set when
+    position ``p`` of ``t_i + t_j`` is odd (``t`` the degree-d basis)."""
+    full, cls = _pair_classes(n, d)
+    masks = np.array([sum((e % 2) << p for p, e in enumerate(t))
+                      for t in full.tuples])[cls]
+    masks.flags.writeable = False
+    return masks
 
 
 def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
-    """Expand ``z^T Qp z`` over the monomial vector of ``basis`` (exactly)."""
+    """Expand ``z^T Qp z`` over the monomial vector of ``basis`` (exactly):
+    each coefficient is the sum of the exact entries in its monomial class."""
     if Qp.n != len(basis):
         raise ValueError(
             f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
-    coeffs: dict = {}
-    n = len(basis)
-    for i in range(n):
-        ti = basis.tuples[i]
-        for j in range(i, n):
-            w = 1 if i == j else 2
-            c = Fraction(Qp[i, j]) * w
-            if c == 0:
-                continue
-            m = _tuple_add(ti, basis.tuples[j])
-            coeffs[m] = coeffs.get(m, Fraction(0)) + c
-    return HomogeneousPoly(n=basis.n, degree=2 * basis.d, coefficients=coeffs)
+    full, cls = _pair_classes(basis.n, basis.d)
+    sums = np.zeros(len(full), dtype=object)
+    np.add.at(sums, cls.ravel(), Qp.to_exact().entries.ravel())
+    return HomogeneousPoly(n=basis.n, degree=2 * basis.d,
+                           coefficients=dict(zip(full.tuples, sums.tolist())))
 
 
 def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
     """The unique Gram of a quadratic: Q_ii = c(x_i^2), Q_ij = c(x_i x_j)/2."""
     if p.degree != 2:
         raise ValueError(f"expected a quadratic, got degree {p.degree}")
-    n = p.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for t, c in p.coefficients.items():
-        support = [i for i, e in enumerate(t) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = c
-        else:
-            i, j = support
-            rows[i][j] = rows[j][i] = c / 2
-    return SymMatrix.from_rows(rows)
+    return default_gram(p, monomial_basis(p.n, 1))
 
 
 def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
-    """Canonical Gram choice: each coefficient is split equally over the index
-    pairs that can produce its monomial (off-diagonal pairs share their portion
-    across the two symmetric entries).  Round-trips through
-    :func:`gram_to_poly` exactly."""
+    """Canonical Gram choice: each coefficient p_alpha is split equally over
+    the u_alpha unordered index pairs of its monomial class, so a diagonal
+    entry is p_alpha/u_alpha and an off-diagonal one p_alpha/(2 u_alpha).
+    Round-trips through :func:`gram_to_poly` exactly."""
     if p.degree != 2 * basis.d or p.n != basis.n:
         raise ValueError("basis does not match the polynomial degree")
-    m = len(basis)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for mono, c in p.coefficients.items():
-        pairs = []
-        for i in range(m):
-            rest = _tuple_sub(mono, basis.tuples[i])
-            if rest is None:
-                continue
-            j = basis.index.get(rest)
-            if j is not None and j >= i:
-                pairs.append((i, j))
-        if not pairs:
-            raise ValueError(f"monomial {mono} not representable over the basis")
-        share = c / len(pairs)
-        for i, j in pairs:
-            if i == j:
-                rows[i][i] += share
-            else:
-                rows[i][j] += share / 2
-                rows[j][i] += share / 2
-    return SymMatrix.from_rows(rows)
+    full, cls = _pair_classes(basis.n, basis.d)
+    # unordered pairs per class: (ordered pairs + diagonal pairs) / 2
+    u = (np.bincount(cls.ravel(), minlength=len(full))
+         + np.bincount(cls.diagonal(), minlength=len(full))) // 2
+    share = np.array([Fraction(p.coefficients.get(t, 0), int(w))
+                      for t, w in zip(full.tuples, u)], dtype=object)[cls]
+    diag = np.eye(len(basis), dtype=bool)
+    return SymMatrix._wrap(np.where(diag, share, share / 2), True)
 
 
 def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
@@ -215,25 +211,14 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     """
     n = q.n
     terms = _weighted_power_terms(n, lam, r)
-    Q = q.Q if q.Q.is_exact else q.Q.to_exact()
+    Q = q.Q.to_exact().entries
     basis = monomial_basis(n, r + 1)
-    m = len(basis)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    unit = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    out = np.full((len(basis), len(basis)), Fraction(0), dtype=object)
+    unit = np.eye(n, dtype=int)
     for alpha, w in terms:
-        pos = [basis.position(_tuple_add(alpha, unit[i])) for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                c = w * Fraction(Q[i, j])
-                if c == 0:
-                    continue
-                a, b = pos[i], pos[j]
-                if a == b:
-                    rows[a][a] += c
-                else:
-                    rows[a][b] += c
-                    rows[b][a] += c
-    return SymMatrix.from_rows(rows)
+        pos = [basis.index[t] for t in map(tuple, (unit + alpha).tolist())]
+        out[np.ix_(pos, pos)] += w * Q
+    return SymMatrix._wrap(out, True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +252,7 @@ def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
 
     Every monomial of the result has zero or two odd-degree variables.
     """
-    n = q.n
-    terms = _weighted_power_terms(n, lam, r)
-    Q = q.Q if q.Q.is_exact else q.Q.to_exact()
-    coeffs: dict = {}
-
-    def bump(t: ExponentTuple, c: Fraction):
-        coeffs[t] = coeffs.get(t, Fraction(0)) + c
-
-    for alpha, w in terms:
-        base = tuple(2 * a for a in alpha)
-        for i in range(n):
-            qii = Fraction(Q[i, i])
-            if qii != 0:
-                t = list(base)
-                t[i] += 2
-                bump(tuple(t), w * qii)
-            for j in range(i + 1, n):
-                qij = Fraction(Q[i, j])
-                if qij != 0:
-                    t = list(base)
-                    t[i] += 1
-                    t[j] += 1
-                    bump(tuple(t), 2 * w * qij)
-    return HomogeneousPoly(n=n, degree=2 * r + 2, coefficients=coeffs)
+    return gram_to_poly(multiplier_gram(q, lam, r), monomial_basis(q.n, r + 1))
 
 
 def parity_aggregates(p: HomogeneousPoly):

@@ -106,7 +106,7 @@ class SymMatrix:
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-D array")
-        return cls._wrap(*_checked((a + a.T) / 2.0))
+        return cls._wrap(*_checked(_average_triangles(a)))
 
     @classmethod
     def zeros(cls, n: int, exact: bool = True) -> "SymMatrix":
@@ -173,6 +173,17 @@ def _check_symmetric(differs: np.ndarray) -> None:
     if len(bad):
         i, j = bad[0]
         raise ValueError(f"asymmetric input at ({i},{j})")
+
+
+def _average_triangles(a: np.ndarray) -> np.ndarray:
+    """A new float array: ``(a + a.T) / 2`` off the diagonal and the diagonal
+    of ``a`` on it, since doubling an entry above half the float range would
+    overflow (an overflow off the diagonal leaves inf, which ``_checked``
+    rejects)."""
+    with np.errstate(over="ignore"):
+        out = (a + a.T) / 2.0
+    np.fill_diagonal(out, a.diagonal())
+    return out
 
 
 def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -517,11 +528,7 @@ def load_matrix_json(obj) -> SymMatrix:
     if has_float:
         a = np.array(parsed, dtype=float)
         _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.max(np.abs(a))))
-        # average the strict triangles only: doubling a diagonal entry
-        # above half the float range would overflow
-        iu = np.triu_indices(n, 1)
-        a[iu] = a.T[iu] = (a[iu] + a.T[iu]) / 2.0
-        return SymMatrix._wrap(*_checked(a))
+        return SymMatrix._wrap(*_checked(_average_triangles(a)))
     return SymMatrix.from_rows(parsed)
 
 

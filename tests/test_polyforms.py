@@ -87,6 +87,14 @@ class TestGramToPoly:
         with pytest.raises(ValueError):
             gram_to_poly(SymMatrix.identity(3), monomial_basis(2, 1))
 
+    def test_float_gram_sums_exact_values(self):
+        # x^2 y^2 collects three entries of 0.1; a float sum would round
+        g = SymMatrix.from_rows([[0.0, 0.0, 0.1], [0.0, 0.1, 0.0],
+                                 [0.1, 0.0, 0.0]])
+        p = gram_to_poly(g, monomial_basis(2, 2))
+        assert p.coefficients == {(2, 2): 3 * Fraction(0.1)}
+        assert 3 * Fraction(0.1) != Fraction(0.1 + 0.1 + 0.1)
+
 
 class TestQuadraticGram:
     def test_binomial_square(self):
@@ -141,6 +149,34 @@ class TestDefaultGram:
             p = HomogeneousPoly(n, 2 * half, coeffs)
             assert gram_to_poly(default_gram(p, basis), basis) == p
 
+    def test_splits_each_coefficient_over_its_unordered_pairs(self):
+        rnd = random.Random(8)
+        for _ in range(20):
+            n = rnd.randint(1, 4)
+            half = rnd.randint(1, 3)
+            basis = monomial_basis(n, half)
+            full = monomial_basis(n, 2 * half)
+            p = HomogeneousPoly(n, 2 * half, {
+                t: Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+                for t in full.tuples if rnd.random() < 0.5})
+            ts = basis.tuples
+            m = len(ts)
+
+            def mono(i, j):
+                return tuple(a + b for a, b in zip(ts[i], ts[j]))
+
+            pairs: dict = {}
+            for i in range(m):
+                for j in range(i, m):
+                    pairs[mono(i, j)] = pairs.get(mono(i, j), 0) + 1
+            g = default_gram(p, basis)
+            assert g.is_exact
+            for i in range(m):
+                for j in range(m):
+                    c = p.coefficients.get(mono(i, j), Fraction(0))
+                    u = pairs[mono(i, j)]
+                    assert g[i, j] == (c / u if i == j else c / (2 * u))
+
 
 class TestMultiplyWeightedPower:
     def test_r_zero_is_the_quadratic(self):
@@ -172,14 +208,14 @@ class TestMultiplyWeightedPower:
             assert odd in (0, 2)
 
     def test_matches_sympy_oracle(self):
+        # fractional weights, one of them zero, up to five variables
         rnd = random.Random(4)
-        for _ in range(8):
-            n = rnd.randint(2, 4)
+        for n, r in [(2, 3), (3, 0), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2),
+                     (5, 2)]:
             q = random_rational_sym(rnd, n)
-            lam = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
-            if all(v == 0 for v in lam):
-                lam[0] = Fraction(1)
-            r = rnd.randint(0, 3)
+            lam = [Fraction(rnd.randint(1, 3), rnd.randint(1, 3))
+                   * rnd.choice((-1, 1)) for _ in range(n)]
+            lam[rnd.randrange(n)] = Fraction(0)
             p = multiply_weighted_power(QuadraticForm(Q=q), lam, r)
             assert p.coefficients == sympy_expand_oracle(q, lam, r)
 

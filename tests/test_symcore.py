@@ -96,6 +96,14 @@ class TestSymMatrix:
         with pytest.raises(TypeError, match="unsupported entry type"):
             SymMatrix.from_rows([["1", 0], [0, 1]])
 
+    def test_from_array_keeps_a_diagonal_above_half_the_float_range(self):
+        # (a + a.T) / 2 would double 1e308 to inf
+        arr = np.array([[1e308, 0.5], [0.7, 1.0]])
+        m = SymMatrix.from_array(arr)
+        assert m[0, 0] == 1e308 and m[1, 1] == 1.0
+        assert m[0, 1] == m[1, 0] == (0.5 + 0.7) / 2.0
+        assert arr[1, 0] == 0.7  # the caller's array is not written
+
 
 class TestFrobeniusInner:
     def test_identity_case(self):
