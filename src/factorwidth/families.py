@@ -17,8 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .symcore import (SymMatrix, Support, frobenius_inner, is_psd, PsdReport,
-                      scale_congruence)
+from .symcore import SymMatrix, Support, frobenius_inner, is_psd, PsdReport
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -248,9 +247,9 @@ def qprime_canonical():
     basis = monomial_basis(5, 2)
     paper_order = _colex_pair_order(5)
     perm = [basis.position(t) for t in paper_order]  # paper index -> canonical
-    # row i of this permutation matrix is e_perm[i], so the congruence moves
-    # entry (i, j) to (perm[i], perm[j])
-    canon = scale_congruence(fx.Qprime, np.eye(len(perm), dtype=int)[perm])
+    inv = np.argsort(perm)
+    canon = SymMatrix._wrap(fx.Qprime.entries[np.ix_(inv, inv)],
+                            fx.Qprime.is_exact)
     supports = [Support.of(sorted(perm[i] for i in K.indices))
                 for K in fx.supports27]
     return canon, supports

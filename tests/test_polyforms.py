@@ -208,14 +208,28 @@ class TestMultiplyWeightedPower:
             assert odd in (0, 2)
 
     def test_matches_sympy_oracle(self):
-        # fractional weights, one of them zero, up to five variables
         rnd = random.Random(4)
-        for n, r in [(2, 3), (3, 0), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2),
-                     (5, 2)]:
+        for _ in range(8):
+            n = rnd.randint(2, 4)
+            q = random_rational_sym(rnd, n)
+            lam = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
+            if all(v == 0 for v in lam):
+                lam[0] = Fraction(1)
+            r = rnd.randint(0, 3)
+            p = multiply_weighted_power(QuadraticForm(Q=q), lam, r)
+            assert p.coefficients == sympy_expand_oracle(q, lam, r)
+
+    def test_matches_sympy_oracle_fractional_weights(self):
+        # fractional weights up to five variables; every other case has a
+        # zero weight, the rest have none
+        rnd = random.Random(4)
+        for c, (n, r) in enumerate([(2, 3), (3, 0), (3, 2), (4, 1), (4, 3),
+                                    (5, 1), (5, 2), (5, 2)]):
             q = random_rational_sym(rnd, n)
             lam = [Fraction(rnd.randint(1, 3), rnd.randint(1, 3))
                    * rnd.choice((-1, 1)) for _ in range(n)]
-            lam[rnd.randrange(n)] = Fraction(0)
+            if c % 2:
+                lam[rnd.randrange(n)] = Fraction(0)
             p = multiply_weighted_power(QuadraticForm(Q=q), lam, r)
             assert p.coefficients == sympy_expand_oracle(q, lam, r)
 
