@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import SymMatrix, Support, eigen_sym, load_matrix_json
+from .symcore import SymMatrix, Support, eigen_sym, is_psd, load_matrix_json
 from .decompose import (
     SolverOptions,
     decomposition_to_json,
@@ -142,10 +142,6 @@ def _verdict_fields(verdict) -> dict:
     }
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def _verdict_exit(verdict: str) -> int:
     if verdict in ("member", "psd", "found"):
         return EXIT_OK
@@ -170,44 +166,41 @@ def _solver_options(args, support_list=None) -> SolverOptions:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_fw(args) -> int:
+def cmd_check_fw(args) -> dict:
     A = _load_matrix(args.matrix)
     _check_width(args.k, A.n)
     supports = (_load_supports(args.supports, A.n, args.k)
                 if args.supports else None)
     verdict = fw_membership(A, args.k, _solver_options(args, supports))
-    _emit({
+    return {
         "command": "check-fw",
         "n": A.n,
         "k": args.k,
         **_verdict_fields(verdict),
         "artifacts": _write_artifacts(args.matrix, verdict.decomposition,
                                       verdict.certificate),
-    })
-    return _verdict_exit(verdict.status)
+    }
 
 
-def cmd_check_dual(args) -> int:
+def cmd_check_dual(args) -> dict:
     B = _load_matrix(args.matrix)
     _check_width(args.k, B.n)
     try:
         report = dual_membership(B, args.k, args.tol)
     except ValueError as exc:
         raise _CliInputError(str(exc))
-    verdict = "member" if report.is_member else "non_member"
-    _emit({
+    return {
         "command": "check-dual",
-        "verdict": verdict,
+        "verdict": "member" if report.is_member else "non_member",
         "n": B.n,
         "k": args.k,
         "worst_margin": report.worst_margin,
         "worst_support": list(report.worst_support.indices),
         "artifacts": [],
-    })
-    return _verdict_exit(verdict)
+    }
 
 
-def cmd_soks(args) -> int:
+def cmd_soks(args) -> dict:
     p = _load_poly(args.poly)
     if p.degree % 2 != 0:
         raise _CliInputError("so-k-s needs an even-degree polynomial")
@@ -234,7 +227,7 @@ def cmd_soks(args) -> int:
         gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
     _check_width(args.k, gram.n)
     verdict = soks_test(p, args.k, gram, _solver_options(args))
-    _emit({
+    return {
         "command": "soks",
         "n": p.n,
         "k": args.k,
@@ -243,11 +236,10 @@ def cmd_soks(args) -> int:
         "gram_conditional": verdict.diagnostics.get("gram_conditional"),
         "artifacts": _write_artifacts(args.poly,
                                       certificate=verdict.certificate),
-    })
-    return _verdict_exit(verdict.status)
+    }
 
 
-def cmd_pna(args) -> int:
+def cmd_pna(args) -> dict:
     try:
         threshold = pna_threshold(args.n, args.k)
     except ValueError as exc:
@@ -261,26 +253,22 @@ def cmd_pna(args) -> int:
     }
     if args.a is None:
         report["verdict"] = "found"
-        _emit(report)
-        return EXIT_OK
+        return report
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliInputError(f"bad value a={args.a!r}: {exc}")
     report["a"] = str(a)
+    report["verdict"] = "none"
     if a >= threshold:
         d = pna_witness_decomposition(args.n, args.k, a)
         report["verdict"] = "found"
         report["residual"] = d.residual
         report["blocks"] = len(d.blocks)
-        _emit(report)
-        return EXIT_OK
-    report["verdict"] = "none"
-    _emit(report)
-    return EXIT_NEGATIVE
+    return report
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> dict:
     Q = _load_matrix(args.matrix)
     _check_width(args.k, Q.n)
     if args.max_cycles < 0:
@@ -290,7 +278,7 @@ def cmd_certify(args) -> int:
         cert = cos_certificate_search(Q)
     if cert is None:
         cert = dykstra_dual_certificate(Q, args.k)
-    _emit({
+    return {
         "command": "certify",
         "verdict": "found" if cert else "none",
         "n": Q.n,
@@ -299,24 +287,20 @@ def cmd_certify(args) -> int:
         "normalized_value": None if cert is None else cert.normalized_value(Q),
         "worst_margin": None if cert is None else cert.worst_minor_margin,
         "artifacts": _write_artifacts(args.matrix, certificate=cert),
-    })
-    return EXIT_OK if cert else EXIT_NEGATIVE
+    }
 
 
-def cmd_eig(args) -> int:
+def cmd_eig(args) -> dict:
     A = _load_matrix(args.matrix)
-    res = eigen_sym(A)
-    lam = [float(v) for v in res.eigenvalues]
-    psd = lam[0] >= -1e-9 * (1.0 + A.max_abs())
-    _emit({
+    lam = [float(v) for v in eigen_sym(A).eigenvalues]
+    return {
         "command": "eig",
-        "verdict": "psd" if psd else "not_psd",
+        "verdict": "psd" if is_psd(A).is_psd else "not_psd",
         "n": A.n,
         "eigenvalues": lam,
         "min_eigenvalue": lam[0],
         "artifacts": [],
-    })
-    return EXIT_OK if psd else EXIT_NEGATIVE
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +374,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     try:
-        return args.func(args)
+        report = args.func(args)
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return _verdict_exit(report["verdict"])
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -32,6 +32,7 @@ from .symcore import (
     SymMatrix,
     Support,
     frobenius_inner,
+    _congruence,
     _exact_psd,
     _full_index,
 )
@@ -94,13 +95,17 @@ class CosExtremeRay:
     diag_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if sorted(self.permutation) != [0, 1, 2, 3]:
+            raise ValueError("permutation must order 0, 1, 2, 3")
         if any(d == 0 for d in self.diag_scale):
             raise ValueError("diagonal scales must be nonzero")
 
     def matrix(self) -> SymMatrix:
-        base = _cos_ray_array(self.a, self.c)
-        out = _apply_perm_scale(base, self.permutation, np.array(self.diag_scale))
-        return SymMatrix.from_array(out)
+        """``D P B(a, c) P^T D`` with ``P[permutation[i], i] = 1`` and
+        ``D = diag(diag_scale)``."""
+        return SymMatrix.from_array(_congruence(
+            _cos_ray_array(self.a, self.c), np.argsort(self.permutation),
+            np.array(self.diag_scale)))
 
 
 @dataclass
@@ -166,13 +171,6 @@ def _cos_ray_array(a: float, c: float) -> np.ndarray:
     ])
 
 
-def _apply_perm_scale(base: np.ndarray, perm, dfull: np.ndarray) -> np.ndarray:
-    """Return D P base P^T D with P[perm[i], i] = 1 and D = diag(dfull)."""
-    out = np.empty_like(base)
-    out[np.ix_(perm, perm)] = base
-    return out * np.outer(dfull, dfull)
-
-
 _COS_GRID = 64  # angle cells per axis of the grid phase
 _COS_REFINE_ITERS = 200  # coordinate-descent sweeps of the refinement
 
@@ -208,8 +206,7 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     best = None
     for p_idx, perm in enumerate(perms):
         for s_idx, sg in enumerate(signs):
-            D = np.outer(sg, sg)
-            Y = (Qf * D)[np.ix_(perm, perm)]
+            Y = _congruence(Qf, perm, np.take(sg, perm))
             w1 = 2.0 * (Y[0, 1] + Y[2, 3])
             w2 = 2.0 * (Y[0, 2] + Y[1, 3])
             w3 = 2.0 * (Y[0, 3] + Y[1, 2])
@@ -222,12 +219,12 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
 
     _, ia, ic, p_idx, s_idx = best
     a, c = float(grid[ia]), float(grid[ic])
-    perm = perms[p_idx]
+    rows = np.argsort(perms[p_idx])
     sg = np.array(signs[s_idx])
     d = np.ones(4)
 
     def objective(aa, cc_, dd):
-        mat = _apply_perm_scale(_cos_ray_array(aa, cc_), perm, sg * dd)
+        mat = _congruence(_cos_ray_array(aa, cc_), rows, sg * dd)
         nrm = float(np.linalg.norm(mat))
         return float(np.vdot(mat, Qf)) / nrm, mat
 

@@ -110,12 +110,6 @@ class HomogeneousPoly:
                 clean[t] = c
         self.coefficients = clean
 
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        return (self.n == other.n and self.degree == other.degree
-                and self.coefficients == other.coefficients)
-
 
 @dataclass
 class QuadraticForm:
@@ -291,8 +285,7 @@ def soks_test(p: HomogeneousPoly, k: int, gram: SymMatrix, opts=None):
     if p.degree % 2 != 0:
         raise ValueError("so-k-s requires an even-degree polynomial")
     basis = monomial_basis(p.n, p.degree // 2)
-    exact_gram = gram if gram.is_exact else gram.to_exact()
-    if exact_gram.n != len(basis) or gram_to_poly(exact_gram, basis) != p:
+    if gram.n != len(basis) or gram_to_poly(gram, basis) != p:
         raise GramMismatchError("Gram matrix does not reproduce the polynomial")
     verdict = fw_membership(gram, k, opts)
     verdict.diagnostics["gram_conditional"] = p.degree > 2

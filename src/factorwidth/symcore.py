@@ -13,7 +13,9 @@ Conversion between the two worlds is always explicit (:meth:`SymMatrix.to_float`
 never happens silently.  Both cones read their principal blocks through one
 :class:`_BlockIndex`, on the float array or, for the exact dual battery, on
 the object array; ``principal_submatrix`` and ``embed`` remain for single
-blocks.
+blocks.  Both cones are invariant under congruence by a permutation times a
+nonsingular diagonal; ``scale_congruence`` (``Q^T A Q`` for any monomial
+``Q``) and the cosine extreme-ray family apply it through one ``_congruence``.
 """
 
 from __future__ import annotations
@@ -178,10 +180,13 @@ def _check_symmetric(differs: np.ndarray) -> None:
 def _average_triangles(a: np.ndarray) -> np.ndarray:
     """A new float array: ``(a + a.T) / 2`` off the diagonal and the diagonal
     of ``a`` on it, since doubling an entry above half the float range would
-    overflow (an overflow off the diagonal leaves inf, which ``_checked``
-    rejects)."""
-    with np.errstate(over="ignore"):
+    overflow.  A finite mirrored pair whose sum overflows is averaged as
+    ``a / 2 + a.T / 2`` instead; every other entry is ``(a + a.T) / 2``, and
+    an inf or nan input still leaves a non-finite entry for ``_checked``."""
+    with np.errstate(over="ignore", invalid="ignore"):
         out = (a + a.T) / 2.0
+    over = np.isinf(out) & np.isfinite(a) & np.isfinite(a.T)
+    out[over] = a[over] / 2.0 + a.T[over] / 2.0
     np.fill_diagonal(out, a.diagonal())
     return out
 
@@ -431,47 +436,34 @@ def _project_psd(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _classify_congruence(q_rows, n: int, allow_nonsingular_diagonal: bool):
-    """Return ('perm', pi) or ('diag', d) after validating the matrix shape."""
-    if len(q_rows) != n or any(len(r) != n for r in q_rows):
-        raise ValueError("congruence matrix must match the operand dimension")
-    off_zero = all(q_rows[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-    if off_zero:
-        d = [q_rows[i][i] for i in range(n)]
-        if allow_nonsingular_diagonal:
-            if any(x == 0 for x in d):
-                raise ValueError("diagonal congruence must be nonsingular")
-        elif any(not x > 0 for x in d):
-            raise ValueError("diagonal congruence must have positive diagonal")
-        return "diag", d
-    is_01 = all(q_rows[i][j] in (0, 1) for i in range(n) for j in range(n))
-    if is_01:
-        rows_ok = all(sum(q_rows[i]) == 1 for i in range(n))
-        cols_ok = all(sum(q_rows[i][j] for i in range(n)) == 1 for j in range(n))
-        if rows_ok and cols_ok:
-            pi = [next(k for k in range(n) if q_rows[k][j] == 1) for j in range(n)]
-            return "perm", pi
-    raise ValueError("congruence matrix is neither a permutation nor a "
-                     "positive diagonal matrix")
+def _congruence(a: np.ndarray, rows, d) -> np.ndarray:
+    """``Q^T a Q`` for the monomial ``Q`` whose column ``j`` holds ``d[j]`` in
+    row ``rows[j]``: entry ``(j, l)`` is ``d[j] * d[l] * a[rows[j], rows[l]]``."""
+    return np.outer(d, d) * a[np.ix_(rows, rows)]
 
 
-def scale_congruence(A: SymMatrix, Q, allow_nonsingular_diagonal: bool = False
-                     ) -> SymMatrix:
-    """Return ``Q^T A Q`` for ``Q`` a permutation or positive diagonal matrix.
+def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
+    """Return ``Q^T A Q`` for any monomial ``Q`` (exactly one nonzero in each
+    row and each column): a permutation times a nonsingular diagonal.
 
-    With ``allow_nonsingular_diagonal=True`` a diagonal with sign flips is
-    accepted (matching how the extreme-ray normal form absorbs a sign).
+    The result is exact when ``A`` is and no nonzero of ``Q`` is a float; a
+    permutation (every nonzero equal to 1) keeps ``A``'s entries as they are.
     """
-    if isinstance(Q, np.ndarray):
-        q_rows = Q.tolist()
-    else:
-        q_rows = [list(r) for r in Q]
-    kind, payload = _classify_congruence(q_rows, A.n, allow_nonsingular_diagonal)
-    if kind == "perm":
-        return SymMatrix._wrap(A.entries[np.ix_(payload, payload)], A.is_exact)
-    exact = A.is_exact and not any(isinstance(x, float) for x in payload)
-    d = np.array(payload, dtype=object if exact else float)
-    return SymMatrix._wrap(*_checked(np.outer(d, d) * A.entries.astype(d.dtype)))
+    q = np.array(Q, dtype=object)
+    if q.shape != (A.n, A.n):
+        raise ValueError("congruence matrix must match the operand dimension")
+    nonzero = q != 0
+    if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
+        raise ValueError("congruence matrix needs exactly one nonzero in each "
+                         "row and each column")
+    rows = nonzero.argmax(axis=0)
+    d = q[rows, np.arange(A.n)]
+    if all(x == 1 for x in d):  # a permutation (1.0 too) keeps entry types
+        d = np.ones(A.n, dtype=object)
+    exact = A.is_exact and not any(isinstance(x, float) for x in d)
+    d = d.astype(object if exact else float)
+    return SymMatrix._wrap(*_checked(_congruence(A.entries.astype(d.dtype),
+                                                 rows, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # pytest's filterwarnings does not reach a subprocess
+    env["PYTHONWARNINGS"] = "error"
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -152,8 +152,7 @@ class TestCosRay:
             [cc, cac, -ca, 1.0],
         ])
         D = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
-        flipped = scale_congruence(delta_minus, D,
-                                   allow_nonsingular_diagonal=True)
+        flipped = scale_congruence(delta_minus, D)
         assert flipped == cos_ray(a, c)
 
     def test_parametrized_ray_applies_congruence(self):
@@ -164,6 +163,10 @@ class TestCosRay:
         # base entry (0, 1) lands at the permuted position (2, 0) and picks up
         # the scales attached to those positions
         assert m[2, 0] == pytest.approx(-1.0 * 1.0 * base[0, 1])
+
+    def test_ray_rejects_a_non_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            CosExtremeRay(a=1.0, c=2.0, permutation=(0, 0, 1, 2))
 
 
 class TestCosCertificateSearch:

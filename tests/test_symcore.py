@@ -104,6 +104,23 @@ class TestSymMatrix:
         assert m[0, 1] == m[1, 0] == (0.5 + 0.7) / 2.0
         assert arr[1, 0] == 0.7  # the caller's array is not written
 
+    def test_from_array_averages_a_pair_whose_sum_overflows(self):
+        # 1.7e308 + 1.6e308 overflows; each half does not
+        arr = np.array([[1.0, 1.7e308, 0.5], [1.6e308, 2.0, 0.25],
+                        [0.75, 0.25, 3.0]])
+        m = SymMatrix.from_array(arr)
+        assert m[0, 1] == m[1, 0] == 1.7e308 / 2.0 + 1.6e308 / 2.0
+        assert m[0, 2] == (0.5 + 0.75) / 2.0 and m[1, 2] == 0.25
+        assert [m[i, i] for i in range(3)] == [1.0, 2.0, 3.0]
+        same = SymMatrix.from_array(np.array([[1.0, 1.7e308], [1.7e308, 1.0]]))
+        assert same[0, 1] == 1.7e308
+        for bad in (math.inf, -math.inf):  # an infinite input stays rejected
+            with pytest.raises(ValueError, match="finite"):
+                SymMatrix.from_array(np.array([[1.0, 1.7e308], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix.from_array(np.array([[1.0, math.inf],
+                                           [-math.inf, 1.0]]))
+
 
 class TestFrobeniusInner:
     def test_identity_case(self):
@@ -412,11 +429,24 @@ class TestScaleCongruence:
 
     def test_sign_flip_requires_flag(self):
         a = SymMatrix.identity(2)
-        with pytest.raises(ValueError):
-            scale_congruence(a, [[1, 0], [0, -1]])
-        out = scale_congruence(a, [[1, 0], [0, -1]],
-                               allow_nonsingular_diagonal=True)
+        out = scale_congruence(a, [[1, 0], [0, -1]])
         assert out == SymMatrix.identity(2)
+
+    def test_scaled_permutation(self):
+        a = SymMatrix.from_rows([[1, 2], [2, 5]])
+        out = scale_congruence(a, [[0, Fraction(1, 2)], [-3, 0]])
+        assert out.is_exact
+        assert out == SymMatrix.from_rows([[45, -3], [-3, Fraction(1, 4)]])
+
+    def test_permutation_keeps_entries(self):
+        # every nonzero equal to 1, a float 1.0 too, only re-indexes A
+        a = SymMatrix.from_rows([[1, Fraction(1, 3)], [Fraction(1, 3), 5]])
+        for q in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2), [[0, 1.0], [1, 0]]):
+            out = scale_congruence(a, q)
+            assert out.is_exact
+            assert [type(e) for e in out.entries.ravel()] == [
+                type(e) for e in a.entries.ravel()]
+        assert scale_congruence(a, np.eye(2)) == a
 
     def test_rejects_general_matrix(self):
         with pytest.raises(ValueError):
@@ -452,6 +482,9 @@ class TestMatrixJson:
         assert m[0, 0] == 1.0 and m[2, 2] == 3.0
         huge = load_matrix_json({"n": 2, "rows": [[1e308, 0.5], [0.5, 1.0]]})
         assert huge[0, 0] == 1e308
+        huge = load_matrix_json({"n": 2, "rows": [[1.0, 1.7e308],
+                                                  [1.7e308, 1.0]]})
+        assert huge[0, 1] == huge[1, 0] == 1.7e308
         with pytest.raises(ValueError, match=r"asymmetric input at \(0,1\)"):
             load_matrix_json({"n": 3, "rows": [[1.0, 0.5, 0], [0.5 + 5e-12, 2.0, 0],
                                                [0, 0, 3.0]]})
