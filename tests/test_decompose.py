@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from factorwidth import symcore
 from factorwidth.decompose import (
     BlockDecomposition,
     SolverOptions,
@@ -192,6 +193,23 @@ class TestFwMembership:
         v = fw_membership(fx.Qprime, 4,
                           SolverOptions(support_list=list(fx.supports27)))
         assert v.status == "member"
+
+    def test_qprime_member_on_94_supports_through_the_triage(self, monkeypatch):
+        # 94 supports is past the projection's triage gate, which the
+        # paper's 27 are not; the verdict and iteration count are those of
+        # the untriaged projection
+        fx = example_m_fixtures()
+        s27 = list(fx.supports27)
+        others = [K for K in enumerate_supports(15, 4) if K not in s27]
+        triaged = []
+        nd = symcore._negative_definite
+        monkeypatch.setattr(symcore, "_negative_definite",
+                            lambda s: triaged.append(len(s)) or nd(s))
+        v = fw_membership(fx.Qprime, 4,
+                          SolverOptions(support_list=s27 + others[::20]))
+        assert v.status == "member"
+        assert v.diagnostics["iterations"] == 2719
+        assert set(triaged) == {94}
 
     def test_inconclusive_when_supports_cannot_carry_a_member(self):
         # A is in FW_2, but the restricted support list cannot reach entry

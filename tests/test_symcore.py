@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorwidth import symcore
 from factorwidth.symcore import (
     SymMatrix,
     Support,
     _BlockIndex,
+    _clip_psd,
+    _negative_definite,
+    _project_psd,
     embed,
     eigen_sym,
     enumerate_supports,
@@ -395,8 +399,6 @@ class TestProjectPsd:
             assert base <= np.linalg.norm(a.as_array() - s) + 1e-12
 
     def test_batch_matches_public_projection(self):
-        from factorwidth.symcore import _project_psd
-
         rng = np.random.default_rng(14)
         mats = [random_sym(rng, 4) for _ in range(6)]
         stack = np.stack([m.as_array() for m in mats])
@@ -410,6 +412,108 @@ class TestProjectPsd:
             rest = b - m.as_array()
             assert np.linalg.eigvalsh(rest)[0] >= -tol
             assert abs(np.vdot(b, rest)) <= tol
+
+
+BLOCK_KINDS = ("negative definite", "negative semidefinite singular",
+               "positive semidefinite", "indefinite")
+
+
+def block_of_kind(rng, k, kind):
+    """A random symmetric ``k x k`` block of one of ``BLOCK_KINDS``, scaled
+    by a power of two.  A singular negative semidefinite block is
+    ``-L D L^T`` with small integers in the unit lower-triangular ``L`` and
+    the diagonal ``D``, one entry of ``D`` zero, so that elimination meets
+    an exact zero pivot."""
+    scale = 2.0 ** int(rng.integers(-20, 21))
+    if kind == "negative semidefinite singular":
+        L = np.tril(rng.integers(-2, 3, (k, k)), -1) + np.eye(k)
+        D = rng.integers(1, 4, k)
+        D[rng.integers(k)] = 0
+        return -scale * (L * D) @ L.T
+    lam = rng.uniform(0.5, 2.0, k)
+    if kind == "negative definite":
+        lam = -lam
+    elif kind == "positive semidefinite":
+        lam[rng.random(k) < 0.3] = 0.0
+    else:  # indefinite; a 1 x 1 block comes out positive definite
+        lam[:k // 2] *= -1
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    b = (q * lam) @ q.T
+    return scale * (b + b.T) / 2
+
+
+def per_block_clip(stack):
+    """The psd projection of each block on its own, one ``eigh`` each."""
+    out = np.empty_like(stack)
+    for s, b in enumerate(stack):
+        lam, vec = np.linalg.eigh((b + b.T) / 2)
+        p = (vec * np.maximum(lam, 0.0)) @ vec.T
+        out[s] = (p + p.T) / 2
+    return out
+
+
+class TestProjectPsdTriage:
+    """Stacks of more than ``_TRIAGE_ABOVE_BLOCKS`` blocks skip the eigensolve
+    on negative definite blocks; the rest project as a per-block ``eigh``
+    clip would."""
+
+    @given(st.integers(1, 6), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_block_clip(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        kinds = [BLOCK_KINDS[i] for i in rng.integers(4, size=m)]
+        stack = np.stack([block_of_kind(rng, k, kind) for kind in kinds])
+        nd = np.array([kind == "negative definite" for kind in kinds])
+        # the triage proves exactly the negative definite blocks; a zero
+        # pivot leaves a singular block to the eigensolver
+        assert np.array_equal(_negative_definite(stack), nd)
+        out = _project_psd(stack)
+        ref = per_block_clip(stack)
+        tol = 1e-15 * (1 + np.max(np.abs(stack), axis=(1, 2)))
+        assert np.all(np.max(np.abs(out - ref), axis=(1, 2)) <= tol)
+        if m > symcore._TRIAGE_ABOVE_BLOCKS:
+            assert not np.any(out[nd])
+        else:  # small stacks and single matrices take the untriaged path
+            assert np.array_equal(out, _clip_psd(stack))
+            assert np.array_equal(_project_psd(stack[0]), _clip_psd(stack[0]))
+            assert project_psd(SymMatrix.from_array(stack[0])) == \
+                SymMatrix.from_array(_clip_psd(stack[0]))
+
+    def test_triage_only_above_the_gate(self, monkeypatch):
+        def fail(s):
+            raise AssertionError("triaged")
+
+        monkeypatch.setattr(symcore, "_negative_definite", fail)
+        stack = -np.ones((symcore._TRIAGE_ABOVE_BLOCKS + 1, 2, 2))
+        _project_psd(stack[0])
+        _project_psd(stack[1:])
+        with pytest.raises(AssertionError, match="triaged"):
+            _project_psd(stack)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_non_finite_block_as_without_triage(self, bad, where):
+        rng = np.random.default_rng(15)
+        stack = np.stack([block_of_kind(rng, 3, BLOCK_KINDS[s % 4])
+                          for s in range(40)])
+        # block 4 is negative definite but for the non-finite entry
+        stack[4][where] = stack[4][where[::-1]] = bad
+
+        def outcome(f):
+            try:
+                return f()
+            except np.linalg.LinAlgError as e:
+                return str(e)
+
+        untriaged = outcome(lambda: _clip_psd(stack))
+        got = outcome(lambda: _project_psd(stack))
+        if isinstance(untriaged, str):
+            assert isinstance(got, str) and got == untriaged
+        else:
+            assert np.all(np.isnan(got[4]))
+            tol = 1e-15 * (1 + np.max(np.abs(stack[np.isfinite(stack)])))
+            np.testing.assert_allclose(got, untriaged, rtol=0, atol=tol,
+                                       equal_nan=True)
 
 
 class TestScaleCongruence:
