@@ -196,6 +196,7 @@ def cmd_check_dual(args) -> dict:
         "k": args.k,
         "worst_margin": report.worst_margin,
         "worst_support": list(report.worst_support.indices),
+        "exact": report.exact,
         "artifacts": [],
     }
 

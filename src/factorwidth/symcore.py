@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +51,9 @@ __all__ = [
 Scalar = Union[int, Fraction, float]
 
 _PSD_TOL_DEFAULT = 1e-9
+# exact entries below this in absolute value have a finite float image, and so
+# does the sum of any two of them
+_FLOAT_SAFE = 2 ** 1022
 
 
 class SymMatrix:
@@ -311,7 +314,7 @@ class EigenResult:
 @dataclass(frozen=True)
 class PsdReport:
     is_psd: bool
-    min_eigenvalue: float
+    min_eigenvalue: Optional[float]
     tolerance_used: float
 
 
@@ -360,6 +363,12 @@ def eigen_sym(A: SymMatrix) -> EigenResult:
     return EigenResult(eigenvalues=lam, eigenvectors=vec)
 
 
+def _fits_float(A: SymMatrix) -> bool:
+    """Whether the exact matrix ``A`` has a float image that stays finite
+    through the psd tests' arithmetic."""
+    return bool(np.max(np.abs(A.entries)) < _FLOAT_SAFE)
+
+
 def _exact_psd(a: np.ndarray) -> bool:
     """Exact psd decision for a square array of rational entries by pivoted
     symmetric elimination.
@@ -402,14 +411,17 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     Float path: ``lambda_min >= -tol * (1 + ||A||_max)``.  With exact rational
     entries and ``tol == 0`` the verdict comes from exact pivoted elimination
     (no floating error); ``min_eigenvalue`` is then a float approximation
-    reported for information only.
+    reported for information only, and ``None`` when an entry lies beyond the
+    float range.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    min_eig = float(eigen_sym(A).eigenvalues[0])
     if A.is_exact and tol == 0:
+        min_eig = (float(eigen_sym(A).eigenvalues[0]) if _fits_float(A)
+                   else None)
         return PsdReport(is_psd=_exact_psd(A.entries), min_eigenvalue=min_eig,
                          tolerance_used=0.0)
+    min_eig = float(eigen_sym(A).eigenvalues[0])
     threshold = tol * (1.0 + A.max_abs())
     return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,
                      tolerance_used=threshold)

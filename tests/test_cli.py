@@ -112,6 +112,34 @@ class TestCheckDual:
         code, report = run_cli(capsys, "check-dual", fixture_files["I5"], 3)
         assert code == 0
 
+    @pytest.mark.parametrize("tol, exact", [(0, True), (1e-9, False)])
+    def test_reports_exactness(self, capsys, fixture_files, schema, tol,
+                               exact):
+        code, report = run_cli(capsys, "check-dual", fixture_files["A"], 4,
+                               "--tol", tol)
+        assert code == 0
+        assert report["exact"] is exact
+        jsonschema.validate(report, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**report, "exact": "yes"}, schema)
+
+    @pytest.mark.parametrize("off_diagonal, code, verdict", [
+        (1, 0, "member"), (10 ** 400, 1, "non_member")],
+        ids=["member", "non_member"])
+    def test_entry_beyond_float_range(self, capsys, tmp_path, schema,
+                                      off_diagonal, code, verdict):
+        m = _write(tmp_path / "huge.json", {"n": 2, "rows": [
+            [10 ** 400, off_diagonal], [off_diagonal, 1]]})
+        got, report = run_cli(capsys, "check-dual", m, 2, "--tol", 0)
+        assert got == code
+        assert report["verdict"] == verdict
+        assert report["exact"] is True
+        assert report["worst_margin"] is None
+        jsonschema.validate(report, schema)
+        # the float battery cannot read the matrix: malformed input
+        got, report = run_cli(capsys, "check-dual", m, 2)
+        assert got == 64 and report is None
+
 
 class TestSoks:
     def write_pna(self, tmp_path, n, a):

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factorwidth import dualcone
 from factorwidth.dualcone import (
     CosExtremeRay,
     bnr_certificate,
@@ -24,8 +27,10 @@ from factorwidth.symcore import (
     SymMatrix,
     Support,
     eigen_sym,
+    enumerate_supports,
     frobenius_inner,
     is_psd,
+    principal_submatrix,
     scale_congruence,
 )
 
@@ -98,6 +103,131 @@ class TestDualMembership:
         for i in range(5):
             d[i][i] = rnd.uniform(0.2, 3.0)
         assert dual_membership(scale_congruence(B, d), 4).is_member
+
+
+_REPEATING_ENTRIES = (-1, 0, 1, 2, Fraction(1, 2))
+
+
+@st.composite
+def _repeating_exact_case(draw):
+    """An exact matrix over a five-value alphabet, so its blocks repeat."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    upper = draw(st.lists(st.sampled_from(_REPEATING_ENTRIES),
+                          min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    return SymMatrix(n, upper), k
+
+
+def _count_exact_psd(monkeypatch):
+    """Route dualcone's exact pivot test through a recorder of its blocks."""
+    seen = []
+    real = dualcone._exact_psd
+
+    def spy(block):
+        seen.append(tuple(block.ravel().tolist()))
+        return real(block)
+
+    monkeypatch.setattr(dualcone, "_exact_psd", spy)
+    return seen
+
+
+class TestExactBatteryDistinctBlocks:
+    @given(_repeating_exact_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_support_battery(self, case):
+        B, k = case
+        supports = enumerate_supports(B.n, k)
+        subs = [principal_submatrix(B, K) for K in supports]
+        report = dual_membership(B, k, 0)
+        assert report.exact
+        assert report.is_member == all(is_psd(S, 0).is_psd for S in subs)
+        margins = [float(np.linalg.eigvalsh(S.as_array())[0]) for S in subs]
+        worst = min(range(len(supports)), key=margins.__getitem__)
+        assert report.worst_support == supports[worst]
+        assert report.worst_margin == margins[worst]
+
+    @pytest.mark.parametrize("B, k, distinct", [
+        (bnr_certificate(4, 2, 3), 3, 5),
+        (SymMatrix.diag(list(range(1, 7))), 2, 15),
+    ], ids=["bnr-4-2-3", "diag-1-to-6"])
+    def test_exact_psd_runs_once_per_distinct_block(self, monkeypatch, B, k,
+                                                    distinct):
+        seen = _count_exact_psd(monkeypatch)
+        assert dual_membership(B, k, 0).is_member
+        blocks = {tuple(principal_submatrix(B, K).entries.ravel().tolist())
+                  for K in enumerate_supports(B.n, k)}
+        assert len(blocks) == distinct
+        assert len(seen) == distinct
+        assert set(seen) == blocks
+
+    @pytest.mark.parametrize("B, k, tested", [
+        # all 56 3 x 3 blocks are [[1,-1,-1],[-1,1,-1],[-1,-1,1]], which has
+        # eigenvalue -1
+        (SymMatrix.from_rows([[1 if i == j else -1 for j in range(8)]
+                              for i in range(8)]), 3, 1),
+        # the psd block [1] first, then seven copies of the block [-1]
+        (SymMatrix.diag([1] + [-1] * 7), 1, 2),
+    ], ids=["one-3x3-block", "psd-then-repeats"])
+    def test_repeated_non_psd_block_is_not_member(self, monkeypatch, B, k,
+                                                  tested):
+        seen = _count_exact_psd(monkeypatch)
+        report = dual_membership(B, k, 0)
+        assert not report.is_member
+        assert report.exact
+        assert len(seen) == tested
+
+    def test_int_and_fraction_entries_share_a_block(self, monkeypatch):
+        seen = _count_exact_psd(monkeypatch)
+        B = SymMatrix.diag([1, Fraction(1), Fraction(2, 2), 2, Fraction(4, 2)])
+        assert dual_membership(B, 1, 0).is_member
+        assert seen == [(1,), (2,)]
+
+
+class TestEntriesBeyondFloatRange:
+    big = 10 ** 400
+
+    def test_exact_battery_decides_without_floats(self):
+        big = self.big
+        member = SymMatrix.from_rows([[big, 1], [1, 1]])
+        report = dual_membership(member, 2, 0)
+        assert report.is_member and report.exact
+        assert report.worst_margin is None
+        non_member = SymMatrix.from_rows([[big, big], [big, 1]])
+        report = dual_membership(non_member, 2, 0)
+        assert not report.is_member
+        assert report.worst_margin is None
+        # the largest entry's block is not the worst one
+        report = dual_membership(SymMatrix.diag([big, Fraction(-1, 3)]), 1, 0)
+        assert not report.is_member
+        assert report.worst_support == Support.of([1])
+        assert report.worst_margin is None
+
+    def test_entries_whose_float_sum_overflows(self):
+        # 2**1023 converts to a float, but twice it does not
+        huge = 2 ** 1023
+        report = dual_membership(SymMatrix.diag([huge, 1, -1]), 2, 0)
+        assert not report.is_member
+        assert report.worst_margin is None
+        # scaled by 2**-1023, blocks {0, 2} and {1, 2} tie; the first is kept
+        assert report.worst_support == Support.of([0, 2])
+
+    def test_below_the_cutoff_margins_stay_floats(self):
+        report = dual_membership(SymMatrix.diag([2 ** 1021, -1]), 1, 0)
+        assert report.worst_margin == -1.0
+        assert report.worst_support == Support.of([1])
+
+    def test_float_battery_rejects_them(self):
+        B = SymMatrix.from_rows([[self.big, 1], [1, 1]])
+        with pytest.raises(ValueError, match="float range"):
+            dual_membership(B, 2, 1e-9)
+
+    def test_is_psd_exact_path(self):
+        big = Fraction(self.big, 3)
+        rep = is_psd(SymMatrix.from_rows([[big, 1], [1, 1]]), 0)
+        assert rep.is_psd and rep.min_eigenvalue is None
+        rep = is_psd(SymMatrix.from_rows([[big, big], [big, 1]]), 0)
+        assert not rep.is_psd and rep.min_eigenvalue is None
 
 
 class TestCosRay:
