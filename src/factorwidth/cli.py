@@ -22,7 +22,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import SymMatrix, Support, eigen_sym, is_psd, load_matrix_json
+from .symcore import (SymMatrix, Support, eigen_sym, is_psd, load_matrix_json,
+                      _fits_float)
 from .decompose import (
     SolverOptions,
     decomposition_to_json,
@@ -109,6 +110,11 @@ def _load_supports(path: str, n: int, k: int):
     return supports
 
 
+def _check_float_range(A: SymMatrix, source: str) -> None:
+    if not _fits_float(A):  # sums of two entries must stay finite floats
+        raise _CliInputError(f"{source}: every |entry| must be below 2**1022")
+
+
 def _check_width(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise _CliInputError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -125,7 +131,7 @@ def _write_artifacts(base: str, decomposition=None, certificate=None
             ("certificate", certificate, certificate_to_json)):
         if obj is not None:
             out = p.with_name(f"{p.stem}.{kind}.json")
-            out.write_text(json.dumps(to_json(obj), indent=2))
+            out.write_text(json.dumps(to_json(obj), indent=2, allow_nan=False))
             written.append(str(out))
     return written
 
@@ -169,6 +175,7 @@ def _solver_options(args, support_list=None) -> SolverOptions:
 def cmd_check_fw(args) -> dict:
     A = _load_matrix(args.matrix)
     _check_width(args.k, A.n)
+    _check_float_range(A, args.matrix)
     supports = (_load_supports(args.supports, A.n, args.k)
                 if args.supports else None)
     verdict = fw_membership(A, args.k, _solver_options(args, supports))
@@ -184,8 +191,7 @@ def cmd_check_fw(args) -> dict:
 
 def cmd_check_dual(args) -> dict:
     B = _load_matrix(args.matrix)
-    _check_width(args.k, B.n)
-    try:
+    try:  # dual_membership checks the width too
         report = dual_membership(B, args.k, args.tol)
     except ValueError as exc:
         raise _CliInputError(str(exc))
@@ -227,6 +233,7 @@ def cmd_soks(args) -> dict:
     else:
         gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
     _check_width(args.k, gram.n)
+    _check_float_range(gram, args.gram or f"the Gram matrix of {args.poly}")
     verdict = soks_test(p, args.k, gram, _solver_options(args))
     return {
         "command": "soks",
@@ -272,6 +279,7 @@ def cmd_pna(args) -> dict:
 def cmd_certify(args) -> dict:
     Q = _load_matrix(args.matrix)
     _check_width(args.k, Q.n)
+    _check_float_range(Q, args.matrix)
     if args.max_cycles < 0:
         raise _CliInputError("--max-cycles must be nonnegative")
     cert = None
@@ -293,6 +301,8 @@ def cmd_certify(args) -> dict:
 
 def cmd_eig(args) -> dict:
     A = _load_matrix(args.matrix)
+    if A.is_exact:  # eigh takes any finite float matrix
+        _check_float_range(A, args.matrix)
     lam = [float(v) for v in eigen_sym(A).eigenvalues]
     return {
         "command": "eig",
@@ -376,7 +386,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     try:
         report = args.func(args)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return _verdict_exit(report["verdict"])
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

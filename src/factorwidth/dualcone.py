@@ -4,10 +4,10 @@ A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership is a finite battery of small psd tests.  The
 battery and the extreme-ray ranks read those blocks through the one cached
 ``symcore._full_index(n, k)`` over all C(n, k) supports, the index the
-``decompose`` splitting core uses when it runs on every support.  The exact
-battery runs the rational pivot test once on each distinct block; the parity
-certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)`` has
-52,360 blocks and 15 distinct ones).
+``decompose`` splitting core uses when it runs on every support.  The
+battery tests each distinct block once; the parity certificates repeat a
+handful of blocks (``bnr_certificate(4, 3, 4)`` has 52,360 blocks and 15
+distinct ones).
 Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
@@ -38,7 +38,7 @@ from .symcore import (
     frobenius_inner,
     _congruence,
     _exact_psd,
-    _fits_float,
+    _floats_decide,
     _full_index,
 )
 from .polyforms import _odd_masks
@@ -132,45 +132,37 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
                     ) -> DualMembershipReport:
     """Check all C(n, k) principal submatrices of B for psd-ness.
 
-    With exact rational input and ``tol == 0`` the verdict comes from the
-    exact pivot test, run once on each distinct block: psd-ness depends only
-    on a block's entries, and structured certificates repeat a few blocks
-    many times.  The reported margins are float approximations either way;
-    when an exact entry lies beyond the float range, ``worst_margin`` is
-    ``None`` and ``worst_support`` is located on B scaled by its largest
-    entry.  The float battery (``tol > 0``) rejects such a matrix.
+    One pass: the blocks of ``B.entries`` are gathered and keyed once, and
+    each distinct block is tested once, exactly when B is exact and ``tol``
+    is 0.  Margins are float approximations; when an exact entry lies beyond
+    the float range, ``worst_margin`` is ``None``, ``worst_support`` is
+    located on B scaled by its largest entry, and ``tol > 0`` raises.
     """
-    n = B.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    index = _full_index(B.n, k)  # raises unless 1 <= k <= n
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    index = _full_index(n, k)
     exact = B.is_exact and tol == 0
-    finite = not B.is_exact or _fits_float(B)
-    if finite:
-        approx = B.as_array()
-    elif exact:
-        approx = (B.entries / Fraction(np.max(np.abs(B.entries)))).astype(float)
-    else:
-        raise ValueError("an entry lies beyond the float range; "
-                         "only the exact battery (tol=0) decides B")
-    stack = index.gather(approx)
-    margins = np.linalg.eigvalsh((stack + np.transpose(stack, (0, 2, 1)))
-                                 / 2.0)[:, 0]
-    worst = int(np.argmin(margins))
-    if exact:
-        flat = index.gather(B.entries).reshape(-1, k * k)
-        # equal int and Fraction entries hash alike, so equal blocks share a key
-        distinct = dict.fromkeys(map(tuple, flat))
-        member = all(_exact_psd(np.array(key, dtype=object).reshape(k, k))
-                     for key in distinct)
-    else:
-        scales = 1.0 + np.max(np.abs(stack), axis=(1, 2))
-        member = bool(np.all(margins >= -tol * scales))
+    finite = _floats_decide(B, tol)
+    flat = index.gather(B.entries).reshape(-1, k * k)
+    # equal blocks share a key: exact entries by value (an int and an equal
+    # Fraction hash alike), floats by their bytes
+    keys = (map(tuple, flat.tolist()) if B.is_exact
+            else flat.view(f"V{flat.itemsize * k * k}").ravel().tolist())
+    slot = {}
+    inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
+    blocks = (np.array(list(slot), object) if B.is_exact
+              else np.frombuffer(b"".join(slot))).reshape(-1, k, k)
+    approx = (blocks if finite
+              else blocks / Fraction(np.max(np.abs(B.entries)))).astype(float)
+    lam = np.linalg.eigvalsh(approx)[:, 0]
+    scales = 1.0 + np.abs(approx).max(axis=(1, 2))
+    member = (all(map(_exact_psd, blocks)) if exact
+              else bool(np.all(lam >= -tol * scales)))
+    worst = int(np.argmin(lam[inverse]))
     return DualMembershipReport(
         is_member=member, k=k, worst_support=index.supports[worst],
-        worst_margin=float(margins[worst]) if finite else None, exact=exact)
+        worst_margin=float(lam[inverse[worst]]) if finite else None,
+        exact=exact)
 
 
 # ---------------------------------------------------------------------------

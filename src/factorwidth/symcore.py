@@ -364,9 +364,18 @@ def eigen_sym(A: SymMatrix) -> EigenResult:
 
 
 def _fits_float(A: SymMatrix) -> bool:
-    """Whether the exact matrix ``A`` has a float image that stays finite
-    through the psd tests' arithmetic."""
+    """Whether ``A`` has a float image that stays finite through the psd
+    tests' and the solvers' arithmetic."""
     return bool(np.max(np.abs(A.entries)) < _FLOAT_SAFE)
+
+
+def _floats_decide(A: SymMatrix, tol: float) -> bool:
+    """Whether float tests can read A; ValueError if tol > 0 needs them."""
+    floats = not A.is_exact or _fits_float(A)
+    if not floats and tol > 0:
+        raise ValueError("an entry lies beyond the float range; "
+                         "only the exact battery (tol=0) decides it")
+    return floats
 
 
 def _exact_psd(a: np.ndarray) -> bool:
@@ -412,16 +421,15 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     entries and ``tol == 0`` the verdict comes from exact pivoted elimination
     (no floating error); ``min_eigenvalue`` is then a float approximation
     reported for information only, and ``None`` when an entry lies beyond the
-    float range.
+    float range; the float path raises ValueError on such a matrix.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    floats = _floats_decide(A, tol)
+    min_eig = float(eigen_sym(A).eigenvalues[0]) if floats else None
     if A.is_exact and tol == 0:
-        min_eig = (float(eigen_sym(A).eigenvalues[0]) if _fits_float(A)
-                   else None)
         return PsdReport(is_psd=_exact_psd(A.entries), min_eigenvalue=min_eig,
                          tolerance_used=0.0)
-    min_eig = float(eigen_sym(A).eigenvalues[0])
     threshold = tol * (1.0 + A.max_abs())
     return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,
                      tolerance_used=threshold)
@@ -440,14 +448,15 @@ _TRIAGE_ABOVE_BLOCKS = 32
 def _project_psd(a: np.ndarray) -> np.ndarray:
     """:func:`project_psd` on a float array: one matrix or a stack of them.
 
-    The iterative solvers call this on their arrays directly, a whole stack of
-    support blocks per LAPACK call.  A stack of more than
-    ``_TRIAGE_ABOVE_BLOCKS`` blocks is triaged first: the blocks
-    ``_negative_definite`` proves negative definite project to exactly 0 with
-    no eigensolve (most of the splitting core's blocks on a full support
-    enumeration, about four in five on ``Qprime`` at width 4), and only the
-    rest go through ``_clip_psd``.  A triaged block that LAPACK would have
-    clipped to about 1e-17 instead of 0 is the only difference it makes.
+    The input must be symmetric; it is not re-symmetrized.  A ``SymMatrix``
+    image is, and so are the splitting core's ``Z - U`` and ``Z``, which it
+    passes directly, a whole stack of support blocks per LAPACK call.  A
+    stack of more than ``_TRIAGE_ABOVE_BLOCKS`` blocks is triaged first: the
+    blocks ``_negative_definite`` proves negative definite project to
+    exactly 0 with no eigensolve (about four in five of the core's blocks on
+    ``Qprime`` at width 4 over all supports), and only the rest go through
+    ``_clip_psd``.  A triaged block that LAPACK would have clipped to about
+    1e-17 instead of 0 is the only difference it makes.
 
     Single matrices and smaller stacks go straight to ``_clip_psd``: the
     triage is a fixed cost of a few numpy calls per column, and on a 2-vCPU
@@ -455,12 +464,11 @@ def _project_psd(a: np.ndarray) -> np.ndarray:
     blocks of size 3-4 when four in five were negative definite (16-64 over
     sizes 2-5 and shares 1/2-4/5), and never when none were.
     """
-    s = (a + np.swapaxes(a, -1, -2)) / 2.0
-    if s.ndim != 3 or len(s) <= _TRIAGE_ABOVE_BLOCKS:
-        return _clip_psd(s)
-    out = np.zeros_like(s)
-    rest = np.flatnonzero(~_negative_definite(s))
-    out[rest] = _clip_psd(s[rest])
+    if a.ndim != 3 or len(a) <= _TRIAGE_ABOVE_BLOCKS:
+        return _clip_psd(a)
+    out = np.zeros_like(a)
+    rest = np.flatnonzero(~_negative_definite(a))
+    out[rest] = _clip_psd(a[rest])
     return out
 
 

@@ -36,6 +36,10 @@ def fixture_files(tmp_path):
     return paths
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
@@ -139,6 +143,20 @@ class TestCheckDual:
         # the float battery cannot read the matrix: malformed input
         got, report = run_cli(capsys, "check-dual", m, 2)
         assert got == 64 and report is None
+
+    def test_entry_near_the_top_of_the_float_range(self, capsys, tmp_path,
+                                                    schema):
+        # doubling 1e308 overflows; the battery must not, and its report
+        # must be strict JSON
+        m = _write(tmp_path / "f308.json",
+                   {"n": 2, "rows": [[1e308, 0.5], [0.5, 1.0]]})
+        code = main(["check-dual", str(m), "2"])
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0
+        assert report["verdict"] == "member"
+        assert report["worst_margin"] == 1.0
+        jsonschema.validate(report, schema)
 
 
 class TestSoks:
@@ -386,6 +404,15 @@ def _write(path, obj):
     ("soks", "{quad}", 2, "-r", -1),
     ("pna", 4, 3, "abc"),
     ("pna", 4, 3, "1/0"),
+    # entries beyond the float range: exact, and float ones the solvers'
+    # sums would overflow
+    ("eig", "{huge}"),
+    ("check-fw", "{huge}", 2),
+    ("certify", "{huge}", 2),
+    ("soks", "{huge_poly}", 2),
+    ("check-fw", "{f308}", 2),
+    ("certify", "{f308}", 2),
+    ("soks", "{quad}", 2, "--gram", "{f308}"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
 def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     files = {
@@ -419,6 +446,13 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
             "n": "2", "degree": 2, "terms": []}),
         "neg_degree_poly": _write(tmp_path / "neg_degree_poly.json", {
             "n": 2, "degree": -2, "terms": []}),
+        "huge": _write(tmp_path / "huge.json",
+                       {"n": 2, "rows": [[10 ** 400, 1], [1, 1]]}),
+        "huge_poly": _write(tmp_path / "huge_poly.json", {
+            "n": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": 10 ** 400},
+                                           {"exp": [0, 2], "coef": 1}]}),
+        "f308": _write(tmp_path / "f308.json",
+                       {"n": 2, "rows": [[1e308, 0.5], [0.5, 1.0]]}),
     }
     code, report = run_cli(capsys, *(str(a).format(**files) for a in argv))
     assert code == 64
@@ -437,3 +471,29 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch, fixture_files):
     assert code == 70
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: ")
+
+
+@pytest.mark.parametrize("where", ["report", "artifact"])
+def test_non_finite_output_exits_70(capsys, monkeypatch, tmp_path,
+                                    fixture_files, where):
+    # every RunReport and artifact is strict JSON: a NaN is an internal
+    # error, never printed as NaN
+    from factorwidth import cli
+    from factorwidth.decompose import BlockDecomposition, MembershipVerdict
+
+    nan = float("nan")
+    if where == "report":
+        monkeypatch.setattr(cli, "cmd_check_fw", lambda args: {
+            "command": "check-fw", "verdict": "member", "residual": nan,
+            "artifacts": []})
+    else:
+        d = BlockDecomposition(ambient_n=5, k=4, blocks=[], residual=nan)
+        monkeypatch.setattr(cli, "fw_membership", lambda A, k, opts:
+                            MembershipVerdict("member", decomposition=d,
+                                              diagnostics={"iterations": 1}))
+    code = main(["check-fw", str(fixture_files["M"]), "4"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: ValueError")
+    assert not (tmp_path / "M.decomposition.json").exists()

@@ -211,6 +211,32 @@ class TestFwMembership:
         assert v.diagnostics["iterations"] == 2719
         assert set(triaged) == {94}
 
+    def test_projection_inputs_are_symmetric_to_the_bit(self, monkeypatch):
+        # _project_psd does not re-symmetrize its input: the splitting core's
+        # Z - U and Z must come in symmetric in every bit, members and
+        # non-members alike
+        from factorwidth import decompose
+
+        fx = example_m_fixtures()
+        rng = np.random.default_rng(20261018)
+        s27 = SolverOptions(support_list=list(fx.supports27))
+        cases = [(fx.M, 4, None), (fx.M, 3, None), (fx.Qprime, 4, s27)]
+        for n, k, rank in [(4, 2, 1), (5, 3, 2), (5, 4, 1), (6, 3, 3)]:
+            w = rng.standard_normal((n, rank))
+            cases.append((SymMatrix.from_array(w @ w.T), k, None))
+            cases.append((random_fw_member(rng, n, k), k, None))
+        inputs = []
+        project = decompose._project_psd
+
+        def spy(a):
+            inputs.append(np.swapaxes(a, -1, -2).tobytes() == a.tobytes())
+            return project(a)
+
+        monkeypatch.setattr(decompose, "_project_psd", spy)
+        statuses = {fw_membership(A, k, opts).status for A, k, opts in cases}
+        assert statuses == {"member", "non_member"}
+        assert len(inputs) > 1000 and all(inputs)
+
     def test_inconclusive_when_supports_cannot_carry_a_member(self):
         # A is in FW_2, but the restricted support list cannot reach entry
         # (0,1); no width-2 separating certificate exists either, so the

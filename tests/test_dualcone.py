@@ -184,6 +184,49 @@ class TestExactBatteryDistinctBlocks:
         assert seen == [(1,), (2,)]
 
 
+class TestOnePassBattery:
+    def test_gathers_the_blocks_once(self, monkeypatch):
+        from factorwidth import symcore
+
+        calls = []
+        gather = symcore._BlockIndex.gather
+
+        def spy(self, mat):
+            calls.append(mat.dtype)
+            return gather(self, mat)
+
+        monkeypatch.setattr(symcore._BlockIndex, "gather", spy)
+        report = dual_membership(bnr_certificate(4, 3, 4), 4, 0)
+        assert report.is_member and report.exact
+        assert calls == [np.dtype(object)]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_full_width_battery_is_the_psd_test(self, data):
+        # at k = n the battery has the one block B, so it must agree with
+        # is_psd, also with entries near the top of the float range (whose
+        # doubling would overflow)
+        n = data.draw(st.integers(1, 4))
+        entry = st.one_of(
+            st.integers(-4, 4).map(float),
+            st.floats(-10.0, 10.0),
+            st.floats(0.5, 1.79).map(lambda m: m * 1e308),
+            st.floats(-1.79, -0.5).map(lambda m: m * 1e308))
+        upper = data.draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                                   max_size=n * (n + 1) // 2))
+        tol = data.draw(st.sampled_from([1e-9, 1e-6]))
+        B = SymMatrix(n, upper)
+        report = dual_membership(B, n, tol)
+        assert report.is_member == is_psd(B, tol).is_psd
+        assert not math.isnan(report.worst_margin)
+
+    @given(_repeating_exact_case())
+    @settings(max_examples=100, deadline=None)
+    def test_full_width_exact_battery_is_the_psd_test(self, case):
+        B, _ = case
+        assert dual_membership(B, B.n, 0).is_member == is_psd(B, 0).is_psd
+
+
 class TestEntriesBeyondFloatRange:
     big = 10 ** 400
 
@@ -228,6 +271,15 @@ class TestEntriesBeyondFloatRange:
         assert rep.is_psd and rep.min_eigenvalue is None
         rep = is_psd(SymMatrix.from_rows([[big, big], [big, 1]]), 0)
         assert not rep.is_psd and rep.min_eigenvalue is None
+
+    @pytest.mark.parametrize("entry", [10 ** 400, 2 ** 1023],
+                             ids=["beyond-float", "sum-overflows"])
+    def test_is_psd_float_path_rejects_them(self, entry):
+        B = SymMatrix.from_rows([[entry, 1], [1, 1]])
+        with pytest.raises(ValueError, match="float range"):
+            is_psd(B, 1e-9)
+        with pytest.raises(ValueError, match="float range"):
+            dual_membership(B, 2, 1e-9)
 
 
 class TestCosRay:
