@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -145,6 +146,7 @@ def _verdict_fields(verdict) -> dict:
         "iterations": d.get("iterations"),
         "value": d.get("certificate_value"),
         "certificate_source": d.get("certificate_source"),
+        "seed_supports": d.get("seed_supports"),
     }
 
 
@@ -195,12 +197,14 @@ def cmd_check_dual(args) -> dict:
         report = dual_membership(B, args.k, args.tol)
     except ValueError as exc:
         raise _CliInputError(str(exc))
+    margin = report.worst_margin  # -inf when a block's eigenvalue overflows
     return {
         "command": "check-dual",
         "verdict": "member" if report.is_member else "non_member",
         "n": B.n,
         "k": args.k,
-        "worst_margin": report.worst_margin,
+        "worst_margin": (margin if margin is not None and math.isfinite(margin)
+                         else None),
         "worst_support": list(report.worst_support.indices),
         "exact": report.exact,
         "artifacts": [],

@@ -24,6 +24,12 @@ is never declared from a solver stall; it requires a certificate that passed
 the gate of :mod:`factorwidth.dualcone`.  Every run returns a
 :class:`MembershipVerdict`, and every verdict but a member names the exit that
 ended its run in ``diagnostics["stop"]``.
+
+Without a support list, ``fw_membership`` first runs on the sparsity seed
+(the supports whose block of A has no zero entry; cf. the column generation
+of Ahmadi, Dash and Hall, Discrete Optim. 2017) and on all C(n, k) supports
+only when that run cannot decide.  A run on fewer supports stops as soon as
+a z-check direction separates A from its cone but not from FW_k.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .symcore import (
     _BlockIndex,
     _full_index,
     _project_psd,
+    _sparsity_seed,
 )
 
 __all__ = [
@@ -57,6 +64,8 @@ __all__ = [
 ]
 
 _BLOCK_PSD_TOL = 1e-8
+# the outcome of _gap_certificate when the restricted cone provably excludes A
+_EXCLUDED = object()
 
 
 @dataclass
@@ -159,7 +168,9 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     A as <+-gap, A> + eps tr A.  A member of that cone pairs nonnegatively
     with it, so only a strictly negative pairing goes on; a restricted run
     then recomputes eps over all C(n, k) supports, and the candidate goes
-    to the one certificate gate as it is.  ``Af`` is A as an array.
+    to the one certificate gate as it is.  When no candidate survives that
+    recomputation, the run's cone excludes A and the outcome is
+    ``_EXCLUDED``.  ``Af`` is A as an array.
     """
     from . import dualcone
 
@@ -177,6 +188,8 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     candidates = separating(index)
     if candidates and restricted:
         candidates = separating(_full_index(A.n, k))
+        if not candidates:
+            return _EXCLUDED
     for sign, eps in candidates:
         cert = dualcone.verify_candidate(sign * gap + eps * np.eye(A.n), A, k)
         if cert is not None:
@@ -227,8 +240,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
     def _give_up(message, residual, it, gap):
         """The exits that end the run: the final gap direction goes through
         the same shift as the z-checks."""
+        cert = _gap_certificate(A, Af, k, index, restricted, gap)
         return _stop(message, residual, it,
-                     _gap_certificate(A, Af, k, index, restricted, gap))
+                     None if cert is _EXCLUDED else cert)
 
     mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(Af) > target)
@@ -295,6 +309,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
                                     _assemble_gap(index, inv_mult, X, Z))
             if cert is not None:
                 history.append((it, res))
+                if cert is _EXCLUDED:
+                    return _stop(f"restricted cone excludes A after {it} "
+                                 f"iterations", min(best, res), it, None)
                 return _stop(f"gap direction certified non-membership after "
                              f"{it} iterations", min(best, res), it, cert,
                              "in_loop_gap")
@@ -336,11 +353,16 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     decomposition; non-member verdicts carry the certificate the run's
     shifted gap direction gave, which passed ``dualcone.verify_candidate``.
     A run with a ``support_list`` searches a smaller cone than FW_k and can
-    end inconclusive without a separating direction; then one more run of
-    the same core on all C(n, k) supports is made for its certificate only:
-    its verdict is returned if it is ``non_member``, else the restricted
-    one (should it decompose A, the verdict stays "inconclusive").  A solver
+    end inconclusive without a separating direction, or at once when a
+    z-check shows that its cone excludes A; then one more run of the same
+    core on all C(n, k) supports is made for its certificate only: its
+    verdict is returned if it is ``non_member``, else the restricted one
+    (should it decompose A, the verdict stays "inconclusive").  A solver
     stall without a certificate yields "inconclusive", never "non_member".
+
+    Without a ``support_list``, A with an exact zero entry runs first on
+    ``symcore._sparsity_seed``; its member or non-member is returned, and
+    an inconclusive seeded run escalates to all C(n, k) supports.
 
     ``diagnostics`` holds ``iterations`` (of both runs after a rerun), and
     the ``primal_residual`` and ``residual_history`` (``(iteration,
@@ -348,16 +370,24 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     says why the run ended in ``stop``, and a non-member adds
     ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
     z-check) or ``"final_gap"`` (the exit that ended the run).
+    ``seed_supports`` is the seed's size (None if no seed ran), and
+    ``seed_stop`` the seeded run's ``stop`` after an escalation.
     """
     opts = opts or SolverOptions()
-    verdict = _fw_decompose_impl(A, k, opts)
-    if verdict.status == "inconclusive" and opts.support_list is not None:
+    seed = (_sparsity_seed(A.entries != 0, k) if opts.support_list is None
+            else None)
+    run = opts if seed is None else replace(opts, support_list=seed)
+    verdict = _fw_decompose_impl(A, k, run)
+    if verdict.status == "inconclusive" and run.support_list is not None:
         full = _fw_decompose_impl(A, k, replace(opts, support_list=None))
         iterations = (verdict.diagnostics["iterations"]
                       + full.diagnostics["iterations"])
-        if full.status == "non_member":
+        if seed is not None:
+            full.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
+        if full.status == "non_member" or seed is not None:
             verdict = full
         verdict.diagnostics["iterations"] = iterations
+    verdict.diagnostics["seed_supports"] = None if seed is None else len(seed)
     return verdict
 
 

@@ -303,6 +303,21 @@ def _full_index(n: int, k: int) -> _BlockIndex:
     return _BlockIndex(n, enumerate_supports(n, k))
 
 
+def _sparsity_seed(nonzero: np.ndarray, k: int) -> Optional[list[Support]]:
+    """The supports of ``_full_index(n, k)`` on which the ``n x n`` pattern
+    ``nonzero`` has no false entry (its k-cliques), or None when that is
+    every support or none, or leaves a true entry outside every support."""
+    if nonzero.all():
+        return None
+    full = _full_index(len(nonzero), k)
+    keep = nonzero.ravel()[full.flat].all(axis=1)
+    covered = np.zeros(nonzero.size, dtype=bool)
+    covered[full.flat[keep]] = True
+    if keep.all() or not keep.any() or not covered[nonzero.ravel()].all():
+        return None
+    return [full.supports[s] for s in np.flatnonzero(keep)]
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Ascending eigenvalues with matched orthonormal eigenvector columns."""

@@ -80,6 +80,20 @@ class TestCheckFw:
         assert report["verdict"] == "member"
         jsonschema.validate(report, schema)
 
+    def test_reports_the_seed_size(self, capsys, fixture_files, schema):
+        # without --supports Qprime is decided on the 39 k-cliques of its
+        # nonzero pattern; M has no zero entry, so no seed runs
+        code, report = run_cli(capsys, "check-fw", fixture_files["Qprime"], 4)
+        assert code == 0
+        assert report["seed_supports"] == 39
+        jsonschema.validate(report, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**report, "seed_supports": 0}, schema)
+        code, report = run_cli(capsys, "check-fw", fixture_files["M"], 4)
+        assert code == 1
+        assert report["seed_supports"] is None
+        jsonschema.validate(report, schema)
+
     def test_budget_exit_is_inconclusive(self, capsys, fixture_files, schema):
         # 50 iterations decide neither way, on the 27 supports nor on the
         # rerun over all of them: exit 2
@@ -159,6 +173,20 @@ class TestCheckDual:
         jsonschema.validate(report, schema)
 
 
+    def test_margin_beyond_float_range(self, capsys, tmp_path, schema):
+        # finite float entries whose least block eigenvalue is -inf: the
+        # verdict stands and the margin is reported as null
+        m = _write(tmp_path / "inf_margin.json", {"n": 3, "rows": [
+            [0, 0, 1.5e308], [0, 0, 1e308], [1.5e308, 1e308, 0]]})
+        code = main(["check-dual", str(m), "3"])
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert code == 1
+        assert report["verdict"] == "non_member"
+        assert report["worst_margin"] is None
+        jsonschema.validate(report, schema)
+
+
 class TestSoks:
     def write_pna(self, tmp_path, n, a):
         terms = []
@@ -230,6 +258,7 @@ class TestSoks:
         assert code == 0
         assert report["verdict"] == "member"
         assert report["gram_conditional"] is True
+        assert report["seed_supports"] == 39
         jsonschema.validate(report, schema)
 
     def test_quartic_uses_the_default_gram(self, capsys, tmp_path, schema):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorwidth.decompose import fw_membership
 from factorwidth.dualcone import dual_membership
-from factorwidth.families import sobs_comparison
+from factorwidth.families import example_m_fixtures, sobs_comparison
 from factorwidth.symcore import (
     SymMatrix,
     frobenius_inner,
@@ -129,3 +130,16 @@ def test_pairing_is_preserved_exactly(case):
                               scale_congruence(B, inv))
     assert isinstance(pairing, Fraction)
     assert pairing == frobenius_inner(A, B)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "powers_of_two", "both"])
+def test_qprime_seed_is_invariant(kind):
+    # both maps keep the nonzero pattern up to relabelling, so the seed keeps
+    # its 39 k-cliques and the member stays a member
+    Q = example_m_fixtures().Qprime
+    perm = np.eye(15)[:, np.random.default_rng(3).permutation(15)]
+    diag = np.diag([2.0 ** (i % 3 - 1) for i in range(15)])
+    M = {"permutation": perm, "powers_of_two": diag, "both": perm @ diag}[kind]
+    v = fw_membership(scale_congruence(Q, M), 4)
+    assert v.status == "member"
+    assert v.diagnostics["seed_supports"] == 39

@@ -473,6 +473,20 @@ class TestRestrictedFallback:
         assert dual_membership(B, 4, 1e-9).is_member
         assert float(frobenius_inner(B, M)) < -1e-8 * B.frob_norm() * M.frob_norm()
 
+    def test_restricted_run_stops_once_its_cone_excludes_a(self):
+        # a z-check direction in the dual of the run's cone pairs negatively
+        # with M, but no shift over all C(5, 4) supports separates: the
+        # restricted run ends there, not at the residual plateau
+        from factorwidth.decompose import _fw_decompose_impl
+
+        supports = [K for K in enumerate_supports(5, 4)
+                    if K.indices != (0, 1, 2, 3)]
+        v = _fw_decompose_impl(example_m_fixtures().M, 4,
+                               SolverOptions(support_list=supports))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["stop"] == (
+            "restricted cone excludes A after 50 iterations")
+
     def test_uncovered_entry_certified_by_the_full_run(self, monkeypatch):
         # (0, 1) is outside every support; its closed-form direction needs
         # too large a shift over all C(5, 2) blocks to separate
@@ -486,6 +500,54 @@ class TestRestrictedFallback:
         B = v.certificate.B
         assert dual_membership(B, 2, 1e-9).is_member
         assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+
+class TestSparsitySeed:
+    """Without a support_list, the k-cliques of A's nonzero pattern run first;
+    all C(n, k) supports run only when that run cannot decide."""
+
+    def test_qprime_member_on_the_cliques_of_its_pattern(self):
+        Q = example_m_fixtures().Qprime
+        v = fw_membership(Q, 4)
+        assert v.status == "member"
+        assert v.diagnostics["seed_supports"] == 39
+        assert "seed_stop" not in v.diagnostics
+        nonzero = Q.as_array() != 0
+        for K, _ in v.decomposition.blocks:
+            assert nonzero[np.ix_(K.indices, K.indices)].all(), K
+        d = decomposition_from_json(decomposition_to_json(v.decomposition), Q)
+        assert d.residual <= 1e-7 * (1.0 + Q.max_abs())
+
+    def test_excluded_seed_escalates_to_all_supports(self, monkeypatch):
+        # the seed is the two supports (0, 2, 3) and (1, 2, 3); its cone
+        # excludes A at the first z-check, and the full run certifies
+        runs = TestRestrictedFallback._counted_runs(monkeypatch)
+        A = SymMatrix.from_rows([[5, 0, 2, 5], [0, 5, -4, -2],
+                                 [2, -4, 5, 3], [5, -2, 3, 5]])
+        v = fw_membership(A, 3)
+        assert v.status == "non_member"
+        assert [full for full, _ in runs] == [False, True]
+        assert v.diagnostics["seed_supports"] == 2
+        assert v.diagnostics["seed_stop"] == (
+            "restricted cone excludes A after 25 iterations")
+        assert v.diagnostics["iterations"] == sum(it for _, it in runs)
+        B = v.certificate.B
+        assert dual_membership(B, 3, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_input_runs_once_on_all_supports(self, monkeypatch, k):
+        runs = TestRestrictedFallback._counted_runs(monkeypatch)
+        a = np.random.default_rng(k).standard_normal((5, 5))
+        v = fw_membership(SymMatrix.from_array(a @ a.T), k)
+        assert [full for full, _ in runs] == [True]
+        assert v.diagnostics["seed_supports"] is None
+
+    def test_user_supports_run_no_seed(self):
+        fx = example_m_fixtures()
+        v = fw_membership(fx.Qprime, 4,
+                          SolverOptions(support_list=list(fx.supports27)))
+        assert v.diagnostics["seed_supports"] is None
 
 
 class TestStopReason:
