@@ -23,12 +23,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import (SymMatrix, Support, eigen_sym, is_psd, load_matrix_json,
+from .symcore import (SymMatrix, eigen_sym, is_psd, load_matrix_json,
                       _fits_float)
 from .decompose import (
     SolverOptions,
     decomposition_to_json,
     fw_membership,
+    _support_index,
 )
 from .dualcone import (
     certificate_to_json,
@@ -90,25 +91,17 @@ def _load_poly(path: str):
 
 
 def _load_supports(path: str, n: int, k: int):
-    """Supports of one size, at most k, inside range(n)."""
+    """Supports of one size, at most k, inside range(n): ``_support_index``."""
     obj = _load_json_file(path)
     if isinstance(obj, dict):
         obj = obj.get("supports")
     if not isinstance(obj, list):
         raise _CliInputError(f"{path}: expected a list of index lists")
-    if not obj:
-        raise _CliInputError(f"{path}: the support list is empty")
     try:
-        supports = [Support.of(entry) for entry in obj]
+        _support_index(n, k, obj)
     except (ValueError, TypeError) as exc:
         raise _CliInputError(f"bad support list in {path}: {exc}")
-    if len({len(K) for K in supports}) > 1:
-        raise _CliInputError(f"{path}: supports of mixed sizes")
-    for K in supports:
-        if len(K) > k or K.indices[-1] >= n:
-            raise _CliInputError(
-                f"{path}: support {list(K.indices)} does not fit k={k}, n={n}")
-    return supports
+    return obj
 
 
 def _check_float_range(A: SymMatrix, source: str) -> None:

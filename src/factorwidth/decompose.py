@@ -6,10 +6,10 @@ onto the psd cone, a closed-form affine correction restores consensus (the
 residual is distributed by entry multiplicity, which makes that step an exact
 projection), and scaled multipliers accumulate the disagreement.  A member is
 proved by the consensus-exact Z iterate with its blocks clipped to the psd
-cone, or by the X iterate, re-verified as they stand.  Every block read and
-write (consensus and coverage counts) goes through one
-``symcore._BlockIndex``; only ``BlockDecomposition.build`` re-accumulates the
-blocks on its own, as the independent re-verification.
+cone, or by the X iterate, re-verified as they stand.  The core is given the
+``symcore._BlockIndex`` of its supports, and every block read and write goes
+through it; only ``BlockDecomposition.build`` re-accumulates the blocks on
+its own, as the independent re-verification.
 
 Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
 Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment)
@@ -30,12 +30,14 @@ Without a support list, ``fw_membership`` first runs on the sparsity seed
 of Ahmadi, Dash and Hall, Discrete Optim. 2017) and on all C(n, k) supports
 only when that run cannot decide.  A run on fewer supports stops as soon as
 a z-check direction separates A from its cone but not from FW_k.
+``fw_membership`` is the one boundary: it checks the width and a user's
+``support_list`` once (``_support_index``) and hands the core an index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +49,8 @@ from .symcore import (
     enumerate_supports,
     is_psd,
     _BlockIndex,
+    _as_int,
+    _as_width,
     _full_index,
     _project_psd,
     _sparsity_seed,
@@ -71,8 +75,10 @@ _EXCLUDED = object()
 @dataclass
 class SolverOptions:
     """Splitting options.  A member must reproduce A within
-    ``feas_tol * (1 + max|A|)``; ``max_iter`` bounds the iterations and
-    ``support_list`` restricts the blocks to those supports."""
+    ``feas_tol * (1 + max|A|)``; ``max_iter`` bounds the iterations of each
+    splitting run (``fw_membership`` makes two after a seed escalation or a
+    ``support_list`` fallback), and ``support_list`` restricts the blocks to
+    those supports."""
 
     feas_tol: float = 1e-7
     max_iter: int = 20000
@@ -81,6 +87,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
             raise ValueError("feas_tol must be positive and finite")
+        self.max_iter = _as_int(self.max_iter)
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -133,20 +140,22 @@ class MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_supports(n: int, k: int, support_list) -> list[Support]:
-    seen = set()
-    out = []
+def _support_index(n: int, k: int, support_list) -> _BlockIndex:
+    """The index over a user's ``support_list``: each support validated
+    against n and k, duplicates dropped, in lexicographic order."""
+    rows = set()
     for K in support_list:
         K = K if isinstance(K, Support) else Support.of(K)
         if len(K) > k:
             raise ValueError(f"support {K.indices} larger than k={k}")
         if K.indices[-1] >= n:
             raise ValueError(f"support {K.indices} out of range for n={n}")
-        if K.indices not in seen:
-            seen.add(K.indices)
-            out.append(K)
-    out.sort(key=lambda s: s.indices)
-    return out
+        rows.add(K.indices)
+    if not rows:
+        raise ValueError("the support list is empty")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("mixed support sizes are not supported")
+    return _BlockIndex(n, np.array(sorted(rows)))
 
 
 def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
@@ -159,7 +168,7 @@ def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
 
 
 def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
-                     index: _BlockIndex, restricted: bool, gap):
+                     index: _BlockIndex, gap):
     """A verified certificate from the gap direction, shifted, or None.
 
     Adding eps*I raises every principal block by eps.  So with eps the most
@@ -186,7 +195,7 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
                 if sign * inner + eps * trace < 0.0]
 
     candidates = separating(index)
-    if candidates and restricted:
+    if candidates and index is not _full_index(A.n, k):
         candidates = separating(_full_index(A.n, k))
         if not candidates:
             return _EXCLUDED
@@ -197,9 +206,9 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     return None
 
 
-def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
-                       ) -> MembershipVerdict:
-    """Splitting core: one run, one verdict.
+def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
+                       index: _BlockIndex) -> MembershipVerdict:
+    """Splitting core: one run on the supports of ``index``, one verdict.
 
     A member is found at a residual hit or a z-check, from the clipped Z
     iterate or the projected X iterate.  A z-check whose shifted gap
@@ -211,13 +220,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
     ``diagnostics["stop"]`` why the run ended.
     """
     n = A.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    restricted = opts.support_list is not None
-    index = (_BlockIndex(n, _normalize_supports(n, k, opts.support_list))
-             if restricted else _full_index(n, k))
-    supports = index.supports
-    m = len(supports)
+    m = len(index.rows)
 
     Af = A.as_array()
     target = opts.feas_tol * (1.0 + A.max_abs())
@@ -240,7 +243,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
     def _give_up(message, residual, it, gap):
         """The exits that end the run: the final gap direction goes through
         the same shift as the z-checks."""
-        cert = _gap_certificate(A, Af, k, index, restricted, gap)
+        cert = _gap_certificate(A, Af, k, index, gap)
         return _stop(message, residual, it,
                      None if cert is _EXCLUDED else cert)
 
@@ -271,7 +274,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
         """The one member exit: the re-verified blocks of ``stack`` (the
         clipped Z or the X iterate) if they reproduce A within the target,
         else None."""
-        blocks = [(supports[s], SymMatrix.from_array(stack[s]))
+        blocks = [(index.support(s), SymMatrix.from_array(stack[s]))
                   for s in range(m) if np.max(np.abs(stack[s])) > 0.0]
         try:
             d = BlockDecomposition.build(A, k, blocks)
@@ -305,7 +308,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
-            cert = _gap_certificate(A, Af, k, index, restricted,
+            cert = _gap_certificate(A, Af, k, index,
                                     _assemble_gap(index, inv_mult, X, Z))
             if cert is not None:
                 history.append((it, res))
@@ -364,8 +367,9 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     ``symcore._sparsity_seed``; its member or non-member is returned, and
     an inconclusive seeded run escalates to all C(n, k) supports.
 
-    ``diagnostics`` holds ``iterations`` (of both runs after a rerun), and
-    the ``primal_residual`` and ``residual_history`` (``(iteration,
+    ``max_iter`` bounds each run, so ``diagnostics["iterations"]``, the sum
+    of both runs after a rerun, can reach ``2 * max_iter``.  ``diagnostics``
+    also holds the ``primal_residual`` and ``residual_history`` (``(iteration,
     residual)`` pairs) of the returned run; every verdict but a member
     says why the run ended in ``stop``, and a non-member adds
     ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
@@ -374,20 +378,24 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     ``seed_stop`` the seeded run's ``stop`` after an escalation.
     """
     opts = opts or SolverOptions()
-    seed = (_sparsity_seed(A.entries != 0, k) if opts.support_list is None
-            else None)
-    run = opts if seed is None else replace(opts, support_list=seed)
-    verdict = _fw_decompose_impl(A, k, run)
-    if verdict.status == "inconclusive" and run.support_list is not None:
-        full = _fw_decompose_impl(A, k, replace(opts, support_list=None))
+    k = _as_width(A.n, k)
+    if opts.support_list is not None:
+        index, seed = _support_index(A.n, k, opts.support_list), None
+    else:
+        seed = _sparsity_seed(A.entries != 0, k)
+        index = _full_index(A.n, k) if seed is None else seed
+    verdict = _fw_decompose_impl(A, k, opts, index)
+    if verdict.status == "inconclusive" and index is not _full_index(A.n, k):
+        rerun = _fw_decompose_impl(A, k, opts, _full_index(A.n, k))
         iterations = (verdict.diagnostics["iterations"]
-                      + full.diagnostics["iterations"])
+                      + rerun.diagnostics["iterations"])
         if seed is not None:
-            full.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
-        if full.status == "non_member" or seed is not None:
-            verdict = full
+            rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
+        if rerun.status == "non_member" or seed is not None:
+            verdict = rerun
         verdict.diagnostics["iterations"] = iterations
-    verdict.diagnostics["seed_supports"] = None if seed is None else len(seed)
+    verdict.diagnostics["seed_supports"] = (None if seed is None
+                                            else len(seed.rows))
     return verdict
 
 

@@ -36,6 +36,7 @@ from .symcore import (
     SymMatrix,
     Support,
     frobenius_inner,
+    _as_width,
     _congruence,
     _exact_psd,
     _floats_decide,
@@ -138,7 +139,8 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     the float range, ``worst_margin`` is ``None``, ``worst_support`` is
     located on B scaled by its largest entry, and ``tol > 0`` raises.
     """
-    index = _full_index(B.n, k)  # raises unless 1 <= k <= n
+    k = _as_width(B.n, k)
+    index = _full_index(B.n, k)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     exact = B.is_exact and tol == 0
@@ -160,7 +162,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
               else bool(np.all(lam >= -tol * scales)))
     worst = int(np.argmin(lam[inverse]))
     return DualMembershipReport(
-        is_member=member, k=k, worst_support=index.supports[worst],
+        is_member=member, k=k, worst_support=index.support(worst),
         worst_margin=float(lam[inverse[worst]]) if finite else None,
         exact=exact)
 

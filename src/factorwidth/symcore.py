@@ -12,10 +12,13 @@ Conversion between the two worlds is always explicit (:meth:`SymMatrix.to_float`
 :meth:`SymMatrix.to_exact`); mixing a Fraction matrix into a float computation
 never happens silently.  Both cones read their principal blocks through one
 :class:`_BlockIndex`, on the float array or, for the exact dual battery, on
-the object array; ``principal_submatrix`` and ``embed`` remain for single
-blocks.  Both cones are invariant under congruence by a permutation times a
-nonsingular diagonal; ``scale_congruence`` (``Q^T A Q`` for any monomial
-``Q``) and the cosine extreme-ray family apply it through one ``_congruence``.
+the object array; it holds its supports as an ``(m, k)`` int array, and a
+:class:`Support` is built only where one leaves the package (decomposition
+blocks, ``worst_support``, ``enumerate_supports``) or a user's list comes
+in.  ``principal_submatrix`` and ``embed`` remain for single blocks.  Both
+cones are invariant under congruence by a permutation times a nonsingular
+diagonal; ``scale_congruence`` (``Q^T A Q`` for any monomial ``Q``) and the
+cosine extreme-ray family apply it through one ``_congruence``.
 """
 
 from __future__ import annotations
@@ -250,15 +253,23 @@ def _as_int(v) -> int:
     return int(v)
 
 
+def _as_width(n: int, k) -> int:
+    """``k`` as an int, ValueError unless 1 <= k <= n: the check before
+    ``_full_index``, whose cache takes ``True`` and ``2.0`` for 1 and 2."""
+    k = _as_int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return k
+
+
 def _as_support(K) -> Support:
     return K if isinstance(K, Support) else Support.of(K)
 
 
 def enumerate_supports(n: int, k: int) -> list[Support]:
     """All C(n, k) supports of size k, in lexicographic order."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return [Support(c) for c in itertools.combinations(range(n), k)]
+    rows = _full_index(n, _as_width(n, k)).rows
+    return [Support(r) for r in map(tuple, rows.tolist())]
 
 
 class _BlockIndex:
@@ -266,24 +277,22 @@ class _BlockIndex:
 
     Both cones read and write blocks only through this index: an FW_k member
     is ``accumulate`` of a stack of psd blocks, and a dual member has every
-    block of ``gather`` psd.  Row ``s`` of ``flat`` holds the row-major flat
-    positions of block ``s`` in the raveled matrix, so ``m.ravel()[flat[s]]``
-    is block ``s`` of ``m`` raveled.  An index is read-only once built, so
-    one instance can be shared (see ``_full_index``).
+    block of ``gather`` psd.  Row ``s`` of the int array ``rows`` is support
+    ``s``, trusted to be strictly increasing, and ``support(s)`` is its
+    ``Support``; row ``s`` of ``flat`` holds the row-major flat positions of
+    block ``s`` in the raveled matrix, so ``m.ravel()[flat[s]]`` is block
+    ``s`` of ``m`` raveled.  An index is read-only once built, so one
+    instance can be shared (see ``_full_index``).
     """
 
-    def __init__(self, n: int, supports: Sequence[Support]):
-        if not supports:
-            raise ValueError("the support list is empty")
-        k = len(supports[0])
-        if any(len(K) != k for K in supports):
-            raise ValueError("mixed support sizes are not supported")
-        idx = np.array([K.indices for K in supports])
-        self.n = n
-        self.k = k
-        self.supports = tuple(supports)
-        self.flat = (idx[:, :, None] * n + idx[:, None, :]).reshape(-1, k * k)
-        self.flat.flags.writeable = False
+    def __init__(self, n: int, rows: np.ndarray):
+        k = rows.shape[1]
+        self.n, self.k, self.rows = n, k, rows
+        self.flat = (rows[:, :, None] * n + rows[:, None]).reshape(-1, k * k)
+        rows.flags.writeable = self.flat.flags.writeable = False
+
+    def support(self, s: int) -> Support:
+        return Support(tuple(self.rows[s].tolist()))
 
     def gather(self, mat: np.ndarray) -> np.ndarray:
         """The ``(m, k, k)`` stack of blocks of ``mat``."""
@@ -299,14 +308,17 @@ class _BlockIndex:
 
 @functools.lru_cache(maxsize=32)
 def _full_index(n: int, k: int) -> _BlockIndex:
-    """The shared index over all C(n, k) supports, built once per (n, k)."""
-    return _BlockIndex(n, enumerate_supports(n, k))
+    """The shared index over all C(n, k) supports, built once per (n, k),
+    for a width that passed ``_as_width``."""
+    rows = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k)), np.intp, math.comb(n, k) * k)
+    return _BlockIndex(n, rows.reshape(-1, k))
 
 
-def _sparsity_seed(nonzero: np.ndarray, k: int) -> Optional[list[Support]]:
-    """The supports of ``_full_index(n, k)`` on which the ``n x n`` pattern
-    ``nonzero`` has no false entry (its k-cliques), or None when that is
-    every support or none, or leaves a true entry outside every support."""
+def _sparsity_seed(nonzero: np.ndarray, k: int) -> Optional[_BlockIndex]:
+    """The index of the supports on which the ``n x n`` pattern ``nonzero``
+    has no false entry (its k-cliques), or None when that is every support
+    or none, or leaves a true entry outside every support."""
     if nonzero.all():
         return None
     full = _full_index(len(nonzero), k)
@@ -315,7 +327,7 @@ def _sparsity_seed(nonzero: np.ndarray, k: int) -> Optional[list[Support]]:
     covered[full.flat[keep]] = True
     if keep.all() or not keep.any() or not covered[nonzero.ravel()].all():
         return None
-    return [full.supports[s] for s in np.flatnonzero(keep)]
+    return _BlockIndex(full.n, full.rows[keep])
 
 
 @dataclass(frozen=True)

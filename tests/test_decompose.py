@@ -66,10 +66,10 @@ class TestEnumerateSupports:
 class TestCoverageCounts:
     def test_full_support_multiplicity_matches_binomials(self):
         # entry (i,i) is covered by C(n-1,k-1) supports, (i,j) by C(n-2,k-2)
-        from factorwidth.symcore import _BlockIndex
+        from factorwidth.symcore import _full_index
 
         for n, k in [(4, 2), (5, 3), (6, 4)]:
-            index = _BlockIndex(n, enumerate_supports(n, k))
+            index = _full_index(n, k)
             mult = index.accumulate(np.ones((math.comb(n, k), k, k)))
             for i in range(n):
                 for j in range(n):
@@ -343,6 +343,50 @@ class TestSolverOptions:
             with pytest.raises(ValueError, match="finite"):
                 SolverOptions(feas_tol=value)
 
+    @pytest.mark.parametrize("value", [2.5, True, "50"])
+    def test_max_iter_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            SolverOptions(max_iter=value)
+
+    def test_integral_max_iter_becomes_an_int(self):
+        opts = SolverOptions(max_iter=np.float64(30.0))
+        assert opts.max_iter == 30 and type(opts.max_iter) is int
+
+
+class TestIntegerWidth:
+    """The width k must be an integer, whatever the index cache holds:
+    ``True`` and ``2.0`` hash like the ints 1 and 2."""
+
+    @pytest.fixture(autouse=True)
+    def warm_cache(self):
+        A = SymMatrix.identity(3)
+        for k in (1, 2):
+            fw_membership(A, k)
+            dual_membership(A, k)
+            enumerate_supports(3, k)
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, np.float64(1.5), "2"])
+    def test_non_integers_raise_at_every_entry_point(self, k):
+        A = SymMatrix.identity(3)
+        with pytest.raises(ValueError, match="not an integer"):
+            fw_membership(A, k)
+        with pytest.raises(ValueError, match="not an integer"):
+            fw_membership(A, k, SolverOptions(support_list=[[0, 1]]))
+        with pytest.raises(ValueError, match="not an integer"):
+            dual_membership(A, k)
+        with pytest.raises(ValueError, match="not an integer"):
+            enumerate_supports(3, k)
+
+    def test_integral_floats_act_as_ints(self):
+        A = SymMatrix.identity(3)
+        for k in (2.0, np.int64(2), np.float64(2.0)):
+            v = fw_membership(A, k)
+            assert v.status == "member"
+            assert v.decomposition.k == 2 and type(v.decomposition.k) is int
+            report = dual_membership(A, k)
+            assert report.is_member and type(report.k) is int
+            assert enumerate_supports(3, k) == enumerate_supports(3, 2)
+
 
 class TestIterationBudget:
     """The exit at the end of the iteration budget."""
@@ -366,6 +410,16 @@ class TestIterationBudget:
         assert v.status == "inconclusive"
         assert v.certificate is None
         assert v.diagnostics["certificate_found"] is False
+        assert v.diagnostics["iterations"] == 100
+
+    def test_budget_bounds_each_run_of_a_seed_escalation(self):
+        # the seeded run and the full run each get max_iter iterations
+        v = fw_membership(example_m_fixtures().Qprime, 4,
+                          SolverOptions(max_iter=50))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["seed_supports"] == 39
+        assert v.diagnostics["seed_stop"].startswith(
+            "no decomposition within 50 iterations")
         assert v.diagnostics["iterations"] == 100
 
 
@@ -449,9 +503,9 @@ class TestRestrictedFallback:
         runs = []
         impl = decompose._fw_decompose_impl
 
-        def counted(A, k, opts):
-            v = impl(A, k, opts)
-            runs.append((opts.support_list is None,
+        def counted(A, k, opts, index):
+            v = impl(A, k, opts, index)
+            runs.append((index is decompose._full_index(A.n, k),
                          v.diagnostics["iterations"]))
             return v
 
@@ -477,12 +531,12 @@ class TestRestrictedFallback:
         # a z-check direction in the dual of the run's cone pairs negatively
         # with M, but no shift over all C(5, 4) supports separates: the
         # restricted run ends there, not at the residual plateau
-        from factorwidth.decompose import _fw_decompose_impl
+        from factorwidth.decompose import _fw_decompose_impl, _support_index
 
         supports = [K for K in enumerate_supports(5, 4)
                     if K.indices != (0, 1, 2, 3)]
-        v = _fw_decompose_impl(example_m_fixtures().M, 4,
-                               SolverOptions(support_list=supports))
+        v = _fw_decompose_impl(example_m_fixtures().M, 4, SolverOptions(),
+                               _support_index(5, 4, supports))
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"] == (
             "restricted cone excludes A after 50 iterations")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -12,10 +13,11 @@ from factorwidth import symcore
 from factorwidth.symcore import (
     SymMatrix,
     Support,
-    _BlockIndex,
     _clip_psd,
+    _full_index,
     _negative_definite,
     _project_psd,
+    _sparsity_seed,
     embed,
     eigen_sym,
     enumerate_supports,
@@ -225,16 +227,65 @@ class TestSubmatrixAndEmbed:
         for _ in range(20):
             n = int(rng.integers(1, 8))
             k = int(rng.integers(1, n + 1))
-            index = _BlockIndex(n, enumerate_supports(n, k))
+            index = _full_index(n, k)
             M = random_sym(rng, n)
-            S = rng.standard_normal((len(index.supports), k, k))
+            S = rng.standard_normal((len(index.rows), k, k))
             stack = index.gather(M.as_array())
             lhs = float(np.sum(stack * S))
             rhs = float(np.sum(M.as_array() * index.accumulate(S)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            for s, K in enumerate(index.supports):
-                assert np.array_equal(stack[s],
-                                      principal_submatrix(M, K).as_array())
+            for s in range(len(index.rows)):
+                assert np.array_equal(stack[s], principal_submatrix(
+                    M, index.support(s)).as_array())
+
+    def test_full_index_builds_no_support(self, monkeypatch):
+        built = []
+        post_init = Support.__post_init__
+
+        def counted(self):
+            built.append(self.indices)
+            post_init(self)
+
+        monkeypatch.setattr(Support, "__post_init__", counted)
+        _full_index.cache_clear()
+        full = _full_index(9, 4)
+        nonzero = np.ones((9, 9), dtype=bool)
+        nonzero[0, 1] = nonzero[1, 0] = False
+        seed = _sparsity_seed(nonzero, 4)
+        assert len(full.rows) == math.comb(9, 4) and len(seed.rows) > 0
+        assert built == []
+        K = full.support(3)
+        assert built == [K.indices] == [tuple(full.rows[3].tolist())]
+
+    def test_enumerate_supports_reads_the_full_index(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                rows = _full_index(n, k).rows
+                assert rows.shape == (math.comb(n, k), k)
+                assert not rows.flags.writeable
+                assert [K.indices for K in enumerate_supports(n, k)] == [
+                    tuple(r) for r in rows.tolist()]
+                assert rows.tolist() == [
+                    list(c) for c in itertools.combinations(range(n), k)]
+
+    def test_sparsity_seed_restricts_the_full_index(self):
+        rng = np.random.default_rng(3)
+        seeds = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 8))
+            k = int(rng.integers(2, n))
+            pattern = rng.random((n, n)) < 0.8
+            nonzero = (pattern & pattern.T) | np.eye(n, dtype=bool)
+            seed = _sparsity_seed(nonzero, k)
+            if seed is None:
+                continue
+            seeds += 1
+            full = _full_index(n, k)
+            keep = np.array([nonzero[np.ix_(r, r)].all() for r in full.rows])
+            assert np.array_equal(seed.rows, full.rows[keep])
+            assert np.array_equal(seed.flat, full.flat[keep])
+            assert not seed.rows.flags.writeable
+        assert seeds > 5
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
