@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .symcore import (SymMatrix, eigen_sym, is_psd, load_matrix_json,
-                      _fits_float)
+                      _as_width, _fits_float)
 from .decompose import (
     SolverOptions,
     decomposition_to_json,
@@ -110,8 +110,10 @@ def _check_float_range(A: SymMatrix, source: str) -> None:
 
 
 def _check_width(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise _CliInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    try:
+        _as_width(n, k)
+    except ValueError as exc:
+        raise _CliInputError(str(exc))
 
 
 def _write_artifacts(base: str, decomposition=None, certificate=None

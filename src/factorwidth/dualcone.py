@@ -1,13 +1,12 @@
 """Membership in the dual cones (FW_k^n)* and separating certificates.
 
 A symmetric matrix is in the dual cone exactly when every k x k principal
-submatrix is psd, so membership is a finite battery of small psd tests.  The
-battery and the extreme-ray ranks read those blocks through the one cached
-``symcore._full_index(n, k)`` over all C(n, k) supports, the index the
-``decompose`` splitting core uses when it runs on every support.  The
-battery tests each distinct block once; the parity certificates repeat a
-handful of blocks (``bnr_certificate(4, 3, 4)`` has 52,360 blocks and 15
-distinct ones).
+submatrix is psd, so membership and the extreme-ray test are each one
+``symcore._psd_battery`` (the one psd decision, once per distinct block) on
+the blocks of the cached ``symcore._full_index(n, k)``, the index the
+``decompose`` splitting core uses on all C(n, k) supports.  The parity
+certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)`` has
+52,360 blocks and 15 distinct ones).
 Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
@@ -26,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -38,9 +36,8 @@ from .symcore import (
     frobenius_inner,
     _as_width,
     _congruence,
-    _exact_psd,
-    _floats_decide,
     _full_index,
+    _psd_battery,
 )
 from .polyforms import _odd_masks
 
@@ -133,7 +130,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
                     ) -> DualMembershipReport:
     """Check all C(n, k) principal submatrices of B for psd-ness.
 
-    One pass: the blocks of ``B.entries`` are gathered and keyed once, and
+    One ``symcore._psd_battery`` on the gathered blocks of ``B.entries``:
     each distinct block is tested once, exactly when B is exact and ``tol``
     is 0.  Margins are float approximations; when an exact entry lies beyond
     the float range, ``worst_margin`` is ``None``, ``worst_support`` is
@@ -141,30 +138,12 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     """
     k = _as_width(B.n, k)
     index = _full_index(B.n, k)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    exact = B.is_exact and tol == 0
-    finite = _floats_decide(B, tol)
-    flat = index.gather(B.entries).reshape(-1, k * k)
-    # equal blocks share a key: exact entries by value (an int and an equal
-    # Fraction hash alike), floats by their bytes
-    keys = (map(tuple, flat.tolist()) if B.is_exact
-            else flat.view(f"V{flat.itemsize * k * k}").ravel().tolist())
-    slot = {}
-    inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
-    blocks = (np.array(list(slot), object) if B.is_exact
-              else np.frombuffer(b"".join(slot))).reshape(-1, k, k)
-    approx = (blocks if finite
-              else blocks / Fraction(np.max(np.abs(B.entries)))).astype(float)
-    lam = np.linalg.eigvalsh(approx)[:, 0]
-    scales = 1.0 + np.abs(approx).max(axis=(1, 2))
-    member = (all(map(_exact_psd, blocks)) if exact
-              else bool(np.all(lam >= -tol * scales)))
-    worst = int(np.argmin(lam[inverse]))
+    psd, lam, finite = _psd_battery(index.gather(B.entries), tol, B.entries)
+    worst = int(np.argmin(lam[:, 0]))
     return DualMembershipReport(
-        is_member=member, k=k, worst_support=index.support(worst),
-        worst_margin=float(lam[inverse[worst]]) if finite else None,
-        exact=exact)
+        is_member=bool(psd.all()), k=k, worst_support=index.support(worst),
+        worst_margin=float(lam[worst, 0]) if finite else None,
+        exact=B.is_exact and tol == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +303,36 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
 
     psd candidates are extreme exactly when they have rank one; non-psd
     candidates are extreme exactly when they lie in the dual cone and every
-    (n-1) x (n-1) principal submatrix has numerical rank n-2.
+    (n-1) x (n-1) principal submatrix has numerical rank n-2.  One psd
+    battery at tolerance 1e-9 per block size gives verdicts and ranks.
     """
     n = B.n
     if n < 2:
         raise ValueError("need n >= 2")
     Bf = B.as_array()
-    lam = np.linalg.eigvalsh(Bf)
-    scale = max(B.max_abs(), 1e-300)
-    psd = bool(lam[0] >= -1e-9 * (1.0 + scale))
-    if psd:
-        rank = int(np.sum(np.abs(lam) > 1e-8 * scale))
+    psd, lam, _ = _psd_battery(Bf[None], 1e-9)
+    if psd[0]:
+        scale = max(B.max_abs(), 1e-300)
+        rank = int(np.sum(np.abs(lam[0]) > 1e-8 * scale))
         return ExtremeRayReport(
             is_psd=True, is_extreme=(rank == 1), psd_rank=rank,
             reason=f"psd with rank {rank}"
             + (": spans an extreme ray" if rank == 1 else ": decomposable"))
-    report = dual_membership(B, n - 1, 1e-9)
     stack = _full_index(n, n - 1).gather(Bf)
+    sub_psd, sub_lam, _ = _psd_battery(stack, 1e-9)
+    in_dual = bool(sub_psd.all())
     sub_scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
-    sub_lam = np.linalg.eigvalsh(stack)
     ranks = np.sum(np.abs(sub_lam) > 1e-8 * sub_scales[:, None],
                    axis=1).tolist()
-    extreme = report.is_member and all(r == n - 2 for r in ranks)
-    if not report.is_member:
+    extreme = in_dual and all(r == n - 2 for r in ranks)
+    if not in_dual:
         reason = "not in the dual cone"
     elif extreme:
         reason = f"non-psd, all {n-1}x{n-1} submatrices have rank {n-2}"
     else:
         reason = f"submatrix ranks {sorted(set(ranks))} differ from {n-2}"
     return ExtremeRayReport(
-        is_psd=False, is_extreme=extreme, in_dual=report.is_member,
+        is_psd=False, is_extreme=extreme, in_dual=in_dual,
         submatrix_ranks=ranks, reason=reason)
 
 

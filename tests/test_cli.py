@@ -113,6 +113,22 @@ class TestCheckFw:
         assert code == 64
 
 
+@pytest.mark.parametrize("command", ["check-fw", "certify", "soks"])
+@pytest.mark.parametrize("k", [0, 6])
+def test_width_outside_one_to_n_exits_64(capsys, fixture_files, tmp_path,
+                                         command, k):
+    target = fixture_files["I5"]
+    if command == "soks":  # sum of the five squares: its Gram is 5 x 5
+        target = tmp_path / "squares.json"
+        target.write_text(json.dumps({"n": 5, "degree": 2, "terms": [
+            {"exp": [int(i == j) * 2 for j in range(5)], "coef": 1}
+            for i in range(5)]}))
+    code = main([command, str(target), str(k)])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"error: need 1 <= k <= n, got k={k}, n=5\n"
+
+
 class TestCheckDual:
     def test_a_in_dual_width4(self, capsys, fixture_files, schema):
         code, report = run_cli(capsys, "check-dual", fixture_files["A"], 4)

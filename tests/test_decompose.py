@@ -20,6 +20,7 @@ from factorwidth.families import (
     PnaSpec,
     example_m_fixtures,
     pna_form,
+    pna_witness_decomposition,
     sobs_comparison,
 )
 from factorwidth.symcore import (
@@ -118,6 +119,41 @@ class TestBlockDecomposition:
         obj["blocks"][0]["rows"] = [[5.0]]
         reloaded = decomposition_from_json(obj, A)
         assert reloaded.residual >= 3.0
+        # the width is checked too: an integer in 1..n
+        for k in (2.5, 7, "2"):
+            with pytest.raises(ValueError):
+                decomposition_from_json({**obj, "k": k}, A)
+
+    def test_names_the_first_bad_block_in_list_order(self):
+        A = SymMatrix.identity(4)
+        good, bad = SymMatrix.identity(2), SymMatrix.from_rows([[1, 2], [2, 1]])
+        blocks = [(Support.of([0, 1]), good), (Support.of([1, 2]), bad),
+                  (Support.of([2, 3]), good.to_float()),
+                  (Support.of([0, 3]), bad.to_float())]
+        with pytest.raises(ValueError, match=r"block on \(1, 2\) is not psd"):
+            BlockDecomposition.build(A, 2, blocks)
+        with pytest.raises(ValueError, match=r"block on \(0, 3\) is not psd"):
+            BlockDecomposition.build(A, 2, [blocks[0], blocks[3], blocks[1]])
+        # a support error after the bad block does not mask it, nor one before
+        with pytest.raises(ValueError, match="not psd"):
+            BlockDecomposition.build(
+                A, 2, blocks[:2] + [(Support.of([0, 1, 2]), good)])
+        with pytest.raises(ValueError, match="exceeds width"):
+            BlockDecomposition.build(
+                A, 2, [(Support.of([0, 1, 2]), good)] + blocks[:2])
+
+    def test_a_repeated_block_is_tested_once(self, monkeypatch):
+        # pna_witness_decomposition(6, 3, 3) lists one block object on all
+        # C(6, 3) = 20 supports
+        pivots, eigs = [], []
+        exact_psd, eigen = symcore._exact_psd, symcore.eigen_sym
+        monkeypatch.setattr(symcore, "_exact_psd",
+                            lambda a: pivots.append(a) or exact_psd(a))
+        monkeypatch.setattr(symcore, "eigen_sym",
+                            lambda a: eigs.append(a) or eigen(a))
+        d = pna_witness_decomposition(6, 3, 3)
+        assert len(d.blocks) == 20 and d.residual == 0
+        assert len(pivots) == 1 and len(eigs) == 1
 
 
 class TestFwDecompose:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorwidth import dualcone
+from factorwidth import dualcone, symcore
 from factorwidth.dualcone import (
     CosExtremeRay,
     bnr_certificate,
@@ -120,15 +120,16 @@ def _repeating_exact_case(draw):
 
 
 def _count_exact_psd(monkeypatch):
-    """Route dualcone's exact pivot test through a recorder of its blocks."""
+    """Route the psd battery's exact pivot test through a recorder of its
+    blocks."""
     seen = []
-    real = dualcone._exact_psd
+    real = symcore._exact_psd
 
     def spy(block):
         seen.append(tuple(block.ravel().tolist()))
         return real(block)
 
-    monkeypatch.setattr(dualcone, "_exact_psd", spy)
+    monkeypatch.setattr(symcore, "_exact_psd", spy)
     return seen
 
 
@@ -186,8 +187,6 @@ class TestExactBatteryDistinctBlocks:
 
 class TestOnePassBattery:
     def test_gathers_the_blocks_once(self, monkeypatch):
-        from factorwidth import symcore
-
         calls = []
         gather = symcore._BlockIndex.gather
 
@@ -436,8 +435,6 @@ class TestDykstra:
         assert non_members >= 10
 
     def test_member_returns_none_without_verifying(self, monkeypatch):
-        from factorwidth import dualcone
-
         def fail(*args, **kwargs):
             raise AssertionError("certificate search ran on a member")
 
@@ -477,6 +474,34 @@ class TestCheckExtremeCandidate:
     def test_sampled_extreme_family(self):
         for a, c in sample_angles(8, seed=3):
             assert check_extreme_candidate(cos_ray(a, c)).is_extreme
+
+    def test_gathers_the_blocks_once(self, monkeypatch):
+        calls = []
+        gather = symcore._BlockIndex.gather
+
+        def spy(self, mat):
+            calls.append(self.k)
+            return gather(self, mat)
+
+        monkeypatch.setattr(symcore._BlockIndex, "gather", spy)
+        assert check_extreme_candidate(cos_ray(math.pi / 2, math.pi / 4)).in_dual
+        assert calls == [3]
+        calls.clear()
+        assert check_extreme_candidate(SymMatrix.identity(4)).is_psd
+        assert calls == []
+
+    def test_in_dual_agrees_with_dual_membership(self):
+        rng = np.random.default_rng(6)
+        cases = [cos_ray(a, c) for a, c in sample_angles(6, seed=5)]
+        for n in (3, 4, 5):
+            for _ in range(6):
+                w = rng.standard_normal((n, n))
+                cases.append(SymMatrix.from_array(w + w.T + n * np.eye(n)))
+        for B in cases:
+            report = check_extreme_candidate(B)
+            if not report.is_psd:
+                assert report.in_dual == dual_membership(
+                    B, B.n - 1, 1e-9).is_member
 
 
 class TestBnrCertificate:

@@ -346,6 +346,12 @@ class TestIsPsd:
     def test_diagonal(self):
         assert is_psd(SymMatrix.diag([1, 0, 2]), 0).is_psd
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # an infinite tolerance would pass the min eigenvalue -1 as psd
+        with pytest.raises(ValueError, match="tol"):
+            is_psd(SymMatrix.from_rows([[1, 2], [2, 1]]), tol)
+
     def test_indefinite_2x2(self):
         rep = is_psd(SymMatrix.from_rows([[1, 2], [2, 1]]), 0)
         assert not rep.is_psd
@@ -416,6 +422,69 @@ class TestIsPsd:
             b = random_rational_psd(rnd, 3)
             assert is_psd(a, 0).is_psd and is_psd(b, 0).is_psd
             assert frobenius_inner(a, b) >= 0
+
+
+class TestPsdBattery:
+    def test_matches_is_psd_block_by_block(self):
+        rnd = random.Random(4)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            k = rnd.randint(1, 4)
+            exact = [random_rational_sym(rnd, k, num=3, den=2)
+                     for _ in range(6)]
+            floats = [random_sym(rng, k) for _ in range(6)]
+            for blocks, tol in ((exact, 0), (exact, 1e-9), (floats, 1e-9)):
+                blocks = blocks + blocks[:3]  # repeated blocks
+                psd, lam, finite = symcore._psd_battery(
+                    np.stack([b.entries for b in blocks]), tol)
+                assert finite
+                for b, ok, spectrum in zip(blocks, psd, lam):
+                    rep = is_psd(b, tol)
+                    assert ok == rep.is_psd
+                    assert spectrum == pytest.approx(
+                        np.linalg.eigvalsh(b.as_array()), abs=1e-12)
+
+    def test_one_eigensolve_and_pivot_test_per_distinct_block(
+            self, monkeypatch):
+        eig_rows, pivots = [], []
+        real = symcore._exact_psd
+
+        def spy(block):
+            pivots.append(block)
+            return real(block)
+
+        def eig(a):
+            eig_rows.append(len(a))
+            return np.linalg.eigvalsh(a)
+
+        monkeypatch.setattr(symcore, "_exact_psd", spy)
+        one, two = SymMatrix.diag([1, Fraction(2, 2)]), SymMatrix.diag([1, 2])
+        stack = np.stack([b.entries for b in (one, two, one, two, two)])
+        psd, lam, _ = symcore._psd_battery(stack, 0, eig=eig)
+        assert psd.tolist() == [True] * 5
+        assert eig_rows == [2] and len(pivots) == 2
+        assert lam[0].tolist() == lam[2].tolist() == [1.0, 1.0]
+
+    def test_float_range_guard(self):
+        # beyond the float range the spectra are of the blocks scaled by the
+        # largest entry, and only the exact test decides
+        stack = np.array([[[2 ** 1030, 0], [0, 2 ** 1029]]], dtype=object)
+        psd, lam, finite = symcore._psd_battery(stack, 0)
+        assert psd.tolist() == [True] and not finite
+        assert lam[0].tolist() == [0.5, 1.0]
+        with pytest.raises(ValueError, match="float range"):
+            symcore._psd_battery(stack, 1e-9)
+
+    def test_float_range_guard_reads_the_source(self):
+        # these blocks fit floats, but the matrix they came from does not
+        stack = np.array([[[1, 0], [0, -4]]], dtype=object)
+        source = np.array([[1, 0, 10 ** 400], [0, -4, 0], [10 ** 400, 0, 0]],
+                          dtype=object)
+        psd, _, finite = symcore._psd_battery(stack, 0, source)
+        assert psd.tolist() == [False] and not finite
+        with pytest.raises(ValueError, match="float range"):
+            symcore._psd_battery(stack, 1e-9, source)
+        assert symcore._psd_battery(stack, 1e-9)[2]
 
 
 class TestProjectPsd:
