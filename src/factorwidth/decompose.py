@@ -107,13 +107,8 @@ class BlockDecomposition:
 
     @classmethod
     def build(cls, A: SymMatrix, k: int, blocks) -> "BlockDecomposition":
-        """ValueError names the first bad block in list order; a block
-        object listed more than once passes ``is_psd`` once."""
-        n, blocks = A.n, list(blocks)
+        n = A.n
         k = _as_width(n, k)
-        distinct = {id(b): b for _, b in blocks}
-        psd = {i: is_psd(b, 0 if b.is_exact else _BLOCK_PSD_TOL).is_psd
-               for i, b in distinct.items()}
         for K, block in blocks:
             if len(K) > k:
                 raise ValueError(f"support {K.indices} exceeds width {k}")
@@ -121,7 +116,8 @@ class BlockDecomposition:
                 raise ValueError(f"support {K.indices} out of range for n={n}")
             if block.n != len(K):
                 raise ValueError("block size does not match its support")
-            if not psd[id(block)]:
+            tol = 0 if block.is_exact else _BLOCK_PSD_TOL
+            if not is_psd(block, tol).is_psd:
                 raise ValueError(f"block on {K.indices} is not psd")
         exact = A.is_exact and all(b.is_exact for _, b in blocks)
         dtype = object if exact else float
@@ -129,7 +125,7 @@ class BlockDecomposition:
         for K, block in blocks:
             acc[np.ix_(K.indices, K.indices)] += block.entries.astype(dtype)
         residual = float(np.max(np.abs(A.entries.astype(dtype) - acc)))
-        return cls(ambient_n=n, k=k, blocks=blocks, residual=residual)
+        return cls(ambient_n=n, k=k, blocks=list(blocks), residual=residual)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership and the extreme-ray test are each one
-``symcore._psd_battery`` (the one psd decision, once per distinct block) on
-the blocks of the cached ``symcore._full_index(n, k)``, the index the
+``symcore._psd_battery`` (one psd decision per distinct block) on the
+blocks of the cached ``symcore._full_index(n, k)``, the index the
 ``decompose`` splitting core uses on all C(n, k) supports.  The parity
 certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)`` has
 52,360 blocks and 15 distinct ones).
@@ -132,16 +132,17 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
 
     One ``symcore._psd_battery`` on the gathered blocks of ``B.entries``:
     each distinct block is tested once, exactly when B is exact and ``tol``
-    is 0.  Margins are float approximations; when an exact entry lies beyond
-    the float range, ``worst_margin`` is ``None``, ``worst_support`` is
-    located on B scaled by its largest entry, and ``tol > 0`` raises.
+    is 0.  Margins are float approximations; when an exact entry of a k x k
+    block (at k = 1 the diagonal, else any entry of B) lies beyond the float
+    range, ``worst_margin`` is ``None``, ``worst_support`` is located on the
+    blocks scaled by their largest entry, and ``tol > 0`` raises.
     """
     k = _as_width(B.n, k)
     index = _full_index(B.n, k)
-    psd, lam, finite = _psd_battery(index.gather(B.entries), tol, B.entries)
+    member, lam, finite = _psd_battery(index.gather(B.entries), tol)
     worst = int(np.argmin(lam[:, 0]))
     return DualMembershipReport(
-        is_member=bool(psd.all()), k=k, worst_support=index.support(worst),
+        is_member=member, k=k, worst_support=index.support(worst),
         worst_margin=float(lam[worst, 0]) if finite else None,
         exact=B.is_exact and tol == 0)
 
@@ -311,7 +312,7 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
         raise ValueError("need n >= 2")
     Bf = B.as_array()
     psd, lam, _ = _psd_battery(Bf[None], 1e-9)
-    if psd[0]:
+    if psd:
         scale = max(B.max_abs(), 1e-300)
         rank = int(np.sum(np.abs(lam[0]) > 1e-8 * scale))
         return ExtremeRayReport(
@@ -319,8 +320,7 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
             reason=f"psd with rank {rank}"
             + (": spans an extreme ray" if rank == 1 else ": decomposable"))
     stack = _full_index(n, n - 1).gather(Bf)
-    sub_psd, sub_lam, _ = _psd_battery(stack, 1e-9)
-    in_dual = bool(sub_psd.all())
+    in_dual, sub_lam, _ = _psd_battery(stack, 1e-9)
     sub_scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
     ranks = np.sum(np.abs(sub_lam) > 1e-8 * sub_scales[:, None],
                    axis=1).tolist()

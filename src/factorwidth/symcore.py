@@ -15,11 +15,12 @@ never happens silently.  Both cones read their principal blocks through one
 the object array; it holds its supports as an ``(m, k)`` int array, and a
 :class:`Support` is built only where one leaves the package (decomposition
 blocks, ``worst_support``, ``enumerate_supports``) or a user's list comes
-in.  ``principal_submatrix`` and ``embed`` remain for single blocks.  Every
-psd decision, on one block or a stack, is one ``_psd_battery``.  Both cones
-are invariant under congruence by a permutation times a nonsingular
-diagonal; ``scale_congruence`` (``Q^T A Q`` for any monomial ``Q``) and the
-cosine extreme-ray family apply it through one ``_congruence``.
+in.  ``principal_submatrix`` and ``embed`` remain for single blocks.
+``is_psd`` decides one matrix, and ``_psd_battery`` a stack of blocks, once
+per distinct block, for the dual cone.  Both cones are invariant under
+congruence by a permutation times a nonsingular diagonal;
+``scale_congruence`` (``Q^T A Q`` for any monomial ``Q``) and the cosine
+extreme-ray family apply it through one ``_congruence``.
 """
 
 from __future__ import annotations
@@ -397,6 +398,19 @@ def _fits_float(A: SymMatrix) -> bool:
     return bool(np.max(np.abs(A.entries)) < _FLOAT_SAFE)
 
 
+def _floats_decide(entries: np.ndarray, tol: float) -> bool:
+    """Whether float tests can read ``entries``; ValueError on a negative or
+    non-finite tol, and on a positive one when they cannot."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    floats = (entries.dtype != object
+              or bool(np.max(np.abs(entries)) < _FLOAT_SAFE))
+    if not floats and tol > 0:
+        raise ValueError("an entry lies beyond the float range; "
+                         "only the exact battery (tol=0) decides it")
+    return floats
+
+
 def _exact_psd(a: np.ndarray) -> bool:
     """Exact psd decision for a square array of rational entries by pivoted
     symmetric elimination.
@@ -433,61 +447,52 @@ def _exact_psd(a: np.ndarray) -> bool:
     return True
 
 
-def _psd_battery(stack: np.ndarray, tol: float, source=None,
-                 eig=np.linalg.eigvalsh):
-    """The one psd decision: ``(psd, lam, finite)`` for the ``(m, k, k)``
-    stack, whether each block is psd and its ascending spectrum.
-
-    Each distinct block (exact entries keyed by value, floats by their bytes)
-    gets one ``eig`` of its float image and, when the stack is exact and
-    ``tol`` is 0, one exact pivot test that decides it; otherwise
-    ``lambda_min >= -tol * (1 + max|block|)`` decides.  When an exact entry
-    of ``source`` (the array the blocks came from; default the stack) lies
-    beyond the float range, ``finite`` is False, the spectra are of the
-    blocks scaled by its largest entry, and only ``tol == 0`` is accepted.
+def _psd_battery(stack: np.ndarray, tol: float):
+    """``(psd, lam, finite)`` for an ``(m, k, k)`` stack: whether every block
+    is psd, each block's ascending spectrum, and whether the spectra are of
+    the blocks themselves (else of the blocks over their largest entry, which
+    lies beyond the float range).  Each distinct block (exact by value, float
+    by its bytes) gets one ``eigvalsh``; on an exact stack at tol 0 the pivot
+    tests decide, up to the first that fails, and otherwise
+    ``lambda_min >= -tol * (1 + max|block|)`` does.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     exact = stack.dtype == object
-    top = np.max(np.abs(stack if source is None else source)) if exact else 0
-    finite = bool(top < _FLOAT_SAFE)
-    if not finite and tol > 0:
-        raise ValueError("an entry lies beyond the float range; "
-                         "only the exact battery (tol=0) decides it")
-    inverse, blocks = slice(None), stack  # a lone block has nothing to share
-    if len(stack) > 1:
-        flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
-        keys = (map(tuple, flat.tolist()) if exact else flat.view(
-            f"V{flat.itemsize * flat.shape[1]}").ravel().tolist())
-        slot = {}
-        inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
-        blocks = (np.array(list(slot), object) if exact else np.frombuffer(
-            b"".join(slot))).reshape(-1, *stack.shape[1:])
-    approx = (blocks if finite else blocks / Fraction(top)).astype(float)
-    lam = eig(approx)
-    psd = (np.fromiter(map(_exact_psd, blocks), bool, len(blocks))
-           if exact and tol == 0
-           else lam[:, 0] >= -tol * (1.0 + np.abs(approx).max(axis=(1, 2))))
-    return psd[inverse], lam[inverse], finite
+    # an int and an equal Fraction hash alike, so their blocks share a key
+    flat = stack.reshape(len(stack), -1)
+    keys = (map(tuple, flat.tolist()) if exact else flat.view(
+        f"V{flat.itemsize * flat.shape[1]}").ravel().tolist())
+    slot = {}
+    inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
+    blocks = (np.array(list(slot), object) if exact else np.frombuffer(
+        b"".join(slot))).reshape(-1, *stack.shape[1:])
+    finite = _floats_decide(blocks, tol)
+    approx = (blocks if finite
+              else blocks / Fraction(np.max(np.abs(blocks)))).astype(float)
+    lam = np.linalg.eigvalsh(approx)
+    scales = 1.0 + np.abs(approx).max(axis=(1, 2))
+    psd = (all(map(_exact_psd, blocks)) if exact and tol == 0
+           else bool(np.all(lam[:, 0] >= -tol * scales)))
+    return psd, lam[inverse], finite
 
 
 def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
-    """Positive semidefiniteness test: ``_psd_battery`` on the one block A.
+    """Positive semidefiniteness test.
 
     Float path: ``lambda_min >= -tol * (1 + ||A||_max)``.  With exact rational
     entries and ``tol == 0`` the verdict comes from exact pivoted elimination
-    (no floating error); ``min_eigenvalue`` (from ``eigen_sym``) is then a
-    float approximation reported for information only, and ``None`` when an
-    entry lies beyond the float range; the float path raises ValueError on
-    such a matrix, as on a negative or non-finite ``tol``.
+    (no floating error); ``min_eigenvalue`` is then a float approximation
+    reported for information only, and ``None`` when an entry lies beyond the
+    float range; the float path raises ValueError on such a matrix, as on a
+    negative or non-finite ``tol``.
     """
-    psd, lam, finite = _psd_battery(
-        A.entries[None], tol,
-        eig=lambda a: eigen_sym(SymMatrix._wrap(a[0], False)).eigenvalues[None])
-    exact = A.is_exact and tol == 0
-    return PsdReport(is_psd=bool(psd[0]),
-                     min_eigenvalue=float(lam[0, 0]) if finite else None,
-                     tolerance_used=0.0 if exact else tol * (1.0 + A.max_abs()))
+    floats = _floats_decide(A.entries, tol)
+    min_eig = float(eigen_sym(A).eigenvalues[0]) if floats else None
+    if A.is_exact and tol == 0:
+        return PsdReport(is_psd=_exact_psd(A.entries), min_eigenvalue=min_eig,
+                         tolerance_used=0.0)
+    threshold = tol * (1.0 + A.max_abs())
+    return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,
+                     tolerance_used=threshold)
 
 
 def project_psd(A: SymMatrix) -> SymMatrix:

@@ -20,7 +20,6 @@ from factorwidth.families import (
     PnaSpec,
     example_m_fixtures,
     pna_form,
-    pna_witness_decomposition,
     sobs_comparison,
 )
 from factorwidth.symcore import (
@@ -141,19 +140,6 @@ class TestBlockDecomposition:
         with pytest.raises(ValueError, match="exceeds width"):
             BlockDecomposition.build(
                 A, 2, [(Support.of([0, 1, 2]), good)] + blocks[:2])
-
-    def test_a_repeated_block_is_tested_once(self, monkeypatch):
-        # pna_witness_decomposition(6, 3, 3) lists one block object on all
-        # C(6, 3) = 20 supports
-        pivots, eigs = [], []
-        exact_psd, eigen = symcore._exact_psd, symcore.eigen_sym
-        monkeypatch.setattr(symcore, "_exact_psd",
-                            lambda a: pivots.append(a) or exact_psd(a))
-        monkeypatch.setattr(symcore, "eigen_sym",
-                            lambda a: eigs.append(a) or eigen(a))
-        d = pna_witness_decomposition(6, 3, 3)
-        assert len(d.blocks) == 20 and d.residual == 0
-        assert len(pivots) == 1 and len(eigs) == 1
 
 
 class TestFwDecompose:

@@ -264,6 +264,14 @@ class TestEntriesBeyondFloatRange:
         with pytest.raises(ValueError, match="float range"):
             dual_membership(B, 2, 1e-9)
 
+    def test_width_one_reads_only_the_diagonal(self):
+        # the 1 x 1 blocks fit floats however large the off-diagonal entries
+        B = SymMatrix.from_rows([[2, self.big], [self.big, 1]])
+        for tol in (0, 1e-9):
+            report = dual_membership(B, 1, tol)
+            assert report.is_member and report.worst_margin == 1.0
+            assert report.worst_support == Support.of([1])
+
     def test_is_psd_exact_path(self):
         big = Fraction(self.big, 3)
         rep = is_psd(SymMatrix.from_rows([[big, 1], [1, 1]]), 0)

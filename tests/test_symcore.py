@@ -438,53 +438,63 @@ class TestPsdBattery:
                 psd, lam, finite = symcore._psd_battery(
                     np.stack([b.entries for b in blocks]), tol)
                 assert finite
-                for b, ok, spectrum in zip(blocks, psd, lam):
-                    rep = is_psd(b, tol)
-                    assert ok == rep.is_psd
+                assert psd == all(is_psd(b, tol).is_psd for b in blocks)
+                for b, spectrum in zip(blocks, lam):
                     assert spectrum == pytest.approx(
                         np.linalg.eigvalsh(b.as_array()), abs=1e-12)
+                for b in blocks:
+                    one = symcore._psd_battery(b.entries[None], tol)
+                    assert one[0] == is_psd(b, tol).is_psd
 
     def test_one_eigensolve_and_pivot_test_per_distinct_block(
             self, monkeypatch):
         eig_rows, pivots = [], []
-        real = symcore._exact_psd
+        real_psd, real_eig = symcore._exact_psd, np.linalg.eigvalsh
 
         def spy(block):
             pivots.append(block)
-            return real(block)
+            return real_psd(block)
 
         def eig(a):
             eig_rows.append(len(a))
-            return np.linalg.eigvalsh(a)
+            return real_eig(a)
 
         monkeypatch.setattr(symcore, "_exact_psd", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
         one, two = SymMatrix.diag([1, Fraction(2, 2)]), SymMatrix.diag([1, 2])
         stack = np.stack([b.entries for b in (one, two, one, two, two)])
-        psd, lam, _ = symcore._psd_battery(stack, 0, eig=eig)
-        assert psd.tolist() == [True] * 5
+        psd, lam, _ = symcore._psd_battery(stack, 0)
+        assert psd
         assert eig_rows == [2] and len(pivots) == 2
         assert lam[0].tolist() == lam[2].tolist() == [1.0, 1.0]
+
+    def test_exact_pivot_tests_stop_at_the_first_failure(self, monkeypatch):
+        pivots = []
+        real = symcore._exact_psd
+        monkeypatch.setattr(symcore, "_exact_psd",
+                            lambda a: pivots.append(a) or real(a))
+        blocks = [[[1, 0], [0, 1]], [[1, 2], [2, 1]], [[2, 0], [0, 1]],
+                  [[-1, 0], [0, 1]]]
+        stack = np.array(blocks, dtype=object)
+        psd, lam, _ = symcore._psd_battery(stack, 0)
+        assert not psd and len(pivots) == 2
+        assert lam[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_float_range_guard(self):
         # beyond the float range the spectra are of the blocks scaled by the
         # largest entry, and only the exact test decides
         stack = np.array([[[2 ** 1030, 0], [0, 2 ** 1029]]], dtype=object)
         psd, lam, finite = symcore._psd_battery(stack, 0)
-        assert psd.tolist() == [True] and not finite
+        assert psd and not finite
         assert lam[0].tolist() == [0.5, 1.0]
         with pytest.raises(ValueError, match="float range"):
             symcore._psd_battery(stack, 1e-9)
 
-    def test_float_range_guard_reads_the_source(self):
-        # these blocks fit floats, but the matrix they came from does not
-        stack = np.array([[[1, 0], [0, -4]]], dtype=object)
-        source = np.array([[1, 0, 10 ** 400], [0, -4, 0], [10 ** 400, 0, 0]],
-                          dtype=object)
-        psd, _, finite = symcore._psd_battery(stack, 0, source)
-        assert psd.tolist() == [False] and not finite
-        with pytest.raises(ValueError, match="float range"):
-            symcore._psd_battery(stack, 1e-9, source)
-        assert symcore._psd_battery(stack, 1e-9)[2]
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        stack = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(ValueError, match="tol"):
+            symcore._psd_battery(stack, tol)
 
 
 class TestProjectPsd:
