@@ -321,7 +321,9 @@ def cmd_eig(args) -> dict:
 def _add_solver_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-7,
                      help="relative feasibility tolerance (default 1e-7)")
-    sub.add_argument("--max-iter", type=int, default=20000)
+    sub.add_argument("--max-iter", type=int, default=20000,
+                     help="splitting iterations for the whole decision, "
+                          "all runs together (default 20000)")
 
 
 def build_parser() -> _Parser:
@@ -333,7 +335,8 @@ def build_parser() -> _Parser:
     s = subs.add_parser("check-fw", help="decide membership in FW_k")
     s.add_argument("matrix")
     s.add_argument("k", type=int)
-    s.add_argument("--supports", help="JSON file restricting the support list")
+    s.add_argument("--supports", help="JSON file of the supports to run on "
+                                      "first (instead of the sparsity seed)")
     _add_solver_flags(s)
     s.set_defaults(func=cmd_check_fw)
 

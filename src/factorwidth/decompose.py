@@ -25,19 +25,19 @@ the gate of :mod:`factorwidth.dualcone`.  Every run returns a
 :class:`MembershipVerdict`, and every verdict but a member names the exit that
 ended its run in ``diagnostics["stop"]``.
 
-Without a support list, ``fw_membership`` first runs on the sparsity seed
-(the supports whose block of A has no zero entry; cf. the column generation
-of Ahmadi, Dash and Hall, Discrete Optim. 2017) and on all C(n, k) supports
-only when that run cannot decide.  A run on fewer supports stops as soon as
-a z-check direction separates A from its cone but not from FW_k.
-``fw_membership`` is the one boundary: it checks the width and a user's
-``support_list`` once (``_support_index``) and hands the core an index.
+``fw_membership`` first runs on a user's ``support_list``, else on the
+sparsity seed (the supports whose block of A has no zero entry; cf. the
+column generation of Ahmadi, Dash and Hall, Discrete Optim. 2017).  A run on
+fewer supports stops as soon as a z-check direction separates A from its
+cone but not from FW_k; an inconclusive one leaves the rest of the iteration
+budget to all C(n, k) supports.  ``fw_membership`` is the one boundary: it
+checks the width, A's float range and a ``support_list`` (``_support_index``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from .symcore import (
     _BlockIndex,
     _as_int,
     _as_width,
+    _fits_float,
     _full_index,
     _project_psd,
     _sparsity_seed,
@@ -75,10 +76,9 @@ _EXCLUDED = object()
 @dataclass
 class SolverOptions:
     """Splitting options.  A member must reproduce A within
-    ``feas_tol * (1 + max|A|)``; ``max_iter`` bounds the iterations of each
-    splitting run (``fw_membership`` makes two after a seed escalation or a
-    ``support_list`` fallback), and ``support_list`` restricts the blocks to
-    those supports."""
+    ``feas_tol * (1 + max|A|)``; ``max_iter`` bounds the iterations of a
+    whole ``fw_membership`` call, and ``support_list`` names the supports
+    its first run is made on."""
 
     feas_tol: float = 1e-7
     max_iter: int = 20000
@@ -353,48 +353,46 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
                   ) -> MembershipVerdict:
     """Three-way membership decision for FW_k.
 
-    One splitting run decides it.  Member verdicts carry its re-verified
-    decomposition; non-member verdicts carry the certificate the run's
-    shifted gap direction gave, which passed ``dualcone.verify_candidate``.
-    A run with a ``support_list`` searches a smaller cone than FW_k and can
-    end inconclusive without a separating direction, or at once when a
-    z-check shows that its cone excludes A; then one more run of the same
-    core on all C(n, k) supports is made for its certificate only: its
-    verdict is returned if it is ``non_member``, else the restricted one
-    (should it decompose A, the verdict stays "inconclusive").  A solver
-    stall without a certificate yields "inconclusive", never "non_member".
+    Member verdicts carry a re-verified decomposition; non-member verdicts
+    carry the certificate a run's shifted gap direction gave, which passed
+    ``dualcone.verify_candidate``; a stall without a certificate yields
+    "inconclusive", never "non_member".  ValueError if an |entry| of A
+    reaches 2**1022.
 
-    Without a ``support_list``, A with an exact zero entry runs first on
-    ``symcore._sparsity_seed``; its member or non-member is returned, and
-    an inconclusive seeded run escalates to all C(n, k) supports.
+    The first run is on the ``support_list``, else, for A with an exact zero
+    entry, on ``symcore._sparsity_seed``.  If it ends inconclusive with
+    iterations left, one run on all C(n, k) supports gets the rest and its
+    verdict is returned: ``max_iter`` bounds the whole call.
 
-    ``max_iter`` bounds each run, so ``diagnostics["iterations"]``, the sum
-    of both runs after a rerun, can reach ``2 * max_iter``.  ``diagnostics``
-    also holds the ``primal_residual`` and ``residual_history`` (``(iteration,
-    residual)`` pairs) of the returned run; every verdict but a member
-    says why the run ended in ``stop``, and a non-member adds
-    ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
-    z-check) or ``"final_gap"`` (the exit that ended the run).
-    ``seed_supports`` is the seed's size (None if no seed ran), and
-    ``seed_stop`` the seeded run's ``stop`` after an escalation.
+    ``diagnostics`` holds the ``iterations`` of both runs, and the
+    ``primal_residual`` and ``residual_history`` (``(iteration, residual)``
+    pairs) of the returned run; every verdict but a member says why that
+    run ended in ``stop``, and a non-member adds ``certificate_value`` and
+    ``certificate_source``: ``"in_loop_gap"`` (a z-check) or ``"final_gap"``
+    (the exit that ended the run).  ``seed_supports`` is the seed's size
+    (None if no seed ran), and ``seed_stop`` the seeded run's ``stop`` after
+    an escalation.
     """
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
+    if not _fits_float(A):
+        raise ValueError("every |entry| must be below 2**1022")
     if opts.support_list is not None:
         index, seed = _support_index(A.n, k, opts.support_list), None
     else:
         seed = _sparsity_seed(A.entries != 0, k)
         index = _full_index(A.n, k) if seed is None else seed
     verdict = _fw_decompose_impl(A, k, opts, index)
-    if verdict.status == "inconclusive" and index is not _full_index(A.n, k):
-        rerun = _fw_decompose_impl(A, k, opts, _full_index(A.n, k))
-        iterations = (verdict.diagnostics["iterations"]
-                      + rerun.diagnostics["iterations"])
+    used = verdict.diagnostics["iterations"]
+    if (verdict.status == "inconclusive" and used < opts.max_iter
+            and index is not _full_index(A.n, k)):
+        rerun = _fw_decompose_impl(
+            A, k, replace(opts, max_iter=opts.max_iter - used),
+            _full_index(A.n, k))
+        rerun.diagnostics["iterations"] += used
         if seed is not None:
             rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
-        if rerun.status == "non_member" or seed is not None:
-            verdict = rerun
-        verdict.diagnostics["iterations"] = iterations
+        verdict = rerun
     verdict.diagnostics["seed_supports"] = (None if seed is None
                                             else len(seed.rows))
     return verdict

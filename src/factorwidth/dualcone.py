@@ -1,12 +1,13 @@
 """Membership in the dual cones (FW_k^n)* and separating certificates.
 
 A symmetric matrix is in the dual cone exactly when every k x k principal
-submatrix is psd, so membership and the extreme-ray test are each one
+submatrix is psd, so membership and the float extreme-ray test are each one
 ``symcore._psd_battery`` (one psd decision per distinct block) on the
 blocks of the cached ``symcore._full_index(n, k)``, the index the
-``decompose`` splitting core uses on all C(n, k) supports.  The parity
-certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)`` has
-52,360 blocks and 15 distinct ones).
+``decompose`` splitting core uses on all C(n, k) supports; the exact
+extreme-ray test reads psd-ness and ranks off the battery's pivots.  The
+parity certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)``
+has 52,360 blocks and 15 distinct ones).
 Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
@@ -36,6 +37,8 @@ from .symcore import (
     frobenius_inner,
     _as_width,
     _congruence,
+    _exact_psd,
+    _fits_float,
     _full_index,
     _psd_battery,
 )
@@ -185,9 +188,12 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     coordinate descent on the angles and multiplicative positive diagonal
     scales.  The refined matrix is returned only if it passes ``verify_candidate`` at
     k = 3, so the search is invariant under positive scaling of Q.
+    ValueError if an |entry| of Q reaches 2**1022.
     """
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
+    if not _fits_float(Q):
+        raise ValueError("every |entry| must be below 2**1022")
     Qf = Q.as_array()
     step = 2.0 * math.pi / _COS_GRID
     grid = -math.pi + (np.arange(_COS_GRID) + 0.5) * step
@@ -299,31 +305,41 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int
 # ---------------------------------------------------------------------------
 
 
+def _block_ranks(stack: np.ndarray) -> tuple[bool, list]:
+    """Whether every block of an ``(m, j, j)`` stack is psd, and each
+    block's rank.  Exact blocks are decided and ranked by the pivots of
+    ``symcore._exact_psd`` (None marks a block that is not psd); float ones
+    by one psd battery at tol 1e-9, counting the eigenvalues above 1e-8 of
+    the block's largest entry."""
+    if stack.dtype == object:
+        ranks = [_exact_psd(b) for b in stack]
+        return None not in ranks, ranks
+    psd, lam, _ = _psd_battery(stack, 1e-9)
+    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    return psd, np.sum(np.abs(lam) > 1e-8 * scales[:, None], axis=1).tolist()
+
+
 def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
     """Decide whether B spans an extreme ray of (FW_{n-1}^n)*.
 
     psd candidates are extreme exactly when they have rank one; non-psd
     candidates are extreme exactly when they lie in the dual cone and every
-    (n-1) x (n-1) principal submatrix has numerical rank n-2.  One psd
-    battery at tolerance 1e-9 per block size gives verdicts and ranks.
+    (n-1) x (n-1) principal submatrix has rank n-2.  An exact B is decided
+    and ranked exactly; a float B numerically, and ValueError if an |entry|
+    of it reaches 2**1022.
     """
     n = B.n
     if n < 2:
         raise ValueError("need n >= 2")
-    Bf = B.as_array()
-    psd, lam, _ = _psd_battery(Bf[None], 1e-9)
+    if not (B.is_exact or _fits_float(B)):
+        raise ValueError("every |entry| must be below 2**1022")
+    psd, (rank,) = _block_ranks(B.entries[None])
     if psd:
-        scale = max(B.max_abs(), 1e-300)
-        rank = int(np.sum(np.abs(lam[0]) > 1e-8 * scale))
         return ExtremeRayReport(
             is_psd=True, is_extreme=(rank == 1), psd_rank=rank,
             reason=f"psd with rank {rank}"
             + (": spans an extreme ray" if rank == 1 else ": decomposable"))
-    stack = _full_index(n, n - 1).gather(Bf)
-    in_dual, sub_lam, _ = _psd_battery(stack, 1e-9)
-    sub_scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
-    ranks = np.sum(np.abs(sub_lam) > 1e-8 * sub_scales[:, None],
-                   axis=1).tolist()
+    in_dual, ranks = _block_ranks(_full_index(n, n - 1).gather(B.entries))
     extreme = in_dual and all(r == n - 2 for r in ranks)
     if not in_dual:
         reason = "not in the dual cone"

@@ -411,9 +411,10 @@ def _floats_decide(entries: np.ndarray, tol: float) -> bool:
     return floats
 
 
-def _exact_psd(a: np.ndarray) -> bool:
+def _exact_psd(a: np.ndarray) -> Optional[int]:
     """Exact psd decision for a square array of rational entries by pivoted
-    symmetric elimination.
+    symmetric elimination: the rank (the number of positive pivots) when
+    ``a`` is psd, else None.
 
     Declares not-psd on any negative pivot; zero pivots force a zero row/column
     (else a negative 2x2 minor exists) and are eliminated by dropping the index.
@@ -426,15 +427,15 @@ def _exact_psd(a: np.ndarray) -> bool:
         for i in alive:
             d = work[i][i]
             if d < 0:
-                return False
+                return None
             if dmax is None or d > dmax:
                 dmax, pivot = d, i
         if dmax == 0:
             for i in alive:
                 for j in alive:
                     if i != j and work[i][j] != 0:
-                        return False
-            return True
+                        return None
+            break
         alive.remove(pivot)
         col = {i: work[i][pivot] for i in alive}
         for i in alive:
@@ -444,7 +445,7 @@ def _exact_psd(a: np.ndarray) -> bool:
             wi = work[i]
             for j in alive:
                 wi[j] -= ci * col[j] / dmax
-    return True
+    return len(work) - len(alive)
 
 
 def _psd_battery(stack: np.ndarray, tol: float):
@@ -470,8 +471,8 @@ def _psd_battery(stack: np.ndarray, tol: float):
               else blocks / Fraction(np.max(np.abs(blocks)))).astype(float)
     lam = np.linalg.eigvalsh(approx)
     scales = 1.0 + np.abs(approx).max(axis=(1, 2))
-    psd = (all(map(_exact_psd, blocks)) if exact and tol == 0
-           else bool(np.all(lam[:, 0] >= -tol * scales)))
+    psd = (all(_exact_psd(b) is not None for b in blocks)
+           if exact and tol == 0 else bool(np.all(lam[:, 0] >= -tol * scales)))
     return psd, lam[inverse], finite
 
 
@@ -488,8 +489,8 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     floats = _floats_decide(A.entries, tol)
     min_eig = float(eigen_sym(A).eigenvalues[0]) if floats else None
     if A.is_exact and tol == 0:
-        return PsdReport(is_psd=_exact_psd(A.entries), min_eigenvalue=min_eig,
-                         tolerance_used=0.0)
+        return PsdReport(is_psd=_exact_psd(A.entries) is not None,
+                         min_eigenvalue=min_eig, tolerance_used=0.0)
     threshold = tol * (1.0 + A.max_abs())
     return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,
                      tolerance_used=threshold)

@@ -95,8 +95,8 @@ class TestCheckFw:
         jsonschema.validate(report, schema)
 
     def test_budget_exit_is_inconclusive(self, capsys, fixture_files, schema):
-        # 50 iterations decide neither way, on the 27 supports nor on the
-        # rerun over all of them: exit 2
+        # 50 iterations on the 27 supports decide neither way and leave
+        # none for a run on all supports: exit 2
         code, report = run_cli(capsys, "check-fw", fixture_files["Qprime"], 4,
                                "--supports", fixture_files["s27"],
                                "--max-iter", 50)
@@ -127,6 +127,24 @@ def test_width_outside_one_to_n_exits_64(capsys, fixture_files, tmp_path,
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert captured.err == f"error: need 1 <= k <= n, got k={k}, n=5\n"
+
+
+def test_schema_declares_exactly_the_keys_written(capsys, fixture_files,
+                                                  tmp_path, schema):
+    pna3 = TestSoks().write_pna(tmp_path, 3, "19/10")
+    diag = _write(tmp_path / "diag.json", {"n": 2, "rows": [[1, 0], [0, 2]]})
+    written = set()
+    for argv in (["check-fw", fixture_files["I5"], 1],
+                 ["check-dual", fixture_files["A"], 4],
+                 ["soks", pna3, 2],
+                 ["pna", 4, 3, "3/2"],
+                 ["certify", fixture_files["M"], 4],
+                 ["eig", diag]):
+        _, report = run_cli(capsys, *argv)
+        jsonschema.validate(report, schema)
+        assert set(report) <= set(schema["properties"]), argv[0]
+        written |= set(report)
+    assert written == set(schema["properties"])
 
 
 class TestCheckDual:

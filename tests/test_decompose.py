@@ -32,6 +32,14 @@ from factorwidth.symcore import (
 )
 
 
+# the four width-4 supports of range(5) other than (0, 1, 2, 3)
+_M_FOUR_SUPPORTS = [K for K in enumerate_supports(5, 4)
+                    if K.indices != (0, 1, 2, 3)]
+# its sparsity seed at width 3, (0, 2, 3) and (1, 2, 3), excludes it
+_EXCLUDED_SEED = SymMatrix.from_rows([[5, 0, 2, 5], [0, 5, -4, -2],
+                                      [2, -4, 5, 3], [5, -2, 3, 5]])
+
+
 def random_fw_member(rng, n, k, cols=None):
     """Random member of FW_k built from k-sparse factor columns."""
     cols = cols or 2 * n
@@ -97,6 +105,15 @@ class TestBlockDecomposition:
         with pytest.raises(ValueError):
             BlockDecomposition.build(
                 A, 1, [(Support.of([0, 1]), SymMatrix.identity(2))])
+
+    @pytest.mark.parametrize("K, block, message", [
+        ([1, 3], SymMatrix.identity(2), r"\(1, 3\) out of range for n=3"),
+        ([0, 1], SymMatrix.identity(1), "block size does not match"),
+    ], ids=["out-of-range", "block-size"])
+    def test_rejects_malformed_block(self, K, block, message):
+        with pytest.raises(ValueError, match=message):
+            BlockDecomposition.build(SymMatrix.identity(3), 2,
+                                     [(Support.of(K), block)])
 
     def test_json_round_trip(self):
         A = SymMatrix.diag([1.0, 2.0, 0.0])
@@ -190,6 +207,11 @@ class TestFwDecompose:
             fw_membership(A, 2, SolverOptions(
                 support_list=[Support.of([0]), Support.of([1, 2])]))
 
+    def test_support_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"out of range for n=3"):
+            fw_membership(SymMatrix.identity(3), 2,
+                          SolverOptions(support_list=[[0, 1], [1, 3]]))
+
     def test_empty_support_list_rejected(self):
         with pytest.raises(ValueError, match="support list is empty"):
             fw_membership(SymMatrix.identity(3), 2,
@@ -259,17 +281,27 @@ class TestFwMembership:
         assert statuses == {"member", "non_member"}
         assert len(inputs) > 1000 and all(inputs)
 
-    def test_inconclusive_when_supports_cannot_carry_a_member(self):
-        # A is in FW_2, but the restricted support list cannot reach entry
-        # (0,1); no width-2 separating certificate exists either, so the
-        # verdict must be inconclusive, never non_member
+    @pytest.mark.parametrize("A", [
+        SymMatrix.from_array(np.array([[1.5e308, 1e308], [1e308, 1.5e308]])),
+        SymMatrix.from_rows([[10 ** 400, 1, 0, 0], [1, 1, 0, 0],
+                             [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ], ids=["float", "exact"])
+    def test_entries_beyond_the_float_range_rejected(self, A):
+        with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+            fw_membership(A, 2)
+
+    def test_full_run_decomposes_what_the_supports_cannot_carry(self):
+        # A is in FW_2, but the support list cannot reach entry (0,1); no
+        # width-2 separating certificate exists, so the verdict is never
+        # non_member: the run on all supports decomposes A
         A = SymMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
         opts = SolverOptions(support_list=[Support.of([0, 2]),
                                            Support.of([1, 2])])
         v = fw_membership(A, 2, opts)
-        assert v.status == "inconclusive"
+        assert v.status == "member"
         assert v.certificate is None
-        assert v.diagnostics["certificate_found"] is False
+        d = decomposition_from_json(decomposition_to_json(v.decomposition), A)
+        assert d.residual <= 1e-7 * (1.0 + A.max_abs())
 
     @pytest.mark.parametrize("case", ["width1_off_diagonal", "M_width4"])
     def test_one_splitting_run_per_verdict(self, monkeypatch, case):
@@ -424,25 +456,63 @@ class TestIterationBudget:
         assert float(frobenius_inner(B, Q)) < -1e-8 * B.frob_norm() * Q.frob_norm()
 
     def test_budget_exit_without_certificate_is_inconclusive(self):
-        # Qprime is a member; neither the restricted run nor the full rerun
-        # finishes within 50 iterations, and neither may certify
+        # Qprime is a member; the run on the 27 supports does not finish
+        # within 50 iterations and may not certify, and it leaves no
+        # iterations for a full run
         fx = example_m_fixtures()
         v = fw_membership(fx.Qprime, 4, SolverOptions(
             support_list=list(fx.supports27), max_iter=50))
         assert v.status == "inconclusive"
         assert v.certificate is None
         assert v.diagnostics["certificate_found"] is False
-        assert v.diagnostics["iterations"] == 100
+        assert v.diagnostics["iterations"] == 50
 
-    def test_budget_bounds_each_run_of_a_seed_escalation(self):
-        # the seeded run and the full run each get max_iter iterations
+    def test_seed_that_spends_the_budget_does_not_escalate(self):
+        # the seeded run uses all of max_iter, so no full run follows
         v = fw_membership(example_m_fixtures().Qprime, 4,
                           SolverOptions(max_iter=50))
         assert v.status == "inconclusive"
         assert v.diagnostics["seed_supports"] == 39
-        assert v.diagnostics["seed_stop"].startswith(
+        assert v.diagnostics["stop"].startswith(
             "no decomposition within 50 iterations")
-        assert v.diagnostics["iterations"] == 100
+        assert "seed_stop" not in v.diagnostics
+        assert v.diagnostics["iterations"] == 50
+
+    @pytest.mark.parametrize("max_iter", [1, 25, 50, 400])
+    @pytest.mark.parametrize("case", ["excluded_seed", "M_four_supports",
+                                      "Qprime_27_supports"])
+    def test_max_iter_bounds_the_whole_call(self, case, max_iter):
+        fx = example_m_fixtures()
+        A, k, supports = {
+            "excluded_seed": (_EXCLUDED_SEED, 3, None),
+            "M_four_supports": (fx.M, 4, _M_FOUR_SUPPORTS),
+            "Qprime_27_supports": (fx.Qprime, 4, list(fx.supports27)),
+        }[case]
+        v = fw_membership(A, k, SolverOptions(max_iter=max_iter,
+                                              support_list=supports))
+        assert 1 <= v.diagnostics["iterations"] <= max_iter
+
+    def test_full_run_gets_the_rest_of_the_budget(self, monkeypatch):
+        # M's run on four supports stops after 50 iterations; the full run
+        # gets the other 250, and the call reports both runs' iterations
+        from factorwidth import decompose
+
+        runs = []
+        impl = decompose._fw_decompose_impl
+
+        def counted(A, k, opts, index):
+            v = impl(A, k, opts, index)
+            runs.append((opts.max_iter, v.diagnostics["iterations"]))
+            return v
+
+        monkeypatch.setattr(decompose, "_fw_decompose_impl", counted)
+        v = fw_membership(example_m_fixtures().M, 4, SolverOptions(
+            max_iter=300, support_list=_M_FOUR_SUPPORTS))
+        assert v.status == "non_member"
+        (first_budget, first), (rest, second) = runs
+        assert (first_budget, first) == (300, 50)
+        assert rest == 300 - first
+        assert v.diagnostics["iterations"] == first + second
 
 
 class TestEarlyInfeasibility:

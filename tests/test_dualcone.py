@@ -288,6 +288,29 @@ class TestEntriesBeyondFloatRange:
         with pytest.raises(ValueError, match="float range"):
             dual_membership(B, 2, 1e-9)
 
+    @pytest.mark.parametrize("search", [
+        cos_certificate_search, lambda Q: dykstra_dual_certificate(Q, 2)],
+        ids=["cosine", "splitting"])
+    def test_certificate_searches_reject_them(self, search):
+        Q = SymMatrix.from_rows([[self.big, 1, 0, 0], [1, 1, 0, 0],
+                                 [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+            search(Q)
+
+    def test_exact_extreme_ray_test_decides_them(self):
+        B = SymMatrix.from_rows([[self.big, 1, 0], [1, 1, 0], [0, 0, -1]])
+        report = check_extreme_candidate(B)
+        assert not report.is_psd and report.in_dual is False
+        assert not report.is_extreme
+        assert report.reason == "not in the dual cone"
+        # the psd block {0, 1} has rank 2; the others are not psd
+        assert report.submatrix_ranks == [2, None, None]
+
+    def test_float_extreme_ray_test_rejects_them(self):
+        B = SymMatrix.from_array(np.array([[1.5e308, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+            check_extreme_candidate(B)
+
 
 class TestCosRay:
     def test_equal_angles_low_rank_psd(self):
@@ -471,6 +494,28 @@ class TestCheckExtremeCandidate:
     def test_identity_not_extreme(self):
         report = check_extreme_candidate(SymMatrix.identity(4).to_float())
         assert report.is_psd and report.psd_rank == 4 and not report.is_extreme
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([[10 ** 8, 1], [1, 1]], 2),
+        ([[10 ** 9, 1], [1, 1]], 2),
+        ([[10 ** 10, 10 ** 5], [10 ** 5, 1]], 1),
+    ])
+    def test_exact_rank_is_the_pivot_count(self, rows, rank):
+        # both determinants of the rank-2 cases are nonzero, though their
+        # float spectra have a small eigenvalue below 1e-8 of the largest
+        report = check_extreme_candidate(SymMatrix.from_rows(rows))
+        assert report.is_psd and report.psd_rank == rank
+        assert report.is_extreme is (rank == 1)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_submatrix_ranks_that_differ_are_not_extreme(self, exact):
+        # det B = -4, every 2 x 2 block is psd, and block {1, 2} has rank 1
+        B = SymMatrix.from_rows([[2, 1, -1], [1, 1, 1], [-1, 1, 1]])
+        report = check_extreme_candidate(B if exact else B.to_float())
+        assert not report.is_psd and report.in_dual
+        assert report.submatrix_ranks == [2, 2, 1]
+        assert not report.is_extreme
+        assert report.reason == "submatrix ranks [1, 2] differ from 1"
 
     def test_cos_ray_extreme(self):
         report = check_extreme_candidate(cos_ray(math.pi / 2, math.pi / 4))

@@ -278,6 +278,12 @@ class TestSoksTest:
         with pytest.raises(GramMismatchError):
             soks_test(p, 2, SymMatrix.from_rows([[1, 1], [1, 1]]))
 
+    def test_gram_entries_beyond_the_float_range_rejected(self):
+        gram = SymMatrix.from_rows([[2 ** 1023, 1], [1, 1]])
+        p = gram_to_poly(gram, monomial_basis(2, 1))
+        with pytest.raises(ValueError, match=r"below 2\*\*1022"):
+            soks_test(p, 2, gram)
+
     def test_indefinite_quadratic_not_member(self):
         p = HomogeneousPoly(2, 2, {(2, 0): 1, (0, 2): -1})
         v = soks_test(p, 2, quadratic_gram(p))
@@ -315,6 +321,23 @@ def test_bad_lambda_or_power_rejected(fn, lam, r):
     q = QuadraticForm(Q=SymMatrix.identity(3))
     with pytest.raises(ValueError):
         fn(q, lam, r)
+
+
+_CUBIC = HomogeneousPoly(2, 3, {(3, 0): 1, (0, 3): 1})
+_QUARTIC = HomogeneousPoly(2, 4, {(4, 0): 1, (0, 4): 1})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quadratic_gram(_QUARTIC), "expected a quadratic"),
+    (lambda: default_gram(_QUARTIC, monomial_basis(2, 1)),
+     "basis does not match"),
+    (lambda: soks_test(_CUBIC, 2, SymMatrix.identity(3)),
+     "even-degree polynomial"),
+    (lambda: parity_aggregates(_CUBIC), "even-degree polynomial"),
+], ids=["quadratic_gram", "default_gram", "soks_test", "parity_aggregates"])
+def test_degree_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestPolyJson:

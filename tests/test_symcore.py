@@ -202,6 +202,10 @@ class TestSubmatrixAndEmbed:
         x = embed(b, Support.of([2]), 4)
         assert x == SymMatrix.diag([0, 0, 1, 0])
 
+    def test_embed_rejects_a_size_mismatch(self):
+        with pytest.raises(ValueError, match="does not match block size"):
+            embed(SymMatrix.identity(2), Support.of([0, 1, 2]), 4)
+
     def test_embed_extract_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -726,5 +730,9 @@ class TestMatrixJson:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             load_matrix_json({"rows": [[1]]})
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            load_matrix_json({"n": 0, "rows": []})
+        with pytest.raises(ValueError, match="boolean is not a matrix entry"):
+            load_matrix_json({"n": 2, "rows": [[1, True], [True, 1]]})
         with pytest.raises(ValueError):
             load_matrix_json({"n": 2, "rows": [[1, 0], [0]]})
