@@ -17,6 +17,7 @@ still accepts ``--max-cycles`` (a nonnegative integer), which has no effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -338,14 +339,12 @@ def build_parser() -> _Parser:
     s.add_argument("--supports", help="JSON file of the supports to run on "
                                       "first (instead of the sparsity seed)")
     _add_solver_flags(s)
-    s.set_defaults(func=cmd_check_fw)
 
     s = subs.add_parser("check-dual", help="decide membership in (FW_k)*")
     s.add_argument("matrix")
     s.add_argument("k", type=int)
     s.add_argument("--tol", type=float, default=1e-9,
                    help="psd tolerance; 0 selects the exact path on rationals")
-    s.set_defaults(func=cmd_check_dual)
 
     s = subs.add_parser("soks", help="sum-of-k-nomial-squares test")
     s.add_argument("poly")
@@ -356,14 +355,12 @@ def build_parser() -> _Parser:
     s.add_argument("--lambda", dest="lam",
                    help="comma-separated multiplier weights")
     _add_solver_flags(s)
-    s.set_defaults(func=cmd_soks)
 
     s = subs.add_parser("pna", help="threshold and witness for the symmetric "
                                     "quadratic family")
     s.add_argument("n", type=int)
     s.add_argument("k", type=int)
     s.add_argument("a", nargs="?", default=None)
-    s.set_defaults(func=cmd_pna)
 
     s = subs.add_parser("certify", help="search for a separating dual "
                                         "certificate")
@@ -371,23 +368,23 @@ def build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("--max-cycles", type=int, default=5000,
                    help="no effect; accepted for compatibility")
-    s.set_defaults(func=cmd_certify)
 
     s = subs.add_parser("eig", help="eigenvalues of a symmetric matrix")
     s.add_argument("matrix")
-    s.set_defaults(func=cmd_eig)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
-    try:
-        report = args.func(args)
+    try:  # by name at call time, so a replaced ``cmd_*`` is the one run
+        report = globals()["cmd_" + args.command.replace("-", "_")](args)
         print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return _verdict_exit(report["verdict"])
     except _CliInputError as exc:

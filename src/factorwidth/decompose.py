@@ -208,8 +208,9 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
-                       index: _BlockIndex) -> MembershipVerdict:
-    """Splitting core: one run on the supports of ``index``, one verdict.
+                       index: _BlockIndex, spent=0) -> MembershipVerdict:
+    """Splitting core: one run on the supports of ``index``, one verdict;
+    ``spent`` counts the iterations an earlier run of the same call used.
 
     A member is found at a residual hit or a z-check, from the clipped Z
     iterate or the projected X iterate.  A z-check whose shifted gap
@@ -218,7 +219,8 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     the end of the iteration budget or an entry outside every support; the
     final gap direction then certifies (``final_gap``) or the verdict is
     ``inconclusive``.  Every verdict but a member says in
-    ``diagnostics["stop"]`` why the run ended.
+    ``diagnostics["stop"]`` why the run ended; the budget exit names the
+    call's whole budget and, after ``spent``, each run's share.
     """
     n = A.n
     m = len(index.rows)
@@ -343,9 +345,11 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     X = _project_psd(Z - U)
     res = float(np.max(np.abs(Af - index.accumulate(X))))
     history.append((opts.max_iter, res))
+    split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
+             "supports; ") if spent else ""
     return _give_up(
-        f"no decomposition within {opts.max_iter} iterations "
-        f"(best residual {best:.3e}, target {target:.3e})",
+        f"no decomposition within {spent + opts.max_iter} iterations "
+        f"({split}best residual {best:.3e}, target {target:.3e})",
         min(best, res), opts.max_iter, _assemble_gap(index, inv_mult, X, Z))
 
 
@@ -388,7 +392,7 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
             and index is not _full_index(A.n, k)):
         rerun = _fw_decompose_impl(
             A, k, replace(opts, max_iter=opts.max_iter - used),
-            _full_index(A.n, k))
+            _full_index(A.n, k), used)
         rerun.diagnostics["iterations"] += used
         if seed is not None:
             rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]

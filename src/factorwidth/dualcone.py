@@ -186,9 +186,10 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     s -> -s.  Every case of a class scores the same, and the kept one has
     the smallest indices, so ties break as over all 384.  Refinement runs
     coordinate descent on the angles and multiplicative positive diagonal
-    scales.  The refined matrix is returned only if it passes ``verify_candidate`` at
-    k = 3, so the search is invariant under positive scaling of Q.
-    ValueError if an |entry| of Q reaches 2**1022.
+    scales, on the same objective in closed form (``_cos_objective``).  The
+    refined matrix is built once and returned only if it passes
+    ``verify_candidate`` at k = 3, so the search is invariant under positive
+    scaling of Q.  ValueError if an |entry| of Q reaches 2**1022.
     """
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
@@ -221,42 +222,62 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
 
     _, ia, ic, p_idx, s_idx = best
     a, c = float(grid[ia]), float(grid[ic])
-    rows = np.argsort(perms[p_idx])
-    sg = np.array(signs[s_idx])
-    d = np.ones(4)
-
-    def objective(aa, cc_, dd):
-        mat = _congruence(_cos_ray_array(aa, cc_), rows, sg * dd)
-        nrm = float(np.linalg.norm(mat))
-        return float(np.vdot(mat, Qf)) / nrm, mat
-
-    val, mat = objective(a, c, d)
+    perm, sg, d = perms[p_idx], signs[s_idx], [1.0] * 4
+    Y = _congruence(Qf, perm, np.take(sg, perm)).tolist()  # the case's Y
+    objective = _cos_objective(Y, d)  # unit scales in either frame
+    val = objective(a, c)
     step_ang = step / 2.0
     step_mul = 1.25
     for _ in range(_COS_REFINE_ITERS):
         improved = False
         for delta in (step_ang, -step_ang):
-            v2, _ = objective(a + delta, c, d)
+            v2 = objective(a + delta, c)
             if v2 < val:
                 a, val, improved = a + delta, v2, True
-            v2, _ = objective(a, c + delta, d)
+            v2 = objective(a, c + delta)
             if v2 < val:
                 c, val, improved = c + delta, v2, True
         for i in range(4):
             for factor in (step_mul, 1.0 / step_mul):
                 d2 = d.copy()
                 d2[i] *= factor
-                v2, _ = objective(a, c, d2)
+                obj2 = _cos_objective(Y, [d2[p] for p in perm])
+                v2 = obj2(a, c)
                 if v2 < val:
-                    d, val, improved = d2, v2, True
+                    d, val, objective, improved = d2, v2, obj2, True
         if not improved:
             step_ang *= 0.6
             step_mul = 1.0 + (step_mul - 1.0) * 0.6
             if step_ang < 1e-12:
                 break
 
-    _, mat = objective(a, c, d)
+    mat = _congruence(_cos_ray_array(a, c), np.argsort(perm),
+                      np.multiply(sg, d))
     return verify_candidate(mat, Q, 3)
+
+
+def _cos_objective(Y, f):
+    """<F B(a, c) F, Y> / ||F B(a, c) F||_F for F = diag(f), in closed form as
+    a function of (a, c).  Off its diagonal B(a, c) holds x_t = cos a,
+    cos(a - c), cos c at the pairs {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}, so
+    the value is (sum f_u^2 Y_uu + sum x_t p_t) / sqrt(sum f_u^4 + sum x_t^2
+    s_t), where p_t and s_t, the sums of 2 f_u f_v Y_uv and 2 f_u^2 f_v^2
+    over the pairs of t, are computed once per f."""
+    f0, f1, f2, f3 = f
+    h0, h1, h2, h3 = f0 * f0, f1 * f1, f2 * f2, f3 * f3
+    p0 = 2.0 * (f0 * f1 * Y[0][1] + f2 * f3 * Y[2][3])
+    p1 = 2.0 * (f0 * f2 * Y[0][2] + f1 * f3 * Y[1][3])
+    p2 = 2.0 * (f0 * f3 * Y[0][3] + f1 * f2 * Y[1][2])
+    s0, s1, s2 = (2.0 * (h0 * h1 + h2 * h3), 2.0 * (h0 * h2 + h1 * h3),
+                  2.0 * (h0 * h3 + h1 * h2))
+    diag = h0 * Y[0][0] + h1 * Y[1][1] + h2 * Y[2][2] + h3 * Y[3][3]
+    quart = h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3
+
+    def value(a, c):
+        x0, x1, x2 = math.cos(a), math.cos(a - c), math.cos(c)
+        return ((diag + x0 * p0 + x1 * p1 + x2 * p2)
+                / math.sqrt(quart + x0 * x0 * s0 + x1 * x1 * s1 + x2 * x2 * s2))
+    return value
 
 
 # ---------------------------------------------------------------------------

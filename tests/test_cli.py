@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -560,3 +564,37 @@ def test_non_finite_output_exits_70(capsys, monkeypatch, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: ValueError")
     assert not (tmp_path / "M.decomposition.json").exists()
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout and stderr of ``python -m factorwidth.cli`` in a new
+    interpreter, importing the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "factorwidth.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_module_entry_point_prints_one_run_report(schema):
+    code, out, err = _fresh_process("pna", "4", "3")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["verdict"] == "found"
+    jsonschema.validate(report, schema)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # the parser is built on the first call and reused; a parse error, a
+    # verdict and --help must each behave as in a fresh interpreter
+    from factorwidth import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    for argv in (["pna", "4", "three"], ["pna", "4", "3"], ["--help"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(*argv)
+    assert cli._parser.cache_info().misses == 1

@@ -478,6 +478,18 @@ class TestIterationBudget:
         assert "seed_stop" not in v.diagnostics
         assert v.diagnostics["iterations"] == 50
 
+    def test_budget_stop_after_an_escalation_names_the_whole_budget(self):
+        # the seed's cone excludes A after 25 iterations; the full run spends
+        # the other 25, and the stop names the call's budget and both shares
+        v = fw_membership(_EXCLUDED_SEED, 3, SolverOptions(max_iter=50))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["iterations"] == 50
+        assert v.diagnostics["seed_stop"] == (
+            "restricted cone excludes A after 25 iterations")
+        assert v.diagnostics["stop"].startswith(
+            "no decomposition within 50 iterations (25 on the first "
+            "supports, 25 on all 4 supports; best residual ")
+
     @pytest.mark.parametrize("max_iter", [1, 25, 50, 400])
     @pytest.mark.parametrize("case", ["excluded_seed", "M_four_supports",
                                       "Qprime_27_supports"])
@@ -500,8 +512,8 @@ class TestIterationBudget:
         runs = []
         impl = decompose._fw_decompose_impl
 
-        def counted(A, k, opts, index):
-            v = impl(A, k, opts, index)
+        def counted(A, k, opts, index, *spent):
+            v = impl(A, k, opts, index, *spent)
             runs.append((opts.max_iter, v.diagnostics["iterations"]))
             return v
 
@@ -595,8 +607,8 @@ class TestRestrictedFallback:
         runs = []
         impl = decompose._fw_decompose_impl
 
-        def counted(A, k, opts, index):
-            v = impl(A, k, opts, index)
+        def counted(A, k, opts, index, *spent):
+            v = impl(A, k, opts, index, *spent)
             runs.append((index is decompose._full_index(A.n, k),
                          v.diagnostics["iterations"]))
             return v

@@ -419,6 +419,72 @@ class TestCosCertificateSearch:
         assert len(set(found)) == 1
 
 
+def _cli_mix_cos_targets(seed, count):
+    """The cosine targets of the benchmark's ``cli_mix`` round, drawn in its
+    order: a rank-1 target on a ray's negative eigenvector plus psd noise,
+    then a random positive diagonal scaling and permutation."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        while True:
+            a, c = rng.uniform(-math.pi, math.pi, 2)
+            if abs(math.sin(a) * math.sin(c) * math.sin(a - c)) > 0.3:
+                break
+        B = cos_ray(a, c).as_array()
+        lam, vec = np.linalg.eigh(B)
+        g = rng.standard_normal((4, 4))
+        R = g @ g.T / 4
+        pairing = float(np.vdot(B, R))
+        delta = -0.5 * lam[0] / pairing if pairing > 0 else 0.5
+        arr = np.outer(vec[:, 0], vec[:, 0]) + delta * R
+        d = np.exp(rng.uniform(-0.5, 0.5, 4))
+        perm = rng.permutation(4)
+        out.append(SymMatrix.from_array(
+            (arr * np.outer(d, d))[np.ix_(perm, perm)]))
+    return out
+
+
+class TestCosObjective:
+    """The refinement's closed-form objective and the search it drives."""
+
+    def test_closed_form_equals_the_matrix_it_describes(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            a, c = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
+            perm = rng.permutation(4)
+            f = rng.choice([-1.0, 1.0], 4) * np.exp(rng.uniform(-3, 3, 4))
+            g = rng.standard_normal((4, 4))
+            Qf = g + g.T
+            # f is diag(D) in the frame of B(a, c): D's entry perm[u] is f[u]
+            D = np.empty(4)
+            D[perm] = f
+            mat = CosExtremeRay(a, c, tuple(perm.tolist()),
+                                tuple(D.tolist())).matrix().as_array()
+            expect = float(np.vdot(mat, Qf)) / float(np.linalg.norm(mat))
+            got = dualcone._cos_objective(Qf[np.ix_(perm, perm)].tolist(),
+                                          f.tolist())(a, c)
+            assert got == pytest.approx(
+                expect, rel=1e-12, abs=1e-12 * np.linalg.norm(Qf))
+
+    # TestCosCertificateSearch pins 1.4, the threshold 3/2 and the identity
+    @pytest.mark.parametrize("eps", [1e-3, 1e-7])
+    def test_found_below_the_threshold(self, eps):
+        Q = pna_form(PnaSpec(4, 1.5 - eps)).Q
+        cert = cos_certificate_search(Q)
+        assert cert is not None
+        assert verify_candidate(cert.B.as_array(), Q, 3) is not None
+
+    def test_found_on_the_benchmark_cosine_targets(self):
+        for i, Q in enumerate(_cli_mix_cos_targets(7, 8)):
+            cert = cos_certificate_search(Q)
+            assert cert is not None, i
+            assert cert.value < -1e-8 * cert.B.frob_norm() * Q.frob_norm()
+
+    def test_none_just_below_the_threshold(self):
+        # 2e-8 below 3/2 no normalized pairing clears the gate's -1e-8
+        assert cos_certificate_search(pna_form(PnaSpec(4, 1.5 - 2e-8)).Q) is None
+
+
 class TestDykstra:
     def test_m_separated_at_width4(self):
         fx = example_m_fixtures()
