@@ -25,8 +25,13 @@ the gate of :mod:`factorwidth.dualcone`.  Every run returns a
 :class:`MembershipVerdict`, and every verdict but a member names the exit that
 ended its run in ``diagnostics["stop"]``.
 
-``fw_membership`` first runs on a user's ``support_list``, else on the
-sparsity seed (the supports whose block of A has no zero entry; cf. the
+Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
+matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), so A is
+a member iff its comparison matrix is psd, and ``_width_two`` builds either
+witness from that matrix's Perron vectors, through the same two gates.
+
+Otherwise ``fw_membership`` first runs on a user's ``support_list``, else on
+the sparsity seed (the supports whose block of A has no zero entry; cf. the
 column generation of Ahmadi, Dash and Hall, Discrete Optim. 2017).  A run on
 fewer supports stops as soon as a z-check direction separates A from its
 cone but not from FW_k; an inconclusive one leaves the rest of the iteration
@@ -353,6 +358,76 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
         min(best, res), opts.max_iter, _assemble_gap(index, inv_mult, X, Z))
 
 
+def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
+    """FW_2 from the comparison matrix comp(A): the diagonal of A, -|a_ij|
+    off it.  One ``eigh`` per connected component of A's off-diagonal
+    pattern gives its least eigenvalue and Perron vector v > 0.
+
+    Below -1e-8 ||A||_F (the gate's margin) the worst component's v makes
+    B_ii = v_i^2, B_ij = -sign(a_ij) v_i v_j: psd on every 2 x 2 block, with
+    <B, A> = v^T comp(A) v.  Otherwise each a_ij != 0 gives the rank-1 block
+    [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], and a positive
+    component eigenvalue goes once on each of its vertices' diagonal (for a
+    vertex without edges, on a listed pair if there is one).  The witness
+    goes to its usual gate; if it fails, the verdict is ``inconclusive``
+    and its ``stop`` says which side failed.
+    """
+    from . import dualcone
+
+    n, Af = A.n, A.as_array()
+    comp = -np.abs(Af)
+    np.fill_diagonal(comp, Af.diagonal())
+    edges = comp < 0
+    np.fill_diagonal(edges, False)
+    reach = edges | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    v, lam = np.zeros(n), np.zeros(n)
+    for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(n)):
+        part = reach[first]
+        w, vec = np.linalg.eigh(comp[np.ix_(part, part)])
+        v[part], lam[part] = np.abs(vec[:, 0]), w[0]
+    least = float(lam.min())
+    quote = f"least comparison eigenvalue {least:.6e}"
+    if least < -1e-8 * A.frob_norm():
+        x = np.where(lam == least, v, 0.0)
+        B = -np.sign(Af) * np.outer(x, x)
+        np.fill_diagonal(B, x * x)
+        cert = dualcone.verify_candidate(B, A, 2)
+        if cert is None:
+            return MembershipVerdict("inconclusive", diagnostics={
+                "stop": f"{quote}: its certificate did not verify"})
+        return MembershipVerdict("non_member", certificate=cert, diagnostics={
+            "iterations": 0, "residual_history": [],
+            "stop": f"comparison matrix is not psd: {quote}",
+            "certificate_value": cert.value,
+            "certificate_source": "comparison"})
+    blocks = {}
+    with np.errstate(all="ignore"):  # a near-zero Perron entry fails build
+        for i, j in zip(*np.nonzero(np.triu(edges))):
+            r, a = v[j] / v[i], Af[i, j]
+            blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
+    pairs = [] if listed is None or listed.k != 2 else listed.rows.tolist()
+    for i in np.flatnonzero(lam > 0.0):
+        nbrs = np.flatnonzero(edges[i]).tolist()
+        j = nbrs[0] if nbrs else next(
+            (p + q - i for p, q in pairs if i in (p, q)), (i + 1) % n)
+        block = blocks.setdefault((min(i, j), max(i, j)), np.zeros((2, 2)))
+        block[int(i > j), int(i > j)] += lam[i]
+    try:
+        d = BlockDecomposition.build(A, 2, [
+            (Support.of(K), SymMatrix.from_array(b))
+            for K, b in blocks.items()])
+    except ValueError:
+        d = None
+    if d is None or d.residual > target:
+        return MembershipVerdict("inconclusive", diagnostics={
+            "stop": f"{quote}: its decomposition did not verify"})
+    return MembershipVerdict("member", decomposition=d, diagnostics={
+        "iterations": 0, "primal_residual": d.residual,
+        "residual_history": []})
+
+
 def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
                   ) -> MembershipVerdict:
     """Three-way membership decision for FW_k.
@@ -363,6 +438,11 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     "inconclusive", never "non_member".  ValueError if an |entry| of A
     reaches 2**1022.
 
+    At k = 2 the comparison matrix decides with no iteration (``_width_two``;
+    ``certificate_source`` ``"comparison"``, ``iterations`` 0).  When its
+    witness does not verify, the splitting decides as at any other width
+    and ``comparison_fallback`` says why.
+
     The first run is on the ``support_list``, else, for A with an exact zero
     entry, on ``symcore._sparsity_seed``.  If it ends inconclusive with
     iterations left, one run on all C(n, k) supports gets the rest and its
@@ -372,18 +452,24 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     ``primal_residual`` and ``residual_history`` (``(iteration, residual)``
     pairs) of the returned run; every verdict but a member says why that
     run ended in ``stop``, and a non-member adds ``certificate_value`` and
-    ``certificate_source``: ``"in_loop_gap"`` (a z-check) or ``"final_gap"``
-    (the exit that ended the run).  ``seed_supports`` is the seed's size
-    (None if no seed ran), and ``seed_stop`` the seeded run's ``stop`` after
-    an escalation.
+    ``certificate_source``: ``"in_loop_gap"`` (a z-check), ``"final_gap"``
+    (the exit that ended the run) or ``"comparison"``.  ``seed_supports``
+    is the seed's size (None if no seed ran), and ``seed_stop`` the seeded
+    run's ``stop`` after an escalation.
     """
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
     if not _fits_float(A):
         raise ValueError("every |entry| must be below 2**1022")
+    index = seed = None
     if opts.support_list is not None:
-        index, seed = _support_index(A.n, k, opts.support_list), None
-    else:
+        index = _support_index(A.n, k, opts.support_list)
+    if k == 2:
+        closed = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
+        if closed.status != "inconclusive":
+            closed.diagnostics["seed_supports"] = None
+            return closed
+    if index is None:
         seed = _sparsity_seed(A.entries != 0, k)
         index = _full_index(A.n, k) if seed is None else seed
     verdict = _fw_decompose_impl(A, k, opts, index)
@@ -399,6 +485,8 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
         verdict = rerun
     verdict.diagnostics["seed_supports"] = (None if seed is None
                                             else len(seed.rows))
+    if k == 2:
+        verdict.diagnostics["comparison_fallback"] = closed.diagnostics["stop"]
     return verdict
 
 

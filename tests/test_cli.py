@@ -110,6 +110,28 @@ class TestCheckFw:
         assert report["artifacts"] == []
         jsonschema.validate(report, schema)
 
+    def test_width_two_reports_the_comparison_verdict(self, capsys, tmp_path,
+                                                     schema):
+        # the all-ones 3x3 is psd, but its comparison matrix is not: the
+        # closed form decides with no splitting iteration and no seed
+        ones = _write(tmp_path / "ones.json", {"n": 3, "rows": [[1] * 3] * 3})
+        code, report = run_cli(capsys, "check-fw", ones, 2)
+        assert code == 1
+        assert report["verdict"] == "non_member"
+        assert report["certificate_source"] == "comparison"
+        assert report["iterations"] == 0
+        assert report["seed_supports"] is None
+        assert report["value"] < 0
+        jsonschema.validate(report, schema)
+        diag = _write(tmp_path / "diag.json", {"n": 3, "rows": [
+            [2, 1, 0], [1, 2, 0], [0, 0, 1]]})
+        code, report = run_cli(capsys, "check-fw", diag, 2)
+        assert code == 0
+        assert report["verdict"] == "member"
+        assert report["certificate_source"] is None
+        assert report["iterations"] == 0
+        jsonschema.validate(report, schema)
+
     def test_malformed_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "rows": [[1, 2], [3, 4]]}')
@@ -137,8 +159,10 @@ def test_schema_declares_exactly_the_keys_written(capsys, fixture_files,
                                                   tmp_path, schema):
     pna3 = TestSoks().write_pna(tmp_path, 3, "19/10")
     diag = _write(tmp_path / "diag.json", {"n": 2, "rows": [[1, 0], [0, 2]]})
+    ones = _write(tmp_path / "ones.json", {"n": 3, "rows": [[1] * 3] * 3})
     written = set()
     for argv in (["check-fw", fixture_files["I5"], 1],
+                 ["check-fw", ones, 2],
                  ["check-dual", fixture_files["A"], 4],
                  ["soks", pna3, 2],
                  ["pna", 4, 3, "3/2"],
@@ -255,9 +279,8 @@ class TestSoks:
         code, report = run_cli(capsys, "soks", p, 2)
         assert code == 1
         jsonschema.validate(report, schema)
-        assert isinstance(report["iterations"], int)
-        assert report["iterations"] >= 1
-        assert report["certificate_source"] in ("in_loop_gap", "final_gap")
+        assert report["iterations"] == 0
+        assert report["certificate_source"] == "comparison"
         assert report["value"] < 0
         assert report["artifacts"] == [
             str(p.with_name(p.stem + ".certificate.json"))]

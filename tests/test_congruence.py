@@ -8,12 +8,14 @@ that invariance.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from factorwidth import decompose, dualcone
 from factorwidth.decompose import fw_membership
 from factorwidth.dualcone import dual_membership
 from factorwidth.families import example_m_fixtures, sobs_comparison
@@ -143,3 +145,54 @@ def test_qprime_seed_is_invariant(kind):
     v = fw_membership(scale_congruence(Q, M), 4)
     assert v.status == "member"
     assert v.diagnostics["seed_supports"] == 39
+
+
+@st.composite
+def _width_two_case(draw):
+    """A unit-diagonal float matrix, off-diagonal entries multiples of 1/8 in
+    [-1, 1] (zero about half the time), whose comparison matrix lies more
+    than 1e-6 from singular; with a permutation and power-of-two scales in
+    [1/2, 2].  That congruence is exact in floats, and for n <= 6 it keeps
+    the comparison matrix's least eigenvalue (at least a quarter of the
+    unit-frame one in size) beyond the closed form's 1e-8 ||A||_F."""
+    n = draw(st.integers(2, 6))
+    a = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i, j] = a[j, i] = draw(st.just(0) | st.integers(-8, 8)) / 8
+    comp = 2 * np.eye(n) - np.abs(a)
+    assume(abs(np.linalg.eigvalsh(comp)[0]) > 1e-6)
+    rows = draw(st.permutations(range(n)))
+    d = [2.0 ** e for e in draw(st.lists(st.integers(-1, 1), min_size=n,
+                                         max_size=n))]
+    return SymMatrix.from_array(a), rows, d
+
+
+@seed(20261019)
+@given(_width_two_case())
+@_SETTINGS
+def test_width_two_verdict_is_the_comparison_oracle(case):
+    # members never reach the certificate gate, non-members reach it once,
+    # and no draw runs a splitting iteration
+    A, rows, d = case
+    B = scale_congruence(A, _matrix(A.n, rows, d))
+    gate, calls = dualcone.verify_candidate, []
+
+    def spy(*args):
+        calls.append(args)
+        return gate(*args)
+
+    def no_projection(*args):
+        raise AssertionError("a splitting iteration ran at k = 2")
+
+    verdicts = []
+    with mock.patch.object(dualcone, "verify_candidate", spy), \
+            mock.patch.object(decompose, "_project_psd", no_projection):
+        for M in (A, B):
+            calls.clear()
+            v = fw_membership(M, 2)
+            assert v.status == ("member" if sobs_comparison(M).is_sobs
+                                else "non_member")
+            assert len(calls) == (v.status == "non_member")
+            verdicts.append(v.status)
+    assert verdicts[0] == verdicts[1]

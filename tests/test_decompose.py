@@ -547,8 +547,8 @@ class TestEarlyInfeasibility:
             assert (v.status == "member") == oracle.is_sobs, trial
             if v.status == "non_member":
                 non_members += 1
-                assert v.diagnostics["iterations"] <= 100, trial
-                assert v.diagnostics["certificate_source"] == "in_loop_gap"
+                assert v.diagnostics["iterations"] == 0, trial
+                assert v.diagnostics["certificate_source"] == "comparison"
         assert non_members >= 20
 
     def test_member_runs_never_call_the_gate(self, monkeypatch):
@@ -646,15 +646,15 @@ class TestRestrictedFallback:
             "restricted cone excludes A after 50 iterations")
 
     def test_uncovered_entry_certified_by_the_full_run(self, monkeypatch):
-        # (0, 1) is outside every support; its closed-form direction needs
-        # too large a shift over all C(5, 2) blocks to separate
+        # (0, 1) is outside every support, but the width-2 comparison
+        # certificate is over all C(5, 2) blocks: no splitting run happens
         runs = self._counted_runs(monkeypatch)
         A = pna_form(PnaSpec(5, 1.5)).Q.to_float()
         supports = [K for K in enumerate_supports(5, 2) if K.indices != (0, 1)]
         v = fw_membership(A, 2, SolverOptions(support_list=supports))
         assert v.status == "non_member"
-        assert len(runs) == 2 and runs[0] == (False, 0)
-        assert v.diagnostics["iterations"] == runs[1][1]
+        assert runs == []
+        assert v.diagnostics["iterations"] == 0
         B = v.certificate.B
         assert dual_membership(B, 2, 1e-9).is_member
         assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
@@ -695,10 +695,11 @@ class TestSparsitySeed:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_dense_input_runs_once_on_all_supports(self, monkeypatch, k):
+        # at width 2 the comparison matrix decides and no run happens
         runs = TestRestrictedFallback._counted_runs(monkeypatch)
         a = np.random.default_rng(k).standard_normal((5, 5))
         v = fw_membership(SymMatrix.from_array(a @ a.T), k)
-        assert [full for full, _ in runs] == [True]
+        assert [full for full, _ in runs] == ([] if k == 2 else [True])
         assert v.diagnostics["seed_supports"] is None
 
     def test_user_supports_run_no_seed(self):
@@ -732,18 +733,89 @@ class TestStopReason:
             "no decomposition within 50 iterations")
 
     def test_plateau(self):
-        # below the width-2 threshold 3, so a non-member, but the congruence
-        # leaves the splitting stalled without a verified certificate
-        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-3))).Q
-        A = scale_congruence(Q, np.diag([1 / 8, 4, 1 / 2, 2]))
-        v = fw_membership(A, 2)
+        # 0.9 of the width-4 threshold 5/3, so a non-member, but the
+        # congruence leaves the splitting stalled without a verified
+        # certificate
+        Q = pna_form(PnaSpec(6, 1.5)).Q
+        A = scale_congruence(Q, np.diag([1 / 8, 8, 1 / 2, 1 / 4, 1 / 4, 1]))
+        v = fw_membership(A, 4)
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"].startswith("residual plateau")
 
     def test_members_carry_no_stop(self):
         fx = example_m_fixtures()
         for v in (fw_membership(SymMatrix.identity(3), 1),
+                  fw_membership(SymMatrix.identity(3), 2),
                   fw_membership(fx.Qprime, 4, SolverOptions(
                       support_list=list(fx.supports27)))):
             assert v.status == "member"
             assert "stop" not in v.diagnostics
+
+
+def _rank_one_block_sum(case):
+    """Sum #``case`` of the seeded sweep of rank-1 psd blocks: per case
+    n in [4, 8), k in [2, n), 1-8 blocks with standard-normal weights on
+    sorted random k-subsets; a member of FW_k by construction."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(case + 1):
+        n = int(rng.integers(4, 8))
+        k, b = int(rng.integers(2, n)), int(rng.integers(1, 9))
+        a = np.zeros((n, n))
+        for _ in range(b):
+            K = np.sort(rng.choice(n, size=k, replace=False))
+            w = rng.standard_normal(k)
+            a[np.ix_(K, K)] += np.outer(w, w)
+    return SymMatrix.from_array(a), k
+
+
+class TestWidthTwoClosedForm:
+    """At k = 2 the comparison matrix decides, with no splitting iteration."""
+
+    @staticmethod
+    def _certified(A):
+        v = fw_membership(A, 2)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "comparison"
+        assert v.diagnostics["iterations"] == 0
+        assert v.diagnostics["stop"].startswith("comparison matrix is not psd")
+        B = v.certificate.B
+        assert dual_membership(B, 2, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+    def test_scaled_family_below_threshold_is_certified(self):
+        # the splitting alone stalls at its plateau on this congruence
+        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-3))).Q
+        self._certified(scale_congruence(Q, np.diag([1 / 8, 4, 1 / 2, 2])))
+
+    def test_scaled_family_near_threshold_is_certified(self):
+        # the splitting alone accepts this congruence as a member within
+        # its absolute target
+        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-6))).Q
+        self._certified(scale_congruence(Q, np.diag([1, 2, 4, 8])))
+
+    def test_rank_one_block_sum_is_a_member(self):
+        # the splitting alone spends its whole budget on this sum's seed
+        A, k = _rank_one_block_sum(27)
+        assert (A.n, k) == (6, 2)
+        v = fw_membership(A, 2)
+        assert v.status == "member"
+        assert v.diagnostics["iterations"] == 0
+        d = decomposition_from_json(decomposition_to_json(v.decomposition), A)
+        assert d.residual <= 1e-7 * (1.0 + A.max_abs())
+        assert all(len(K) == 2 for K, _ in d.blocks)
+
+    def test_isolated_vertex_uses_a_listed_pair(self):
+        A = SymMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
+        v = fw_membership(A, 2, SolverOptions(support_list=[[1, 2]]))
+        blocks = {K.indices: b.as_array() for K, b in v.decomposition.blocks}
+        assert set(blocks) == {(0, 1), (1, 2)}
+        assert blocks[(1, 2)][1, 1] == 3.0
+
+    def test_unverified_side_falls_back_to_the_splitting(self):
+        # the comparison matrix is within the rounding band of singular, so
+        # the member side leaves a residual above a tight target
+        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-9))).Q.to_float()
+        v = fw_membership(Q, 2, SolverOptions(feas_tol=1e-12, max_iter=50))
+        assert v.diagnostics["comparison_fallback"].endswith(
+            "its decomposition did not verify")
+        assert v.diagnostics["iterations"] >= 1
