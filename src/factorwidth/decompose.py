@@ -28,7 +28,7 @@ ended its run in ``diagnostics["stop"]``.
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), so A is
 a member iff its comparison matrix is psd, and ``_width_two`` builds either
-witness from that matrix's Perron vectors, through the same two gates.
+witness from that matrix's eigenvectors, through the same two gates.
 
 Otherwise ``fw_membership`` first runs on a user's ``support_list``, else on
 the sparsity seed (the supports whose block of A has no zero entry; cf. the
@@ -366,11 +366,12 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     Below -1e-8 ||A||_F (the gate's margin) the worst component's v makes
     B_ii = v_i^2, B_ij = -sign(a_ij) v_i v_j: psd on every 2 x 2 block, with
     <B, A> = v^T comp(A) v.  Otherwise each a_ij != 0 gives the rank-1 block
-    [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], and a positive
-    component eigenvalue goes once on each of its vertices' diagonal (for a
-    vertex without edges, on a listed pair if there is one).  The witness
-    goes to its usual gate; if it fails, the verdict is ``inconclusive``
-    and its ``stop`` says which side failed.
+    [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], with v = comp^-1 1 >=
+    1/a_ii on a component above the margin (a Perron entry can underflow),
+    leaving 1/v_i on each diagonal, else leaving the eigenvalue if positive,
+    in one block on the vertex (for a vertex without edges, on a listed pair
+    if there is one).  The witness goes to its usual gate; if it fails, the
+    verdict is ``inconclusive`` and its ``stop`` says which side failed.
     """
     from . import dualcone
 
@@ -382,14 +383,16 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     reach = edges | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = reach @ reach
-    v, lam = np.zeros(n), np.zeros(n)
+    v, lam, margin = np.zeros(n), np.zeros(n), 1e-8 * A.frob_norm()
     for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(n)):
         part = reach[first]
         w, vec = np.linalg.eigh(comp[np.ix_(part, part)])
-        v[part], lam[part] = np.abs(vec[:, 0]), w[0]
+        lam[part] = w[0]
+        v[part] = (vec @ (vec.sum(axis=0) / w) if w[0] > margin  # comp^-1 1
+                   else np.abs(vec[:, 0]))
     least = float(lam.min())
     quote = f"least comparison eigenvalue {least:.6e}"
-    if least < -1e-8 * A.frob_norm():
+    if least < -margin:
         x = np.where(lam == least, v, 0.0)
         B = -np.sign(Af) * np.outer(x, x)
         np.fill_diagonal(B, x * x)
@@ -404,16 +407,17 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
             "certificate_source": "comparison"})
     blocks = {}
     with np.errstate(all="ignore"):  # a near-zero Perron entry fails build
+        rest = np.where(lam > margin, 1.0 / v, lam)  # left on each diagonal
         for i, j in zip(*np.nonzero(np.triu(edges))):
             r, a = v[j] / v[i], Af[i, j]
             blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
     pairs = [] if listed is None or listed.k != 2 else listed.rows.tolist()
-    for i in np.flatnonzero(lam > 0.0):
+    for i in np.flatnonzero(rest > 0.0):
         nbrs = np.flatnonzero(edges[i]).tolist()
         j = nbrs[0] if nbrs else next(
             (p + q - i for p, q in pairs if i in (p, q)), (i + 1) % n)
         block = blocks.setdefault((min(i, j), max(i, j)), np.zeros((2, 2)))
-        block[int(i > j), int(i > j)] += lam[i]
+        block[int(i > j), int(i > j)] += rest[i]
     try:
         d = BlockDecomposition.build(A, 2, [
             (Support.of(K), SymMatrix.from_array(b))

@@ -2,7 +2,9 @@
 
 Everything in this module is exact: coefficients are ``fractions.Fraction``
 throughout, so the parity-aggregate identities hold with equality rather than
-within a tolerance.
+within a tolerance.  The Gram/polynomial layer computes on Python ``int``
+numerators over one common denominator (``_scaled``) and makes one
+``Fraction`` per output entry or coefficient, not one per addition.
 
 ``_pair_classes`` is the one place that maps a pair of basis monomials
 (t_i, t_j) to the monomial t_i + t_j: ``gram_to_poly`` sums each monomial
@@ -50,15 +52,13 @@ class GramMismatchError(ValueError):
     """The supplied Gram matrix does not reproduce the polynomial."""
 
 
-def _degree_tuples(n: int, d: int) -> list[ExponentTuple]:
+@functools.lru_cache(maxsize=128)
+def _degree_tuples(n: int, d: int) -> tuple[ExponentTuple, ...]:
     """All exponent tuples of total degree d, in descending lexicographic order."""
     if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _degree_tuples(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in _degree_tuples(n - 1, d - first))
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class MonomialBasis:
 def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    tuples = tuple(_degree_tuples(n, d))
+    tuples = _degree_tuples(n, d)
     assert len(tuples) == math.comb(n + d - 1, d)
     return MonomialBasis(n=n, d=d, tuples=tuples,
                          index={t: i for i, t in enumerate(tuples)})
@@ -109,6 +109,14 @@ class HomogeneousPoly:
             if c != 0:
                 clean[t] = c
         self.coefficients = clean
+
+    @classmethod
+    def _wrap(cls, n: int, degree: int, coefficients: dict) -> "HomogeneousPoly":
+        """An instance on ``coefficients``, already a map of degree-``degree``
+        basis tuples to nonzero ``Fraction``s, so nothing is re-checked."""
+        p = cls.__new__(cls)
+        p.n, p.degree, p.coefficients = n, degree, coefficients
+        return p
 
 
 @dataclass
@@ -159,17 +167,35 @@ def _odd_masks(n: int, d: int) -> np.ndarray:
     return masks
 
 
+def _scaled(entries: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(num, den)``, ``num`` an ``int`` object array with ``entries ==
+    num / den`` exactly, ``den`` the lcm of the denominators (floats too)."""
+    ratios = [e.as_integer_ratio() for e in entries.ravel().tolist()]
+    dens = {q for _, q in ratios}
+    den = math.lcm(*dens)
+    scale = {q: den // q for q in dens}  # one division per denominator
+    num = np.array([p * scale[q] for p, q in ratios], dtype=object)
+    return num.reshape(entries.shape), den
+
+
+def _class_sums(num: np.ndarray, den: int, basis: MonomialBasis
+                ) -> HomogeneousPoly:
+    """``z^T (num / den) z`` over the monomial vector of ``basis``: the
+    numerators are summed per monomial class, then divided once."""
+    full, cls = _pair_classes(basis.n, basis.d)
+    sums = np.zeros(len(full), dtype=object)
+    np.add.at(sums, cls.ravel(), num.ravel())
+    return HomogeneousPoly._wrap(basis.n, 2 * basis.d, {
+        t: Fraction(s, den) for t, s in zip(full.tuples, sums.tolist()) if s})
+
+
 def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
     """Expand ``z^T Qp z`` over the monomial vector of ``basis`` (exactly):
     each coefficient is the sum of the exact entries in its monomial class."""
     if Qp.n != len(basis):
         raise ValueError(
             f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
-    full, cls = _pair_classes(basis.n, basis.d)
-    sums = np.zeros(len(full), dtype=object)
-    np.add.at(sums, cls.ravel(), Qp.to_exact().entries.ravel())
-    return HomogeneousPoly(n=basis.n, degree=2 * basis.d,
-                           coefficients=dict(zip(full.tuples, sums.tolist())))
+    return _class_sums(*_scaled(Qp.entries), basis)
 
 
 def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
@@ -190,10 +216,10 @@ def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     # unordered pairs per class: (ordered pairs + diagonal pairs) / 2
     u = (np.bincount(cls.ravel(), minlength=len(full))
          + np.bincount(cls.diagonal(), minlength=len(full))) // 2
-    share = np.array([Fraction(p.coefficients.get(t, 0), int(w))
-                      for t, w in zip(full.tuples, u)], dtype=object)[cls]
-    diag = np.eye(len(basis), dtype=bool)
-    return SymMatrix._wrap(np.where(diag, share, share / 2), True)
+    # one division per class and place (on or off the diagonal), not per entry
+    share = np.array([(Fraction(c, w), Fraction(c, 2 * w)) for c, w in zip(
+        (p.coefficients.get(t, 0) for t in full.tuples), u.tolist())], object)
+    return SymMatrix._wrap(share[cls, 1 - np.eye(len(basis), dtype=int)], True)
 
 
 def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
@@ -203,16 +229,9 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     of Q at the basis positions ``x^a x_i``; a width-k decomposition of Q thus
     lifts block-by-block, so this Gram is in FW_k whenever Q is.
     """
-    n = q.n
-    terms = _weighted_power_terms(n, lam, r)
-    Q = q.Q.to_exact().entries
-    basis = monomial_basis(n, r + 1)
-    out = np.full((len(basis), len(basis)), Fraction(0), dtype=object)
-    unit = np.eye(n, dtype=int)
-    for alpha, w in terms:
-        pos = [basis.index[t] for t in map(tuple, (unit + alpha).tolist())]
-        out[np.ix_(pos, pos)] += w * Q
-    return SymMatrix._wrap(out, True)
+    num, den = _lift_numerators(q, lam, r)
+    frac = {v: Fraction(v, den) for v in set(num.flat)}  # one per value
+    return SymMatrix._wrap(np.frompyfunc(frac.__getitem__, 1, 1)(num), True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +239,30 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_power_terms(n: int, lam: Sequence, r: int
-                          ) -> list[tuple[ExponentTuple, Fraction]]:
-    """Nonzero terms ``(alpha, w)`` of ``(sum_i (lam_i x_i)^2)^r``, which is
-    ``sum_alpha w x^(2 alpha)`` over exponent tuples alpha of degree r."""
+def _lift_numerators(q: QuadraticForm, lam: Sequence, r: int
+                     ) -> tuple[np.ndarray, int]:
+    """``multiplier_gram(q, lam, r)`` as ``(int numerators, denominator)``:
+    with ``L`` the lcm of the lam denominators, the term ``x^(2 alpha)`` of
+    ``(sum_i (lam_i x_i)^2)^r`` has the integer weight
+    ``C(r; alpha) prod (L lam_i)^(2 alpha_i)`` over ``L^(2r)``."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    lam = [Fraction(v) for v in lam]
+    n, lam = q.n, [Fraction(v) for v in lam]
     if len(lam) != n or all(v == 0 for v in lam):
         raise ValueError("lambda must have length n and not be all zero")
-    terms = []
+    L = math.lcm(*(v.denominator for v in lam))
+    sq = [(v.numerator * (L // v.denominator)) ** 2 for v in lam]
+    Q, den = _scaled(q.Q.entries)
+    basis = monomial_basis(n, r + 1)
+    out = np.zeros((len(basis), len(basis)), dtype=object)
+    unit = np.eye(n, dtype=int)
     for alpha in _degree_tuples(n, r):
-        w = Fraction(math.factorial(r),
-                     math.prod(math.factorial(a) for a in alpha))
-        for i in range(n):
-            w *= lam[i] ** (2 * alpha[i])
-        if w != 0:
-            terms.append((alpha, w))
-    return terms
+        w = (math.factorial(r) // math.prod(math.factorial(a) for a in alpha)
+             * math.prod(s ** a for s, a in zip(sq, alpha)))
+        if w:
+            pos = [basis.index[t] for t in map(tuple, (unit + alpha).tolist())]
+            out[np.ix_(pos, pos)] += w * Q
+    return out, den * L ** (2 * r)
 
 
 def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
@@ -246,7 +271,7 @@ def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
 
     Every monomial of the result has zero or two odd-degree variables.
     """
-    return gram_to_poly(multiplier_gram(q, lam, r), monomial_basis(q.n, r + 1))
+    return _class_sums(*_lift_numerators(q, lam, r), monomial_basis(q.n, r + 1))
 
 
 def parity_aggregates(p: HomogeneousPoly):

@@ -804,6 +804,18 @@ class TestWidthTwoClosedForm:
         assert d.residual <= 1e-7 * (1.0 + A.max_abs())
         assert all(len(K) == 2 for K, _ in d.blocks)
 
+    def test_underflowing_perron_entry_is_decided_in_closed_form(self):
+        # the component's Perron vector is about (1, 1e-300, 1e-300), whose
+        # ratios are not finite; comp^-1 1 is of order one
+        A = SymMatrix.from_rows([[1, 1e-300, 0], [1e-300, 2, 0.5],
+                                 [0, 0.5, 2]])
+        v = fw_membership(A, 2)
+        assert v.status == "member"
+        assert "comparison_fallback" not in v.diagnostics
+        assert v.diagnostics["iterations"] == 0
+        assert v.diagnostics["residual_history"] == []
+        assert v.decomposition.residual <= 1e-7 * (1.0 + A.max_abs())
+
     def test_isolated_vertex_uses_a_listed_pair(self):
         A = SymMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
         v = fw_membership(A, 2, SolverOptions(support_list=[[1, 2]]))

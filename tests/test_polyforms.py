@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from factorwidth.polyforms import (
     quadratic_gram,
     soks_test,
 )
-from factorwidth.symcore import SymMatrix, frobenius_inner
+from factorwidth.symcore import SymMatrix, frobenius_inner, matrix_to_json
 
 
 def sympy_expand_oracle(Q: SymMatrix, lam, r):
@@ -47,6 +48,104 @@ def random_rational_sym(rnd, n):
             v = Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
             rows[i][j] = rows[j][i] = v
     return SymMatrix.from_rows(rows)
+
+
+# Plain-Fraction references: one exact addition or division per Gram entry,
+# the loops the integer-numerator layer must agree with.
+
+def _ref_tuples(n, d):
+    if n == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d, -1, -1)
+            for rest in _ref_tuples(n - 1, d - a)]
+
+
+def _ref_gram_to_poly(rows, basis):
+    coeffs: dict = {}
+    for i, t in enumerate(basis.tuples):
+        for j, u in enumerate(basis.tuples):
+            key = tuple(a + b for a, b in zip(t, u))
+            coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(rows[i][j])
+    return {t: c for t, c in coeffs.items() if c != 0}
+
+
+def _ref_default_gram(p, basis):
+    ts = basis.tuples
+    mono = [[tuple(a + b for a, b in zip(t, u)) for u in ts] for t in ts]
+    pairs: dict = {}
+    for i in range(len(ts)):
+        for j in range(i, len(ts)):
+            pairs[mono[i][j]] = pairs.get(mono[i][j], 0) + 1
+    return [[Fraction(p.coefficients.get(mono[i][j], 0))
+             / (pairs[mono[i][j]] * (1 if i == j else 2))
+             for j in range(len(ts))] for i in range(len(ts))]
+
+
+def _ref_multiplier_gram(rows, lam, r):
+    n = len(rows)
+    basis = monomial_basis(n, r + 1)
+    out = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
+    for alpha in _ref_tuples(n, r):
+        w = Fraction(math.factorial(r),
+                     math.prod(math.factorial(a) for a in alpha))
+        for i in range(n):
+            w *= Fraction(lam[i]) ** (2 * alpha[i])
+        pos = [basis.position(tuple(a + (i == j) for j, a in enumerate(alpha)))
+               for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                out[pos[i]][pos[j]] += w * Fraction(rows[i][j])
+    return out
+
+
+_DENS = (1, 2, 3, 5, 7, 11, 13)
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENS)
+                      ).map(lambda f: int(f) if f.denominator == 1 else f)
+
+
+@st.composite
+def _grams(draw, m):
+    """Integer, rational (over coprime denominators) or float."""
+    entry = draw(st.sampled_from(
+        [st.integers(-9, 9), _RATIONAL, st.floats(-8, 8, allow_nan=False)]))
+    return SymMatrix(m, draw(st.lists(entry, min_size=m * (m + 1) // 2,
+                                      max_size=m * (m + 1) // 2)))
+
+
+def _assert_canonical(p):
+    # every coefficient a nonzero Fraction, as the public constructor makes
+    assert all(type(c) is Fraction and c != 0
+               for c in p.coefficients.values())
+    assert HomogeneousPoly(p.n, p.degree, dict(p.coefficients)) == p
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_layer_matches_a_plain_fraction_reference(data):
+    n, r, d = (data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2)),
+               data.draw(st.integers(1, 2)))
+    basis = monomial_basis(n, d)
+    G = data.draw(_grams(len(basis)))
+    p = gram_to_poly(G, basis)
+    assert p.coefficients == _ref_gram_to_poly(G.rows(), basis)
+    g = default_gram(p, basis)
+    assert g.rows() == _ref_default_gram(p, basis)
+
+    q = QuadraticForm(Q=data.draw(_grams(n)))
+    weight = data.draw(st.sampled_from([st.integers(-3, 3), st.builds(
+        Fraction, st.integers(-3, 3), st.sampled_from(_DENS))]))
+    lam = data.draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+    lifted = multiplier_gram(q, lam, r)
+    ref = _ref_multiplier_gram(q.Q.rows(), lam, r)
+    assert lifted.rows() == ref
+    product = multiply_weighted_power(q, lam, r)
+    assert product.coefficients == _ref_gram_to_poly(
+        ref, monomial_basis(n, r + 1))
+    for poly in (p, product):
+        _assert_canonical(poly)
+    for M in (g, lifted):
+        assert M.is_exact
+        assert all(type(e) is Fraction for row in M.rows() for e in row)
 
 
 class TestMonomialBasis:
@@ -293,15 +392,27 @@ class TestSoksTest:
 
 class TestMultiplierGram:
     def test_reproduces_the_product(self):
+        # the product is the class sum of this Gram, whose JSON is the
+        # plain-Fraction reference's byte for byte; the draws cover float
+        # Grams, coprime denominators and zero weights
         rnd = random.Random(6)
-        for _ in range(10):
+        for c in range(12):
             n = rnd.randint(2, 4)
-            q = QuadraticForm(Q=random_rational_sym(rnd, n))
-            lam = [Fraction(rnd.randint(1, 3)) for _ in range(n)]
+            Q = random_rational_sym(rnd, n)
+            if c % 3 == 1:
+                Q = Q.to_float()
+            q = QuadraticForm(Q=Q)
+            lam = [Fraction(rnd.randint(1, 3), rnd.choice(_DENS))
+                   for _ in range(n)]
+            if c % 2:
+                lam[rnd.randrange(n)] = Fraction(0)
             r = rnd.randint(0, 2)
             g = multiplier_gram(q, lam, r)
             p = multiply_weighted_power(q, lam, r)
             assert gram_to_poly(g, monomial_basis(n, r + 1)) == p
+            ref = SymMatrix.from_rows(_ref_multiplier_gram(Q.rows(), lam, r))
+            assert (json.dumps(matrix_to_json(g))
+                    == json.dumps(matrix_to_json(ref)))
 
     def test_r_zero_is_the_gram(self):
         rnd = random.Random(7)
