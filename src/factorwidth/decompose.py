@@ -5,18 +5,19 @@ is solved by alternating-direction splitting: per-support blocks are projected
 onto the psd cone, a closed-form affine correction restores consensus (the
 residual is distributed by entry multiplicity, which makes that step an exact
 projection), and scaled multipliers accumulate the disagreement.  A member is
-proved by the consensus-exact Z iterate with its blocks clipped to the psd
-cone, or by the X iterate, re-verified as they stand.  The core is given the
+proved by one stack, re-verified as it stands: the consensus-exact Z iterate
+with its blocks clipped to the psd cone or the X iterate, whichever has the
+smaller recomputed residual.  The core is given the
 ``symcore._BlockIndex`` of its supports, and every block read and write goes
 through it; only ``BlockDecomposition.build`` re-accumulates the blocks on
 its own, as the independent re-verification.
 
 Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
 Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment)
-converges to a separating direction.  Every z-check shifts it by the multiple
-of the identity that puts it in the dual cone and, when the shifted direction
-pairs negatively with A, hands it to the certificate gate; a pass stops the
-run with the certificate.
+converges to a separating direction, in that sign, so it is the one
+candidate.  Every z-check shifts it by the multiple of the identity that puts
+it in the dual cone and, when the shifted direction pairs negatively with A,
+hands it to the certificate gate; a pass stops the run with the certificate.
 
 The exits that end a run (plateau, iteration budget, an entry outside every
 support) try their final gap direction through the same shift.  Non-membership
@@ -28,7 +29,7 @@ ended its run in ``diagnostics["stop"]``.
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), so A is
 a member iff its comparison matrix is psd, and ``_width_two`` builds either
-witness from that matrix's eigenvectors, through the same two gates.
+witness from one ``eigh`` of that matrix, through the same two gates.
 
 Otherwise ``fw_membership`` first runs on a user's ``support_list``, else on
 the sparsity seed (the supports whose block of A has no zero entry; cf. the
@@ -57,6 +58,7 @@ from .symcore import (
     _as_int,
     _as_width,
     _fits_float,
+    _frob,
     _full_index,
     _project_psd,
     _sparsity_seed,
@@ -167,25 +169,23 @@ def _support_index(n: int, k: int, support_list) -> _BlockIndex:
 def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
     """Ambient image of the block-space gap X - Z (the would-be certificate)."""
     gap = index.accumulate(X - Z) * inv_mult
-    norm = float(np.linalg.norm(gap))
-    if norm == 0.0 or not np.all(np.isfinite(gap)):
-        return None
-    return gap / norm
+    norm = _frob(gap) if np.all(np.isfinite(gap)) else 0.0
+    return gap / norm if norm else None
 
 
 def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
                      index: _BlockIndex, gap):
     """A verified certificate from the gap direction, shifted, or None.
 
-    Adding eps*I raises every principal block by eps.  So with eps the most
-    negative block eigenvalue of +gap (or of -gap), +gap + eps*I (or
-    -gap + eps*I) lies exactly in the dual of the run's cone and pairs with
-    A as <+-gap, A> + eps tr A.  A member of that cone pairs nonnegatively
-    with it, so only a strictly negative pairing goes on; a restricted run
-    then recomputes eps over all C(n, k) supports, and the candidate goes
-    to the one certificate gate as it is.  When no candidate survives that
-    recomputation, the run's cone excludes A and the outcome is
-    ``_EXCLUDED``.  ``Af`` is A as an array.
+    The gap X - Z is the one candidate: Banjac et al. prescribe its sign.
+    Adding eps*I raises every principal block by eps, so with eps the most
+    negative block eigenvalue of the gap, gap + eps*I lies exactly in the
+    dual of the run's cone and pairs with A as <gap, A> + eps tr A.  A member
+    of that cone pairs nonnegatively with it, so only a strictly negative
+    pairing goes on; a restricted run then recomputes eps over all C(n, k)
+    supports, and the candidate goes to the one certificate gate as it is.
+    If it no longer pairs negatively, the run's cone excludes A and the
+    outcome is ``_EXCLUDED``.  ``Af`` is A as an array.
     """
     from . import dualcone
 
@@ -193,23 +193,19 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
         return None
     inner, trace = float(np.vdot(gap, Af)), float(np.trace(Af))
 
-    def separating(idx):
+    def shift(idx):
         lam = np.linalg.eigvalsh(idx.gather(gap))
-        shifts = (max(0.0, -float(lam[:, 0].min())),
-                  max(0.0, float(lam[:, -1].max())))
-        return [(sign, eps) for sign, eps in zip((1.0, -1.0), shifts)
-                if sign * inner + eps * trace < 0.0]
+        eps = max(0.0, -float(lam[:, 0].min()))
+        return eps if inner + eps * trace < 0.0 else None
 
-    candidates = separating(index)
-    if candidates and index is not _full_index(A.n, k):
-        candidates = separating(_full_index(A.n, k))
-        if not candidates:
+    eps = shift(index)
+    if eps is None:
+        return None
+    if index is not _full_index(A.n, k):
+        eps = shift(_full_index(A.n, k))
+        if eps is None:
             return _EXCLUDED
-    for sign, eps in candidates:
-        cert = dualcone.verify_candidate(sign * gap + eps * np.eye(A.n), A, k)
-        if cert is not None:
-            return cert
-    return None
+    return dualcone.verify_candidate(gap + eps * np.eye(A.n), A, k)
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
@@ -300,19 +296,16 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
         if res <= target or zcheck:
             # the Z iterate is consensus-exact by construction; once its
             # blocks are (numerically) psd, clipping them is a solution.
-            # Each side within the target is tried, the smaller recomputed
-            # residual first
+            # The stack with the smaller recomputed residual is the witness
             Xz = _project_psd(Z)
             resz = float(np.max(np.abs(Af - index.accumulate(Xz))))
-            tries = ([(resz, Xz), (res, X)] if resz <= res
-                     else [(res, X), (resz, Xz)])
-            for r, stack in tries:
-                d = _accept(stack) if r <= target else None
-                if d is not None:
-                    return MembershipVerdict(
-                        "member", decomposition=d, diagnostics={
-                            "iterations": it, "primal_residual": d.residual,
-                            "residual_history": history})
+            r, stack = (resz, Xz) if resz <= res else (res, X)
+            d = _accept(stack) if r <= target else None
+            if d is not None:
+                return MembershipVerdict(
+                    "member", decomposition=d, diagnostics={
+                        "iterations": it, "primal_residual": d.residual,
+                        "residual_history": history})
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
@@ -359,41 +352,30 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
 
 
 def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
-    """FW_2 from the comparison matrix comp(A): the diagonal of A, -|a_ij|
-    off it.  One ``eigh`` per connected component of A's off-diagonal
-    pattern gives its least eigenvalue and Perron vector v > 0.
+    """FW_2 from one ``eigh`` of the comparison matrix comp(A): the diagonal
+    of A, -|a_ij| off it.
 
-    Below -1e-8 ||A||_F (the gate's margin) the worst component's v makes
-    B_ii = v_i^2, B_ij = -sign(a_ij) v_i v_j: psd on every 2 x 2 block, with
-    <B, A> = v^T comp(A) v.  Otherwise each a_ij != 0 gives the rank-1 block
-    [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], with v = comp^-1 1 >=
-    1/a_ii on a component above the margin (a Perron entry can underflow),
-    leaving 1/v_i on each diagonal, else leaving the eigenvalue if positive,
-    in one block on the vertex (for a vertex without edges, on a listed pair
-    if there is one).  The witness goes to its usual gate; if it fails, the
-    verdict is ``inconclusive`` and its ``stop`` says which side failed.
+    Below -1e-8 ||A||_F (the gate's margin) x = |least eigenvector| makes
+    B_ii = x_i^2, B_ij = -sign(a_ij) x_i x_j: psd on every 2 x 2 block, with
+    <B, A> = x^T comp(A) x = lambda_min.  Otherwise s = max(0, margin -
+    lambda_min) makes comp + sI a nonsingular M-matrix, so v = (comp + sI)^-1
+    1 >= 1/(a_ii + s) > 0 (s = 0 above the margin).  Each a_ij != 0 gives
+    the rank-1 block [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], which
+    leaves 1/v_i - s on vertex i's diagonal; where that is positive it goes
+    in one block on the vertex (for a vertex without edges, on a listed
+    pair if there is one).  The witness goes to its usual gate; if it fails,
+    the verdict is ``inconclusive`` and its ``stop`` says which side failed.
     """
     from . import dualcone
 
     n, Af = A.n, A.as_array()
     comp = -np.abs(Af)
     np.fill_diagonal(comp, Af.diagonal())
-    edges = comp < 0
-    np.fill_diagonal(edges, False)
-    reach = edges | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = reach @ reach
-    v, lam, margin = np.zeros(n), np.zeros(n), 1e-8 * A.frob_norm()
-    for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(n)):
-        part = reach[first]
-        w, vec = np.linalg.eigh(comp[np.ix_(part, part)])
-        lam[part] = w[0]
-        v[part] = (vec @ (vec.sum(axis=0) / w) if w[0] > margin  # comp^-1 1
-                   else np.abs(vec[:, 0]))
-    least = float(lam.min())
+    w, vec = np.linalg.eigh(comp)
+    least, margin = float(w[0]), 1e-8 * A.frob_norm()
     quote = f"least comparison eigenvalue {least:.6e}"
     if least < -margin:
-        x = np.where(lam == least, v, 0.0)
+        x = np.abs(vec[:, 0])
         B = -np.sign(Af) * np.outer(x, x)
         np.fill_diagonal(B, x * x)
         cert = dualcone.verify_candidate(B, A, 2)
@@ -405,12 +387,16 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
             "stop": f"comparison matrix is not psd: {quote}",
             "certificate_value": cert.value,
             "certificate_source": "comparison"})
+    s = max(0.0, margin - least)
+    # v = (comp + sI)^-1 1 from the same eigh; A = 0 (margin 0) has no edges,
+    # and v = inf leaves no diagonal
+    v = vec @ (vec.sum(axis=0) / (w + s)) if margin else np.full(n, np.inf)
+    edges = (Af != 0) & ~np.eye(n, dtype=bool)
     blocks = {}
-    with np.errstate(all="ignore"):  # a near-zero Perron entry fails build
-        rest = np.where(lam > margin, 1.0 / v, lam)  # left on each diagonal
-        for i, j in zip(*np.nonzero(np.triu(edges))):
-            r, a = v[j] / v[i], Af[i, j]
-            blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
+    for i, j in zip(*np.nonzero(np.triu(edges))):
+        r, a = v[j] / v[i], Af[i, j]
+        blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
+    rest = 1.0 / v - s
     pairs = [] if listed is None or listed.k != 2 else listed.rows.tolist()
     for i in np.flatnonzero(rest > 0.0):
         nbrs = np.flatnonzero(edges[i]).tolist()

@@ -39,6 +39,7 @@ from .symcore import (
     _congruence,
     _exact_psd,
     _fits_float,
+    _frob,
     _full_index,
     _psd_battery,
 )
@@ -296,8 +297,8 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int
     rejected.
     """
     qnorm = Q.frob_norm()
-    norm = float(np.linalg.norm(candidate))
-    if norm == 0.0 or qnorm == 0.0 or not np.all(np.isfinite(candidate)):
+    norm = _frob(candidate) if np.all(np.isfinite(candidate)) else 0.0
+    if norm == 0.0 or qnorm == 0.0:
         return None
     B = SymMatrix.from_array(candidate / norm)
     report = dual_membership(B, k, 1e-9)

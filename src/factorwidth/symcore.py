@@ -163,7 +163,7 @@ class SymMatrix:
         return float(np.max(np.abs(self.entries)))
 
     def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+        return _frob(self.as_array())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -175,6 +175,14 @@ class SymMatrix:
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else "float"
         return f"SymMatrix(n={self.n}, {kind})"
+
+
+def _frob(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a finite float array, taken at the power-of-two
+    scale of max|a| (exact) so that no square overflows or underflows."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    b = np.ldexp(a, -e).ravel()
+    return math.ldexp(math.sqrt(float(b @ b)), e)
 
 
 def _check_symmetric(differs: np.ndarray) -> None:

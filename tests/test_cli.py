@@ -132,6 +132,19 @@ class TestCheckFw:
         assert report["iterations"] == 0
         jsonschema.validate(report, schema)
 
+    def test_width_two_far_above_one(self, capsys, tmp_path, schema):
+        # every square of a 1e200 entry overflows; the norms scale first
+        ones = _write(tmp_path / "ones.json",
+                      {"n": 3, "rows": [[1e200] * 3] * 3})
+        code = main(["check-fw", str(ones), "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["verdict"] == "non_member"
+        assert report["certificate_source"] == "comparison"
+        jsonschema.validate(report, schema)
+
     def test_malformed_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "rows": [[1, 2], [3, 4]]}')

@@ -196,3 +196,19 @@ def test_width_two_verdict_is_the_comparison_oracle(case):
             assert len(calls) == (v.status == "non_member")
             verdicts.append(v.status)
     assert verdicts[0] == verdicts[1]
+
+
+@seed(20261020)
+@given(_width_two_case(), st.sampled_from([520, 560, 600, 1000]),
+       st.sampled_from([1, -1]))
+@_SETTINGS
+def test_width_two_verdict_is_invariant_under_positive_scaling(case, e, sign):
+    # 2^e A is exact in floats, and FW_2 is a cone; far from 1 no norm may
+    # overflow or underflow on the way to the closed-form verdict
+    A, rows, d = case
+    B = scale_congruence(A, _matrix(A.n, rows, d))
+    v = fw_membership(SymMatrix.from_array(np.ldexp(B.as_array(), sign * e)),
+                      2)
+    assert v.status == fw_membership(B, 2).status
+    assert v.diagnostics["iterations"] == 0
+    assert "comparison_fallback" not in v.diagnostics

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -823,6 +824,58 @@ class TestWidthTwoClosedForm:
         assert set(blocks) == {(0, 1), (1, 2)}
         assert blocks[(1, 2)][1, 1] == 3.0
 
+    @staticmethod
+    def _closed(A, status):
+        v = fw_membership(A, 2)
+        assert v.status == status
+        assert v.diagnostics["iterations"] == 0
+        assert "comparison_fallback" not in v.diagnostics
+        return v
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_zero_matrix_is_the_empty_sum(self, exact):
+        d = self._closed(SymMatrix.zeros(3, exact), "member").decomposition
+        assert d.blocks == [] and d.residual == 0.0
+
+    def test_zero_row_is_a_member(self):
+        self._closed(SymMatrix.from_rows([[0, 0, 0], [0, 2, 1], [0, 1, 2]]),
+                     "member")
+
+    def test_member_at_the_top_of_the_float_range(self):
+        a = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
+        self._closed(SymMatrix.from_array(np.ldexp(a, 1020)), "member")
+
+    def test_non_member_at_the_top_of_the_float_range(self):
+        A = SymMatrix.from_array(np.ldexp(np.ones((3, 3)), 1020))
+        self._closed(A, "non_member")
+        self._certified(A)
+
+    def test_rank_one_block_sums_are_members(self):
+        sums = [_rank_one_block_sum(case) for case in range(120)]
+        width_two = [A for A, k in sums if k == 2]
+        assert len(width_two) >= 30
+        for A in width_two:
+            self._closed(A, "member")
+
+    @pytest.mark.parametrize("rows,status", [
+        ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, -1, 0],
+          [0, 0, -1, 3, 0], [0, 0, 0, 0, 1]], "member"),
+        ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+         "non_member"),
+    ], ids=["member", "non_member"])
+    def test_one_eigh_per_decision(self, monkeypatch, rows, status):
+        # several connected components still make one eigh; the gates'
+        # own eigh calls on the blocks are not the decision's
+        eigh, callers = np.linalg.eigh, []
+
+        def spy(a):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        self._closed(SymMatrix.from_rows(rows), status)
+        assert callers.count("factorwidth.decompose") == 1
+
     def test_unverified_side_falls_back_to_the_splitting(self):
         # the comparison matrix is within the rounding band of singular, so
         # the member side leaves a residual above a tight target
@@ -831,3 +884,75 @@ class TestWidthTwoClosedForm:
         assert v.diagnostics["comparison_fallback"].endswith(
             "its decomposition did not verify")
         assert v.diagnostics["iterations"] >= 1
+
+
+class TestExtremeScales:
+    """Far from 1 in either direction, no norm overflows or underflows: the
+    family below its threshold stays certified, with no warning."""
+
+    @pytest.mark.parametrize("n,a,k,scale", [
+        (n, a, k, scale)
+        for n, a in ((3, 1), (4, 1.2), (5, 1.2))
+        for scale in (1e160, 1e300)
+        for k in range(2, n)
+    ] + [(n, a, 2, scale) for n, a in ((3, 1), (4, 1.2), (5, 1.2))
+         for scale in (1e-170, 1e-300)])
+    def test_family_below_its_threshold_is_certified(self, n, a, k, scale):
+        A = SymMatrix.from_array(
+            pna_form(PnaSpec(n, a)).Q.to_float().as_array() * scale)
+        v = fw_membership(A, k)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == (
+            "comparison" if k == 2 else "in_loop_gap")
+        B = v.certificate.B
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+
+class TestOneWitnessPerExit:
+    """Each exit of the splitting core hands one witness to its gate."""
+
+    @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 4), (6, 5)])
+    def test_gap_certificate_tries_one_candidate(self, monkeypatch, n, k):
+        from factorwidth import decompose, dualcone
+
+        gate, certify, per_call = (dualcone.verify_candidate,
+                                   decompose._gap_certificate, [])
+
+        def spy_gate(*args):
+            per_call[-1] += 1
+            return gate(*args)
+
+        def spy_certify(*args):
+            per_call.append(0)
+            return certify(*args)
+
+        monkeypatch.setattr(dualcone, "verify_candidate", spy_gate)
+        monkeypatch.setattr(decompose, "_gap_certificate", spy_certify)
+        thr = (n - 1) / (k - 1)
+        cases = [(pna_form(PnaSpec(n, thr * f)).Q.to_float(), k)
+                 for f in (0.5, 0.9, 0.99)]
+        if (n, k) == (5, 4):
+            cases.append((example_m_fixtures().M, 4))
+        for A, k in cases:
+            per_call.clear()
+            assert fw_membership(A, k).status == "non_member"
+            assert per_call and max(per_call) <= 1
+
+    def test_member_builds_one_decomposition(self, monkeypatch):
+        build, calls = BlockDecomposition.build.__func__, []
+
+        def spy(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(BlockDecomposition, "build", classmethod(spy))
+        fx = example_m_fixtures()
+        rng = np.random.default_rng(11)
+        cases = [(fx.Qprime, 4, SolverOptions(support_list=fx.supports27)),
+                 (pna_form(PnaSpec(5, 2.2)).Q.to_float(), 3, None)]
+        cases += [(random_fw_member(rng, n, k), k, None)
+                  for n, k in [(4, 3), (5, 3), (6, 4)]]
+        for A, k, opts in cases:
+            calls.clear()
+            assert fw_membership(A, k, opts).status == "member"
+            assert len(calls) == 1

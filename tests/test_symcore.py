@@ -170,6 +170,15 @@ class TestFrobeniusInner:
                     assert frobenius_inner(m, m) == sum(
                         m[i, j] ** 2 for i in range(n) for j in range(n))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+    def test_frob_norm_neither_overflows_nor_underflows(self, scale):
+        a = np.array([[3.0, -4.0], [-4.0, 0.5]])
+        m = SymMatrix.from_array(a * scale)
+        assert m.frob_norm() == pytest.approx(
+            scale * math.sqrt(41.25), rel=1e-15, abs=0)
+        if scale == 1.0:
+            assert m.frob_norm() == float(np.linalg.norm(a))
+
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=30, deadline=None)
     def test_symmetry_property(self, n, data):
