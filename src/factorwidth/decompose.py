@@ -29,7 +29,10 @@ ended its run in ``diagnostics["stop"]``.
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), so A is
 a member iff its comparison matrix is psd, and ``_width_two`` builds either
-witness from one ``eigh`` of that matrix, through the same two gates.
+witness from one ``eigh`` of that matrix, at the power-of-two scale of
+max|A|, through the same two gates; its verdict is the call's.  Every exit,
+there and in the splitting core, passes the one member gate ``_accept`` and
+leaves through the one verdict builder ``_verdict``.
 
 Otherwise ``fw_membership`` first runs on a user's ``support_list``, else on
 the sparsity seed (the supports whose block of A has no zero entry; cf. the
@@ -54,6 +57,8 @@ from .symcore import (
     eigen_sym,
     enumerate_supports,
     is_psd,
+    load_matrix_json,
+    matrix_to_json,
     _BlockIndex,
     _as_int,
     _as_width,
@@ -173,6 +178,39 @@ def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
     return gap / norm if norm else None
 
 
+def _accept(A: SymMatrix, k: int, blocks, target: float):
+    """The one member gate: the nonzero ones of the ``(Support, array)``
+    ``blocks`` re-verified by ``BlockDecomposition.build``, if they reproduce
+    A within ``target``, else None."""
+    try:
+        d = BlockDecomposition.build(A, k, [
+            (K, SymMatrix.from_array(b)) for K, b in blocks
+            if np.max(np.abs(b)) > 0.0])
+    except ValueError:
+        return None
+    return d if d.residual <= target else None
+
+
+def _verdict(it, history, residual, stop, decomposition=None,
+             certificate=None, source=None) -> MembershipVerdict:
+    """The one verdict builder: ``member`` with a decomposition (and its
+    residual), else ``non_member`` with a certificate and the exit that found
+    it (its ``source``), else ``inconclusive``; all but a member say why in
+    ``stop``."""
+    diagnostics = {"iterations": it, "primal_residual": residual,
+                   "residual_history": history}
+    if decomposition is not None:
+        diagnostics["primal_residual"] = decomposition.residual
+        return MembershipVerdict("member", decomposition, None, diagnostics)
+    diagnostics["stop"] = stop
+    if certificate is None:
+        diagnostics["certificate_found"] = False
+        return MembershipVerdict("inconclusive", diagnostics=diagnostics)
+    diagnostics.update(certificate_value=certificate.value,
+                       certificate_source=source)
+    return MembershipVerdict("non_member", None, certificate, diagnostics)
+
+
 def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
                      index: _BlockIndex, gap):
     """A verified certificate from the gap direction, shifted, or None.
@@ -231,25 +269,13 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
 
     history: list[tuple[int, float]] = []
 
-    def _stop(message, residual, it, cert, source="final_gap"):
-        """Every exit without a member: ``non_member`` with the certificate
-        and the exit that found it, else ``inconclusive``."""
-        diagnostics = {"iterations": it, "primal_residual": residual,
-                       "residual_history": history, "stop": message}
-        if cert is None:
-            diagnostics["certificate_found"] = False
-            return MembershipVerdict("inconclusive", diagnostics=diagnostics)
-        diagnostics["certificate_value"] = cert.value
-        diagnostics["certificate_source"] = source
-        return MembershipVerdict("non_member", certificate=cert,
-                                 diagnostics=diagnostics)
-
     def _give_up(message, residual, it, gap):
         """The exits that end the run: the final gap direction goes through
         the same shift as the z-checks."""
         cert = _gap_certificate(A, Af, k, index, gap)
-        return _stop(message, residual, it,
-                     None if cert is _EXCLUDED else cert)
+        return _verdict(it, history, residual, message,
+                        certificate=None if cert is _EXCLUDED else cert,
+                        source="final_gap")
 
     mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(Af) > target)
@@ -274,18 +300,6 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     zcheck_every = 25
     resets_left = 2
 
-    def _accept(stack):
-        """The one member exit: the re-verified blocks of ``stack`` (the
-        clipped Z or the X iterate) if they reproduce A within the target,
-        else None."""
-        blocks = [(index.support(s), SymMatrix.from_array(stack[s]))
-                  for s in range(m) if np.max(np.abs(stack[s])) > 0.0]
-        try:
-            d = BlockDecomposition.build(A, k, blocks)
-        except ValueError:
-            return None
-        return d if d.residual <= target else None
-
     for it in range(1, opts.max_iter + 1):
         X = _project_psd(Z - U)
         acc = index.accumulate(X)
@@ -300,12 +314,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             Xz = _project_psd(Z)
             resz = float(np.max(np.abs(Af - index.accumulate(Xz))))
             r, stack = (resz, Xz) if resz <= res else (res, X)
-            d = _accept(stack) if r <= target else None
+            d = _accept(A, k, zip(map(index.support, range(m)), stack),
+                        target) if r <= target else None
             if d is not None:
-                return MembershipVerdict(
-                    "member", decomposition=d, diagnostics={
-                        "iterations": it, "primal_residual": d.residual,
-                        "residual_history": history})
+                return _verdict(it, history, None, None, decomposition=d)
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
@@ -314,11 +326,13 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             if cert is not None:
                 history.append((it, res))
                 if cert is _EXCLUDED:
-                    return _stop(f"restricted cone excludes A after {it} "
-                                 f"iterations", min(best, res), it, None)
-                return _stop(f"gap direction certified non-membership after "
-                             f"{it} iterations", min(best, res), it, cert,
-                             "in_loop_gap")
+                    return _verdict(it, history, min(best, res),
+                                    f"restricted cone excludes A after {it} "
+                                    f"iterations")
+                return _verdict(it, history, min(best, res),
+                                f"gap direction certified non-membership "
+                                f"after {it} iterations", certificate=cert,
+                                source="in_loop_gap")
         if res < best * (1.0 - 2e-3):
             best = res
             last_improve = it
@@ -353,7 +367,8 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
 
 def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     """FW_2 from one ``eigh`` of the comparison matrix comp(A): the diagonal
-    of A, -|a_ij| off it.
+    of A, -|a_ij| off it, decided on A 2^-e, with 2^e the power of two of
+    max|A| (an exact scaling, so nothing below overflows or underflows).
 
     Below -1e-8 ||A||_F (the gate's margin) x = |least eigenvector| makes
     B_ii = x_i^2, B_ij = -sign(a_ij) x_i x_j: psd on every 2 x 2 block, with
@@ -361,32 +376,30 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     lambda_min) makes comp + sI a nonsingular M-matrix, so v = (comp + sI)^-1
     1 >= 1/(a_ii + s) > 0 (s = 0 above the margin).  Each a_ij != 0 gives
     the rank-1 block [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], which
-    leaves 1/v_i - s on vertex i's diagonal; where that is positive it goes
-    in one block on the vertex (for a vertex without edges, on a listed
+    leaves (1/v_i - s) 2^e on vertex i's diagonal; where that is positive it
+    goes in one block on the vertex (for a vertex without edges, on a listed
     pair if there is one).  The witness goes to its usual gate; if it fails,
     the verdict is ``inconclusive`` and its ``stop`` says which side failed.
     """
     from . import dualcone
 
     n, Af = A.n, A.as_array()
-    comp = -np.abs(Af)
-    np.fill_diagonal(comp, Af.diagonal())
+    e = math.frexp(float(np.abs(Af).max()))[1]
+    scaled = np.ldexp(Af, -e)
+    comp = -np.abs(scaled)
+    np.fill_diagonal(comp, scaled.diagonal())
     w, vec = np.linalg.eigh(comp)
-    least, margin = float(w[0]), 1e-8 * A.frob_norm()
-    quote = f"least comparison eigenvalue {least:.6e}"
+    least, margin = float(w[0]), 1e-8 * _frob(scaled)
+    quote = f"least comparison eigenvalue {math.ldexp(least, e):.6e}"
     if least < -margin:
         x = np.abs(vec[:, 0])
         B = -np.sign(Af) * np.outer(x, x)
         np.fill_diagonal(B, x * x)
         cert = dualcone.verify_candidate(B, A, 2)
-        if cert is None:
-            return MembershipVerdict("inconclusive", diagnostics={
-                "stop": f"{quote}: its certificate did not verify"})
-        return MembershipVerdict("non_member", certificate=cert, diagnostics={
-            "iterations": 0, "residual_history": [],
-            "stop": f"comparison matrix is not psd: {quote}",
-            "certificate_value": cert.value,
-            "certificate_source": "comparison"})
+        stop = (f"comparison matrix is not psd: {quote}" if cert is not None
+                else f"{quote}: its certificate did not verify")
+        return _verdict(0, [], None, stop, certificate=cert,
+                        source="comparison")
     s = max(0.0, margin - least)
     # v = (comp + sI)^-1 1 from the same eigh; A = 0 (margin 0) has no edges,
     # and v = inf leaves no diagonal
@@ -396,7 +409,7 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     for i, j in zip(*np.nonzero(np.triu(edges))):
         r, a = v[j] / v[i], Af[i, j]
         blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
-    rest = 1.0 / v - s
+    rest = np.ldexp(1.0 / v - s, e)
     pairs = [] if listed is None or listed.k != 2 else listed.rows.tolist()
     for i in np.flatnonzero(rest > 0.0):
         nbrs = np.flatnonzero(edges[i]).tolist()
@@ -404,18 +417,10 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
             (p + q - i for p, q in pairs if i in (p, q)), (i + 1) % n)
         block = blocks.setdefault((min(i, j), max(i, j)), np.zeros((2, 2)))
         block[int(i > j), int(i > j)] += rest[i]
-    try:
-        d = BlockDecomposition.build(A, 2, [
-            (Support.of(K), SymMatrix.from_array(b))
-            for K, b in blocks.items()])
-    except ValueError:
-        d = None
-    if d is None or d.residual > target:
-        return MembershipVerdict("inconclusive", diagnostics={
-            "stop": f"{quote}: its decomposition did not verify"})
-    return MembershipVerdict("member", decomposition=d, diagnostics={
-        "iterations": 0, "primal_residual": d.residual,
-        "residual_history": []})
+    d = _accept(A, 2, [(Support.of(K), b) for K, b in blocks.items()], target)
+    # a member carries no stop; the message is read only when d is None
+    return _verdict(0, [], None, f"{quote}: its decomposition did not verify",
+                    decomposition=d)
 
 
 def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
@@ -428,10 +433,10 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     "inconclusive", never "non_member".  ValueError if an |entry| of A
     reaches 2**1022.
 
-    At k = 2 the comparison matrix decides with no iteration (``_width_two``;
-    ``certificate_source`` ``"comparison"``, ``iterations`` 0).  When its
-    witness does not verify, the splitting decides as at any other width
-    and ``comparison_fallback`` says why.
+    At k = 2 the comparison matrix decides with no iteration and no
+    splitting run (``_width_two``; ``certificate_source`` ``"comparison"``,
+    ``iterations`` 0); a witness that does not verify makes the verdict
+    ``inconclusive``, and its ``stop`` says which side failed.
 
     The first run is on the ``support_list``, else, for A with an exact zero
     entry, on ``symcore._sparsity_seed``.  If it ends inconclusive with
@@ -455,10 +460,9 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     if opts.support_list is not None:
         index = _support_index(A.n, k, opts.support_list)
     if k == 2:
-        closed = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
-        if closed.status != "inconclusive":
-            closed.diagnostics["seed_supports"] = None
-            return closed
+        verdict = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
+        verdict.diagnostics["seed_supports"] = None
+        return verdict
     if index is None:
         seed = _sparsity_seed(A.entries != 0, k)
         index = _full_index(A.n, k) if seed is None else seed
@@ -475,8 +479,6 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
         verdict = rerun
     verdict.diagnostics["seed_supports"] = (None if seed is None
                                             else len(seed.rows))
-    if k == 2:
-        verdict.diagnostics["comparison_fallback"] = closed.diagnostics["stop"]
     return verdict
 
 
@@ -503,8 +505,6 @@ def extract_factors(d: BlockDecomposition) -> np.ndarray:
 
 
 def decomposition_to_json(d: BlockDecomposition) -> dict:
-    from .symcore import matrix_to_json
-
     return {
         "n": d.ambient_n,
         "k": d.k,
@@ -518,8 +518,6 @@ def decomposition_to_json(d: BlockDecomposition) -> dict:
 
 def decomposition_from_json(obj, A: SymMatrix) -> BlockDecomposition:
     """Rebuild (and re-verify against A) a decomposition from its JSON form."""
-    from .symcore import load_matrix_json
-
     blocks = []
     for entry in obj["blocks"]:
         K = Support.of(entry["support"])

@@ -35,6 +35,7 @@ from .symcore import (
     SymMatrix,
     Support,
     frobenius_inner,
+    matrix_to_json,
     _as_width,
     _congruence,
     _exact_psd,
@@ -424,8 +425,6 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
 
 
 def certificate_to_json(cert: DualCertificate) -> dict:
-    from .symcore import matrix_to_json
-
     return {
         "n": cert.B.n,
         "k": cert.k,

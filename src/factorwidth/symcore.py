@@ -460,20 +460,20 @@ def _psd_battery(stack: np.ndarray, tol: float):
     """``(psd, lam, finite)`` for an ``(m, k, k)`` stack: whether every block
     is psd, each block's ascending spectrum, and whether the spectra are of
     the blocks themselves (else of the blocks over their largest entry, which
-    lies beyond the float range).  Each distinct block (exact by value, float
-    by its bytes) gets one ``eigvalsh``; on an exact stack at tol 0 the pivot
-    tests decide, up to the first that fails, and otherwise
-    ``lambda_min >= -tol * (1 + max|block|)`` does.
+    lies beyond the float range).  A float stack goes to one ``eigvalsh`` as
+    it is (LAPACK decides each block on its own); an exact one is keyed by
+    value, so each distinct block is converted and tested once.  On an exact
+    stack at tol 0 the pivot tests decide, up to the first that fails, and
+    otherwise ``lambda_min >= -tol * (1 + max|block|)`` does.
     """
     exact = stack.dtype == object
-    # an int and an equal Fraction hash alike, so their blocks share a key
-    flat = stack.reshape(len(stack), -1)
-    keys = (map(tuple, flat.tolist()) if exact else flat.view(
-        f"V{flat.itemsize * flat.shape[1]}").ravel().tolist())
-    slot = {}
-    inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
-    blocks = (np.array(list(slot), object) if exact else np.frombuffer(
-        b"".join(slot))).reshape(-1, *stack.shape[1:])
+    blocks, inverse = stack, slice(None)
+    if exact:
+        # an int and an equal Fraction hash alike, so their blocks share a key
+        slot = {}
+        inverse = np.array([slot.setdefault(key, len(slot)) for key in
+                            map(tuple, stack.reshape(len(stack), -1).tolist())])
+        blocks = np.array(list(slot), object).reshape(-1, *stack.shape[1:])
     finite = _floats_decide(blocks, tol)
     approx = (blocks if finite
               else blocks / Fraction(np.max(np.abs(blocks)))).astype(float)

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from factorwidth.cli import main
-from factorwidth.families import example_m_fixtures
+from factorwidth.families import PnaSpec, example_m_fixtures, pna_form
 from factorwidth.symcore import matrix_to_json
 
 
@@ -143,6 +143,18 @@ class TestCheckFw:
         report = json.loads(captured.out)
         assert report["verdict"] == "non_member"
         assert report["certificate_source"] == "comparison"
+        jsonschema.validate(report, schema)
+
+    def test_width_two_unverified_member_side_is_inconclusive(
+            self, capsys, tmp_path, schema):
+        # at --tol 1e-12 the closed form's member side does not verify on
+        # this near-singular comparison matrix, and no splitting run follows
+        Q = pna_form(PnaSpec(4, 3 * (1 - 1e-9))).Q.to_float()
+        path = _write(tmp_path / "near.json", matrix_to_json(Q))
+        code, report = run_cli(capsys, "check-fw", path, 2, "--tol", "1e-12")
+        assert code == 2
+        assert report["verdict"] == "inconclusive"
+        assert report["iterations"] == 0
         jsonschema.validate(report, schema)
 
     def test_malformed_matrix(self, capsys, tmp_path):

@@ -876,14 +876,24 @@ class TestWidthTwoClosedForm:
         self._closed(SymMatrix.from_rows(rows), status)
         assert callers.count("factorwidth.decompose") == 1
 
-    def test_unverified_side_falls_back_to_the_splitting(self):
+    def test_unverified_member_side_is_inconclusive(self, monkeypatch):
         # the comparison matrix is within the rounding band of singular, so
-        # the member side leaves a residual above a tight target
+        # the member side leaves a residual above a tight target; the
+        # verdict says so, and no splitting run follows
+        from factorwidth import decompose
+
+        runs, run = [], decompose._fw_decompose_impl
+        monkeypatch.setattr(decompose, "_fw_decompose_impl",
+                            lambda *args: runs.append(args) or run(*args))
         Q = pna_form(PnaSpec(4, 3 * (1 - 1e-9))).Q.to_float()
-        v = fw_membership(Q, 2, SolverOptions(feas_tol=1e-12, max_iter=50))
-        assert v.diagnostics["comparison_fallback"].endswith(
+        v = fw_membership(Q, 2, SolverOptions(feas_tol=1e-12))
+        assert v.status == "inconclusive"
+        assert v.diagnostics["iterations"] == 0
+        assert v.diagnostics["residual_history"] == []
+        assert v.diagnostics["certificate_found"] is False
+        assert v.diagnostics["stop"].endswith(
             "its decomposition did not verify")
-        assert v.diagnostics["iterations"] >= 1
+        assert runs == []
 
 
 class TestExtremeScales:
@@ -906,6 +916,21 @@ class TestExtremeScales:
             "comparison" if k == 2 else "in_loop_gap")
         B = v.certificate.B
         assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+    @pytest.mark.parametrize("a", [
+        np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]),
+        pna_form(PnaSpec(4, 3.3)).Q.to_float().as_array(),
+        pna_form(PnaSpec(5, 4.5)).Q.to_float().as_array(),
+    ], ids=["tridiagonal", "pna4", "pna5"])
+    @pytest.mark.parametrize("scale", [1e-308, 1e-310, 1e-315, 1e-318, 1e-320])
+    def test_subnormal_member_is_decided_in_closed_form(self, a, scale):
+        # v = (comp + sI)^-1 1 would overflow and the margin underflow at
+        # the matrix's own scale; at its power of two neither does
+        A = SymMatrix.from_array(a * scale)
+        v = fw_membership(A, 2)
+        assert v.status == "member"
+        assert v.diagnostics["iterations"] == 0
+        assert v.decomposition.residual <= 1e-7 * (1.0 + A.max_abs())
 
 
 class TestOneWitnessPerExit:

@@ -52,6 +52,20 @@ def test_every_export_resolves(path):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_import_from_a_module_imported_at_top(path):
+    # such a name belongs in the top-level import; a function-level import
+    # stays only where it breaks an import cycle (``from . import dualcone``)
+    tree = ast.parse(path.read_text())
+    top = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    sources = {(node.level, node.module) for node in top}
+    late = [f"from {'.' * node.level}{node.module} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node not in top
+            and node.level and (node.level, node.module) in sources]
+    assert not late, f"{path.name} imports again inside a function: {late}"
+
+
 def _private_definitions(tree):
     """Module-level ``_name`` functions, classes and constants, with the
     top-level statement that defines each."""

@@ -481,6 +481,24 @@ class TestPsdBattery:
         assert eig_rows == [2] and len(pivots) == 2
         assert lam[0].tolist() == lam[2].tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("shift", [0.0, -0.5])
+    def test_float_stack_is_one_eigvalsh_as_it_stands(self, monkeypatch,
+                                                      shift):
+        # float blocks are not keyed: LAPACK decides each block on its own,
+        # so the stack's own spectra come back to the bit, repeats included
+        rng = np.random.default_rng(35)
+        w = rng.standard_normal((4, 3, 3))
+        distinct = w @ w.transpose(0, 2, 1) + shift * np.eye(3)
+        stack = distinct[[0, 1, 0, 2, 3, 1, 0]]
+        rows, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: rows.append(len(a)) or real(a))
+        psd, lam, finite = symcore._psd_battery(stack, 1e-9)
+        assert rows == [7] and finite
+        assert lam.tobytes() == real(stack).tobytes()
+        assert psd == all(is_psd(SymMatrix.from_array(b), 1e-9).is_psd
+                          for b in stack)
+
     def test_exact_pivot_tests_stop_at_the_first_failure(self, monkeypatch):
         pivots = []
         real = symcore._exact_psd
