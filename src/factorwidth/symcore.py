@@ -509,8 +509,8 @@ def project_psd(A: SymMatrix) -> SymMatrix:
     return SymMatrix.from_array(_project_psd(A.as_array()))
 
 
-# Stacks of more blocks than this are triaged before the eigensolve (see
-# _project_psd for the measured break-even).
+# Stacks with more candidate blocks (an all-negative diagonal) than this are
+# triaged before the eigensolve (see _project_psd for the break-even).
 _TRIAGE_ABOVE_BLOCKS = 32
 
 
@@ -520,24 +520,25 @@ def _project_psd(a: np.ndarray) -> np.ndarray:
     The input must be symmetric; it is not re-symmetrized.  A ``SymMatrix``
     image is, and so are the splitting core's ``Z - U`` and ``Z``, which it
     passes directly, a whole stack of support blocks per LAPACK call.  A
-    stack of more than ``_TRIAGE_ABOVE_BLOCKS`` blocks is triaged first: the
-    blocks ``_negative_definite`` proves negative definite project to
-    exactly 0 with no eigensolve (about four in five of the core's blocks on
-    ``Qprime`` at width 4 over all supports), and only the rest go through
-    ``_clip_psd``.  A triaged block that LAPACK would have clipped to about
-    1e-17 instead of 0 is the only difference it makes.
+    stack with more than ``_TRIAGE_ABOVE_BLOCKS`` candidates (blocks whose
+    diagonal is all negative; no other block is negative definite) is
+    triaged first: those ``_negative_definite`` proves negative definite
+    project to exactly 0 with no eigensolve (four in five of the core's
+    blocks on ``Qprime`` at width 4 over all supports), and only the rest go
+    through ``_clip_psd``.  A triaged block that LAPACK would have clipped
+    to about 1e-17 instead of 0 is the only difference it makes.
 
-    Single matrices and smaller stacks go straight to ``_clip_psd``: the
-    triage is a fixed cost of a few numpy calls per column, and on a 2-vCPU
-    x86 host with one BLAS thread it paid for itself only from about 24-48
-    blocks of size 3-4 when four in five were negative definite (16-64 over
-    sizes 2-5 and shares 1/2-4/5), and never when none were.
+    The triage costs a few numpy calls per column on the candidates; on a
+    2-vCPU x86 host with one BLAS thread it paid for itself from about 24-48
+    candidates of size 3-5 when half to all were negative definite.
+    ``Qprime``'s 39-block seed stacks, with at most 11, are never triaged.
     """
-    if a.ndim != 3 or len(a) <= _TRIAGE_ABOVE_BLOCKS:
+    nd = np.all(np.diagonal(a, axis1=-2, axis2=-1) < 0.0, axis=-1)
+    if a.ndim != 3 or np.count_nonzero(nd) <= _TRIAGE_ABOVE_BLOCKS:
         return _clip_psd(a)
+    nd[nd] = _negative_definite(a[nd])
     out = np.zeros_like(a)
-    rest = np.flatnonzero(~_negative_definite(a))
-    out[rest] = _clip_psd(a[rest])
+    out[~nd] = _clip_psd(a[~nd])
     return out
 
 

@@ -240,21 +240,24 @@ class TestFwMembership:
         assert v.status == "member"
 
     def test_qprime_member_on_94_supports_through_the_triage(self, monkeypatch):
-        # 94 supports is past the projection's triage gate, which the
-        # paper's 27 are not; the verdict and iteration count are those of
-        # the untriaged projection
+        # 94 supports give stacks with more candidates than the projection's
+        # triage gate, which the paper's 27 cannot; the verdict and iteration
+        # count are those of the same run with the triage disabled
         fx = example_m_fixtures()
         s27 = list(fx.supports27)
         others = [K for K in enumerate_supports(15, 4) if K not in s27]
+        opts = SolverOptions(support_list=s27 + others[::20])
         triaged = []
         nd = symcore._negative_definite
         monkeypatch.setattr(symcore, "_negative_definite",
                             lambda s: triaged.append(len(s)) or nd(s))
-        v = fw_membership(fx.Qprime, 4,
-                          SolverOptions(support_list=s27 + others[::20]))
+        v = fw_membership(fx.Qprime, 4, opts)
         assert v.status == "member"
-        assert v.diagnostics["iterations"] == 2719
-        assert set(triaged) == {94}
+        assert triaged and max(triaged) <= 94
+        monkeypatch.setattr(symcore, "_TRIAGE_ABOVE_BLOCKS", 94)
+        untriaged = fw_membership(fx.Qprime, 4, opts)
+        assert untriaged.status == "member"
+        assert v.diagnostics["iterations"] == untriaged.diagnostics["iterations"]
 
     def test_projection_inputs_are_symmetric_to_the_bit(self, monkeypatch):
         # _project_psd does not re-symmetrize its input: the splitting core's
@@ -265,7 +268,11 @@ class TestFwMembership:
         fx = example_m_fixtures()
         rng = np.random.default_rng(20261018)
         s27 = SolverOptions(support_list=list(fx.supports27))
-        cases = [(fx.M, 4, None), (fx.M, 3, None), (fx.Qprime, 4, s27)]
+        s94 = SolverOptions(support_list=list(fx.supports27) + [
+            K for K in enumerate_supports(15, 4)
+            if K not in fx.supports27][::20])
+        cases = [(fx.M, 4, None), (fx.M, 3, None), (fx.Qprime, 4, s27),
+                 (fx.Qprime, 4, s94)]
         for n, k, rank in [(4, 2, 1), (5, 3, 2), (5, 4, 1), (6, 3, 3)]:
             w = rng.standard_normal((n, rank))
             cases.append((SymMatrix.from_array(w @ w.T), k, None))
@@ -481,15 +488,16 @@ class TestIterationBudget:
 
     def test_budget_stop_after_an_escalation_names_the_whole_budget(self):
         # the seed's cone excludes A after 25 iterations; the full run spends
-        # the other 25, and the stop names the call's budget and both shares
-        v = fw_membership(_EXCLUDED_SEED, 3, SolverOptions(max_iter=50))
+        # the other 15, short of its first z-check, and the stop names the
+        # call's budget and both shares
+        v = fw_membership(_EXCLUDED_SEED, 3, SolverOptions(max_iter=40))
         assert v.status == "inconclusive"
-        assert v.diagnostics["iterations"] == 50
+        assert v.diagnostics["iterations"] == 40
         assert v.diagnostics["seed_stop"] == (
             "restricted cone excludes A after 25 iterations")
         assert v.diagnostics["stop"].startswith(
-            "no decomposition within 50 iterations (25 on the first "
-            "supports, 25 on all 4 supports; best residual ")
+            "no decomposition within 40 iterations (25 on the first "
+            "supports, 15 on all 4 supports; best residual ")
 
     @pytest.mark.parametrize("max_iter", [1, 25, 50, 400])
     @pytest.mark.parametrize("case", ["excluded_seed", "M_four_supports",
@@ -506,8 +514,8 @@ class TestIterationBudget:
         assert 1 <= v.diagnostics["iterations"] <= max_iter
 
     def test_full_run_gets_the_rest_of_the_budget(self, monkeypatch):
-        # M's run on four supports stops after 50 iterations; the full run
-        # gets the other 250, and the call reports both runs' iterations
+        # M's run on four supports stops after 25 iterations; the full run
+        # gets the other 275, and the call reports both runs' iterations
         from factorwidth import decompose
 
         runs = []
@@ -523,7 +531,7 @@ class TestIterationBudget:
             max_iter=300, support_list=_M_FOUR_SUPPORTS))
         assert v.status == "non_member"
         (first_budget, first), (rest, second) = runs
-        assert (first_budget, first) == (300, 50)
+        assert (first_budget, first) == (300, 25)
         assert rest == 300 - first
         assert v.diagnostics["iterations"] == first + second
 
@@ -644,7 +652,7 @@ class TestRestrictedFallback:
                                _support_index(5, 4, supports))
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"] == (
-            "restricted cone excludes A after 50 iterations")
+            "restricted cone excludes A after 25 iterations")
 
     def test_uncovered_entry_certified_by_the_full_run(self, monkeypatch):
         # (0, 1) is outside every support, but the width-2 comparison
@@ -738,10 +746,22 @@ class TestStopReason:
         # congruence leaves the splitting stalled without a verified
         # certificate
         Q = pna_form(PnaSpec(6, 1.5)).Q
-        A = scale_congruence(Q, np.diag([1 / 8, 8, 1 / 2, 1 / 4, 1 / 4, 1]))
+        A = scale_congruence(Q, np.diag([8, 1 / 4, 1 / 2, 8, 1 / 4, 1 / 8]))
         v = fw_membership(A, 4)
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"].startswith("residual plateau")
+
+    def test_scaled_family_once_stalled_is_certified(self):
+        # the same non-member under diag(1/8, 8, 1/2, 1/4, 1/4, 1) stalled
+        # at the plateau before the step was over-relaxed
+        Q = pna_form(PnaSpec(6, 1.5)).Q
+        A = scale_congruence(Q, np.diag([1 / 8, 8, 1 / 2, 1 / 4, 1 / 4, 1]))
+        v = fw_membership(A, 4)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        B = v.certificate.B
+        assert dual_membership(B, 4, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
 
     def test_members_carry_no_stop(self):
         fx = example_m_fixtures()
@@ -981,3 +1001,51 @@ class TestOneWitnessPerExit:
             calls.clear()
             assert fw_membership(A, k, opts).status == "member"
             assert len(calls) == 1
+
+
+class TestRelaxedSplitting:
+    """The over-relaxed step keeps the paper's workloads to few iterations,
+    and the projection triages only stacks with many negative-diagonal
+    blocks."""
+
+    def test_iteration_guards(self):
+        fx = example_m_fixtures()
+        for A, opts, most, status in [
+                (fx.Qprime, None, 250, "member"),
+                (fx.Qprime, SolverOptions(support_list=fx.supports27), 350,
+                 "member"),
+                (fx.M, None, 150, "non_member")]:
+            v = fw_membership(A, 4, opts)
+            assert v.status == status
+            assert v.diagnostics["iterations"] <= most
+
+    @staticmethod
+    def _spied(monkeypatch):
+        from factorwidth import decompose
+
+        projected, triaged = [], []
+        project, nd = decompose._project_psd, symcore._negative_definite
+        monkeypatch.setattr(decompose, "_project_psd",
+                            lambda a: projected.append(len(a)) or project(a))
+        monkeypatch.setattr(symcore, "_negative_definite",
+                            lambda s: triaged.append(len(s)) or nd(s))
+        return projected, triaged
+
+    def test_seed_stacks_skip_the_triage(self, monkeypatch):
+        projected, triaged = self._spied(monkeypatch)
+        v = fw_membership(example_m_fixtures().Qprime, 4)
+        assert v.status == "member" and v.diagnostics["seed_supports"] == 39
+        assert len(projected) > 200 and set(projected) == {39}
+        assert triaged == []
+
+    def test_full_support_stacks_still_triage(self, monkeypatch):
+        projected, triaged = self._spied(monkeypatch)
+        v = fw_membership(example_m_fixtures().Qprime, 4, SolverOptions(
+            support_list=enumerate_supports(15, 4), max_iter=20))
+        assert v.diagnostics["iterations"] == 20
+        assert set(projected) == {1365}
+        # every projection triages but the first, of the consensus image of
+        # A, whose diagonal is A's; each triage sees its candidates only,
+        # the blocks with an all-negative diagonal
+        assert len(triaged) == len(projected) - 1
+        assert all(symcore._TRIAGE_ABOVE_BLOCKS < m < 1365 for m in triaged)

@@ -614,27 +614,42 @@ def per_block_clip(stack):
 
 
 class TestProjectPsdTriage:
-    """Stacks of more than ``_TRIAGE_ABOVE_BLOCKS`` blocks skip the eigensolve
-    on negative definite blocks; the rest project as a per-block ``eigh``
-    clip would."""
+    """Stacks with more than ``_TRIAGE_ABOVE_BLOCKS`` candidate blocks (an
+    all-negative diagonal) skip the eigensolve on the negative definite ones;
+    the rest project as a per-block ``eigh`` clip would."""
 
-    @given(st.integers(1, 6), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 6), st.integers(1, 160), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_block_clip(self, k, m, seed):
         rng = np.random.default_rng(seed)
         kinds = [BLOCK_KINDS[i] for i in rng.integers(4, size=m)]
         stack = np.stack([block_of_kind(rng, k, kind) for kind in kinds])
         nd = np.array([kind == "negative definite" for kind in kinds])
+        cand = np.all(np.diagonal(stack, axis1=1, axis2=2) < 0.0, axis=1)
         # the triage proves exactly the negative definite blocks; a zero
         # pivot leaves a singular block to the eigensolver
         assert np.array_equal(_negative_definite(stack), nd)
-        out = _project_psd(stack)
+        assert not np.any(nd & ~cand)
+        triaged, clipped = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symcore, "_negative_definite",
+                       lambda s: triaged.append(s) or _negative_definite(s))
+            mp.setattr(symcore, "_clip_psd",
+                       lambda s: clipped.append(s) or _clip_psd(s))
+            out = _project_psd(stack)
         ref = per_block_clip(stack)
         tol = 1e-15 * (1 + np.max(np.abs(stack), axis=(1, 2)))
         assert np.all(np.max(np.abs(out - ref), axis=(1, 2)) <= tol)
-        if m > symcore._TRIAGE_ABOVE_BLOCKS:
-            assert not np.any(out[nd])
-        else:  # small stacks and single matrices take the untriaged path
+        # a negative definite block projects to exact zeros either way
+        assert not np.any(out[nd])
+        if np.count_nonzero(cand) > symcore._TRIAGE_ABOVE_BLOCKS:
+            # only the candidates reach the triage, and every block it
+            # skips is one it proved negative definite
+            [seen] = triaged
+            assert np.array_equal(seen, stack[cand])
+            assert np.array_equal(clipped[0], stack[~nd])
+        else:  # few candidates and single matrices take the untriaged path
+            assert triaged == []
             assert np.array_equal(out, _clip_psd(stack))
             assert np.array_equal(_project_psd(stack[0]), _clip_psd(stack[0]))
             assert project_psd(SymMatrix.from_array(stack[0])) == \
@@ -645,9 +660,14 @@ class TestProjectPsdTriage:
             raise AssertionError("triaged")
 
         monkeypatch.setattr(symcore, "_negative_definite", fail)
-        stack = -np.ones((symcore._TRIAGE_ABOVE_BLOCKS + 1, 2, 2))
+        gate = symcore._TRIAGE_ABOVE_BLOCKS
+        # gate + 1 candidates among 4 gate blocks; the others have a
+        # positive diagonal entry
+        stack = np.tile(-np.eye(2), (4 * gate, 1, 1))
+        stack[gate + 1:, 0, 0] = 1.0
         _project_psd(stack[0])
         _project_psd(stack[1:])
+        _project_psd(np.concatenate([stack[:gate], -stack[gate:]]))
         with pytest.raises(AssertionError, match="triaged"):
             _project_psd(stack)
 
@@ -655,8 +675,9 @@ class TestProjectPsdTriage:
     @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
     def test_non_finite_block_as_without_triage(self, bad, where):
         rng = np.random.default_rng(15)
+        # 40 negative definite blocks, past the triage gate
         stack = np.stack([block_of_kind(rng, 3, BLOCK_KINDS[s % 4])
-                          for s in range(40)])
+                          for s in range(160)])
         # block 4 is negative definite but for the non-finite entry
         stack[4][where] = stack[4][where[::-1]] = bad
 
