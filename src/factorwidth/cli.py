@@ -24,8 +24,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import (SymMatrix, eigen_sym, is_psd, load_matrix_json,
-                      _as_width, _fits_float)
+from .symcore import (SymMatrix, load_matrix_json, _as_width, _fits_float,
+                      _psd_battery)
 from .decompose import (
     SolverOptions,
     decomposition_to_json,
@@ -301,12 +301,14 @@ def cmd_certify(args) -> dict:
 
 def cmd_eig(args) -> dict:
     A = _load_matrix(args.matrix)
-    if A.is_exact:  # eigh takes any finite float matrix
+    if A.is_exact:  # eigvalsh takes any finite float matrix
         _check_float_range(A, args.matrix)
-    lam = [float(v) for v in eigen_sym(A).eigenvalues]
+    # one eigvalsh: psd iff lambda_min >= -1e-9 (1 + max|A|)
+    psd, lam, _ = _psd_battery(A.entries[None], 1e-9)
+    lam = lam[0].tolist()
     return {
         "command": "eig",
-        "verdict": "psd" if is_psd(A).is_psd else "not_psd",
+        "verdict": "psd" if psd else "not_psd",
         "n": A.n,
         "eigenvalues": lam,
         "min_eigenvalue": lam[0],

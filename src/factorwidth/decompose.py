@@ -1,24 +1,22 @@
 """Factor-width-k membership and explicit block decompositions.
 
 The feasibility question "is A a sum of psd blocks supported on k-subsets?"
-is solved by alternating-direction splitting: per-support blocks are projected
-onto the psd cone, a closed-form affine correction restores consensus (the
-residual is distributed by entry multiplicity, which makes that step an exact
-projection), and scaled multipliers accumulate the disagreement of the
-over-relaxed alpha X + (1 - alpha) Z, alpha = ``_RELAX`` (Boyd et al. 2011,
-section 3.4.3).  A member is proved by one stack, re-verified as it stands: the
-consensus-exact Z iterate with its blocks clipped to the psd cone or the X
-iterate (not the relaxed one, which need not be psd), whichever has the smaller
-recomputed residual.  The core is given the ``symcore._BlockIndex`` of its
-supports, and every block read and write goes through it; only
-``BlockDecomposition.build`` re-accumulates the blocks on its own, as the
-independent re-verification.
+is solved by over-relaxed Douglas-Rachford splitting on one stack V of
+per-support blocks, the fixed-point map V <- V + alpha (P(2 Pi V - V) - Pi V),
+alpha = ``_RELAX`` (Boyd et al. 2011, section 3.4.3, in ADMM form).  Pi is the
+consensus projection: a closed-form affine correction that distributes the
+residual by entry multiplicity, which makes it exact; P projects each block
+onto the psd cone.  A member is proved by one stack, re-verified as it stands:
+the consensus-exact Z = Pi V with its blocks clipped to the psd cone or the
+projected X = P(2Z - V), whichever has the smaller recomputed residual.  The
+core is given the ``symcore._BlockIndex`` of its supports, and every block
+read and write goes through it; only ``BlockDecomposition.build``
+re-accumulates the blocks on its own, as the independent re-verification.
 
 Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
-Boyd (JOTA 2019): on a non-member the gap X - Z (the multiplier increment)
-converges to a separating direction, in that sign, so it is the one
-candidate.  Their proof covers the relaxed step for any alpha in (0, 2), and
-its increment alpha (X - Z) points the same way.  Every z-check shifts it by
+Boyd (JOTA 2019): on a non-member the increment X - Z of V converges to a
+separating direction, in that sign, so it is the one candidate; their proof
+covers the relaxed step for any alpha in (0, 2).  Every z-check shifts it by
 the multiple of the identity that puts it in the dual cone and, when the
 shifted direction pairs negatively with A, hands it to the certificate gate;
 a pass stops the run with the certificate.
@@ -70,6 +68,7 @@ from .symcore import (
     _frob,
     _full_index,
     _project_psd,
+    _psd_battery,
     _sparsity_seed,
 )
 
@@ -238,7 +237,7 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     inner, trace = float(np.vdot(gap, Af)), float(np.trace(Af))
 
     def shift(idx):
-        lam = np.linalg.eigvalsh(idx.gather(gap))
+        lam = _psd_battery(idx.gather(gap), 0.0)[1]
         eps = max(0.0, -float(lam[:, 0].min()))
         return eps if inner + eps * trace < 0.0 else None
 
@@ -257,16 +256,17 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     """Splitting core: one run on the supports of ``index``, one verdict;
     ``spent`` counts the iterations an earlier run of the same call used.
 
-    A member is found at a residual hit or a z-check, from the clipped Z
-    iterate or the projected X iterate, which the residual and the stall test
-    read too; the gap, the consensus step and the multipliers read it relaxed.
-    A z-check whose shifted gap direction certifies ends the run
-    ``non_member`` (``in_loop_gap``).  A stall resets the multipliers at most
-    twice and then gives up, as does the end of the iteration budget or an
-    entry outside every support; the final gap direction then certifies
-    (``final_gap``) or the verdict is ``inconclusive``.  Every verdict but a
-    member says in ``diagnostics["stop"]`` why the run ended; the budget exit
-    names the call's whole budget and, after ``spent``, each run's share.
+    Each iteration takes Z = Pi V (the consensus step), X = P(2Z - V) (the
+    psd projection) and V <- V + alpha (X - Z).  A member is found at a
+    residual hit or a z-check, from the clipped Z or from X, which the
+    residual and the stall test read too.  Every gap exit reads X - Z: a
+    z-check whose shifted gap certifies ends the run ``non_member``
+    (``in_loop_gap``).  A stall resets V to Z at most twice and then gives
+    up, as does the end of the iteration budget or an entry outside every
+    support; the final gap then certifies (``final_gap``) or the verdict is
+    ``inconclusive``.  Every verdict but a member says in
+    ``diagnostics["stop"]`` why the run ended; the budget exit names the
+    call's whole budget and, after ``spent``, each run's share.
     """
     n = A.n
     m = len(index.rows)
@@ -298,8 +298,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
 
     # consensus initialisation: distribute A over the supports by multiplicity
-    Z = index.gather(Af * inv_mult)
-    U = np.zeros_like(Z)
+    V = Z = index.gather(Af * inv_mult)
 
     best = math.inf
     last_improve = 0
@@ -308,9 +307,8 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     resets_left = 2
 
     for it in range(1, opts.max_iter + 1):
-        X = _project_psd(Z - U)
-        acc = index.accumulate(X)
-        res = float(np.max(np.abs(Af - acc)))
+        X = _project_psd(2.0 * Z - V)
+        res = float(np.max(np.abs(Af - index.accumulate(X))))
         if it % 100 == 0 or it == 1:
             history.append((it, res))
         zcheck = it % zcheck_every == 0
@@ -325,8 +323,6 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
                         target) if r <= target else None
             if d is not None:
                 return _verdict(it, history, None, None, decomposition=d)
-        # relaxed only past the member test: Xr need not be psd
-        X = _RELAX * X + (1.0 - _RELAX) * Z
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
@@ -346,32 +342,27 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             best = res
             last_improve = it
         if it - last_improve > stall_window:
-            if resets_left > 0:
-                # restart the multipliers: spiralling near a spurious
-                # configuration is broken by dropping the dual bias
-                U[:] = 0.0
-                resets_left -= 1
-                last_improve = it
-            else:
-                history.append((it, res))
-                return _give_up(
-                    f"residual plateau at {best:.3e} after {it} iterations "
-                    f"(target {target:.3e})",
-                    best, it, _assemble_gap(index, inv_mult, X, Z))
-        W = X + U
-        corr = (Af - index.accumulate(W)) * inv_mult
-        Z = W + index.gather(corr)
-        U += X - Z
-
-    X = _project_psd(Z - U)
-    res = float(np.max(np.abs(Af - index.accumulate(X))))
-    history.append((opts.max_iter, res))
-    split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
-             "supports; ") if spent else ""
-    return _give_up(
-        f"no decomposition within {spent + opts.max_iter} iterations "
-        f"({split}best residual {best:.3e}, target {target:.3e})",
-        min(best, res), opts.max_iter, _assemble_gap(index, inv_mult, X, Z))
+            if not resets_left:
+                stop = (f"residual plateau at {best:.3e} after {it} "
+                        f"iterations (target {target:.3e})")
+                break
+            # restart from Z: spiralling near a spurious configuration is
+            # broken by dropping the dual bias V - Z
+            V = Z
+            resets_left -= 1
+            last_improve = it
+        V = V + _RELAX * (X - Z)
+        Z = V + index.gather((Af - index.accumulate(V)) * inv_mult)
+    else:
+        X = _project_psd(2.0 * Z - V)
+        res = float(np.max(np.abs(Af - index.accumulate(X))))
+        split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
+                 "supports; ") if spent else ""
+        stop = (f"no decomposition within {spent + opts.max_iter} iterations "
+                f"({split}best residual {best:.3e}, target {target:.3e})")
+        best = min(best, res)
+    history.append((it, res))
+    return _give_up(stop, best, it, _assemble_gap(index, inv_mult, X, Z))
 
 
 def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:

@@ -518,7 +518,7 @@ def _project_psd(a: np.ndarray) -> np.ndarray:
     """:func:`project_psd` on a float array: one matrix or a stack of them.
 
     The input must be symmetric; it is not re-symmetrized.  A ``SymMatrix``
-    image is, and so are the splitting core's ``Z - U`` and ``Z``, which it
+    image is, and so are the splitting core's ``2Z - V`` and ``Z``, which it
     passes directly, a whole stack of support blocks per LAPACK call.  A
     stack with more than ``_TRIAGE_ABOVE_BLOCKS`` candidates (blocks whose
     diagonal is all negative; no other block is negative definite) is
@@ -663,7 +663,7 @@ def load_matrix_json(obj) -> SymMatrix:
     if has_float:
         a = np.array(parsed, dtype=float)
         _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.max(np.abs(a))))
-        return SymMatrix._wrap(*_checked(_average_triangles(a)))
+        return SymMatrix.from_array(a)
     return SymMatrix.from_rows(parsed)
 
 

@@ -468,6 +468,22 @@ class TestEig:
         assert code == 1
         assert report["verdict"] == "not_psd"
 
+    def test_one_eigensolve_per_run(self, capsys, tmp_path, monkeypatch):
+        import numpy as np
+
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _s=solver, **kw: solves.append(1) or _s(*a, **kw))
+        m = tmp_path / "tri.json"
+        m.write_text(json.dumps({"n": 3, "rows": [[2, 1, 0], [1, 2, 1],
+                                                  [0, 1, 2]]}))
+        code, report = run_cli(capsys, "eig", m)
+        assert code == 0 and report["verdict"] == "psd"
+        assert len(solves) == 1
+
 
 class TestDeterminism:
     def test_identical_reports(self, capsys, fixture_files):

@@ -1049,3 +1049,20 @@ class TestRelaxedSplitting:
         # the blocks with an all-negative diagonal
         assert len(triaged) == len(projected) - 1
         assert all(symcore._TRIAGE_ABOVE_BLOCKS < m < 1365 for m in triaged)
+
+
+class TestStallReset:
+    """A stall restarts the splitting from its consensus iterate V <- Z."""
+
+    def test_rank_three_target_is_certified_after_a_reset(self):
+        # without the reset this target stops at the plateau after 2342
+        # iterations, inconclusive
+        w = np.random.default_rng(7).standard_normal((7, 3))
+        A = SymMatrix.from_array(w @ w.T)
+        v = fw_membership(A, 5)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        assert v.diagnostics["iterations"] == 2525
+        B = v.certificate.B
+        assert dual_membership(B, 5, 1e-9).is_member
+        assert frobenius_inner(B, A) < -1e-8 * B.frob_norm() * A.frob_norm()
