@@ -58,7 +58,7 @@ print(f"    I_4: psd rank {full.psd_rank} -> extreme = {full.is_extreme}")
 
 print("\nBecause the family is explicitly parametrized, separating a 4x4")
 print("target at width 3 reduces to a grid-plus-descent search over angles,")
-print("permutations, and diagonal scalings:")
+print("permutations and signs, in the target's unit-diagonal frame:")
 for aa in (1.4, 1.5):
     Q = pna_form(PnaSpec(4, aa)).Q
     cert = cos_certificate_search(Q)

@@ -11,7 +11,8 @@ has 52,360 blocks and 15 distinct ones).
 Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
-  matrices), scanned over a grid and refined by coordinate descent;
+  matrices with unit diagonal), searched over angles, permutations and signs
+  in the target's unit-diagonal frame and mapped back;
 * for arbitrary (n, k), the ``decompose`` splitting core, whose shifted gap
   direction is the only other source; ``dykstra_dual_certificate`` reads it
   from ``fw_membership``.
@@ -179,107 +180,90 @@ _COS_REFINE_ITERS = 200  # coordinate-descent sweeps of the refinement
 def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     """Search the cosine family for a normalized separator of a 4x4 target.
 
+    The search runs in Q's unit-diagonal frame U = D^-1 Q D^-1, D =
+    diag(sqrt Q_ii) with 1 where Q_ii <= 0: <D^-1 B D^-1, Q> = <B, U>, the
+    dual cone is invariant under B -> D^-1 B D^-1, and the family's rays
+    have unit diagonal, so only angles, permutations and signs are searched.
     Grid phase: all angle cells, the 6 permutations with p[0] = 0 and the 8
-    diagonal sign patterns with s[0] = +1, minimizing <D P B(a,c) P^T D, Q> /
-    ||.||_F; ties break toward the smallest (a-index, c-index, permutation,
-    sign) tuple.  The other 336 of the 24 x 16 cases repeat one of these
-    48: B(a,c) is invariant under the Klein four-group, each of whose
-    cosets holds one permutation with p[0] = 0, and D = s s^T under
-    s -> -s.  Every case of a class scores the same, and the kept one has
-    the smallest indices, so ties break as over all 384.  Refinement runs
-    coordinate descent on the angles and multiplicative positive diagonal
-    scales, on the same objective in closed form (``_cos_objective``).  The
-    refined matrix is built once and returned only if it passes
-    ``verify_candidate`` at k = 3, so the search is invariant under positive
-    scaling of Q.  ValueError if an |entry| of Q reaches 2**1022.
+    sign patterns with s[0] = +1, minimizing <S P B(a,c) P^T S, U> / ||.||_F;
+    ties break toward the smallest (a-index, c-index, permutation, sign)
+    tuple.  The other 336 of the 24 x 16 cases repeat one of these 48:
+    B(a,c) is invariant under the Klein four-group, each of whose cosets
+    holds one permutation with p[0] = 0, and S = diag(s) and -S give the
+    same congruence, so ties break as over all 384.  Refinement runs
+    coordinate descent on the two angles, on the same closed form
+    ``_cos_objective``.  The kept ray is mapped back by D^-1 and returned
+    only if it passes ``verify_candidate`` against Q at k = 3; None where U
+    or that map leaves the float range.
+    So the ray it finds is invariant under positive scaling of Q and, on a
+    positive diagonal, under positive diagonal congruence; the gate's
+    relative pairing only under scaling.  ValueError if an |entry| of Q
+    reaches 2**1022.
     """
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
     if not _fits_float(Q):
         raise ValueError("every |entry| must be below 2**1022")
     Qf = Q.as_array()
+    d = np.sqrt(np.where(np.diag(Qf) > 0, np.diag(Qf), 1.0))
+    if d.min() ** 2 < np.finfo(float).tiny:  # 1 / (d_i d_j) would overflow
+        return None
+    with np.errstate(over="ignore"):
+        U = _congruence(Qf, np.arange(4), 1.0 / d)
+    if not np.all(np.isfinite(U)):
+        return None
     step = 2.0 * math.pi / _COS_GRID
     grid = -math.pi + (np.arange(_COS_GRID) + 0.5) * step
-    CA = np.cos(grid)[:, None] * np.ones((1, _COS_GRID))
-    CC = np.ones((_COS_GRID, 1)) * np.cos(grid)[None, :]
-    CAC = np.cos(grid[:, None] - grid[None, :])
-    norm_b = np.sqrt(4.0 * (1.0 + CA ** 2 + CAC ** 2 + CC ** 2))
+    cosines = (np.cos(grid)[:, None], np.cos(grid[:, None] - grid[None, :]),
+               np.cos(grid)[None, :])
 
     perms = [p for p in itertools.permutations(range(4)) if p[0] == 0]
     signs = [s for s in itertools.product((1.0, -1.0), repeat=4) if s[0] > 0]
-    t0 = float(np.trace(Qf))  # the trace of every case Y
     best = None
     for p_idx, perm in enumerate(perms):
         for s_idx, sg in enumerate(signs):
-            Y = _congruence(Qf, perm, np.take(sg, perm))
-            w1 = 2.0 * (Y[0, 1] + Y[2, 3])
-            w2 = 2.0 * (Y[0, 2] + Y[1, 3])
-            w3 = 2.0 * (Y[0, 3] + Y[1, 2])
-            vals = (t0 + w1 * CA + w2 * CAC + w3 * CC) / norm_b
-            flat = int(np.argmin(vals))
-            ia, ic = divmod(flat, _COS_GRID)
+            vals = _cos_objective(
+                cosines, _congruence(U, perm, np.take(sg, perm)).tolist())
+            ia, ic = divmod(int(np.argmin(vals)), _COS_GRID)
             cand = (float(vals[ia, ic]), ia, ic, p_idx, s_idx)
             if best is None or cand < best:
                 best = cand
 
-    _, ia, ic, p_idx, s_idx = best
+    val, ia, ic, p_idx, s_idx = best
     a, c = float(grid[ia]), float(grid[ic])
-    perm, sg, d = perms[p_idx], signs[s_idx], [1.0] * 4
-    Y = _congruence(Qf, perm, np.take(sg, perm)).tolist()  # the case's Y
-    objective = _cos_objective(Y, d)  # unit scales in either frame
-    val = objective(a, c)
+    perm, sg = perms[p_idx], signs[s_idx]
+    Y = _congruence(U, perm, np.take(sg, perm)).tolist()  # the case's Y
     step_ang = step / 2.0
-    step_mul = 1.25
     for _ in range(_COS_REFINE_ITERS):
         improved = False
         for delta in (step_ang, -step_ang):
-            v2 = objective(a + delta, c)
-            if v2 < val:
-                a, val, improved = a + delta, v2, True
-            v2 = objective(a, c + delta)
-            if v2 < val:
-                c, val, improved = c + delta, v2, True
-        for i in range(4):
-            for factor in (step_mul, 1.0 / step_mul):
-                d2 = d.copy()
-                d2[i] *= factor
-                obj2 = _cos_objective(Y, [d2[p] for p in perm])
-                v2 = obj2(a, c)
+            for da, dc in ((delta, 0.0), (0.0, delta)):
+                a2, c2 = a + da, c + dc
+                v2 = _cos_objective(
+                    (math.cos(a2), math.cos(a2 - c2), math.cos(c2)), Y)
                 if v2 < val:
-                    d, val, objective, improved = d2, v2, obj2, True
+                    a, c, val, improved = a2, c2, v2, True
         if not improved:
             step_ang *= 0.6
-            step_mul = 1.0 + (step_mul - 1.0) * 0.6
             if step_ang < 1e-12:
                 break
 
     mat = _congruence(_cos_ray_array(a, c), np.argsort(perm),
-                      np.multiply(sg, d))
+                      np.divide(sg, d))
     return verify_candidate(mat, Q, 3)
 
 
-def _cos_objective(Y, f):
-    """<F B(a, c) F, Y> / ||F B(a, c) F||_F for F = diag(f), in closed form as
-    a function of (a, c).  Off its diagonal B(a, c) holds x_t = cos a,
-    cos(a - c), cos c at the pairs {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}, so
-    the value is (sum f_u^2 Y_uu + sum x_t p_t) / sqrt(sum f_u^4 + sum x_t^2
-    s_t), where p_t and s_t, the sums of 2 f_u f_v Y_uv and 2 f_u^2 f_v^2
-    over the pairs of t, are computed once per f."""
-    f0, f1, f2, f3 = f
-    h0, h1, h2, h3 = f0 * f0, f1 * f1, f2 * f2, f3 * f3
-    p0 = 2.0 * (f0 * f1 * Y[0][1] + f2 * f3 * Y[2][3])
-    p1 = 2.0 * (f0 * f2 * Y[0][2] + f1 * f3 * Y[1][3])
-    p2 = 2.0 * (f0 * f3 * Y[0][3] + f1 * f2 * Y[1][2])
-    s0, s1, s2 = (2.0 * (h0 * h1 + h2 * h3), 2.0 * (h0 * h2 + h1 * h3),
-                  2.0 * (h0 * h3 + h1 * h2))
-    diag = h0 * Y[0][0] + h1 * Y[1][1] + h2 * Y[2][2] + h3 * Y[3][3]
-    quart = h0 * h0 + h1 * h1 + h2 * h2 + h3 * h3
-
-    def value(a, c):
-        x0, x1, x2 = math.cos(a), math.cos(a - c), math.cos(c)
-        return ((diag + x0 * p0 + x1 * p1 + x2 * p2)
-                / math.sqrt(quart + x0 * x0 * s0 + x1 * x1 * s1 + x2 * x2 * s2))
-    return value
+def _cos_objective(t, Y):
+    """<B, Y> / ||B||_F for the unit-diagonal B(a, c) whose off-diagonal
+    cosines t = (cos a, cos(a - c), cos c) sit at the pairs {0,1}|{2,3},
+    {0,2}|{1,3}, {0,3}|{1,2}: (tr Y / 2 + sum_t x_t (Y_uv + Y_wz)) /
+    sqrt(1 + sum_t x_t^2).  The cosines are scalars or arrays that
+    broadcast; Y is read as Y[u][v]."""
+    x0, x1, x2 = t
+    return ((0.5 * (Y[0][0] + Y[1][1] + Y[2][2] + Y[3][3])
+             + x0 * (Y[0][1] + Y[2][3]) + x1 * (Y[0][2] + Y[1][3])
+             + x2 * (Y[0][3] + Y[1][2]))
+            / (1.0 + x0 * x0 + x1 * x1 + x2 * x2) ** 0.5)
 
 
 # ---------------------------------------------------------------------------

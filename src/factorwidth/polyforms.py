@@ -81,6 +81,7 @@ class MonomialBasis:
 
 
 def monomial_basis(n: int, d: int) -> MonomialBasis:
+    n, d = _as_int(n), _as_int(d)
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     tuples = _degree_tuples(n, d)
@@ -91,20 +92,28 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
 
 @dataclass
 class HomogeneousPoly:
-    """Homogeneous polynomial as a sparse map exponent tuple -> Fraction."""
+    """Homogeneous polynomial as a sparse map exponent tuple -> Fraction.
+
+    The one input check: n, degree and exponents are read by ``_as_int``,
+    with n >= 1 and degree >= 0; a boolean coefficient raises ValueError."""
 
     n: int
     degree: int
     coefficients: dict
 
     def __post_init__(self):
+        self.n, self.degree = _as_int(self.n), _as_int(self.degree)
+        if self.n < 1 or self.degree < 0:
+            raise ValueError("need n >= 1 and degree >= 0")
         clean = {}
         for t, c in self.coefficients.items():
-            t = tuple(int(e) for e in t)
+            t = tuple(_as_int(e) for e in t)
             if len(t) != self.n or any(e < 0 for e in t):
                 raise ValueError(f"bad exponent tuple {t}")
             if sum(t) != self.degree:
                 raise ValueError(f"{t} does not have degree {self.degree}")
+            if isinstance(c, bool):
+                raise ValueError("boolean is not a coefficient")
             c = Fraction(c)
             if c != 0:
                 clean[t] = c
@@ -333,12 +342,10 @@ def load_poly_json(obj) -> HomogeneousPoly:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not {"n", "degree", "terms"} <= obj.keys():
         raise ValueError('polynomial JSON must be {"n", "degree", "terms"}')
-    n, degree = _as_int(obj["n"]), _as_int(obj["degree"])
-    if n < 1 or degree < 0:
-        raise ValueError("need n >= 1 and degree >= 0")
     coeffs: dict = {}
     for term in obj["terms"]:
-        exp = tuple(_as_int(e) for e in term["exp"])
+        exp = tuple(term["exp"])
         c = Fraction(_parse_entry(term["coef"]))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-    return HomogeneousPoly(n=n, degree=degree, coefficients=coeffs)
+    return HomogeneousPoly(n=obj["n"], degree=obj["degree"],
+                           coefficients=coeffs)

@@ -444,6 +444,41 @@ class TestCertify:
         assert dual_membership(B, 3).is_member
         assert frobenius_inner(B, Q) < 0
 
+    @staticmethod
+    def _certified(capsys, tmp_path, rows):
+        """Run ``certify`` at width 3 and check that it exits 0 with an
+        artifact in the dual cone that pairs negatively with the target."""
+        from factorwidth.dualcone import dual_membership
+        from factorwidth.symcore import (SymMatrix, frobenius_inner,
+                                         load_matrix_json)
+
+        path = _write(tmp_path / "q.json", {"n": 4, "rows": rows})
+        code, report = run_cli(capsys, "certify", path, 3)
+        assert code == 0
+        assert report["verdict"] == "found"
+        B = load_matrix_json(json.loads(
+            (tmp_path / "q.certificate.json").read_text())["B"])
+        assert dual_membership(B, 3).is_member
+        assert frobenius_inner(B, SymMatrix.from_rows(rows)) < 0
+
+    def test_cosine_stage_certifies_a_rescaled_family_member(self, capsys,
+                                                             tmp_path):
+        # pna_form(4, 1.4) under diag(16, 1/16, 1, 1): the search runs in
+        # the unit-diagonal frame, so the rescaling does not hide the ray
+        self._certified(capsys, tmp_path, [[358.4, 1.0, 16.0, 16.0],
+                                           [1.0, 0.00546875, 0.0625, 0.0625],
+                                           [16.0, 0.0625, 1.4, 1.0],
+                                           [16.0, 0.0625, 1.0, 1.4]])
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0.5, 0, 0], [0.5, 2, 1, 1], [0, 1, 2, 1], [0, 1, 1, 2]],
+        [[-1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ], ids=["zero-diagonal-with-mass", "negative-diagonal"])
+    def test_nonpositive_diagonal_is_certified(self, capsys, tmp_path, rows):
+        # the cosine search misses both (its rays have unit diagonal); the
+        # splitting fallback certifies them
+        self._certified(capsys, tmp_path, rows)
+
     def test_identity_none(self, capsys, fixture_files):
         code, report = run_cli(capsys, "certify", fixture_files["I5"], 3,
                                "--max-cycles", 200)

@@ -418,6 +418,26 @@ class TestCosCertificateSearch:
                 assert cert.value < bound
         assert len(set(found)) == 1
 
+    @pytest.mark.parametrize("d", [(16.0, 1 / 16, 1.0, 1.0),
+                                   (1 / 16, 16.0, 1 / 4, 4.0)])
+    def test_invariant_under_diagonal_congruence(self, d):
+        # 1.4 lies below the width-3 threshold 3/2 in every diagonal frame;
+        # the search runs in the unit-diagonal one, so the scales are moot
+        Qf = pna_form(PnaSpec(4, 1.4)).Q.to_float().as_array()
+        Q = SymMatrix.from_array(Qf * np.outer(d, d))
+        cert = cos_certificate_search(Q)
+        assert cert is not None
+        assert dual_membership(cert.B, 3, 1e-9).is_member
+        assert cert.value < -1e-8 * cert.B.frob_norm() * Q.frob_norm()
+
+    @pytest.mark.parametrize("rows", [
+        [[5e-324, 1, 0, 0], [1, 5e-324, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1e-310, 0, 0, 0], [0, 1e-310, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ], ids=["frame-overflows", "map-back-overflows"])
+    def test_gives_up_where_the_unit_frame_leaves_the_float_range(self, rows):
+        # warnings are errors here: no overflow may be computed on the way
+        assert cos_certificate_search(SymMatrix.from_rows(rows)) is None
+
 
 def _cli_mix_cos_targets(seed, count):
     """The cosine targets of the benchmark's ``cli_mix`` round, drawn in its
@@ -445,26 +465,33 @@ def _cli_mix_cos_targets(seed, count):
 
 
 class TestCosObjective:
-    """The refinement's closed-form objective and the search it drives."""
+    """The search's one closed-form objective and the search it drives."""
 
     def test_closed_form_equals_the_matrix_it_describes(self):
         rng = np.random.default_rng(20261019)
         for _ in range(200):
             a, c = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
             perm = rng.permutation(4)
-            f = rng.choice([-1.0, 1.0], 4) * np.exp(rng.uniform(-3, 3, 4))
+            f = rng.choice([-1.0, 1.0], 4)
             g = rng.standard_normal((4, 4))
             Qf = g + g.T
-            # f is diag(D) in the frame of B(a, c): D's entry perm[u] is f[u]
-            D = np.empty(4)
-            D[perm] = f
+            # f holds the signs in the frame of B(a, c): entry perm[u] of
+            # the ray's diagonal is f[u], so the case is f_u f_v Q[pu, pv]
+            signs = np.empty(4)
+            signs[perm] = f
             mat = CosExtremeRay(a, c, tuple(perm.tolist()),
-                                tuple(D.tolist())).matrix().as_array()
+                                tuple(signs.tolist())).matrix().as_array()
             expect = float(np.vdot(mat, Qf)) / float(np.linalg.norm(mat))
-            got = dualcone._cos_objective(Qf[np.ix_(perm, perm)].tolist(),
-                                          f.tolist())(a, c)
-            assert got == pytest.approx(
-                expect, rel=1e-12, abs=1e-12 * np.linalg.norm(Qf))
+            Y = np.outer(f, f) * Qf[np.ix_(perm, perm)]
+            t = (math.cos(a), math.cos(a - c), math.cos(c))
+            # the refinement's scalars on lists, the grid's arrays on arrays
+            got = dualcone._cos_objective(t, Y.tolist())
+            got_array = dualcone._cos_objective(
+                tuple(np.full((2, 2), x) for x in t), Y)
+            tol = dict(rel=1e-12, abs=1e-12 * np.linalg.norm(Qf))
+            assert got == pytest.approx(expect, **tol)
+            assert got_array.shape == (2, 2)
+            assert np.all(got_array == pytest.approx(expect, **tol))
 
     # TestCosCertificateSearch pins 1.4, the threshold 3/2 and the identity
     @pytest.mark.parametrize("eps", [1e-3, 1e-7])

@@ -466,3 +466,20 @@ class TestPolyJson:
         with pytest.raises(ValueError, match="not an integer"):
             load_poly_json({"n": 3, "degree": 2,
                             "terms": [{"exp": [2.9, 0, 0], "coef": 1}]})
+        with pytest.raises(ValueError, match="not an integer"):
+            load_poly_json({"n": 2.5, "degree": 2, "terms": []})
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: HomogeneousPoly(2, 2, {(2.9, 0): 1}), "not an integer"),
+        (lambda: HomogeneousPoly(2, 2, {(True, True): 1}), "not an integer"),
+        (lambda: HomogeneousPoly(2, 2, {(2, 0): True}), "boolean"),
+        (lambda: HomogeneousPoly(0, 0, {}), "n >= 1"),
+        (lambda: HomogeneousPoly(2, -1, {}), "degree >= 0"),
+        (lambda: HomogeneousPoly(True, 2, {}), "not an integer"),
+        (lambda: monomial_basis(2.5, 2), "not an integer"),
+        (lambda: monomial_basis(2, 1.5), "not an integer"),
+    ], ids=["float-exponent", "bool-exponents", "bool-coefficient", "n-zero",
+            "negative-degree", "bool-n", "float-n-basis", "float-d-basis"])
+    def test_constructor_rejects_what_it_would_truncate(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
