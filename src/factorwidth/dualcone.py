@@ -11,8 +11,8 @@ has 52,360 blocks and 15 distinct ones).
 Separating certificates for non-members of FW_k come from two places:
 
 * a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
-  matrices with unit diagonal), searched over angles, permutations and signs
-  in the target's unit-diagonal frame and mapped back;
+  matrices with unit diagonal), searched over angles and the family's two
+  sign classes in the target's unit-diagonal frame and mapped back;
 * for arbitrary (n, k), the ``decompose`` splitting core, whose shifted gap
   direction is the only other source; ``dykstra_dual_certificate`` reads it
   from ``fw_membership``.
@@ -183,18 +183,18 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     The search runs in Q's unit-diagonal frame U = D^-1 Q D^-1, D =
     diag(sqrt Q_ii) with 1 where Q_ii <= 0: <D^-1 B D^-1, Q> = <B, U>, the
     dual cone is invariant under B -> D^-1 B D^-1, and the family's rays
-    have unit diagonal, so only angles, permutations and signs are searched.
-    Grid phase: all angle cells, the 6 permutations with p[0] = 0 and the 8
-    sign patterns with s[0] = +1, minimizing <S P B(a,c) P^T S, U> / ||.||_F;
-    ties break toward the smallest (a-index, c-index, permutation, sign)
-    tuple.  The other 336 of the 24 x 16 cases repeat one of these 48:
-    B(a,c) is invariant under the Klein four-group, each of whose cosets
-    holds one permutation with p[0] = 0, and S = diag(s) and -S give the
-    same congruence, so ties break as over all 384.  Refinement runs
-    coordinate descent on the two angles, on the same closed form
-    ``_cos_objective``.  The kept ray is mapped back by D^-1 and returned
-    only if it passes ``verify_candidate`` against Q at k = 3; None where U
-    or that map leaves the float range.
+    have unit diagonal, so only angles and signs are searched.  The cosine
+    triples of B(a, c) fill the surface 1 - |x|^2 + 2 x0 x1 x2 = 0, which
+    is invariant under permuting the triple and negating two of its
+    entries, so every congruence S P B(a, c) P^T S by a signed permutation
+    is B(a', c') or S0 B(a', c') S0, S0 = diag(1, 1, 1, -1): two cases,
+    Y0 = U and Y1 = S0 U S0.  Grid phase: one ``_cos_objective`` over all
+    angle cells and both cases, minimizing <B(a, c), Y> / ||B||_F; ties
+    break toward the smallest (a-index, c-index, case).  Refinement runs
+    coordinate descent on the two angles, on the same closed form.  The
+    kept ray is mapped back by S D^-1 and returned only if it passes
+    ``verify_candidate`` against Q at k = 3; None where U or that map
+    leaves the float range.
     So the ray it finds is invariant under positive scaling of Q and, on a
     positive diagonal, under positive diagonal congruence; the gate's
     relative pairing only under scaling.  ValueError if an |entry| of Q
@@ -212,27 +212,18 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
         U = _congruence(Qf, np.arange(4), 1.0 / d)
     if not np.all(np.isfinite(U)):
         return None
+    signs = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
+    Ys = np.stack([_congruence(U, np.arange(4), s) for s in signs])
     step = 2.0 * math.pi / _COS_GRID
     grid = -math.pi + (np.arange(_COS_GRID) + 0.5) * step
-    cosines = (np.cos(grid)[:, None], np.cos(grid[:, None] - grid[None, :]),
-               np.cos(grid)[None, :])
-
-    perms = [p for p in itertools.permutations(range(4)) if p[0] == 0]
-    signs = [s for s in itertools.product((1.0, -1.0), repeat=4) if s[0] > 0]
-    best = None
-    for p_idx, perm in enumerate(perms):
-        for s_idx, sg in enumerate(signs):
-            vals = _cos_objective(
-                cosines, _congruence(U, perm, np.take(sg, perm)).tolist())
-            ia, ic = divmod(int(np.argmin(vals)), _COS_GRID)
-            cand = (float(vals[ia, ic]), ia, ic, p_idx, s_idx)
-            if best is None or cand < best:
-                best = cand
-
-    val, ia, ic, p_idx, s_idx = best
+    vals = _cos_objective(
+        (np.cos(grid)[:, None, None],
+         np.cos(grid[:, None] - grid[None, :])[:, :, None],
+         np.cos(grid)[None, :, None]), Ys.transpose(1, 2, 0))  # (a, c, case)
+    ia, ic, case = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    val = float(vals[ia, ic, case])
     a, c = float(grid[ia]), float(grid[ic])
-    perm, sg = perms[p_idx], signs[s_idx]
-    Y = _congruence(U, perm, np.take(sg, perm)).tolist()  # the case's Y
+    Y = Ys[case].tolist()
     step_ang = step / 2.0
     for _ in range(_COS_REFINE_ITERS):
         improved = False
@@ -248,8 +239,7 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
             if step_ang < 1e-12:
                 break
 
-    mat = _congruence(_cos_ray_array(a, c), np.argsort(perm),
-                      np.divide(sg, d))
+    mat = _congruence(_cos_ray_array(a, c), np.arange(4), signs[case] / d)
     return verify_candidate(mat, Q, 3)
 
 
@@ -257,8 +247,8 @@ def _cos_objective(t, Y):
     """<B, Y> / ||B||_F for the unit-diagonal B(a, c) whose off-diagonal
     cosines t = (cos a, cos(a - c), cos c) sit at the pairs {0,1}|{2,3},
     {0,2}|{1,3}, {0,3}|{1,2}: (tr Y / 2 + sum_t x_t (Y_uv + Y_wz)) /
-    sqrt(1 + sum_t x_t^2).  The cosines are scalars or arrays that
-    broadcast; Y is read as Y[u][v]."""
+    sqrt(1 + sum_t x_t^2).  The cosines and Y's entries are scalars or
+    arrays that broadcast; Y is read as Y[u][v]."""
     x0, x1, x2 = t
     return ((0.5 * (Y[0][0] + Y[1][1] + Y[2][2] + Y[3][3])
              + x0 * (Y[0][1] + Y[2][3]) + x1 * (Y[0][2] + Y[1][3])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -95,7 +96,8 @@ class HomogeneousPoly:
     """Homogeneous polynomial as a sparse map exponent tuple -> Fraction.
 
     The one input check: n, degree and exponents are read by ``_as_int``,
-    with n >= 1 and degree >= 0; a boolean coefficient raises ValueError."""
+    with n >= 1 and degree >= 0; a coefficient is a non-boolean
+    ``numbers.Rational`` or a finite float, else ValueError names its term."""
 
     n: int
     degree: int
@@ -112,8 +114,11 @@ class HomogeneousPoly:
                 raise ValueError(f"bad exponent tuple {t}")
             if sum(t) != self.degree:
                 raise ValueError(f"{t} does not have degree {self.degree}")
-            if isinstance(c, bool):
-                raise ValueError("boolean is not a coefficient")
+            rational = (isinstance(c, numbers.Rational)
+                        and not isinstance(c, bool))
+            if not (rational or isinstance(c, float) and math.isfinite(c)):
+                raise ValueError(f"coefficient {c!r} of {t} is not a "
+                                 "non-boolean rational or a finite float")
             c = Fraction(c)
             if c != 0:
                 clean[t] = c

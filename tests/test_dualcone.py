@@ -376,6 +376,26 @@ class TestCosRay:
         # the scales attached to those positions
         assert m[2, 0] == pytest.approx(-1.0 * 1.0 * base[0, 1])
 
+    def test_signed_permutations_give_two_classes(self):
+        # the search's two cases: every signed-permutation congruence of
+        # B(a, c) is B(a', c') when the signs multiply to +1, else
+        # S0 B(a', c') S0 with S0 = diag(1, 1, 1, -1)
+        rng = np.random.default_rng(20261020)
+        s0 = np.array([1.0, 1.0, 1.0, -1.0])
+        for a, c in sample_angles(200, seed=20261020):
+            perm = tuple(rng.permutation(4).tolist())
+            signs = rng.choice([-1.0, 1.0], 4)
+            m = CosExtremeRay(a, c, perm, tuple(signs.tolist())).matrix()
+            m = m.as_array()
+            if np.prod(signs) < 0:
+                m = np.outer(s0, s0) * m
+            pairs = [(sa * math.acos(m[0, 1]), sc * math.acos(m[0, 3]))
+                     for sa in (1, -1) for sc in (1, -1)]
+            a2, c2 = min(pairs, key=lambda p: abs(
+                math.cos(p[0] - p[1]) - m[0, 2]))
+            np.testing.assert_allclose(m, cos_ray(a2, c2).as_array(),
+                                       rtol=0, atol=1e-12)
+
     def test_ray_rejects_a_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             CosExtremeRay(a=1.0, c=2.0, permutation=(0, 0, 1, 2))
@@ -429,6 +449,30 @@ class TestCosCertificateSearch:
         assert cert is not None
         assert dual_membership(cert.B, 3, 1e-9).is_member
         assert cert.value < -1e-8 * cert.B.frob_norm() * Q.frob_norm()
+
+    def test_finds_the_odd_sign_class(self):
+        # the even class B(a, c) alone finds no separator of S0 Q S0, S0 =
+        # diag(1, 1, 1, -1); the odd class S0 B(a, c) S0 finds one at the
+        # value B(a, c) gives on Q
+        Q = pna_form(PnaSpec(4, 1.4)).Q.to_float()
+        Q_odd = scale_congruence(Q, np.diag([1.0, 1.0, 1.0, -1.0]))
+        cert = cos_certificate_search(Q)
+        cert_odd = cos_certificate_search(Q_odd)
+        assert cert_odd is not None
+        assert cert_odd.normalized_value(Q_odd) == pytest.approx(
+            cert.normalized_value(Q), rel=0, abs=1e-12)
+
+    def test_grid_phase_is_one_objective_call(self, monkeypatch):
+        calls = []
+        objective = dualcone._cos_objective
+
+        def spy(t, Y):
+            calls.append(isinstance(Y, np.ndarray))
+            return objective(t, Y)
+
+        monkeypatch.setattr(dualcone, "_cos_objective", spy)
+        assert cos_certificate_search(pna_form(PnaSpec(4, 1.4)).Q) is not None
+        assert calls.count(True) == 1
 
     @pytest.mark.parametrize("rows", [
         [[5e-324, 1, 0, 0], [1, 5e-324, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],

@@ -478,8 +478,15 @@ class TestPolyJson:
         (lambda: HomogeneousPoly(True, 2, {}), "not an integer"),
         (lambda: monomial_basis(2.5, 2), "not an integer"),
         (lambda: monomial_basis(2, 1.5), "not an integer"),
+        (lambda: HomogeneousPoly(1, 1, {(1,): float("inf")}), r"of \(1,\)"),
+        (lambda: HomogeneousPoly(1, 1, {(1,): float("nan")}), r"of \(1,\)"),
+        (lambda: HomogeneousPoly(1, 1, {(1,): "1/2"}), r"of \(1,\)"),
+        (lambda: HomogeneousPoly(1, 1, {(1,): "1/0"}), r"of \(1,\)"),
+        (lambda: HomogeneousPoly(1, 1, {(1,): None}), r"of \(1,\)"),
     ], ids=["float-exponent", "bool-exponents", "bool-coefficient", "n-zero",
-            "negative-degree", "bool-n", "float-n-basis", "float-d-basis"])
+            "negative-degree", "bool-n", "float-n-basis", "float-d-basis",
+            "inf-coefficient", "nan-coefficient", "string-coefficient",
+            "zero-denominator-string", "none-coefficient"])
     def test_constructor_rejects_what_it_would_truncate(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
