@@ -213,17 +213,17 @@ def cmd_soks(args) -> dict:
         raise _CliInputError("so-k-s needs an even-degree polynomial")
     if args.r < 0:
         raise _CliInputError("-r must be nonnegative")
-    lam = None
-    if args.lam:
+    if args.lam is not None and args.r == 0:
+        raise _CliInputError("--lambda needs -r >= 1")
+    if args.r > 0:
         try:
-            lam = [Fraction(tok) for tok in args.lam.split(",")]
+            lam = ([Fraction(tok) for tok in args.lam.split(",")]
+                   if args.lam is not None else [1] * p.n)
         except (ValueError, ZeroDivisionError) as exc:
             raise _CliInputError(f"bad --lambda: {exc}")
-    if args.r > 0:
         if p.degree != 2:
             raise _CliInputError("-r expects a quadratic input polynomial")
         q = QuadraticForm(Q=quadratic_gram(p))
-        lam = lam or [1] * p.n
         if len(lam) != p.n or not any(lam):
             raise _CliInputError("--lambda needs one weight per variable, "
                                  "not all zero")
@@ -355,7 +355,7 @@ def build_parser() -> _Parser:
     s.add_argument("-r", type=int, default=0,
                    help="multiplier power (input must be quadratic)")
     s.add_argument("--lambda", dest="lam",
-                   help="comma-separated multiplier weights")
+                   help="comma-separated multiplier weights; needs -r >= 1")
     _add_solver_flags(s)
 
     s = subs.add_parser("pna", help="threshold and witness for the symmetric "

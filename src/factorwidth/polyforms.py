@@ -3,8 +3,8 @@
 Everything in this module is exact: coefficients are ``fractions.Fraction``
 throughout, so the parity-aggregate identities hold with equality rather than
 within a tolerance.  The Gram/polynomial layer computes on Python ``int``
-numerators over one common denominator (``_scaled``) and makes one
-``Fraction`` per output entry or coefficient, not one per addition.
+numerators over one common denominator (``symcore._scaled``, shared with the
+exact psd test) and makes one ``Fraction`` per output entry or coefficient.
 
 ``_pair_classes`` is the one place that maps a pair of basis monomials
 (t_i, t_j) to the monomial t_i + t_j: ``gram_to_poly`` sums each monomial
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .decompose import fw_membership
-from .symcore import SymMatrix, _as_int, _entry_to_json, _parse_entry
+from .symcore import SymMatrix, _as_int, _entry_to_json, _parse_entry, _scaled
 
 __all__ = [
     "ExponentTuple",
@@ -179,17 +179,6 @@ def _odd_masks(n: int, d: int) -> np.ndarray:
                       for t in full.tuples])[cls]
     masks.flags.writeable = False
     return masks
-
-
-def _scaled(entries: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(num, den)``, ``num`` an ``int`` object array with ``entries ==
-    num / den`` exactly, ``den`` the lcm of the denominators (floats too)."""
-    ratios = [e.as_integer_ratio() for e in entries.ravel().tolist()]
-    dens = {q for _, q in ratios}
-    den = math.lcm(*dens)
-    scale = {q: den // q for q in dens}  # one division per denominator
-    num = np.array([p * scale[q] for p, q in ratios], dtype=object)
-    return num.reshape(entries.shape), den
 
 
 def _class_sums(num: np.ndarray, den: int, basis: MonomialBasis

@@ -17,10 +17,13 @@ the object array; it holds its supports as an ``(m, k)`` int array, and a
 blocks, ``worst_support``, ``enumerate_supports``) or a user's list comes
 in.  ``principal_submatrix`` and ``embed`` remain for single blocks.
 ``is_psd`` decides one matrix, and ``_psd_battery`` a stack of blocks, once
-per distinct block, for the dual cone.  Both cones are invariant under
-congruence by a permutation times a nonsingular diagonal;
-``scale_congruence`` (``Q^T A Q`` for any monomial ``Q``) and the cosine
-extreme-ray family apply it through one ``_congruence``.
+per distinct block, for the dual cone; on exact input at tol 0 both run
+``_exact_psd``, fraction-free elimination on the ``int`` numerators of
+``_scaled``, the package's one rational-to-integer map (the exact Gram layer
+of ``polyforms`` computes on them too).  Both cones are invariant under
+congruence by a permutation times a nonsingular diagonal; ``scale_congruence``
+(``Q^T A Q`` for any monomial ``Q``) and the cosine extreme-ray family apply
+it through one ``_congruence``.
 """
 
 from __future__ import annotations
@@ -419,41 +422,47 @@ def _floats_decide(entries: np.ndarray, tol: float) -> bool:
     return floats
 
 
-def _exact_psd(a: np.ndarray) -> Optional[int]:
-    """Exact psd decision for a square array of rational entries by pivoted
-    symmetric elimination: the rank (the number of positive pivots) when
-    ``a`` is psd, else None.
+def _scaled(entries: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(num, den)``, ``num`` an ``int`` object array with ``entries ==
+    num / den`` exactly, ``den`` the lcm of the denominators (floats too)."""
+    ratios = [e.as_integer_ratio() for e in entries.ravel().tolist()]
+    dens = {q for _, q in ratios}
+    den = math.lcm(*dens)
+    scale = {q: den // q for q in dens}  # one division per denominator
+    num = np.array([p * scale[q] for p, q in ratios], dtype=object)
+    return num.reshape(entries.shape), den
 
-    Declares not-psd on any negative pivot; zero pivots force a zero row/column
-    (else a negative 2x2 minor exists) and are eliminated by dropping the index.
+
+def _exact_psd(a: np.ndarray) -> Optional[int]:
+    """Exact psd decision for a square array of rational entries: the rank
+    (the number of positive pivots) when ``a`` is psd, else None.
+
+    Fraction-free (Bareiss) symmetric elimination on the numerators of
+    ``_scaled(a)``, pivoting on the largest remaining diagonal entry (the
+    first on ties).  After pivots ``P`` entry ``(i, j)`` is the minor on rows
+    ``P + i`` and columns ``P + j``: each division by the previous pivot is
+    exact and each diagonal entry has its Schur complement's sign.  A
+    negative one means not psd; once all are 0, every remaining entry must
+    be 0 too (else a 2x2 minor is negative).
     """
-    work = [[Fraction(e) for e in row] for row in a.tolist()]
-    alive = list(range(len(work)))
+    m = _scaled(a)[0].tolist()
+    alive, prev = list(range(len(m))), 1
     while alive:
-        dmax = None
-        pivot = -1
-        for i in alive:
-            d = work[i][i]
-            if d < 0:
-                return None
-            if dmax is None or d > dmax:
-                dmax, pivot = d, i
-        if dmax == 0:
-            for i in alive:
-                for j in alive:
-                    if i != j and work[i][j] != 0:
-                        return None
+        diag = [m[i][i] for i in alive]
+        if min(diag) < 0:
+            return None
+        d = max(diag)
+        if d == 0:
             break
-        alive.remove(pivot)
-        col = {i: work[i][pivot] for i in alive}
+        col = m[alive.pop(diag.index(d))]
         for i in alive:
-            ci = col[i]
-            if ci == 0:
-                continue
-            wi = work[i]
+            mi, ci = m[i], col[i]
             for j in alive:
-                wi[j] -= ci * col[j] / dmax
-    return len(work) - len(alive)
+                mi[j] = (d * mi[j] - ci * col[j]) // prev
+        prev = d
+    if any(m[i][j] for i in alive for j in alive):
+        return None
+    return len(m) - len(alive)
 
 
 def _psd_battery(stack: np.ndarray, tol: float):

@@ -561,6 +561,8 @@ def _write(path, obj):
     ("soks", "{inf_poly}", 2),
     ("soks", "{quad}", 3),
     ("soks", "{quad}", 2, "-r", 1, "--lambda", "0,0"),
+    ("soks", "{quad}", 2, "--lambda", "1,2,3"),
+    ("soks", "{quad}", 2, "-r", 1, "--lambda", ""),
     ("soks", "{cubic}", 1),
     ("soks", "{no_coef}", 2),
     ("soks", "{frac_exp}", 2),

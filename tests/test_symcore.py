@@ -437,6 +437,65 @@ class TestIsPsd:
             assert frobenius_inner(a, b) >= 0
 
 
+class TestExactPsd:
+    def test_rank_and_growth_match_sympy_oracle(self):
+        # low-rank psd matrices with zero rows, denominators up to 1e6 and
+        # numerators up to 1e30 times larger: _exact_psd is None exactly
+        # when sympy finds the matrix not psd, and its rank otherwise
+        import sympy
+
+        rnd = random.Random(29)
+        psd_ranks, not_psd = set(), 0
+        for trial in range(120):
+            n = rnd.randint(1, 6)
+            r = rnd.randint(0, n)
+            w = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 10 ** 6))
+                  for _ in range(r)] for _ in range(n)]
+            zero = rnd.sample(range(n), rnd.randint(0, n // 2))
+            for i in zero:
+                w[i] = [Fraction(0)] * r
+            rows = [[sum((w[i][t] * w[j][t] for t in range(r)), Fraction(0))
+                     for j in range(n)] for i in range(n)]
+            # push some off the psd cone: a negative diagonal entry, or a
+            # nonzero entry joining two zero rows, which no pivot reaches
+            if trial % 3 == 0:
+                i = rnd.randrange(n)
+                rows[i][i] -= Fraction(rnd.randint(1, 9), 10 ** 6)
+            elif trial % 3 == 1 and len(zero) >= 2:
+                i, j = zero[:2]
+                rows[i][j] = rows[j][i] = Fraction(1, rnd.randint(1, 10 ** 6))
+            if trial % 2 == 0:
+                rows = [[v * 10 ** 30 for v in row] for row in rows]
+            a = np.array(rows, dtype=object)
+            ref = sympy.Matrix(n, n, [sympy.Rational(v.numerator,
+                                                     v.denominator)
+                                      for row in rows for v in row])
+            rank = symcore._exact_psd(a)
+            if ref.is_positive_semidefinite:
+                assert rank == ref.rank(), (trial, rows)
+                psd_ranks.add(rank)
+            else:
+                assert rank is None, (trial, rows)
+                not_psd += 1
+        assert psd_ranks >= set(range(6)) and not_psd >= 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-10 ** 40, 10 ** 40),
+        st.fractions(max_denominator=10 ** 12),
+        st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=12))
+    def test_scaled_is_exact_on_int_numerators(self, entries):
+        a = np.empty(len(entries), dtype=object)
+        a[:] = entries
+        num, den = symcore._scaled(a)
+        assert num.shape == a.shape
+        assert all(type(p) is int for p in num.tolist())
+        assert all(Fraction(p, den) == Fraction(e)
+                   for p, e in zip(num.tolist(), entries))
+        assert den == math.lcm(*(Fraction(e).denominator for e in entries))
+
+
 class TestPsdBattery:
     def test_matches_is_psd_block_by_block(self):
         rnd = random.Random(4)
