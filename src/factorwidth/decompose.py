@@ -13,6 +13,11 @@ core is given the ``symcore._BlockIndex`` of its supports, and every block
 read and write goes through it; only ``BlockDecomposition.build``
 re-accumulates the blocks on its own, as the independent re-verification.
 
+The core iterates on A's unit-diagonal frame U = D^-1 A D^-1
+(``symcore._unit_frame``), which both cones respect, and maps blocks back as
+D_K B_K D_K and certificates as D^-1 B D^-1 to A's own gates; its target is
+set so that a hit in U is one in A.
+
 Infeasibility is detected in the loop, after Banjac, Goulart, Stellato and
 Boyd (JOTA 2019): on a non-member the increment X - Z of V converges to a
 separating direction, in that sign, so it is the one candidate; their proof
@@ -70,6 +75,7 @@ from .symcore import (
     _project_psd,
     _psd_battery,
     _sparsity_seed,
+    _unit_frame,
 )
 
 __all__ = [
@@ -216,7 +222,7 @@ def _verdict(it, history, residual, stop, decomposition=None,
     return MembershipVerdict("non_member", None, certificate, diagnostics)
 
 
-def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
+def _gap_certificate(A: SymMatrix, U: np.ndarray, dd: np.ndarray, k: int,
                      index: _BlockIndex, gap):
     """A verified certificate from the gap direction, shifted, or None.
 
@@ -228,13 +234,14 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
     pairing goes on; a restricted run then recomputes eps over all C(n, k)
     supports, and the candidate goes to the one certificate gate as it is.
     If it no longer pairs negatively, the run's cone excludes A and the
-    outcome is ``_EXCLUDED``.  ``Af`` is A as an array.
+    outcome is ``_EXCLUDED``.  All this is in the run's frame U, A / ``dd``,
+    and the candidate maps back as (gap + eps I) / dd, pairing unchanged.
     """
     from . import dualcone
 
     if gap is None:
         return None
-    inner, trace = float(np.vdot(gap, Af)), float(np.trace(Af))
+    inner, trace = float(np.vdot(gap, U)), float(np.trace(U))
 
     def shift(idx):
         lam = _psd_battery(idx.gather(gap), 0.0)[1]
@@ -248,7 +255,7 @@ def _gap_certificate(A: SymMatrix, Af: np.ndarray, k: int,
         eps = shift(_full_index(A.n, k))
         if eps is None:
             return _EXCLUDED
-    return dualcone.verify_candidate(gap + eps * np.eye(A.n), A, k)
+    return dualcone.verify_candidate((gap + eps * np.eye(A.n)) / dd, A, k)
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
@@ -267,38 +274,46 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     ``inconclusive``.  Every verdict but a member says in
     ``diagnostics["stop"]`` why the run ended; the budget exit names the
     call's whole budget and, after ``spent``, each run's share.
+    The residuals (but a member's) and the targets in ``stop`` are the
+    unit frame's.
     """
     n = A.n
     m = len(index.rows)
 
     Af = A.as_array()
-    target = opts.feas_tol * (1.0 + A.max_abs())
+    # the run's frame U = D^-1 A D^-1; a hit on its target meets A's gate,
+    # as |R_ij| = d_i d_j |R'_ij|
+    d = _unit_frame(Af)
+    dd = np.ones((n, n)) if d is None else np.outer(d, d)
+    U = Af / dd
+    gate = opts.feas_tol * (1.0 + A.max_abs())
+    target = min(opts.feas_tol * (1.0 + np.abs(U).max()), gate / dd.max())
 
     history: list[tuple[int, float]] = []
 
     def _give_up(message, residual, it, gap):
         """The exits that end the run: the final gap direction goes through
         the same shift as the z-checks."""
-        cert = _gap_certificate(A, Af, k, index, gap)
+        cert = _gap_certificate(A, U, dd, k, index, gap)
         return _verdict(it, history, residual, message,
                         certificate=None if cert is _EXCLUDED else cert,
                         source="final_gap")
 
     mult = index.accumulate(np.ones((m, index.k, index.k)))
-    uncovered = (mult == 0) & (np.abs(Af) > target)
+    uncovered = (mult == 0) & (np.abs(U) > target)
     if np.any(uncovered):
         # the direction -sign(A_ij)(e_i e_j^T + e_j e_i^T) has zero blocks
         # on the run's supports, so at k = 1 it needs no shift at all
         i, j = map(int, np.argwhere(uncovered)[0])
         direction = np.zeros((n, n))
-        direction[i, j] = direction[j, i] = -np.sign(Af[i, j])
+        direction[i, j] = direction[j, i] = -np.sign(U[i, j])
         return _give_up(
             f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
-            float(np.max(np.abs(Af[mult == 0]))), 0, direction)
+            float(np.max(np.abs(U[mult == 0]))), 0, direction)
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
 
     # consensus initialisation: distribute A over the supports by multiplicity
-    V = Z = index.gather(Af * inv_mult)
+    V = Z = index.gather(U * inv_mult)
 
     best = math.inf
     last_improve = 0
@@ -308,7 +323,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
 
     for it in range(1, opts.max_iter + 1):
         X = _project_psd(2.0 * Z - V)
-        res = float(np.max(np.abs(Af - index.accumulate(X))))
+        res = float(np.max(np.abs(U - index.accumulate(X))))
         if it % 100 == 0 or it == 1:
             history.append((it, res))
         zcheck = it % zcheck_every == 0
@@ -317,16 +332,17 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             # blocks are (numerically) psd, clipping them is a solution.
             # The stack with the smaller recomputed residual is the witness
             Xz = _project_psd(Z)
-            resz = float(np.max(np.abs(Af - index.accumulate(Xz))))
+            resz = float(np.max(np.abs(U - index.accumulate(Xz))))
             r, stack = (resz, Xz) if resz <= res else (res, X)
-            d = _accept(A, k, zip(map(index.support, range(m)), stack),
-                        target) if r <= target else None
-            if d is not None:
-                return _verdict(it, history, None, None, decomposition=d)
+            dec = _accept(A, k, zip(map(index.support, range(m)),
+                                    stack * index.gather(dd)),
+                          gate) if r <= target else None
+            if dec is not None:
+                return _verdict(it, history, None, None, decomposition=dec)
         if zcheck:
             # infeasibility detection: the gap X - Z converges to a
             # separating direction on non-members
-            cert = _gap_certificate(A, Af, k, index,
+            cert = _gap_certificate(A, U, dd, k, index,
                                     _assemble_gap(index, inv_mult, X, Z))
             if cert is not None:
                 history.append((it, res))
@@ -352,10 +368,10 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             resets_left -= 1
             last_improve = it
         V = V + _RELAX * (X - Z)
-        Z = V + index.gather((Af - index.accumulate(V)) * inv_mult)
+        Z = V + index.gather((U - index.accumulate(V)) * inv_mult)
     else:
         X = _project_psd(2.0 * Z - V)
-        res = float(np.max(np.abs(Af - index.accumulate(X))))
+        res = float(np.max(np.abs(U - index.accumulate(X))))
         split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
                  "supports; ") if spent else ""
         stop = (f"no decomposition within {spent + opts.max_iter} iterations "
@@ -445,10 +461,12 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
 
     ``diagnostics`` holds the ``iterations`` of both runs, and the
     ``primal_residual`` and ``residual_history`` (``(iteration, residual)``
-    pairs) of the returned run; every verdict but a member says why that
-    run ended in ``stop``, and a non-member adds ``certificate_value`` and
-    ``certificate_source``: ``"in_loop_gap"`` (a z-check), ``"final_gap"``
-    (the exit that ended the run) or ``"comparison"``.  ``seed_supports``
+    pairs) of the returned run, at k >= 3 in A's unit-diagonal frame but
+    for a member's residual, as are the targets in ``stop``.  Every verdict
+    but a member says why that run ended in ``stop``, and a non-member adds
+    ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
+    z-check), ``"final_gap"`` (the exit that ended the run) or
+    ``"comparison"``.  ``seed_supports``
     is the seed's size (None if no seed ran), and ``seed_stop`` the seeded
     run's ``stop`` after an escalation.
     """

@@ -44,6 +44,7 @@ from .symcore import (
     _frob,
     _full_index,
     _psd_battery,
+    _unit_frame,
 )
 from .polyforms import _odd_masks
 
@@ -181,7 +182,8 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     """Search the cosine family for a normalized separator of a 4x4 target.
 
     The search runs in Q's unit-diagonal frame U = D^-1 Q D^-1, D =
-    diag(sqrt Q_ii) with 1 where Q_ii <= 0: <D^-1 B D^-1, Q> = <B, U>, the
+    diag(sqrt Q_ii) with 1 where Q_ii <= 0 (``symcore._unit_frame``, the
+    frame the splitting core solves in): <D^-1 B D^-1, Q> = <B, U>, the
     dual cone is invariant under B -> D^-1 B D^-1, and the family's rays
     have unit diagonal, so only angles and signs are searched.  The cosine
     triples of B(a, c) fill the surface 1 - |x|^2 + 2 x0 x1 x2 = 0, which
@@ -205,13 +207,10 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     if not _fits_float(Q):
         raise ValueError("every |entry| must be below 2**1022")
     Qf = Q.as_array()
-    d = np.sqrt(np.where(np.diag(Qf) > 0, np.diag(Qf), 1.0))
-    if d.min() ** 2 < np.finfo(float).tiny:  # 1 / (d_i d_j) would overflow
+    d = _unit_frame(Qf)
+    if d is None:
         return None
-    with np.errstate(over="ignore"):
-        U = _congruence(Qf, np.arange(4), 1.0 / d)
-    if not np.all(np.isfinite(U)):
-        return None
+    U = Qf / np.outer(d, d)
     signs = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
     Ys = np.stack([_congruence(U, np.arange(4), s) for s in signs])
     step = 2.0 * math.pi / _COS_GRID

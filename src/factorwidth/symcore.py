@@ -23,7 +23,8 @@ per distinct block, for the dual cone; on exact input at tol 0 both run
 of ``polyforms`` computes on them too).  Both cones are invariant under
 congruence by a permutation times a nonsingular diagonal; ``scale_congruence``
 (``Q^T A Q`` for any monomial ``Q``) and the cosine extreme-ray family apply
-it through one ``_congruence``.
+it through one ``_congruence``, and ``_unit_frame`` gives the diagonal that
+the splitting core and the cosine search divide out.
 """
 
 from __future__ import annotations
@@ -592,6 +593,17 @@ def _congruence(a: np.ndarray, rows, d) -> np.ndarray:
     """``Q^T a Q`` for the monomial ``Q`` whose column ``j`` holds ``d[j]`` in
     row ``rows[j]``: entry ``(j, l)`` is ``d[j] * d[l] * a[rows[j], rows[l]]``."""
     return np.outer(d, d) * a[np.ix_(rows, rows)]
+
+
+def _unit_frame(a: np.ndarray) -> Optional[np.ndarray]:
+    """The scaling ``d`` of ``a``'s unit-diagonal frame U = a / outer(d, d):
+    sqrt(a_ii), with 1 where a_ii <= 0; None where 1 / (d_i d_j) or U leaves
+    the float range."""
+    d = np.sqrt(np.where(np.diagonal(a) > 0, np.diagonal(a), 1.0))
+    if d.min() ** 2 < np.finfo(float).tiny:
+        return None
+    with np.errstate(over="ignore"):
+        return d if np.all(np.isfinite(a / np.outer(d, d))) else None
 
 
 def scale_congruence(A: SymMatrix, Q) -> SymMatrix:

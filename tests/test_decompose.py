@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from factorwidth.families import (
     PnaSpec,
     example_m_fixtures,
     pna_form,
+    pna_threshold,
     sobs_comparison,
 )
 from factorwidth.symcore import (
@@ -742,12 +744,13 @@ class TestStopReason:
             "no decomposition within 50 iterations")
 
     def test_plateau(self):
-        # 0.9 of the width-4 threshold 5/3, so a non-member, but the
-        # congruence leaves the splitting stalled without a verified
-        # certificate
-        Q = pna_form(PnaSpec(6, 1.5)).Q
-        A = scale_congruence(Q, np.diag([8, 1 / 4, 1 / 2, 8, 1 / 4, 1 / 8]))
-        v = fw_membership(A, 4)
+        # 10^-6 below the width-3 threshold 3/2, so a non-member, but even in
+        # the unit-diagonal frame the splitting stalls without a verified
+        # certificate (in the given frame it passed as a member within the
+        # absolute target after 1 iteration)
+        Q = pna_form(PnaSpec(4, 1.5 - 1e-6)).Q
+        P = np.eye(4)[:, [2, 0, 1, 3]] @ np.diag(2.0 ** np.array([-2, -1, -2, 4]))
+        v = fw_membership(scale_congruence(Q, P), 3)
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"].startswith("residual plateau")
 
@@ -926,7 +929,8 @@ class TestExtremeScales:
         for scale in (1e160, 1e300)
         for k in range(2, n)
     ] + [(n, a, 2, scale) for n, a in ((3, 1), (4, 1.2), (5, 1.2))
-         for scale in (1e-170, 1e-300)])
+         for scale in (1e-170, 1e-300)
+         ] + [(n, 1.2, 3, scale) for n in (4, 5) for scale in (1e-150, 1e-300)])
     def test_family_below_its_threshold_is_certified(self, n, a, k, scale):
         A = SymMatrix.from_array(
             pna_form(PnaSpec(n, a)).Q.to_float().as_array() * scale)
@@ -1032,10 +1036,13 @@ class TestRelaxedSplitting:
         return projected, triaged
 
     def test_seed_stacks_skip_the_triage(self, monkeypatch):
+        # one projection per iteration and one more of Z at each z-check;
+        # the member is found at the z-check after 175 iterations
         projected, triaged = self._spied(monkeypatch)
         v = fw_membership(example_m_fixtures().Qprime, 4)
         assert v.status == "member" and v.diagnostics["seed_supports"] == 39
-        assert len(projected) > 200 and set(projected) == {39}
+        assert v.diagnostics["iterations"] == 175
+        assert len(projected) == 175 + 175 // 25 and set(projected) == {39}
         assert triaged == []
 
     def test_full_support_stacks_still_triage(self, monkeypatch):
@@ -1066,3 +1073,75 @@ class TestStallReset:
         B = v.certificate.B
         assert dual_membership(B, 5, 1e-9).is_member
         assert frobenius_inner(B, A) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+
+def _scaled_permutation(rng, n):
+    """P diag(2^e) with e in -4..4: a congruence that is exact in floats."""
+    return (np.eye(n)[:, rng.permutation(n)]
+            @ np.diag(2.0 ** rng.integers(-4, 5, n)))
+
+
+class TestUnitFrame:
+    """At k >= 3 the splitting core solves on U = D^-1 A D^-1, D = diag(sqrt
+    A_ii), and maps its witnesses back to A's gates."""
+
+    def test_scaled_family_is_certified_from_a_z_check(self):
+        # 0.9 of the width-4 threshold 5/3; in the given frame the splitting
+        # stopped at the residual plateau after 2885 iterations
+        Q = pna_form(PnaSpec(6, 1.5)).Q
+        A = scale_congruence(Q, np.diag([8, 1 / 4, 1 / 2, 8, 1 / 4, 1 / 8]))
+        v = fw_membership(A, 4)
+        assert v.status == "non_member"
+        assert v.diagnostics["certificate_source"] == "in_loop_gap"
+        assert v.diagnostics["iterations"] == 25
+        B = v.certificate.B
+        assert dual_membership(B, 4, 1e-9).is_member
+        assert float(frobenius_inner(B, A)) < -1e-8 * B.frob_norm() * A.frob_norm()
+
+    def test_scaled_qprime_is_a_member_within_200_iterations(self):
+        # 18,150 iterations in the given frame
+        Q = example_m_fixtures().Qprime
+        e = np.random.default_rng(0).integers(-2, 3, 15)
+        A = scale_congruence(Q, np.diag(2.0 ** e))
+        v = fw_membership(A, 4)
+        assert v.status == "member"
+        assert v.diagnostics["iterations"] <= 200
+        # the member gate is A's own, with today's absolute target
+        d = decomposition_from_json(decomposition_to_json(v.decomposition), A)
+        assert d.residual <= 1e-7 * (1.0 + A.max_abs())
+
+    @pytest.mark.parametrize("case", [
+        (n, k, f) for n, k in [(4, 3), (5, 3), (5, 4), (6, 4), (6, 5), (6, 3)]
+        for f in (9, 11)] + [
+        case for case in range(26) if _rank_one_block_sum(case)[1] >= 3],
+        ids=lambda c: "pna-{}-{}-{}".format(*c) if isinstance(c, tuple)
+        else f"sum-{c}")
+    def test_status_is_invariant_under_scaled_permutations(self, case):
+        # the family at 0.9 and 1.1 of its threshold, and the rank-1 block
+        # sums at k >= 3 among the first 26 of the sweep
+        if isinstance(case, tuple):
+            n, k, f = case
+            A = pna_form(PnaSpec(n, pna_threshold(n, k) * f / 10)).Q
+            status = "non_member" if f < 10 else "member"
+        else:
+            (A, k), status = _rank_one_block_sum(case), "member"
+        rng = np.random.default_rng(case)
+        assert fw_membership(A, k).status == status
+        for _ in range(2):
+            B = scale_congruence(A, _scaled_permutation(rng, A.n))
+            assert fw_membership(B, k).status == status
+
+    @pytest.mark.parametrize("a,status", [(1.2, "non_member"),
+                                          (2.2, "member")])
+    def test_subnormal_diagonal_solves_in_the_given_frame(self, a, status):
+        # 1 / (d_4 d_4) = 1e310 overflows, so the run keeps A's frame: the
+        # verdict is the given frame's, with no numpy warning
+        q = np.zeros((5, 5))
+        q[:4, :4] = pna_form(PnaSpec(4, a)).Q.to_float().as_array()
+        q[4, 4], q[4, :4], q[:4, 4] = 1e-310, 1e-312, 1e-312
+        assert symcore._unit_frame(q) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = fw_membership(SymMatrix.from_array(q), 3)
+        assert v.status == status
+        assert v.diagnostics["iterations"] == (25 if a < 2 else 1)
