@@ -34,20 +34,14 @@ the gate of :mod:`factorwidth.dualcone`.  Every run returns a
 ended its run in ``diagnostics["stop"]``.
 
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
-matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), so A is
-a member iff its comparison matrix is psd, and ``_width_two`` builds either
-witness from one ``eigh`` of that matrix, at the power-of-two scale of
-max|A|, through the same two gates; its verdict is the call's.  Every exit,
-there and in the splitting core, passes the one member gate ``_accept`` and
-leaves through the one verdict builder ``_verdict``.
-
-Otherwise ``fw_membership`` first runs on a user's ``support_list``, else on
-the sparsity seed (the supports whose block of A has no zero entry; cf. the
-column generation of Ahmadi, Dash and Hall, Discrete Optim. 2017).  A run on
-fewer supports stops as soon as a z-check direction separates A from its
-cone but not from FW_k; an inconclusive one leaves the rest of the iteration
-budget to all C(n, k) supports.  ``fw_membership`` is the one boundary: it
-checks the width, A's float range and a ``support_list`` (``_support_index``).
+matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), which
+``_width_two`` decides from the comparison matrix.  Every exit, there and in
+the splitting core, passes the one member gate ``_accept`` and leaves through
+the one verdict builder ``_verdict``.  Otherwise the first run is on a
+``support_list`` or the sparsity seed (cf. the column generation of Ahmadi,
+Dash and Hall, Discrete Optim. 2017), then on all C(n, k) supports
+(``fw_membership``, the one boundary, which checks the width, A's float range
+and a ``support_list``).
 """
 
 from __future__ import annotations
@@ -120,7 +114,7 @@ class BlockDecomposition:
     """Certified witness of FW_k membership: psd blocks summing to A.
 
     The residual is recomputed from the blocks at construction time, never
-    trusted from a solver, and every block is re-checked psd.
+    trusted from a solver, and every distinct block is re-checked psd once.
     """
 
     ambient_n: int
@@ -132,6 +126,7 @@ class BlockDecomposition:
     def build(cls, A: SymMatrix, k: int, blocks) -> "BlockDecomposition":
         n = A.n
         k = _as_width(n, k)
+        decided = set()
         for K, block in blocks:
             if len(K) > k:
                 raise ValueError(f"support {K.indices} exceeds width {k}")
@@ -139,15 +134,20 @@ class BlockDecomposition:
                 raise ValueError(f"support {K.indices} out of range for n={n}")
             if block.n != len(K):
                 raise ValueError("block size does not match its support")
+            key = tuple(block.entries.flat) if block.is_exact else id(block)
             tol = 0 if block.is_exact else _BLOCK_PSD_TOL
-            if not is_psd(block, tol).is_psd:
+            if key not in decided and not is_psd(block, tol).is_psd:
                 raise ValueError(f"block on {K.indices} is not psd")
+            decided.add(key)
         exact = A.is_exact and all(b.is_exact for _, b in blocks)
-        dtype = object if exact else float
-        acc = np.zeros((n, n), dtype=dtype)
+        # exact: the numerators over one denominator D, else the float images
+        D = math.lcm(A._nd[1], *(b._nd[1] for _, b in blocks)) if exact else 1
+        image = ((lambda M: M._nd[0] * (D // M._nd[1])) if exact
+                 else SymMatrix.as_array)
+        acc = np.zeros((n, n), dtype=object if exact else float)
         for K, block in blocks:
-            acc[np.ix_(K.indices, K.indices)] += block.entries.astype(dtype)
-        residual = float(np.max(np.abs(A.entries.astype(dtype) - acc)))
+            acc[np.ix_(K.indices, K.indices)] += image(block)
+        residual = float(np.max(np.abs(image(A) - acc)) / D)
         return cls(ambient_n=n, k=k, blocks=list(blocks), residual=residual)
 
 
@@ -263,19 +263,15 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     """Splitting core: one run on the supports of ``index``, one verdict;
     ``spent`` counts the iterations an earlier run of the same call used.
 
-    Each iteration takes Z = Pi V (the consensus step), X = P(2Z - V) (the
-    psd projection) and V <- V + alpha (X - Z).  A member is found at a
-    residual hit or a z-check, from the clipped Z or from X, which the
-    residual and the stall test read too.  Every gap exit reads X - Z: a
-    z-check whose shifted gap certifies ends the run ``non_member``
-    (``in_loop_gap``).  A stall resets V to Z at most twice and then gives
-    up, as does the end of the iteration budget or an entry outside every
-    support; the final gap then certifies (``final_gap``) or the verdict is
-    ``inconclusive``.  Every verdict but a member says in
-    ``diagnostics["stop"]`` why the run ended; the budget exit names the
-    call's whole budget and, after ``spent``, each run's share.
-    The residuals (but a member's) and the targets in ``stop`` are the
-    unit frame's.
+    A member is found at a residual hit or a z-check, from the clipped Z or
+    from X, which the residual and the stall test read too; a z-check whose
+    shifted gap X - Z certifies ends the run ``non_member`` (``in_loop_gap``).
+    A stall resets V to Z at most twice and then gives up, as does the end
+    of the budget or an entry outside every support; the final gap then
+    certifies (``final_gap``) or the verdict is ``inconclusive``.  The
+    budget exit's ``stop`` names the call's whole budget and, after
+    ``spent``, each run's share.  The residuals (but a member's) and the
+    targets in ``stop`` are the unit frame's.
     """
     n = A.n
     m = len(index.rows)
@@ -449,13 +445,9 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     "inconclusive", never "non_member".  ValueError if an |entry| of A
     reaches 2**1022.
 
-    At k = 2 the comparison matrix decides with no iteration and no
-    splitting run (``_width_two``; ``certificate_source`` ``"comparison"``,
-    ``iterations`` 0); a witness that does not verify makes the verdict
-    ``inconclusive``, and its ``stop`` says which side failed.
-
-    The first run is on the ``support_list``, else, for A with an exact zero
-    entry, on ``symcore._sparsity_seed``.  If it ends inconclusive with
+    At k = 2 ``_width_two`` decides with no splitting run (``iterations``
+    0).  The first run is on the ``support_list``, else, for A with an
+    exact zero entry, on ``symcore._sparsity_seed``.  If it ends inconclusive with
     iterations left, one run on all C(n, k) supports gets the rest and its
     verdict is returned: ``max_iter`` bounds the whole call.
 

@@ -3,19 +3,14 @@
 A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership and the float extreme-ray test are each one
 ``symcore._psd_battery`` (one psd decision per distinct block) on the
-blocks of the cached ``symcore._full_index(n, k)``, the index the
-``decompose`` splitting core uses on all C(n, k) supports; the exact
-extreme-ray test reads psd-ness and ranks off the battery's pivots.  The
-parity certificates repeat a handful of blocks (``bnr_certificate(4, 3, 4)``
-has 52,360 blocks and 15 distinct ones).
-Separating certificates for non-members of FW_k come from two places:
-
-* a parametrized family of extreme rays of (FW_3^4)* (cosine-patterned 4 x 4
-  matrices with unit diagonal), searched over angles and the family's two
-  sign classes in the target's unit-diagonal frame and mapped back;
-* for arbitrary (n, k), the ``decompose`` splitting core, whose shifted gap
-  direction is the only other source; ``dykstra_dual_certificate`` reads it
-  from ``fw_membership``.
+blocks of the cached ``symcore._full_index(n, k)``; the exact extreme-ray
+test reads psd-ness and ranks off the pivots.  The parity certificates, built
+from ``polyforms._odd_masks``, repeat a handful of blocks
+(``bnr_certificate(4, 3, 4)`` has 52,360 blocks and 15 distinct ones).
+Separating certificates for non-members of FW_k come from the cosine family
+of extreme rays of (FW_3^4)* (``cos_certificate_search``) and, for any (n,
+k), the shifted gap direction of the ``decompose`` splitting core
+(``dykstra_dual_certificate`` reads it from ``fw_membership``).
 
 ``verify_candidate`` is the one certificate gate: every ``DualCertificate``
 is built there, after one dual membership battery and the scale-free strict
@@ -38,6 +33,7 @@ from .symcore import (
     frobenius_inner,
     matrix_to_json,
     _as_width,
+    _checked,
     _congruence,
     _exact_psd,
     _fits_float,
@@ -137,7 +133,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
                     ) -> DualMembershipReport:
     """Check all C(n, k) principal submatrices of B for psd-ness.
 
-    One ``symcore._psd_battery`` on the gathered blocks of ``B.entries``:
+    One ``symcore._psd_battery`` on the gathered blocks of B (exact: ``_nd``):
     each distinct block is tested once, exactly when B is exact and ``tol``
     is 0.  Margins are float approximations; when an exact entry of a k x k
     block (at k = 1 the diagonal, else any entry of B) lies beyond the float
@@ -146,7 +142,8 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     """
     k = _as_width(B.n, k)
     index = _full_index(B.n, k)
-    member, lam, finite = _psd_battery(index.gather(B.entries), tol)
+    a, den = B._nd if B.is_exact else (B.entries, 1)
+    member, lam, finite = _psd_battery(index.gather(a), tol, den)
     worst = int(np.argmin(lam[:, 0]))
     return DualMembershipReport(
         is_member=member, k=k, worst_support=index.support(worst),
@@ -362,8 +359,9 @@ def bnr_certificate(n: int, r: int, k: int) -> SymMatrix:
     """
     if n < 1 or r < 0 or k < 2:
         raise ValueError("need n >= 1, r >= 0, k >= 2")
-    even = _odd_masks(n, r + 1) == 0
-    return SymMatrix.from_rows(np.where(even, k - 1, -1))
+    # symmetric by construction: a gather through _odd_masks
+    a = np.where(_odd_masks(n, r + 1) == 0, k - 1, -1).astype(object)
+    return SymMatrix._wrap(a, True, (a, 1))
 
 
 def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
@@ -377,19 +375,18 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
         raise ValueError("base certificate must be 4x4")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    for i in range(4):
-        di = B4[i, i]
-        ok = (di == 1) if B4.is_exact else abs(float(di) - 1.0) <= 1e-12
-        if not ok:
-            raise ValueError("base certificate must have unit diagonal")
+    diag = B4.entries.diagonal()
+    if not (all(diag == 1) if B4.is_exact else all(abs(diag - 1.0) <= 1e-12)):
+        raise ValueError("base certificate must have unit diagonal")
     exact = B4.is_exact and not isinstance(omega, float)
     # the lifted entry of each odd-position bitmask over the 4 variables
     table = [0] * 16
     table[0], table[15] = 1, omega
     for i, j in itertools.combinations(range(4), 2):
         table[(1 << i) | (1 << j)] = B4[i, j]
-    table = np.array(table, dtype=object if exact else float)
-    return SymMatrix.from_rows(table[_odd_masks(4, r + 1)])
+    # omega is the one entry not read off B4; the gather is symmetric
+    table, exact = _checked(np.array(table, dtype=object if exact else float))
+    return SymMatrix._wrap(table[_odd_masks(4, r + 1)], exact)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def pna_witness_decomposition(n: int, k: int, a: Number) -> BlockDecomposition:
 
     Each block is C(n-2, k-2)^{-1} times the k x k matrix with (k-1)a/(n-1)
     on the diagonal and 1 off it; summing the embedded copies reconstructs the
-    Gram exactly, and ``BlockDecomposition.build`` proves every block psd.
+    Gram exactly, and ``BlockDecomposition.build`` proves the block psd once.
     """
     a = Fraction(a)
     thr = pna_threshold(n, k)

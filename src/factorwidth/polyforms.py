@@ -1,16 +1,14 @@
 """Monomial bases, Gram/polynomial correspondence, and multiplier expansion.
 
-Everything in this module is exact: coefficients are ``fractions.Fraction``
-throughout, so the parity-aggregate identities hold with equality rather than
-within a tolerance.  The Gram/polynomial layer computes on Python ``int``
-numerators over one common denominator (``symcore._scaled``, shared with the
-exact psd test) and makes one ``Fraction`` per output entry or coefficient.
-
-``_pair_classes`` is the one place that maps a pair of basis monomials
-(t_i, t_j) to the monomial t_i + t_j: ``gram_to_poly`` sums each monomial
-class of a Gram, ``default_gram`` splits each coefficient over its class, and
-the parity certificates of ``dualcone`` read the odd positions of each class
-through ``_odd_masks``.
+Everything in this module is exact, so the parity-aggregate identities hold
+with equality rather than within a tolerance.  It computes on Python ``int``
+numerators over one common denominator: it reads a Gram's cached ``(num,
+den)`` view (``SymMatrix._nd``), builds its Grams from one, and makes one
+``Fraction`` per coefficient it returns.  ``_pair_classes`` is the one place
+that maps a pair of basis monomials (t_i, t_j) to the monomial t_i + t_j:
+``gram_to_poly`` sums each monomial class of a Gram, ``default_gram`` splits
+each coefficient over its class, and the parity certificates of ``dualcone``
+read the odd positions of each class through ``_odd_masks``.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .decompose import fw_membership
-from .symcore import SymMatrix, _as_int, _entry_to_json, _parse_entry, _scaled
+from .symcore import SymMatrix, _as_int, _entry_to_json, _frozen, _parse_entry
 
 __all__ = [
     "ExponentTuple",
@@ -164,10 +162,8 @@ def _pair_classes(n: int, d: int) -> tuple[MonomialBasis, np.ndarray]:
     basis, full = monomial_basis(n, d), monomial_basis(n, 2 * d)
     t = np.array(basis.tuples)
     sums = (t[:, None, :] + t[None, :, :]).reshape(-1, n)
-    cls = np.array([full.index[s] for s in map(tuple, sums.tolist())]
-                   ).reshape(len(basis), len(basis))
-    cls.flags.writeable = False
-    return full, cls
+    return full, _frozen(np.array([full.index[s] for s in map(
+        tuple, sums.tolist())]).reshape(len(basis), len(basis)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -175,10 +171,8 @@ def _odd_masks(n: int, d: int) -> np.ndarray:
     """Read-only ``m x m`` array: bit ``p`` of entry ``(i, j)`` is set when
     position ``p`` of ``t_i + t_j`` is odd (``t`` the degree-d basis)."""
     full, cls = _pair_classes(n, d)
-    masks = np.array([sum((e % 2) << p for p, e in enumerate(t))
-                      for t in full.tuples])[cls]
-    masks.flags.writeable = False
-    return masks
+    return _frozen(np.array([sum((e % 2) << p for p, e in enumerate(t))
+                             for t in full.tuples])[cls])
 
 
 def _class_sums(num: np.ndarray, den: int, basis: MonomialBasis
@@ -198,7 +192,7 @@ def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
     if Qp.n != len(basis):
         raise ValueError(
             f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
-    return _class_sums(*_scaled(Qp.entries), basis)
+    return _class_sums(*Qp._nd, basis)
 
 
 def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
@@ -219,10 +213,17 @@ def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     # unordered pairs per class: (ordered pairs + diagonal pairs) / 2
     u = (np.bincount(cls.ravel(), minlength=len(full))
          + np.bincount(cls.diagonal(), minlength=len(full))) // 2
-    # one division per class and place (on or off the diagonal), not per entry
-    share = np.array([(Fraction(c, w), Fraction(c, 2 * w)) for c, w in zip(
-        (p.coefficients.get(t, 0) for t in full.tuples), u.tolist())], object)
-    return SymMatrix._wrap(share[cls, 1 - np.eye(len(basis), dtype=int)], True)
+    # the (class, place) pairs the Gram fills, place 0 on the diagonal and 1
+    # off it: a share p_alpha / (u << place) each, over one denominator D L
+    pairs, inv = np.unique((2 * cls + 1 - np.eye(len(cls), dtype=int)).ravel(),
+                           return_inverse=True)
+    div = (u[pairs // 2] << pairs % 2).astype(object)
+    coef = [p.coefficients.get(full.tuples[c], 0) for c in pairs // 2]
+    D = math.lcm(*(f.denominator for f in coef))
+    num = np.array([f.numerator * (D // f.denominator) for f in coef], object)
+    L = math.lcm(*div[num != 0])
+    return SymMatrix._wrap(None, True, (
+        (num * (L // div))[inv].reshape(cls.shape), D * L))
 
 
 def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
@@ -230,24 +231,11 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
 
     Each multinomial term ``C(r,a) lam^(2a) x^(2a)`` contributes a shifted copy
     of Q at the basis positions ``x^a x_i``; a width-k decomposition of Q thus
-    lifts block-by-block, so this Gram is in FW_k whenever Q is.
+    lifts block-by-block, so this Gram is in FW_k whenever Q is.  It is built
+    as its ``(num, den)`` view: with ``L`` the lcm of the lam denominators,
+    the term ``x^(2 alpha)`` of ``(sum_i (lam_i x_i)^2)^r`` has the integer
+    weight ``C(r; alpha) prod (L lam_i)^(2 alpha_i)`` over ``L^(2r)``.
     """
-    num, den = _lift_numerators(q, lam, r)
-    frac = {v: Fraction(v, den) for v in set(num.flat)}  # one per value
-    return SymMatrix._wrap(np.frompyfunc(frac.__getitem__, 1, 1)(num), True)
-
-
-# ---------------------------------------------------------------------------
-# Multiplier expansion and parity aggregates
-# ---------------------------------------------------------------------------
-
-
-def _lift_numerators(q: QuadraticForm, lam: Sequence, r: int
-                     ) -> tuple[np.ndarray, int]:
-    """``multiplier_gram(q, lam, r)`` as ``(int numerators, denominator)``:
-    with ``L`` the lcm of the lam denominators, the term ``x^(2 alpha)`` of
-    ``(sum_i (lam_i x_i)^2)^r`` has the integer weight
-    ``C(r; alpha) prod (L lam_i)^(2 alpha_i)`` over ``L^(2r)``."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     n, lam = q.n, [Fraction(v) for v in lam]
@@ -255,17 +243,32 @@ def _lift_numerators(q: QuadraticForm, lam: Sequence, r: int
         raise ValueError("lambda must have length n and not be all zero")
     L = math.lcm(*(v.denominator for v in lam))
     sq = [(v.numerator * (L // v.denominator)) ** 2 for v in lam]
-    Q, den = _scaled(q.Q.entries)
-    basis = monomial_basis(n, r + 1)
-    out = np.zeros((len(basis), len(basis)), dtype=object)
-    unit = np.eye(n, dtype=int)
-    for alpha in _degree_tuples(n, r):
-        w = (math.factorial(r) // math.prod(math.factorial(a) for a in alpha)
-             * math.prod(s ** a for s, a in zip(sq, alpha)))
-        if w:
-            pos = [basis.index[t] for t in map(tuple, (unit + alpha).tolist())]
-            out[np.ix_(pos, pos)] += w * Q
-    return out, den * L ** (2 * r)
+    Q, den = q.Q._nd
+    coef, flat = _lift_terms(n, r)
+    w = np.array([c * math.prod(s ** a for s, a in zip(sq, alpha)) for c, alpha
+                  in zip(coef, _degree_tuples(n, r))], dtype=object)
+    m = math.comb(n + r, r + 1)  # the size of the degree-(r+1) basis
+    out = np.zeros(m * m, dtype=object)
+    np.add.at(out, flat, np.multiply.outer(w, Q.ravel()))
+    return SymMatrix._wrap(None, True, (out.reshape(m, m), den * L ** (2 * r)))
+
+
+# ---------------------------------------------------------------------------
+# Multiplier expansion and parity aggregates
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def _lift_terms(n: int, r: int) -> tuple[list, np.ndarray]:
+    """``C(r; alpha)`` for each term ``x^(2 alpha)`` of ``(sum_i x_i^2)^r``,
+    and a read-only array whose row ``t`` holds the flat positions, in the
+    degree-(r+1) Gram, of the copy of Q that term ``t`` places at x^alpha x_i."""
+    basis, alphas = monomial_basis(n, r + 1), _degree_tuples(n, r)
+    pos = np.array([[basis.index[t] for t in map(tuple, (np.eye(
+        n, dtype=int) + alpha).tolist())] for alpha in alphas])
+    flat = (pos[:, :, None] * len(basis) + pos[:, None]).reshape(len(pos), -1)
+    return [math.factorial(r) // math.prod(map(math.factorial, a))
+            for a in alphas], _frozen(flat)
 
 
 def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
@@ -274,7 +277,7 @@ def multiply_weighted_power(q: QuadraticForm, lam: Sequence, r: int
 
     Every monomial of the result has zero or two odd-degree variables.
     """
-    return _class_sums(*_lift_numerators(q, lam, r), monomial_basis(q.n, r + 1))
+    return gram_to_poly(multiplier_gram(q, lam, r), monomial_basis(q.n, r + 1))
 
 
 def parity_aggregates(p: HomogeneousPoly):
@@ -286,16 +289,15 @@ def parity_aggregates(p: HomogeneousPoly):
     """
     if p.degree % 2 != 0:
         raise ValueError("parity aggregates need an even-degree polynomial")
-    p0 = Fraction(0)
-    pij: dict = {}
+    # integer sums over one denominator D; the all-even pattern is key ()
+    D = math.lcm(*(c.denominator for c in p.coefficients.values()))
+    sums: dict = {}
     for t, c in p.coefficients.items():
-        odd = [i for i, e in enumerate(t) if e % 2 == 1]
-        if not odd:
-            p0 += c
-        elif len(odd) == 2:
-            key = (odd[0], odd[1])
-            pij[key] = pij.get(key, Fraction(0)) + c
-    return p0, pij
+        odd = tuple(i for i, e in enumerate(t) if e % 2)
+        if len(odd) in (0, 2):
+            sums[odd] = sums.get(odd, 0) + c.numerator * (D // c.denominator)
+    p0 = Fraction(sums.pop((), 0), D)
+    return p0, {key: Fraction(s, D) for key, s in sums.items()}
 
 
 # ---------------------------------------------------------------------------

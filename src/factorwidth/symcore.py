@@ -1,30 +1,21 @@
 """Dense symmetric matrices and the spectral/psd machinery shared by all modules.
 
-A :class:`SymMatrix` holds one read-only dense ``n x n`` numpy array, whose
-dtype picks one of two scalar worlds per instance:
-
-* exact: dtype ``object`` with ``int`` / ``fractions.Fraction`` entries; all
-  arithmetic on matched operands stays exact (used for paper fixtures and
-  certificates);
-* float: dtype ``float64`` (used by the iterative solvers).
-
-Conversion between the two worlds is always explicit (:meth:`SymMatrix.to_float`,
-:meth:`SymMatrix.to_exact`); mixing a Fraction matrix into a float computation
-never happens silently.  Both cones read their principal blocks through one
-:class:`_BlockIndex`, on the float array or, for the exact dual battery, on
-the object array; it holds its supports as an ``(m, k)`` int array, and a
-:class:`Support` is built only where one leaves the package (decomposition
-blocks, ``worst_support``, ``enumerate_supports``) or a user's list comes
-in.  ``principal_submatrix`` and ``embed`` remain for single blocks.
-``is_psd`` decides one matrix, and ``_psd_battery`` a stack of blocks, once
-per distinct block, for the dual cone; on exact input at tol 0 both run
-``_exact_psd``, fraction-free elimination on the ``int`` numerators of
-``_scaled``, the package's one rational-to-integer map (the exact Gram layer
-of ``polyforms`` computes on them too).  Both cones are invariant under
-congruence by a permutation times a nonsingular diagonal; ``scale_congruence``
-(``Q^T A Q`` for any monomial ``Q``) and the cosine extreme-ray family apply
-it through one ``_congruence``, and ``_unit_frame`` gives the diagonal that
-the splitting core and the cosine search divide out.
+A :class:`SymMatrix` is exact (``int``/``Fraction`` entries, exact arithmetic:
+paper fixtures, certificates) or float (``float64``: the iterative solvers);
+conversion between the two is explicit (``to_float``, ``to_exact``).  An
+exact one also carries its ``(num, den)`` view, an ``int`` object array over
+one ``int`` (``_scaled``, the package's one rational-to-integer map), cached
+on first use; the Grams of ``polyforms`` are made from it and make their
+``Fraction`` entries only when read.  The exact layer reads the view: the
+class sums and lifts of ``polyforms``, ``frobenius_inner``, and, at tol 0,
+``_exact_psd`` (fraction-free elimination) under ``is_psd`` and
+``_psd_battery`` (one decision per distinct block, for the dual cone).  Both
+cones read their principal blocks through one :class:`_BlockIndex` over an
+``(m, k)`` int array of supports; a :class:`Support` is built only where one
+leaves the package or a user's list comes in.  Both cones are invariant under
+congruence by a permutation times a nonsingular diagonal, applied through one
+``_congruence`` (``scale_congruence``, the cosine rays); ``_unit_frame`` gives
+the diagonal the splitting core and the cosine search divide out.
 """
 
 from __future__ import annotations
@@ -70,12 +61,13 @@ class SymMatrix:
 
     ``entries`` is the ``n x n`` numpy array: dtype ``object`` holding Python
     ``int``/``Fraction`` entries when ``is_exact``, else ``float64``.  Every
-    constructor checks symmetry and the entry types once; the array is never
-    written afterwards, so ``A[i, j] == A[j, i]`` holds for the instance's
-    lifetime.
+    constructor checks symmetry and the entry types once; no array is written
+    afterwards, so ``A[i, j] == A[j, i]`` holds for the instance's lifetime.
+    ``_nd`` is the cached ``(num, den)`` view; an instance built from it
+    makes ``entries`` on first read, one ``Fraction`` per distinct value.
     """
 
-    __slots__ = ("n", "entries", "is_exact")
+    __slots__ = ("n", "is_exact", "_entries", "_num_den")
 
     def __init__(self, n: int, upper: Sequence[Scalar]):
         if n < 1:
@@ -90,19 +82,34 @@ class SymMatrix:
         a[iu] = a.T[iu] = upper
         self._set(*_checked(a))
 
-    def _set(self, a: np.ndarray, exact: bool) -> None:
-        a.flags.writeable = False
-        self.n, self.entries, self.is_exact = a.shape[0], a, exact
+    def _set(self, a: Optional[np.ndarray], exact: bool, nd=None) -> None:
+        self.n = len(_frozen(nd[0]) if a is None else _frozen(a))
+        self._entries, self.is_exact, self._num_den = a, exact, nd
 
     @classmethod
-    def _wrap(cls, a: np.ndarray, exact: bool) -> "SymMatrix":
-        """An instance on ``a``, a symmetric array already checked; it is
-        made read-only, so only arrays nothing else writes may be passed."""
+    def _wrap(cls, a: Optional[np.ndarray], exact: bool, nd=None
+              ) -> "SymMatrix":
+        """An instance on ``a``, a symmetric array already checked, or on its
+        exact view ``nd`` alone (``a`` None); the array is made read-only, so
+        only arrays nothing else writes may be passed."""
         m = cls.__new__(cls)
-        m._set(a, exact)
+        m._set(a, exact, nd)
         return m
 
-    # -- constructors ------------------------------------------------------
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            num, den = self._num_den
+            frac = {v: Fraction(v, den) for v in set(num.flat)}
+            self._entries = _frozen(np.frompyfunc(frac.__getitem__, 1, 1)(num))
+        return self._entries
+
+    @property
+    def _nd(self) -> tuple[np.ndarray, int]:
+        if self._num_den is None:
+            num, den = _scaled(self._entries)
+            self._num_den = _frozen(num), den
+        return self._num_den
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "SymMatrix":
@@ -136,8 +143,6 @@ class SymMatrix:
         return cls._wrap(*_checked(
             np.diag(np.array(values, dtype=float if has_float else object))))
 
-    # -- element access ----------------------------------------------------
-
     def __getitem__(self, key) -> Scalar:
         i, j = key
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -148,9 +153,10 @@ class SymMatrix:
         return self.entries.tolist()
 
     def as_array(self) -> np.ndarray:
-        return self.entries.astype(float)
-
-    # -- conversions -------------------------------------------------------
+        """The float image (``int / int`` rounds once, as float(Fraction))."""
+        if self._entries is None:
+            return (self._num_den[0] / self._num_den[1]).astype(float)
+        return self._entries.astype(float)
 
     def to_float(self) -> "SymMatrix":
         return SymMatrix._wrap(self.as_array(), False)
@@ -160,8 +166,6 @@ class SymMatrix:
         entries = (self.entries if self.is_exact
                    else np.frompyfunc(Fraction, 1, 1)(self.entries))
         return SymMatrix._wrap(entries, True)
-
-    # -- norms / predicates --------------------------------------------------
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -179,6 +183,11 @@ class SymMatrix:
     def __repr__(self) -> str:
         kind = "exact" if self.is_exact else "float"
         return f"SymMatrix(n={self.n}, {kind})"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _frob(a: np.ndarray) -> float:
@@ -218,13 +227,14 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
     if a.shape[0] < 1:
         raise ValueError("dimension must be >= 1, got 0")
     if a.dtype == object:
-        entries = a.ravel().tolist()
-        if not any(isinstance(e, float) for e in entries):
-            for e in entries:
-                if not isinstance(e, (int, Fraction)):
-                    raise TypeError(f"unsupported entry type {type(e).__name__}")
+        # each entry type once, in order of first appearance
+        types = dict.fromkeys(map(type, a.ravel().tolist()))
+        if not any(issubclass(t, float) for t in types):
+            for t in types:
+                if not issubclass(t, (int, Fraction)):
+                    raise TypeError(f"unsupported entry type {t.__name__}")
             return a, True
-        if any(isinstance(e, Fraction) for e in entries):
+        if any(issubclass(t, Fraction) for t in types):
             raise TypeError(
                 "mixed Fraction and float entries; convert explicitly first")
     a = a.astype(float)
@@ -274,10 +284,6 @@ def _as_width(n: int, k) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return k
-
-
-def _as_support(K) -> Support:
-    return K if isinstance(K, Support) else Support.of(K)
 
 
 def enumerate_supports(n: int, k: int) -> list[Support]:
@@ -369,13 +375,14 @@ def frobenius_inner(A: SymMatrix, B: SymMatrix):
     if A.n != B.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
     if A.is_exact and B.is_exact:
-        return Fraction(np.sum(A.entries * B.entries))
+        (a, p), (b, q) = A._nd, B._nd
+        return Fraction(np.sum(a * b), p * q)
     return float(np.vdot(A.as_array(), B.as_array()))
 
 
 def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
     """Rows and columns of ``A`` restricted to the support ``K``."""
-    K = _as_support(K)
+    K = Support.of(K)
     if K.indices[-1] >= A.n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={A.n}")
     return SymMatrix._wrap(A.entries[np.ix_(K.indices, K.indices)], A.is_exact)
@@ -383,7 +390,7 @@ def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
 
 def embed(B: SymMatrix, K, n: int) -> SymMatrix:
     """Place ``B`` on the support ``K x K`` inside an ``n x n`` zero matrix."""
-    K = _as_support(K)
+    K = Support.of(K)
     if len(K) != B.n:
         raise ValueError(f"support size {len(K)} does not match block size {B.n}")
     if K.indices[-1] >= n:
@@ -410,13 +417,13 @@ def _fits_float(A: SymMatrix) -> bool:
     return bool(np.max(np.abs(A.entries)) < _FLOAT_SAFE)
 
 
-def _floats_decide(entries: np.ndarray, tol: float) -> bool:
-    """Whether float tests can read ``entries``; ValueError on a negative or
-    non-finite tol, and on a positive one when they cannot."""
+def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
+    """Whether float tests can read ``entries / den``; ValueError on a
+    negative or non-finite tol, and on a positive one when they cannot."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     floats = (entries.dtype != object
-              or bool(np.max(np.abs(entries)) < _FLOAT_SAFE))
+              or bool(np.max(np.abs(entries)) < _FLOAT_SAFE * den))
     if not floats and tol > 0:
         raise ValueError("an entry lies beyond the float range; "
                          "only the exact battery (tol=0) decides it")
@@ -466,15 +473,15 @@ def _exact_psd(a: np.ndarray) -> Optional[int]:
     return len(m) - len(alive)
 
 
-def _psd_battery(stack: np.ndarray, tol: float):
-    """``(psd, lam, finite)`` for an ``(m, k, k)`` stack: whether every block
-    is psd, each block's ascending spectrum, and whether the spectra are of
-    the blocks themselves (else of the blocks over their largest entry, which
-    lies beyond the float range).  A float stack goes to one ``eigvalsh`` as
-    it is (LAPACK decides each block on its own); an exact one is keyed by
-    value, so each distinct block is converted and tested once.  On an exact
-    stack at tol 0 the pivot tests decide, up to the first that fails, and
-    otherwise ``lambda_min >= -tol * (1 + max|block|)`` does.
+def _psd_battery(stack: np.ndarray, tol: float, den: int = 1):
+    """``(psd, lam, finite)`` for the ``(m, k, k)`` stack ``stack / den``:
+    whether every block is psd, each block's ascending spectrum, and whether
+    the spectra are of the blocks themselves (else of the blocks over their
+    largest entry, which lies beyond the float range).  A float stack goes to
+    one ``eigvalsh`` as it is; an exact one (numerators off ``_nd``, or any
+    rationals) is keyed by value, so each distinct block is converted and
+    tested once.  On an exact stack at tol 0 the pivot tests decide, up to
+    the first that fails, else ``lambda_min >= -tol * (1 + max|block|)``.
     """
     exact = stack.dtype == object
     blocks, inverse = stack, slice(None)
@@ -484,9 +491,10 @@ def _psd_battery(stack: np.ndarray, tol: float):
         inverse = np.array([slot.setdefault(key, len(slot)) for key in
                             map(tuple, stack.reshape(len(stack), -1).tolist())])
         blocks = np.array(list(slot), object).reshape(-1, *stack.shape[1:])
-    finite = _floats_decide(blocks, tol)
-    approx = (blocks if finite
-              else blocks / Fraction(np.max(np.abs(blocks)))).astype(float)
+    finite = _floats_decide(blocks, tol, den)
+    # int / int and Fraction / int round once, as float(Fraction) does
+    approx = (blocks / (den if finite else np.max(np.abs(blocks)))
+              if exact else blocks).astype(float)
     lam = np.linalg.eigvalsh(approx)
     scales = 1.0 + np.abs(approx).max(axis=(1, 2))
     psd = (all(_exact_psd(b) is not None for b in blocks)
@@ -504,10 +512,11 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     float range; the float path raises ValueError on such a matrix, as on a
     negative or non-finite ``tol``.
     """
-    floats = _floats_decide(A.entries, tol)
+    a, den = A._nd if A.is_exact else (A.entries, 1)
+    floats = _floats_decide(a, tol, den)
     min_eig = float(eigen_sym(A).eigenvalues[0]) if floats else None
     if A.is_exact and tol == 0:
-        return PsdReport(is_psd=_exact_psd(A.entries) is not None,
+        return PsdReport(is_psd=_exact_psd(a) is not None,
                          min_eigenvalue=min_eig, tolerance_used=0.0)
     threshold = tol * (1.0 + A.max_abs())
     return PsdReport(is_psd=min_eig >= -threshold, min_eigenvalue=min_eig,

@@ -679,6 +679,88 @@ def _fresh_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+_ONES = [[1, 1, 1]] * 3
+
+# argv (with {} for the input file), the input written to that file, the
+# allowed exit codes, whether stderr must be empty, and the key and value
+# that the one JSON object on stdout must hold (None: any object)
+_ENTRY_POINT_ROWS = [
+    ("pna 4 3", None, {0}, False, None, None),
+    # a verdict (0 found, 1 none), never 64 or 70
+    ("certify {} 3", {"n": 4, "rows": [[7, 5, 5, 5], [5, 7, 5, 5],
+                                       [5, 5, 7, 5], [5, 5, 5, 7]]},
+     {0, 1}, False, None, None),
+    # rejected from the comparison matrix, which eig calls psd
+    ("check-fw {} 2", {"n": 3, "rows": _ONES}, {1}, False,
+     "certificate_source", "comparison"),
+    ("eig {}", {"n": 3, "rows": _ONES}, {0}, False, "verdict", "psd"),
+    ("eig {}", {"n": 2, "rows": [[1, 2], [2, 1]]}, {1}, False,
+     "verdict", "not_psd"),
+    # scaled by 1e200, where a plain sum of squares overflows
+    ("check-fw {} 2", {"n": 3, "rows": [[1e200] * 3] * 3}, {1}, True,
+     "certificate_source", "comparison"),
+    # a member with subnormal entries, in closed form
+    ("check-fw {} 2", {"n": 3, "rows": [[2e-310, 1e-310, 0],
+                                        [1e-310, 2e-310, 1e-310],
+                                        [0, 1e-310, 2e-310]]},
+     {0}, True, "iterations", 0),
+    # the scaled pna_form(6, 1.5) at width 4, from a z-check
+    ("check-fw {} 4", {"n": 6, "rows": [
+        [0.0234375, 1.0, 0.0625, 0.03125, 0.03125, 0.125],
+        [1.0, 96.0, 4.0, 2.0, 2.0, 8.0],
+        [0.0625, 4.0, 0.375, 0.125, 0.125, 0.5],
+        [0.03125, 2.0, 0.125, 0.09375, 0.0625, 0.25],
+        [0.03125, 2.0, 0.125, 0.0625, 0.09375, 0.25],
+        [0.125, 8.0, 0.5, 0.25, 0.25, 1.5]]},
+     {1}, True, "certificate_source", "in_loop_gap"),
+    # pna_form(6, 1.5) under diag(8, 1/4, 1/2, 8, 1/4, 1/8) at width 4, from
+    # a z-check in the unit-diagonal frame
+    ("check-fw {} 4", {"n": 6, "rows": [
+        [96.0, 2.0, 4.0, 64.0, 2.0, 1.0],
+        [2.0, 0.09375, 0.125, 2.0, 0.0625, 0.03125],
+        [4.0, 0.125, 0.375, 4.0, 0.125, 0.0625],
+        [64.0, 2.0, 4.0, 96.0, 2.0, 1.0],
+        [2.0, 0.0625, 0.125, 2.0, 0.09375, 0.03125],
+        [1.0, 0.03125, 0.0625, 1.0, 0.03125, 0.0234375]]},
+     {1}, True, "certificate_source", "in_loop_gap"),
+    # pna_form(4, 1.2) scaled by 1e-150 at width 3: a non-member however
+    # small its entries
+    ("check-fw {} 3", {"n": 4, "rows": [
+        [1.2e-150 if i == j else 1e-150 for j in range(4)]
+        for i in range(4)]},
+     {1}, True, None, None),
+    # pna_form(4, 1.4) under diag(16, 1/16, 1, 1) at width 3
+    ("certify {} 3", {"n": 4, "rows": [
+        [358.4, 1.0, 16.0, 16.0], [1.0, 0.00546875, 0.0625, 0.0625],
+        [16.0, 0.0625, 1.4, 1.0], [16.0, 0.0625, 1.0, 1.4]]},
+     {0}, True, "verdict", "found"),
+    # (x0^2 + x1^2)^2 through the default Gram and its check
+    ("soks {} 2", {"n": 2, "degree": 4, "terms": [
+        {"exp": [4, 0], "coef": 1}, {"exp": [2, 2], "coef": 2},
+        {"exp": [0, 4], "coef": 1}]},
+     {0, 1}, False, None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, data, codes, quiet, key, value", _ENTRY_POINT_ROWS,
+    ids=[f"{i}-{row[0].split()[0]}" for i, row in enumerate(_ENTRY_POINT_ROWS)])
+def test_entry_point_row(tmp_path, argv, data, codes, quiet, key, value):
+    # each row in a new interpreter, as the installed console script runs it
+    path = tmp_path / "input.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    code, out, err = _fresh_process(
+        *(str(path) if tok == "{}" else tok for tok in argv.split()))
+    assert code in codes, err
+    if quiet:
+        assert err == ""
+    report = json.loads(out)
+    assert isinstance(report, dict)
+    if key is not None:
+        assert report.get(key) == value
+
+
 def test_module_entry_point_prints_one_run_report(schema):
     code, out, err = _fresh_process("pna", "4", "3")
     assert code == 0, err

@@ -23,6 +23,7 @@ from factorwidth.families import (
     example_m_fixtures,
     pna_form,
     pna_threshold,
+    pna_witness_decomposition,
     sobs_comparison,
 )
 from factorwidth.symcore import (
@@ -160,6 +161,38 @@ class TestBlockDecomposition:
         with pytest.raises(ValueError, match="exceeds width"):
             BlockDecomposition.build(
                 A, 2, [(Support.of([0, 1, 2]), good)] + blocks[:2])
+
+    def test_decides_each_distinct_block_once(self, monkeypatch):
+        from factorwidth import decompose
+
+        seen = []
+        real = decompose.is_psd
+        monkeypatch.setattr(decompose, "is_psd",
+                            lambda B, tol: seen.append(B) or real(B, tol))
+        # the witness repeats one block object on all C(6, 3) supports
+        d = pna_witness_decomposition(6, 3, 3)
+        assert len(d.blocks) == 20 and len(seen) == 1
+        # equal exact blocks are one decision; float blocks one per object
+        A, one = SymMatrix.identity(4), SymMatrix.identity(2)
+        pairs = [Support.of(K) for K in ([0, 1], [2, 3], [0, 3], [1, 2])]
+        seen.clear()
+        BlockDecomposition.build(A, 2, [(pairs[0], one),
+                                        (pairs[1], SymMatrix.identity(2))])
+        assert len(seen) == 1
+        flt = one.to_float()
+        seen.clear()
+        BlockDecomposition.build(A, 2, [(pairs[0], flt), (pairs[1], flt),
+                                        (pairs[2], one.to_float())])
+        assert len(seen) == 2
+        # a repeated bad block still names the first support it sits on
+        bad = SymMatrix.from_rows([[1, 2], [2, 1]])
+        for blocks in ([(pairs[2], bad), (pairs[0], bad)],
+                       [(pairs[2], bad), (pairs[0], bad.to_float())]):
+            seen.clear()
+            with pytest.raises(ValueError,
+                               match=r"block on \(0, 3\) is not psd"):
+                BlockDecomposition.build(A, 2, blocks)
+            assert len(seen) == 1
 
 
 class TestFwDecompose:

@@ -700,6 +700,12 @@ class TestBnrCertificate:
             B = bnr_certificate(1, r, 4)
             assert B.n == 1 and B[0, 0] == 3
 
+    def test_int_entries(self):
+        B = bnr_certificate(3, 2, 3)
+        assert B.is_exact
+        assert all(type(e) is int for row in B.rows() for e in row)
+        assert np.array_equal(B.entries, B.entries.T)
+
     def test_r0_diag_structure(self):
         B = bnr_certificate(3, 0, 2)
         assert B == SymMatrix.from_rows([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
@@ -787,6 +793,15 @@ class TestLiftQuaternary:
                     assert lifted[i, j] == B4[odd[0], odd[1]]
                 else:
                     assert lifted[i, j] == 1  # omega default
+
+    def test_omega_is_the_one_entry_checked(self):
+        B4 = self.rational_unit_diag(random.Random(7))
+        with pytest.raises(TypeError, match="unsupported entry type str"):
+            lift_quaternary_certificate(B4, 1, "1")
+        lifted = lift_quaternary_certificate(B4, 1, 0.5)
+        assert not lifted.is_exact and lifted.entries.dtype == np.float64
+        assert lifted == lift_quaternary_certificate(B4.to_float(), 1, 0.5)
+        assert np.array_equal(lifted.entries, lifted.entries.T)
 
     def test_omega_parameter(self):
         B4 = SymMatrix.identity(4)

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from factorwidth.polyforms import (
     quadratic_gram,
     soks_test,
 )
-from factorwidth.symcore import SymMatrix, frobenius_inner, matrix_to_json
+from factorwidth import symcore
+from factorwidth.symcore import (SymMatrix, frobenius_inner, is_psd,
+                                 matrix_to_json)
 
 
 def sympy_expand_oracle(Q: SymMatrix, lam, r):
@@ -146,6 +149,74 @@ def test_exact_layer_matches_a_plain_fraction_reference(data):
     for M in (g, lifted):
         assert M.is_exact
         assert all(type(e) is Fraction for row in M.rows() for e in row)
+
+
+def _ref_psd_rank(rows):
+    """Pivoted symmetric elimination on plain Fractions: the rank of a psd
+    matrix, else None."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    alive, rank = list(range(len(m))), 0
+    while alive:
+        if min(m[i][i] for i in alive) < 0:
+            return None
+        p = max(alive, key=lambda i: m[i][i])
+        if m[p][p] == 0:
+            break
+        alive.remove(p)
+        for i in alive:
+            for j in alive:
+                m[i][j] -= m[i][p] * m[p][j] / m[p][p]
+        rank += 1
+    return None if any(m[i][j] for i in alive for j in alive) else rank
+
+
+@st.composite
+def _exact_quadratics(draw, n):
+    """An exact n x n Gram: any rational one, or a psd w w^T of rank <= 2."""
+    if draw(st.booleans()):
+        G = draw(_grams(n))
+        return G if G.is_exact else G.to_exact()
+    w = draw(st.lists(st.lists(_RATIONAL, min_size=2, max_size=2),
+                      min_size=n, max_size=n))
+    return SymMatrix.from_rows([[sum(Fraction(a) * b for a, b in zip(u, v))
+                                 for v in w] for u in w])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_numerator_view_matches_plain_fractions(data):
+    # ROADMAP item 19's gate: matrices built from (num, den) and read
+    # through it agree with plain-Fraction references, value by value, and
+    # their float images are float(Fraction(e)) to the bit
+    n, r = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    q = QuadraticForm(Q=data.draw(_exact_quadratics(n)))
+    weight = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(_DENS))
+    lam = data.draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+    basis = monomial_basis(n, r + 1)
+    lifted = multiplier_gram(q, lam, r)
+    ref = _ref_multiplier_gram(q.Q.rows(), lam, r)
+    product = multiply_weighted_power(q, lam, r)
+    assert product.coefficients == _ref_gram_to_poly(ref, basis)
+    assert gram_to_poly(lifted, basis) == product
+    g = default_gram(product, basis)
+    ref_g = _ref_default_gram(product, basis)
+    assert frobenius_inner(lifted, g) == sum(
+        a * b for u, v in zip(ref, ref_g) for a, b in zip(u, v))
+    for M, rows in ((q.Q, q.Q.rows()), (lifted, ref), (g, ref_g)):
+        assert M.as_array().tobytes() == np.array(
+            [[float(Fraction(e)) for e in row] for row in rows]).tobytes()
+        rank = _ref_psd_rank(rows)
+        assert symcore._exact_psd(M._nd[0]) == rank
+        assert is_psd(M, 0).is_psd == (rank is not None)
+        assert M.rows() == rows
+    for M in (lifted, g):
+        # one Fraction per distinct value, in a read-only array
+        values = M.entries.ravel().tolist()
+        assert len(set(map(id, values))) == len(set(values))
+        with pytest.raises(ValueError):
+            M.entries[0, 0] = 0
+        with pytest.raises(ValueError):
+            M._nd[0][0, 0] = 0
 
 
 class TestMonomialBasis:

@@ -128,6 +128,36 @@ class TestSymMatrix:
                                            [-math.inf, 1.0]]))
 
 
+
+class _Int(int):
+    pass
+
+
+class TestEntryTypes:
+    """``_checked`` reads each entry type once; what it accepts and rejects,
+    and the type it names, are those of a scan entry by entry."""
+
+    @pytest.mark.parametrize("entry, exact", [
+        (True, True), (_Int(3), True), (2, True), (Fraction(1, 2), True),
+        (0.5, False), (np.float64(0.5), False),
+    ], ids=["bool", "int-subclass", "int", "fraction", "float", "np-float64"])
+    def test_accepted(self, entry, exact):
+        m = SymMatrix.from_rows([[entry, 0], [0, 1]])
+        assert m.is_exact is exact
+        assert m[0, 0] == entry
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[np.int64(1), 0], [0, 1]], "unsupported entry type int64"),
+        ([[np.float32(1), 0], [0, 1]], "unsupported entry type float32"),
+        ([[Fraction(1, 2), 0.5], [0.5, 1]], "mixed Fraction and float"),
+        ([[1, "1"], ["1", np.int64(1)]], "unsupported entry type str"),
+        ([[1, np.int64(1)], [np.int64(1), "1"]],
+         "unsupported entry type int64"),
+    ], ids=["np-int64", "np-float32", "mixed", "str-first", "int64-first"])
+    def test_rejected(self, rows, message):
+        with pytest.raises(TypeError, match=message):
+            SymMatrix.from_rows(rows)
+
 class TestFrobeniusInner:
     def test_identity_case(self):
         I5 = SymMatrix.identity(5)
