@@ -301,11 +301,13 @@ def cmd_certify(args) -> dict:
 
 def cmd_eig(args) -> dict:
     A = _load_matrix(args.matrix)
-    if A.is_exact:  # eigvalsh takes any finite float matrix
+    if A.is_exact:  # a float input's spectrum is checked below
         _check_float_range(A, args.matrix)
-    # one eigvalsh: psd iff lambda_min >= -1e-9 (1 + max|A|)
-    psd, lam, _ = _psd_battery(A.entries[None], 1e-9)
+    # one eigvalsh on the float image: psd iff lambda_min >= -1e-9 (1 + max|A|)
+    psd, lam, _ = _psd_battery(A.as_array()[None], 1e-9)
     lam = lam[0].tolist()
+    if not all(map(math.isfinite, lam)):
+        raise _CliInputError(f"{args.matrix}: an eigenvalue is not finite")
     return {
         "command": "eig",
         "verdict": "psd" if psd else "not_psd",

@@ -4,9 +4,9 @@ A symmetric matrix is in the dual cone exactly when every k x k principal
 submatrix is psd, so membership and the float extreme-ray test are each one
 ``symcore._psd_battery`` (one psd decision per distinct block) on the
 blocks of the cached ``symcore._full_index(n, k)``; the exact extreme-ray
-test reads psd-ness and ranks off the pivots.  The parity certificates, built
-from ``polyforms._odd_masks``, repeat a handful of blocks
-(``bnr_certificate(4, 3, 4)`` has 52,360 blocks and 15 distinct ones).
+test reads psd-ness and ranks off the pivots of the view's numerators.  The
+parity certificates, built from ``polyforms._odd_masks``, repeat a handful of
+blocks (``bnr_certificate(4, 3, 4)`` has 52,360 blocks and 15 distinct ones).
 Separating certificates for non-members of FW_k come from the cosine family
 of extreme rays of (FW_3^4)* (``cos_certificate_search``) and, for any (n,
 k), the shifted gap direction of the ``decompose`` splitting core
@@ -300,10 +300,10 @@ def dykstra_dual_certificate(Q: SymMatrix, k: int
 
 def _block_ranks(stack: np.ndarray) -> tuple[bool, list]:
     """Whether every block of an ``(m, j, j)`` stack is psd, and each
-    block's rank.  Exact blocks are decided and ranked by the pivots of
-    ``symcore._exact_psd`` (None marks a block that is not psd); float ones
-    by one psd battery at tol 1e-9, counting the eigenvalues above 1e-8 of
-    the block's largest entry."""
+    block's rank.  Exact blocks (``int`` numerators of a view) are decided
+    and ranked by the pivots of ``symcore._exact_psd`` (None marks a block
+    that is not psd); float ones by one psd battery at tol 1e-9, counting
+    the eigenvalues above 1e-8 of the block's largest entry."""
     if stack.dtype == object:
         ranks = [_exact_psd(b) for b in stack]
         return None not in ranks, ranks
@@ -326,13 +326,14 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
         raise ValueError("need n >= 2")
     if not (B.is_exact or _fits_float(B)):
         raise ValueError("every |entry| must be below 2**1022")
-    psd, (rank,) = _block_ranks(B.entries[None])
+    a = B._nd[0] if B.is_exact else B.entries
+    psd, (rank,) = _block_ranks(a[None])
     if psd:
         return ExtremeRayReport(
             is_psd=True, is_extreme=(rank == 1), psd_rank=rank,
             reason=f"psd with rank {rank}"
             + (": spans an extreme ray" if rank == 1 else ": decomposable"))
-    in_dual, ranks = _block_ranks(_full_index(n, n - 1).gather(B.entries))
+    in_dual, ranks = _block_ranks(_full_index(n, n - 1).gather(a))
     extreme = in_dual and all(r == n - 2 for r in ranks)
     if not in_dual:
         reason = "not in the dual cone"

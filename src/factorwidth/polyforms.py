@@ -1,14 +1,14 @@
 """Monomial bases, Gram/polynomial correspondence, and multiplier expansion.
 
 Everything in this module is exact, so the parity-aggregate identities hold
-with equality rather than within a tolerance.  It computes on Python ``int``
-numerators over one common denominator: it reads a Gram's cached ``(num,
-den)`` view (``SymMatrix._nd``), builds its Grams from one, and makes one
-``Fraction`` per coefficient it returns.  ``_pair_classes`` is the one place
-that maps a pair of basis monomials (t_i, t_j) to the monomial t_i + t_j:
-``gram_to_poly`` sums each monomial class of a Gram, ``default_gram`` splits
-each coefficient over its class, and the parity certificates of ``dualcone``
-read the odd positions of each class through ``_odd_masks``.
+with equality rather than within a tolerance.  It computes on ``int``
+numerators over one denominator: a Gram's cached ``(num, den)`` view, and
+coefficients and weights through ``symcore._scaled``; it builds its Grams
+as views and makes one ``Fraction`` per coefficient it returns.  Built once
+per (n, d): a basis, and ``_pair_classes``, the one map of a pair of basis
+monomials (t_i, t_j) to t_i + t_j (``gram_to_poly`` sums each class of a
+Gram, ``default_gram`` splits each coefficient over its class by a cached
+plan, and the parity certificates of ``dualcone`` read ``_odd_masks``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .decompose import fw_membership
-from .symcore import SymMatrix, _as_int, _entry_to_json, _frozen, _parse_entry
+from .symcore import (SymMatrix, _as_int, _entry_to_json, _frozen,
+                      _parse_entry, _scaled)
 
 __all__ = [
     "ExponentTuple",
@@ -51,23 +53,14 @@ class GramMismatchError(ValueError):
     """The supplied Gram matrix does not reproduce the polynomial."""
 
 
-@functools.lru_cache(maxsize=128)
-def _degree_tuples(n: int, d: int) -> tuple[ExponentTuple, ...]:
-    """All exponent tuples of total degree d, in descending lexicographic order."""
-    if n == 1:
-        return ((d,),)
-    return tuple((first,) + rest for first in range(d, -1, -1)
-                 for rest in _degree_tuples(n - 1, d - first))
-
-
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Degree-d monomials in n variables, descending lex, with an index map."""
+    """Degree-d monomials in n variables, descending lex; a read-only index."""
 
     n: int
     d: int
     tuples: tuple[ExponentTuple, ...]
-    index: dict = field(repr=False)
+    index: Mapping = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -79,14 +72,17 @@ class MonomialBasis:
             raise KeyError(f"{t} is not a degree-{self.d} monomial in {self.n} vars")
 
 
+@functools.lru_cache(maxsize=128, typed=True)  # typed: True is not 1
 def monomial_basis(n: int, d: int) -> MonomialBasis:
+    """The degree-d monomials in n variables, built once per (n, d)."""
     n, d = _as_int(n), _as_int(d)
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    tuples = _degree_tuples(n, d)
-    assert len(tuples) == math.comb(n + d - 1, d)
-    return MonomialBasis(n=n, d=d, tuples=tuples,
-                         index={t: i for i, t in enumerate(tuples)})
+    tuples = ((d,),) if n == 1 else tuple(
+        (first,) + rest for first in range(d, -1, -1)
+        for rest in monomial_basis(n - 1, d - first).tuples)
+    return MonomialBasis(n=n, d=d, tuples=tuples, index=MappingProxyType(
+        {t: i for i, t in enumerate(tuples)}))
 
 
 @dataclass
@@ -175,24 +171,18 @@ def _odd_masks(n: int, d: int) -> np.ndarray:
                              for t in full.tuples])[cls])
 
 
-def _class_sums(num: np.ndarray, den: int, basis: MonomialBasis
-                ) -> HomogeneousPoly:
-    """``z^T (num / den) z`` over the monomial vector of ``basis``: the
-    numerators are summed per monomial class, then divided once."""
-    full, cls = _pair_classes(basis.n, basis.d)
+def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
+    """Expand ``z^T Qp z`` over the monomial vector of ``basis`` (exactly):
+    each coefficient is the sum of the entries in its monomial class, taken
+    on the numerators of ``Qp``'s view and divided once."""
+    if Qp.n != len(basis):
+        raise ValueError(
+            f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
+    (num, den), (full, cls) = Qp._nd, _pair_classes(basis.n, basis.d)
     sums = np.zeros(len(full), dtype=object)
     np.add.at(sums, cls.ravel(), num.ravel())
     return HomogeneousPoly._wrap(basis.n, 2 * basis.d, {
         t: Fraction(s, den) for t, s in zip(full.tuples, sums.tolist()) if s})
-
-
-def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
-    """Expand ``z^T Qp z`` over the monomial vector of ``basis`` (exactly):
-    each coefficient is the sum of the exact entries in its monomial class."""
-    if Qp.n != len(basis):
-        raise ValueError(
-            f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
-    return _class_sums(*Qp._nd, basis)
 
 
 def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
@@ -202,6 +192,23 @@ def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
     return default_gram(p, monomial_basis(p.n, 1))
 
 
+@functools.lru_cache(maxsize=32)
+def _gram_plan(n: int, d: int) -> tuple[tuple, np.ndarray, int, np.ndarray]:
+    """``default_gram``'s tables: the class monomial of each (class, place)
+    pair (place 1 off the diagonal), the view ``(scale, L)`` of the pairs'
+    shares 1 / (u << place), and each Gram entry's pair."""
+    full, cls = _pair_classes(n, d)
+    # unordered pairs per class: (ordered pairs + diagonal pairs) / 2
+    u = (np.bincount(cls.ravel(), minlength=len(full))
+         + np.bincount(cls.diagonal(), minlength=len(full))) // 2
+    pairs, inv = np.unique((2 * cls + 1 - np.eye(len(cls), dtype=int)).ravel(),
+                           return_inverse=True)
+    scale, L = _scaled(np.array([Fraction(1, v) for v in (
+        u[pairs // 2] << pairs % 2).tolist()], dtype=object))
+    return (tuple(full.tuples[c] for c in (pairs // 2).tolist()),
+            _frozen(scale), L, _frozen(inv.reshape(cls.shape)))
+
+
 def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     """Canonical Gram choice: each coefficient p_alpha is split equally over
     the u_alpha unordered index pairs of its monomial class, so a diagonal
@@ -209,21 +216,10 @@ def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     Round-trips through :func:`gram_to_poly` exactly."""
     if p.degree != 2 * basis.d or p.n != basis.n:
         raise ValueError("basis does not match the polynomial degree")
-    full, cls = _pair_classes(basis.n, basis.d)
-    # unordered pairs per class: (ordered pairs + diagonal pairs) / 2
-    u = (np.bincount(cls.ravel(), minlength=len(full))
-         + np.bincount(cls.diagonal(), minlength=len(full))) // 2
-    # the (class, place) pairs the Gram fills, place 0 on the diagonal and 1
-    # off it: a share p_alpha / (u << place) each, over one denominator D L
-    pairs, inv = np.unique((2 * cls + 1 - np.eye(len(cls), dtype=int)).ravel(),
-                           return_inverse=True)
-    div = (u[pairs // 2] << pairs % 2).astype(object)
-    coef = [p.coefficients.get(full.tuples[c], 0) for c in pairs // 2]
-    D = math.lcm(*(f.denominator for f in coef))
-    num = np.array([f.numerator * (D // f.denominator) for f in coef], object)
-    L = math.lcm(*div[num != 0])
-    return SymMatrix._wrap(None, True, (
-        (num * (L // div))[inv].reshape(cls.shape), D * L))
+    terms, scale, L, inv = _gram_plan(basis.n, basis.d)
+    num, D = _scaled(np.array([p.coefficients.get(t, 0) for t in terms],
+                              dtype=object))
+    return SymMatrix._wrap(None, True, ((num * scale)[inv], D * L))
 
 
 def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
@@ -238,15 +234,15 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    n, lam = q.n, [Fraction(v) for v in lam]
-    if len(lam) != n or all(v == 0 for v in lam):
+    n, lam = q.n, np.array([Fraction(v) for v in lam], dtype=object)
+    if len(lam) != n or not any(lam):
         raise ValueError("lambda must have length n and not be all zero")
-    L = math.lcm(*(v.denominator for v in lam))
-    sq = [(v.numerator * (L // v.denominator)) ** 2 for v in lam]
+    num, L = _scaled(lam)
+    sq = (num * num).tolist()
     Q, den = q.Q._nd
     coef, flat = _lift_terms(n, r)
     w = np.array([c * math.prod(s ** a for s, a in zip(sq, alpha)) for c, alpha
-                  in zip(coef, _degree_tuples(n, r))], dtype=object)
+                  in zip(coef, monomial_basis(n, r).tuples)], dtype=object)
     m = math.comb(n + r, r + 1)  # the size of the degree-(r+1) basis
     out = np.zeros(m * m, dtype=object)
     np.add.at(out, flat, np.multiply.outer(w, Q.ravel()))
@@ -263,7 +259,7 @@ def _lift_terms(n: int, r: int) -> tuple[list, np.ndarray]:
     """``C(r; alpha)`` for each term ``x^(2 alpha)`` of ``(sum_i x_i^2)^r``,
     and a read-only array whose row ``t`` holds the flat positions, in the
     degree-(r+1) Gram, of the copy of Q that term ``t`` places at x^alpha x_i."""
-    basis, alphas = monomial_basis(n, r + 1), _degree_tuples(n, r)
+    basis, alphas = monomial_basis(n, r + 1), monomial_basis(n, r).tuples
     pos = np.array([[basis.index[t] for t in map(tuple, (np.eye(
         n, dtype=int) + alpha).tolist())] for alpha in alphas])
     flat = (pos[:, :, None] * len(basis) + pos[:, None]).reshape(len(pos), -1)
@@ -290,12 +286,12 @@ def parity_aggregates(p: HomogeneousPoly):
     if p.degree % 2 != 0:
         raise ValueError("parity aggregates need an even-degree polynomial")
     # integer sums over one denominator D; the all-even pattern is key ()
-    D = math.lcm(*(c.denominator for c in p.coefficients.values()))
+    num, D = _scaled(np.array(list(p.coefficients.values()), dtype=object))
     sums: dict = {}
-    for t, c in p.coefficients.items():
+    for t, c in zip(p.coefficients, num.tolist()):
         odd = tuple(i for i, e in enumerate(t) if e % 2)
         if len(odd) in (0, 2):
-            sums[odd] = sums.get(odd, 0) + c.numerator * (D // c.denominator)
+            sums[odd] = sums.get(odd, 0) + c
     p0 = Fraction(sums.pop((), 0), D)
     return p0, {key: Fraction(s, D) for key, s in sums.items()}
 

@@ -3,13 +3,13 @@
 A :class:`SymMatrix` is exact (``int``/``Fraction`` entries, exact arithmetic:
 paper fixtures, certificates) or float (``float64``: the iterative solvers);
 conversion between the two is explicit (``to_float``, ``to_exact``).  An
-exact one also carries its ``(num, den)`` view, an ``int`` object array over
-one ``int`` (``_scaled``, the package's one rational-to-integer map), cached
-on first use; the Grams of ``polyforms`` are made from it and make their
-``Fraction`` entries only when read.  The exact layer reads the view: the
-class sums and lifts of ``polyforms``, ``frobenius_inner``, and, at tol 0,
-``_exact_psd`` (fraction-free elimination) under ``is_psd`` and
-``_psd_battery`` (one decision per distinct block, for the dual cone).  Both
+exact one carries its ``(num, den)`` view, an ``int`` object array over one
+``int`` made by ``_scaled`` (the package's one rational-to-integer map) and
+cached; a Gram of ``polyforms`` is made from one and makes its ``Fraction``
+entries only when read.  Below the public API the view is the only exact
+input of equality, ``frobenius_inner``, ``polyforms`` and ``_exact_psd``
+(fraction-free elimination on ``num`` as given), which decides ``is_psd``,
+the extreme-ray ranks and ``_psd_battery`` (one decision per block).  Both
 cones read their principal blocks through one :class:`_BlockIndex` over an
 ``(m, k)`` int array of supports; a :class:`Support` is built only where one
 leaves the package or a user's list comes in.  Both cones are invariant under
@@ -162,10 +162,11 @@ class SymMatrix:
         return SymMatrix._wrap(self.as_array(), False)
 
     def to_exact(self) -> "SymMatrix":
-        """Exact copy; floats convert via their exact binary value."""
-        entries = (self.entries if self.is_exact
-                   else np.frompyfunc(Fraction, 1, 1)(self.entries))
-        return SymMatrix._wrap(entries, True)
+        """Exact copy on the same cached forms; a float one is made from the
+        view of its entries' exact binary values."""
+        if self.is_exact:
+            return SymMatrix._wrap(self._entries, True, self._num_den)
+        return SymMatrix._wrap(None, True, _scaled(self.entries))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -176,6 +177,9 @@ class SymMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
+        if self.is_exact and other.is_exact and self.n == other.n:
+            (a, p), (b, q) = self._nd, other._nd  # a / p == b / q
+            return bool(np.all(a * q == b * p))
         return self.n == other.n and bool(np.all(self.entries == other.entries))
 
     __hash__ = None  # unhashable: equality compares entries
@@ -441,19 +445,19 @@ def _scaled(entries: np.ndarray) -> tuple[np.ndarray, int]:
     return num.reshape(entries.shape), den
 
 
-def _exact_psd(a: np.ndarray) -> Optional[int]:
-    """Exact psd decision for a square array of rational entries: the rank
-    (the number of positive pivots) when ``a`` is psd, else None.
+def _exact_psd(num: np.ndarray) -> Optional[int]:
+    """Exact psd test of a square ``int`` array, a view's numerators (den > 0
+    changes nothing): its rank (positive pivots) when psd, else None.
 
-    Fraction-free (Bareiss) symmetric elimination on the numerators of
-    ``_scaled(a)``, pivoting on the largest remaining diagonal entry (the
-    first on ties).  After pivots ``P`` entry ``(i, j)`` is the minor on rows
-    ``P + i`` and columns ``P + j``: each division by the previous pivot is
-    exact and each diagonal entry has its Schur complement's sign.  A
-    negative one means not psd; once all are 0, every remaining entry must
-    be 0 too (else a 2x2 minor is negative).
+    Fraction-free (Bareiss) symmetric elimination on ``num`` as given,
+    pivoting on the largest remaining diagonal entry (the first on ties).
+    After pivots ``P`` entry ``(i, j)`` is the minor on rows ``P + i`` and
+    columns ``P + j``: each division by the previous pivot is exact and each
+    diagonal entry has its Schur complement's sign.  A negative one means not
+    psd; once all are 0, every remaining entry must be 0 too (else a 2x2
+    minor is negative).
     """
-    m = _scaled(a)[0].tolist()
+    m = num.tolist()
     alive, prev = list(range(len(m))), 1
     while alive:
         diag = [m[i][i] for i in alive]
@@ -478,21 +482,20 @@ def _psd_battery(stack: np.ndarray, tol: float, den: int = 1):
     whether every block is psd, each block's ascending spectrum, and whether
     the spectra are of the blocks themselves (else of the blocks over their
     largest entry, which lies beyond the float range).  A float stack goes to
-    one ``eigvalsh`` as it is; an exact one (numerators off ``_nd``, or any
-    rationals) is keyed by value, so each distinct block is converted and
-    tested once.  On an exact stack at tol 0 the pivot tests decide, up to
-    the first that fails, else ``lambda_min >= -tol * (1 + max|block|)``.
+    one ``eigvalsh`` as it is; an exact one is the ``int`` numerators of a
+    ``(num, den)`` view, keyed by value, so each distinct block is converted
+    and tested once.  On an exact stack at tol 0 the pivot tests decide, up
+    to the first that fails, else ``lambda_min >= -tol * (1 + max|block|)``.
     """
     exact = stack.dtype == object
     blocks, inverse = stack, slice(None)
     if exact:
-        # an int and an equal Fraction hash alike, so their blocks share a key
         slot = {}
         inverse = np.array([slot.setdefault(key, len(slot)) for key in
                             map(tuple, stack.reshape(len(stack), -1).tolist())])
         blocks = np.array(list(slot), object).reshape(-1, *stack.shape[1:])
     finite = _floats_decide(blocks, tol, den)
-    # int / int and Fraction / int round once, as float(Fraction) does
+    # int / int rounds once, as float(Fraction) does
     approx = (blocks / (den if finite else np.max(np.abs(blocks)))
               if exact else blocks).astype(float)
     lam = np.linalg.eigvalsh(approx)
@@ -666,9 +669,7 @@ def _entry_to_json(e: Scalar):
     if isinstance(e, float):
         return e
     f = Fraction(e)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    return int(f) if f.denominator == 1 else str(f)
 
 
 def load_matrix_json(obj) -> SymMatrix:

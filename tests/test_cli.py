@@ -519,6 +519,21 @@ class TestEig:
         assert code == 0 and report["verdict"] == "psd"
         assert len(solves) == 1
 
+    def test_overflowing_spectrum_names_the_file(self, capsys, tmp_path):
+        # finite float entries, an eigenvalue of 3.4e308: bad input, and a
+        # finite spectrum near the top of the float range keeps its answer
+        m = tmp_path / "big.json"
+        for x, code in ((1.7e308, 64), (0.8e308, 0)):
+            m.write_text(json.dumps({"n": 2, "rows": [[x, x], [x, x]]}))
+            assert main(["eig", str(m)]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == ""
+                assert str(m) in captured.err and "not finite" in captured.err
+            else:
+                lam = json.loads(captured.out)["eigenvalues"]
+                assert lam == pytest.approx([0.0, 2 * x], rel=1e-12)
+
 
 class TestDeterminism:
     def test_identical_reports(self, capsys, fixture_files):
@@ -581,6 +596,12 @@ def _write(path, obj):
     ("check-fw", "{f308}", 2),
     ("certify", "{f308}", 2),
     ("soks", "{quad}", 2, "--gram", "{f308}"),
+    # finite float entries whose spectrum overflows
+    ("eig", "{lam_inf}"),
+    ("eig", "{lam_minus_inf}"),
+    ("check-fw", "{missing}", 2),
+    ("check-fw", "{not_json}", 2),
+    ("check-fw", "{M}", 4, "--supports", "{supports_not_list}"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
 def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     files = {
@@ -621,7 +642,17 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
                                            {"exp": [0, 2], "coef": 1}]}),
         "f308": _write(tmp_path / "f308.json",
                        {"n": 2, "rows": [[1e308, 0.5], [0.5, 1.0]]}),
+        "lam_inf": _write(tmp_path / "lam_inf.json", {
+            "n": 2, "rows": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}),
+        "lam_minus_inf": _write(tmp_path / "lam_minus_inf.json", {
+            "n": 3, "rows": [[0, 0, 1.5e308], [0, 0, 1e308],
+                             [1.5e308, 1e308, 0]]}),
+        "missing": tmp_path / "missing.json",
+        "supports_not_list": _write(tmp_path / "supports_not_list.json",
+                                    {"supports": {"0": [0, 1, 2, 3]}}),
     }
+    (tmp_path / "not_json.json").write_text("{not json")
+    files["not_json"] = tmp_path / "not_json.json"
     code, report = run_cli(capsys, *(str(a).format(**files) for a in argv))
     assert code == 64
     assert report is None

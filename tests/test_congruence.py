@@ -7,6 +7,7 @@ preserved when the certificate moves by Q^{-T}.  These properties pin
 that invariance.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 from factorwidth import decompose, dualcone
 from factorwidth.decompose import fw_membership
 from factorwidth.dualcone import dual_membership
-from factorwidth.families import example_m_fixtures, sobs_comparison
+from factorwidth.families import (
+    PnaSpec,
+    example_m_fixtures,
+    pna_form,
+    pna_threshold,
+    sobs_comparison,
+)
 from factorwidth.symcore import (
     SymMatrix,
     frobenius_inner,
@@ -212,3 +219,53 @@ def test_width_two_verdict_is_invariant_under_positive_scaling(case, e, sign):
     assert v.status == fw_membership(B, 2).status
     assert v.diagnostics["iterations"] == 0
     assert "comparison_fallback" not in v.diagnostics
+
+
+@st.composite
+def _wide_member_or_not(draw):
+    """``(a, k, status)`` at k >= 3, away from the tolerance band: the
+    family J + (a - 1)I at 0.9 (non-member) or 1.1 (member) of its width-k
+    threshold, or a member by construction, a sum of 1-4 rank-1 blocks w w^T
+    with integer weights in [-3, 3] on k-subsets of range(n)."""
+    n = draw(st.integers(4, 6))
+    k = draw(st.integers(3, n - 1))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([0.9, 1.1]))
+        a = pna_form(PnaSpec(n, f * float(pna_threshold(n, k)))).Q
+        return a.as_array(), k, "member" if f > 1 else "non_member"
+    a = np.zeros((n, n))
+    for _ in range(draw(st.integers(1, 4))):
+        K = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k,
+                                max_size=k)))
+        w = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        a[np.ix_(K, K)] += np.outer(w, w)
+    assume(a.any())
+    return a, k, "member"
+
+
+@seed(20261021)
+@given(_wide_member_or_not(),
+       st.floats(1e-4, 1e4).filter(lambda c: math.log2(c) % 2 != 0))
+@_SETTINGS
+def test_status_is_invariant_under_positive_scaling(case, c):
+    # FW_k is a cone; c is not a power of 4, which the diagonal congruence
+    # 2^e I already covers, so c A is rounded in floats
+    a, k, status = case
+    assert fw_membership(SymMatrix.from_array(a), k).status == status
+    assert fw_membership(SymMatrix.from_array(c * a), k).status == status
+
+
+@seed(20261022)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+@_SETTINGS
+def test_full_width_agrees_with_is_psd(n, s, indefinite):
+    # FW_n is the psd cone; every eigenvalue is at least 1/2 away from 0
+    rng = np.random.default_rng(s)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = rng.uniform(0.5, 3.0, n)
+    if indefinite:
+        lam[rng.integers(n)] *= -1.0
+    A = SymMatrix.from_array((q * lam) @ q.T)
+    assert is_psd(A).is_psd == (not indefinite)
+    assert fw_membership(A, n).status == ("non_member" if indefinite
+                                          else "member")

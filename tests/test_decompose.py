@@ -429,6 +429,35 @@ class TestExtractFactors:
         for col in V.T:
             assert np.sum(np.abs(col) > 0) <= 2
 
+    def test_no_positive_eigenvalue_gives_no_column(self):
+        d = BlockDecomposition.build(SymMatrix.zeros(3, exact=False), 2, [
+            (Support.of([0, 2]), SymMatrix.zeros(2, exact=False))])
+        assert extract_factors(d).shape == (3, 0)
+
+
+class TestMemberGate:
+    """``decompose._accept``: the one member gate returns None, not an
+    error, when ``BlockDecomposition.build`` rejects a block."""
+
+    A = SymMatrix.from_array(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("block", [
+        [[1.0, 2.0], [2.0, 1.0]],  # not psd
+        [[2.0, np.inf], [np.inf, 2.0]],  # not finite
+    ], ids=["non-psd", "non-finite"])
+    def test_rejected_block_gives_none(self, block):
+        from factorwidth import decompose
+
+        blocks = [(Support.of([0, 1]), np.array(block))]
+        assert decompose._accept(self.A, 2, blocks, 10.0) is None
+
+    def test_verified_blocks_are_accepted(self):
+        from factorwidth import decompose
+
+        d = decompose._accept(self.A, 2, [
+            (Support.of([0, 1]), self.A.as_array())], 0.0)
+        assert d is not None and d.residual == 0.0
+
 
 class TestSolverOptions:
     def test_validation(self):

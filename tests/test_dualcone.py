@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from factorwidth import dualcone, symcore
 from factorwidth.dualcone import (
     CosExtremeRay,
+    DualCertificate,
     bnr_certificate,
     check_extreme_candidate,
     cos_certificate_search,
@@ -619,6 +620,14 @@ class TestDykstra:
         Q = SymMatrix.identity(4)
         noise = rng.standard_normal((4, 4))
         assert verify_candidate(noise + noise.T, Q, 2) is None
+
+    def test_certificate_rejects_a_margin_below_its_bound(self):
+        # the bound is -1e-9 (1 + max|B|) = -2e-9 on the identity
+        B = SymMatrix.identity(2, exact=False)
+        with pytest.raises(ValueError, match="infeasible minor"):
+            DualCertificate(B=B, k=2, value=-1.0, worst_minor_margin=-3e-9)
+        cert = DualCertificate(B=B, k=2, value=-1.0, worst_minor_margin=-2e-9)
+        assert cert.worst_minor_margin == -2e-9
 
 
 class TestCheckExtremeCandidate:

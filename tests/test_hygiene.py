@@ -104,3 +104,14 @@ def test_no_dead_private_definitions():
             if not used:
                 dead.append(f"{name}: {private} (line {definition.lineno})")
     assert not dead, f"private definitions referenced nowhere: {dead}"
+
+
+def test_only_symcore_reads_numerators_and_denominators():
+    # symcore._scaled is the package's one rational-to-integer map; every
+    # other module reads the (num, den) view or converts through it
+    reads = [f"{path.name}: .{node.attr} (line {node.lineno})"
+             for path in MODULES if path.name != "symcore.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("numerator", "denominator")]
+    assert not reads, f"rational parts read outside symcore: {reads}"

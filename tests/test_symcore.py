@@ -470,8 +470,9 @@ class TestIsPsd:
 class TestExactPsd:
     def test_rank_and_growth_match_sympy_oracle(self):
         # low-rank psd matrices with zero rows, denominators up to 1e6 and
-        # numerators up to 1e30 times larger: _exact_psd is None exactly
-        # when sympy finds the matrix not psd, and its rank otherwise
+        # numerators up to 1e30 times larger: _exact_psd on the numerators
+        # is None exactly when sympy finds the matrix not psd, and its rank
+        # otherwise
         import sympy
 
         rnd = random.Random(29)
@@ -500,7 +501,7 @@ class TestExactPsd:
             ref = sympy.Matrix(n, n, [sympy.Rational(v.numerator,
                                                      v.denominator)
                                       for row in rows for v in row])
-            rank = symcore._exact_psd(a)
+            rank = symcore._exact_psd(symcore._scaled(a)[0])
             if ref.is_positive_semidefinite:
                 assert rank == ref.rank(), (trial, rows)
                 psd_ranks.add(rank)
@@ -537,15 +538,19 @@ class TestPsdBattery:
             floats = [random_sym(rng, k) for _ in range(6)]
             for blocks, tol in ((exact, 0), (exact, 1e-9), (floats, 1e-9)):
                 blocks = blocks + blocks[:3]  # repeated blocks
-                psd, lam, finite = symcore._psd_battery(
-                    np.stack([b.entries for b in blocks]), tol)
+                # an exact stack goes in as the numerators of its view
+                stack = np.stack([b.entries for b in blocks])
+                num, den = (symcore._scaled(stack) if blocks[0].is_exact
+                            else (stack, 1))
+                psd, lam, finite = symcore._psd_battery(num, tol, den)
                 assert finite
                 assert psd == all(is_psd(b, tol).is_psd for b in blocks)
                 for b, spectrum in zip(blocks, lam):
                     assert spectrum == pytest.approx(
                         np.linalg.eigvalsh(b.as_array()), abs=1e-12)
                 for b in blocks:
-                    one = symcore._psd_battery(b.entries[None], tol)
+                    num, den = b._nd if b.is_exact else (b.entries, 1)
+                    one = symcore._psd_battery(num[None], tol, den)
                     assert one[0] == is_psd(b, tol).is_psd
 
     def test_one_eigensolve_and_pivot_test_per_distinct_block(
@@ -564,7 +569,7 @@ class TestPsdBattery:
         monkeypatch.setattr(symcore, "_exact_psd", spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", eig)
         one, two = SymMatrix.diag([1, Fraction(2, 2)]), SymMatrix.diag([1, 2])
-        stack = np.stack([b.entries for b in (one, two, one, two, two)])
+        stack = np.stack([b._nd[0] for b in (one, two, one, two, two)])
         psd, lam, _ = symcore._psd_battery(stack, 0)
         assert psd
         assert eig_rows == [2] and len(pivots) == 2
