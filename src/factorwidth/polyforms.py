@@ -72,15 +72,19 @@ class MonomialBasis:
             raise KeyError(f"{t} is not a degree-{self.d} monomial in {self.n} vars")
 
 
-@functools.lru_cache(maxsize=128, typed=True)  # typed: True is not 1
 def monomial_basis(n: int, d: int) -> MonomialBasis:
-    """The degree-d monomials in n variables, built once per (n, d)."""
+    """The degree-d monomials in n variables; checked, then cached."""
     n, d = _as_int(n), _as_int(d)
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
+    return _basis(n, d)
+
+
+@functools.lru_cache(maxsize=128)
+def _basis(n: int, d: int) -> MonomialBasis:
     tuples = ((d,),) if n == 1 else tuple(
         (first,) + rest for first in range(d, -1, -1)
-        for rest in monomial_basis(n - 1, d - first).tuples)
+        for rest in _basis(n - 1, d - first).tuples)
     return MonomialBasis(n=n, d=d, tuples=tuples, index=MappingProxyType(
         {t: i for i, t in enumerate(tuples)}))
 

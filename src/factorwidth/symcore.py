@@ -7,7 +7,7 @@ exact one carries its ``(num, den)`` view, an ``int`` object array over one
 ``int`` made by ``_scaled`` (the package's one rational-to-integer map) and
 cached; a Gram of ``polyforms`` is made from one and makes its ``Fraction``
 entries only when read.  Below the public API the view is the only exact
-input of equality, ``frobenius_inner``, ``polyforms`` and ``_exact_psd``
+input of ``frobenius_inner``, ``polyforms`` and ``_exact_psd``
 (fraction-free elimination on ``num`` as given), which decides ``is_psd``,
 the extreme-ray ranks and ``_psd_battery`` (one decision per block).  Both
 cones read their principal blocks through one :class:`_BlockIndex` over an
@@ -162,8 +162,7 @@ class SymMatrix:
         return SymMatrix._wrap(self.as_array(), False)
 
     def to_exact(self) -> "SymMatrix":
-        """Exact copy on the same cached forms; a float one is made from the
-        view of its entries' exact binary values."""
+        """Exact copy on the cached forms; floats go through ``_scaled``."""
         if self.is_exact:
             return SymMatrix._wrap(self._entries, True, self._num_den)
         return SymMatrix._wrap(None, True, _scaled(self.entries))
@@ -177,9 +176,6 @@ class SymMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        if self.is_exact and other.is_exact and self.n == other.n:
-            (a, p), (b, q) = self._nd, other._nd  # a / p == b / q
-            return bool(np.all(a * q == b * p))
         return self.n == other.n and bool(np.all(self.entries == other.entries))
 
     __hash__ = None  # unhashable: equality compares entries

@@ -219,21 +219,14 @@ def test_numerator_view_matches_plain_fractions(data):
             M._nd[0][0, 0] = 0
 
 
-def test_to_exact_and_equality_read_the_numerator_view():
-    # a library Gram copied or compared exactly makes no Fraction entries
+def test_to_exact_keeps_the_numerator_view():
+    # an exact copy of a library Gram makes no Fraction entries
     q = QuadraticForm(Q=SymMatrix.from_rows([[2, Fraction(1, 3)],
                                              [Fraction(1, 3), 1]]))
     G = multiplier_gram(q, [1, Fraction(1, 2)], 2)
     E = G.to_exact()
     assert E._nd is G._nd and E._entries is None
-    num, den = G._nd
-    tripled = SymMatrix._wrap(None, True, (num * 3, den * 3))
-    rows = SymMatrix.from_rows(multiplier_gram(q, [1, Fraction(1, 2)], 2)
-                               .rows())
-    assert G == tripled and tripled == E and G == rows
-    assert G != multiplier_gram(q, [1, Fraction(1, 3)], 2)
-    assert G._entries is None and E._entries is None
-    assert E.rows() == rows.rows() == tripled.rows()
+    assert E.rows() == G.rows()
 
 
 class TestMonomialBasis:
@@ -266,11 +259,13 @@ class TestMonomialBasis:
             b.index[(0, 0, 2)] = 0
         with pytest.raises(KeyError):
             b.position((1, 1, 1))
-        # the cache tells True from 1, so a boolean is still rejected
+        # arguments are checked before the cache: a boolean or an unhashable
+        # value is rejected with ValueError, and 2.0 reads as 2
         monomial_basis(1, 1)
-        with pytest.raises(ValueError):
-            monomial_basis(True, 1)
-        assert monomial_basis(2.0, 1) == monomial_basis(2, 1)
+        for bad in (True, [2], np.array([2])):
+            with pytest.raises(ValueError):
+                monomial_basis(bad, 1)
+        assert monomial_basis(2.0, 1) is monomial_basis(2, 1)
 
 
 class TestGramToPoly:
