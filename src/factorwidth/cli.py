@@ -106,8 +106,9 @@ def _load_supports(path: str, n: int, k: int):
 
 
 def _check_float_range(A: SymMatrix, source: str) -> None:
-    if not _fits_float(A):  # sums of two entries must stay finite floats
-        raise _CliInputError(f"{source}: every |entry| must be below 2**1022")
+    if not _fits_float(A):  # sums of two entries and ||A||_F stay finite
+        raise _CliInputError(
+            f"{source}: every |entry| must be below 2**1022, ||A||_F finite")
 
 
 def _check_width(k: int, n: int) -> None:
@@ -391,12 +392,10 @@ def main(argv=None) -> int:
         report = globals()["cmd_" + args.command.replace("-", "_")](args)
         print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return _verdict_exit(report["verdict"])
-    except _CliInputError as exc:
+    except (_CliInputError, GramMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except GramMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRAM_MISMATCH
+        return (EXIT_GRAM_MISMATCH if isinstance(exc, GramMismatchError)
+                else EXIT_BAD_INPUT)
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -134,7 +134,8 @@ class BlockDecomposition:
                 raise ValueError(f"support {K.indices} out of range for n={n}")
             if block.n != len(K):
                 raise ValueError("block size does not match its support")
-            key = tuple(block.entries.flat) if block.is_exact else id(block)
+            num, den = block._nd
+            key = (den, *num.flat) if block.is_exact else id(block)
             tol = 0 if block.is_exact else _BLOCK_PSD_TOL
             if key not in decided and not is_psd(block, tol).is_psd:
                 raise ValueError(f"block on {K.indices} is not psd")
@@ -147,7 +148,7 @@ class BlockDecomposition:
         acc = np.zeros((n, n), dtype=object if exact else float)
         for K, block in blocks:
             acc[np.ix_(K.indices, K.indices)] += image(block)
-        residual = float(np.max(np.abs(image(A) - acc)) / D)
+        residual = float(np.abs(image(A) - acc).max() / D)
         return cls(ambient_n=n, k=k, blocks=list(blocks), residual=residual)
 
 
@@ -169,7 +170,7 @@ def _support_index(n: int, k: int, support_list) -> _BlockIndex:
     against n and k, duplicates dropped, in lexicographic order."""
     rows = set()
     for K in support_list:
-        K = K if isinstance(K, Support) else Support.of(K)
+        K = Support.of(K)
         if len(K) > k:
             raise ValueError(f"support {K.indices} larger than k={k}")
         if K.indices[-1] >= n:
@@ -196,7 +197,7 @@ def _accept(A: SymMatrix, k: int, blocks, target: float):
     try:
         d = BlockDecomposition.build(A, k, [
             (K, SymMatrix.from_array(b)) for K, b in blocks
-            if np.max(np.abs(b)) > 0.0])
+            if np.abs(b).max() > 0.0])
     except ValueError:
         return None
     return d if d.residual <= target else None
@@ -305,7 +306,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
         direction[i, j] = direction[j, i] = -np.sign(U[i, j])
         return _give_up(
             f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
-            float(np.max(np.abs(U[mult == 0]))), 0, direction)
+            float(np.abs(U[mult == 0]).max()), 0, direction)
     inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
 
     # consensus initialisation: distribute A over the supports by multiplicity
@@ -319,7 +320,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
 
     for it in range(1, opts.max_iter + 1):
         X = _project_psd(2.0 * Z - V)
-        res = float(np.max(np.abs(U - index.accumulate(X))))
+        res = float(np.abs(U - index.accumulate(X)).max())
         if it % 100 == 0 or it == 1:
             history.append((it, res))
         zcheck = it % zcheck_every == 0
@@ -328,7 +329,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             # blocks are (numerically) psd, clipping them is a solution.
             # The stack with the smaller recomputed residual is the witness
             Xz = _project_psd(Z)
-            resz = float(np.max(np.abs(U - index.accumulate(Xz))))
+            resz = float(np.abs(U - index.accumulate(Xz)).max())
             r, stack = (resz, Xz) if resz <= res else (res, X)
             dec = _accept(A, k, zip(map(index.support, range(m)),
                                     stack * index.gather(dd)),
@@ -367,7 +368,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
         Z = V + index.gather((U - index.accumulate(V)) * inv_mult)
     else:
         X = _project_psd(2.0 * Z - V)
-        res = float(np.max(np.abs(U - index.accumulate(X))))
+        res = float(np.abs(U - index.accumulate(X)).max())
         split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
                  "supports; ") if spent else ""
         stop = (f"no decomposition within {spent + opts.max_iter} iterations "
@@ -443,7 +444,7 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     carry the certificate a run's shifted gap direction gave, which passed
     ``dualcone.verify_candidate``; a stall without a certificate yields
     "inconclusive", never "non_member".  ValueError if an |entry| of A
-    reaches 2**1022.
+    reaches 2**1022 or ||A||_F overflows.
 
     At k = 2 ``_width_two`` decides with no splitting run (``iterations``
     0).  The first run is on the ``support_list``, else, for A with an
@@ -465,7 +466,7 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
     if not _fits_float(A):
-        raise ValueError("every |entry| must be below 2**1022")
+        raise ValueError("every |entry| must be below 2**1022, ||A||_F finite")
     index = seed = None
     if opts.support_list is not None:
         index = _support_index(A.n, k, opts.support_list)
@@ -474,7 +475,7 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
         verdict.diagnostics["seed_supports"] = None
         return verdict
     if index is None:
-        seed = _sparsity_seed(A.entries != 0, k)
+        seed = _sparsity_seed(A._nd[0] != 0, k)
         index = _full_index(A.n, k) if seed is None else seed
     verdict = _fw_decompose_impl(A, k, opts, index)
     used = verdict.diagnostics["iterations"]
@@ -497,16 +498,13 @@ def extract_factors(d: BlockDecomposition) -> np.ndarray:
     cols = []
     for K, block in d.blocks:
         res = eigen_sym(block)
-        lam_max = float(np.max(np.abs(res.eigenvalues))) if block.n else 0.0
-        cut = 1e-10 * (1.0 + lam_max)
+        cut = 1e-10 * (1.0 + float(np.abs(res.eigenvalues).max()))
         for i, lam in enumerate(res.eigenvalues):
             if lam > cut:
                 col = np.zeros(d.ambient_n)
                 col[list(K.indices)] = math.sqrt(lam) * res.eigenvectors[:, i]
                 cols.append(col)
-    if not cols:
-        return np.zeros((d.ambient_n, 0))
-    return np.column_stack(cols)
+    return np.column_stack(cols) if cols else np.zeros((d.ambient_n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +526,7 @@ def decomposition_to_json(d: BlockDecomposition) -> dict:
 
 def decomposition_from_json(obj, A: SymMatrix) -> BlockDecomposition:
     """Rebuild (and re-verify against A) a decomposition from its JSON form."""
-    blocks = []
-    for entry in obj["blocks"]:
-        K = Support.of(entry["support"])
-        rows = entry["rows"]
-        b = load_matrix_json({"n": len(rows), "rows": rows})
-        blocks.append((K, b))
+    blocks = [(Support.of(e["support"]),
+               load_matrix_json({"n": len(e["rows"]), "rows": e["rows"]}))
+              for e in obj["blocks"]]
     return BlockDecomposition.build(A, obj["k"], blocks)

@@ -32,6 +32,7 @@ from .symcore import (
     Support,
     frobenius_inner,
     matrix_to_json,
+    _as_int,
     _as_width,
     _checked,
     _congruence,
@@ -142,7 +143,7 @@ def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
     """
     k = _as_width(B.n, k)
     index = _full_index(B.n, k)
-    a, den = B._nd if B.is_exact else (B.entries, 1)
+    a, den = B._nd
     member, lam, finite = _psd_battery(index.gather(a), tol, den)
     worst = int(np.argmin(lam[:, 0]))
     return DualMembershipReport(
@@ -197,12 +198,12 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     So the ray it finds is invariant under positive scaling of Q and, on a
     positive diagonal, under positive diagonal congruence; the gate's
     relative pairing only under scaling.  ValueError if an |entry| of Q
-    reaches 2**1022.
+    reaches 2**1022 or ||Q||_F overflows.
     """
     if Q.n != 4:
         raise ValueError("the cosine family lives on 4x4 targets")
     if not _fits_float(Q):
-        raise ValueError("every |entry| must be below 2**1022")
+        raise ValueError("every |entry| must be below 2**1022, ||Q||_F finite")
     Qf = Q.as_array()
     d = _unit_frame(Qf)
     if d is None:
@@ -308,7 +309,7 @@ def _block_ranks(stack: np.ndarray) -> tuple[bool, list]:
         ranks = [_exact_psd(b) for b in stack]
         return None not in ranks, ranks
     psd, lam, _ = _psd_battery(stack, 1e-9)
-    scales = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    scales = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
     return psd, np.sum(np.abs(lam) > 1e-8 * scales[:, None], axis=1).tolist()
 
 
@@ -319,14 +320,14 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
     candidates are extreme exactly when they lie in the dual cone and every
     (n-1) x (n-1) principal submatrix has rank n-2.  An exact B is decided
     and ranked exactly; a float B numerically, and ValueError if an |entry|
-    of it reaches 2**1022.
+    of it reaches 2**1022 or ||B||_F overflows.
     """
     n = B.n
     if n < 2:
         raise ValueError("need n >= 2")
     if not (B.is_exact or _fits_float(B)):
-        raise ValueError("every |entry| must be below 2**1022")
-    a = B._nd[0] if B.is_exact else B.entries
+        raise ValueError("every |entry| must be below 2**1022, ||B||_F finite")
+    a = B._nd[0]
     psd, (rank,) = _block_ranks(a[None])
     if psd:
         return ExtremeRayReport(
@@ -358,6 +359,7 @@ def bnr_certificate(n: int, r: int, k: int) -> SymMatrix:
     and -1 otherwise.  Every k x k principal submatrix is psd, so the matrix
     lies in the dual cone of the width-k Gram matrices.
     """
+    n, r, k = map(_as_int, (n, r, k))
     if n < 1 or r < 0 or k < 2:
         raise ValueError("need n >= 1, r >= 0, k >= 2")
     # symmetric by construction: a gather through _odd_masks
@@ -374,10 +376,11 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
     """
     if B4.n != 4:
         raise ValueError("base certificate must be 4x4")
+    r, (num, den) = _as_int(r), B4._nd
     if r < 0:
         raise ValueError("r must be nonnegative")
-    diag = B4.entries.diagonal()
-    if not (all(diag == 1) if B4.is_exact else all(abs(diag - 1.0) <= 1e-12)):
+    # exactly 1 on an exact diagonal, within 1e-12 on a float one
+    if not all(abs(num.diagonal() - den) <= (0 if B4.is_exact else 1e-12)):
         raise ValueError("base certificate must have unit diagonal")
     exact = B4.is_exact and not isinstance(omega, float)
     # the lifted entry of each odd-position bitmask over the 4 variables

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .symcore import SymMatrix, Support, is_psd, PsdReport
+from .symcore import SymMatrix, Support, is_psd, PsdReport, scale_congruence
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -113,7 +113,7 @@ def sobs_comparison(Q: SymMatrix) -> SobsReport:
     rows = [[Q[i, i] if i == j else -abs(Q[i, j]) for j in range(n)]
             for i in range(n)]
     comp = SymMatrix.from_rows(rows)
-    rep = is_psd(comp, 0) if comp.is_exact else is_psd(comp, 1e-9)
+    rep = is_psd(comp, 0 if comp.is_exact else 1e-9)
     return SobsReport(is_sobs=rep.is_psd, comparison=comp, psd_report=rep)
 
 
@@ -235,9 +235,7 @@ def qprime_canonical():
     basis = monomial_basis(5, 2)
     paper_order = _colex_pair_order(5)
     perm = [basis.position(t) for t in paper_order]  # paper index -> canonical
-    inv = np.argsort(perm)
-    canon = SymMatrix._wrap(fx.Qprime.entries[np.ix_(inv, inv)],
-                            fx.Qprime.is_exact)
+    canon = scale_congruence(fx.Qprime, np.eye(len(perm), dtype=int)[perm])
     supports = [Support.of(sorted(perm[i] for i in K.indices))
                 for K in fx.supports27]
     return canon, supports

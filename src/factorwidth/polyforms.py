@@ -182,7 +182,7 @@ def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
     if Qp.n != len(basis):
         raise ValueError(
             f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
-    (num, den), (full, cls) = Qp._nd, _pair_classes(basis.n, basis.d)
+    (num, den), (full, cls) = Qp.to_exact()._nd, _pair_classes(basis.n, basis.d)
     sums = np.zeros(len(full), dtype=object)
     np.add.at(sums, cls.ravel(), num.ravel())
     return HomogeneousPoly._wrap(basis.n, 2 * basis.d, {
@@ -236,14 +236,13 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     the term ``x^(2 alpha)`` of ``(sum_i (lam_i x_i)^2)^r`` has the integer
     weight ``C(r; alpha) prod (L lam_i)^(2 alpha_i)`` over ``L^(2r)``.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    n, lam = q.n, np.array([Fraction(v) for v in lam], dtype=object)
-    if len(lam) != n or not any(lam):
-        raise ValueError("lambda must have length n and not be all zero")
+    n, r = q.n, _as_int(r)
+    lam = np.array([Fraction(v) for v in lam], dtype=object)
+    if r < 0 or len(lam) != n or not any(lam):
+        raise ValueError("need r >= 0 and lambda of length n, not all zero")
     num, L = _scaled(lam)
     sq = (num * num).tolist()
-    Q, den = q.Q._nd
+    Q, den = q.Q.to_exact()._nd
     coef, flat = _lift_terms(n, r)
     w = np.array([c * math.prod(s ** a for s, a in zip(sq, alpha)) for c, alpha
                   in zip(coef, monomial_basis(n, r).tuples)], dtype=object)

@@ -2,14 +2,14 @@
 
 A :class:`SymMatrix` is exact (``int``/``Fraction`` entries, exact arithmetic:
 paper fixtures, certificates) or float (``float64``: the iterative solvers);
-conversion between the two is explicit (``to_float``, ``to_exact``).  An
-exact one carries its ``(num, den)`` view, an ``int`` object array over one
-``int`` made by ``_scaled`` (the package's one rational-to-integer map) and
-cached; a Gram of ``polyforms`` is made from one and makes its ``Fraction``
-entries only when read.  Below the public API the view is the only exact
-input of ``frobenius_inner``, ``polyforms`` and ``_exact_psd``
-(fraction-free elimination on ``num`` as given), which decides ``is_psd``,
-the extreme-ray ranks and ``_psd_battery`` (one decision per block).  Both
+conversion between the two is explicit (``to_float``, ``to_exact``).  Every
+matrix answers for its numbers through one ``(num, den)`` view, ``_nd``: a
+float one's own array over 1; an exact one's ``int`` object array over one
+``int``, made by ``_scaled`` (the package's one rational-to-integer map) and
+cached, or given (a Gram of ``polyforms``, whose ``Fraction`` entries are
+made only when read).  No module but this one reads ``entries``; the view
+feeds ``as_array``, the range checks, ``frobenius_inner``, ``polyforms`` and
+``_exact_psd`` (fraction-free elimination on ``num`` as given).  Both
 cones read their principal blocks through one :class:`_BlockIndex` over an
 ``(m, k)`` int array of supports; a :class:`Support` is built only where one
 leaves the package or a user's list comes in.  Both cones are invariant under
@@ -63,8 +63,8 @@ class SymMatrix:
     ``int``/``Fraction`` entries when ``is_exact``, else ``float64``.  Every
     constructor checks symmetry and the entry types once; no array is written
     afterwards, so ``A[i, j] == A[j, i]`` holds for the instance's lifetime.
-    ``_nd`` is the cached ``(num, den)`` view; an instance built from it
-    makes ``entries`` on first read, one ``Fraction`` per distinct value.
+    ``_nd`` is the one ``(num, den)`` view (a float array over 1, or ``int``
+    numerators over an ``int``); ``entries`` of a view is made on first read.
     """
 
     __slots__ = ("n", "is_exact", "_entries", "_num_den")
@@ -84,7 +84,8 @@ class SymMatrix:
 
     def _set(self, a: Optional[np.ndarray], exact: bool, nd=None) -> None:
         self.n = len(_frozen(nd[0]) if a is None else _frozen(a))
-        self._entries, self.is_exact, self._num_den = a, exact, nd
+        self._entries, self.is_exact = a, exact
+        self._num_den = nd if exact else (a, 1.0)
 
     @classmethod
     def _wrap(cls, a: Optional[np.ndarray], exact: bool, nd=None
@@ -153,22 +154,20 @@ class SymMatrix:
         return self.entries.tolist()
 
     def as_array(self) -> np.ndarray:
-        """The float image (``int / int`` rounds once, as float(Fraction))."""
-        if self._entries is None:
-            return (self._num_den[0] / self._num_den[1]).astype(float)
-        return self._entries.astype(float)
+        """The float image of ``_nd``, a new array (``int / int`` rounds once,
+        as float(Fraction) does)."""
+        return (self._nd[0] / self._nd[1]).astype(float, copy=False)
 
     def to_float(self) -> "SymMatrix":
         return SymMatrix._wrap(self.as_array(), False)
 
     def to_exact(self) -> "SymMatrix":
-        """Exact copy on the cached forms; floats go through ``_scaled``."""
-        if self.is_exact:
-            return SymMatrix._wrap(self._entries, True, self._num_den)
-        return SymMatrix._wrap(None, True, _scaled(self.entries))
+        """``self`` if exact (no array is written), else via ``_scaled``."""
+        return self if self.is_exact else SymMatrix._wrap(
+            None, True, _scaled(self._nd[0]))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+        return float(np.abs(self._nd[0]).max() / self._nd[1])
 
     def frob_norm(self) -> float:
         return _frob(self.as_array())
@@ -192,10 +191,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _frob(a: np.ndarray) -> float:
     """``np.linalg.norm`` of a finite float array, taken at the power-of-two
-    scale of max|a| (exact) so that no square overflows or underflows."""
+    scale of max|a| (exact) so that no square overflows or underflows; inf
+    when the norm itself lies beyond the float range."""
     e = math.frexp(float(np.abs(a).max()))[1]
     b = np.ldexp(a, -e).ravel()
-    return math.ldexp(math.sqrt(float(b @ b)), e)
+    s = math.sqrt(float(b @ b))
+    return math.ldexp(s, e) if math.frexp(s)[1] + e <= 1024 else math.inf
 
 
 def _check_symmetric(differs: np.ndarray) -> None:
@@ -411,10 +412,16 @@ def eigen_sym(A: SymMatrix) -> EigenResult:
     return EigenResult(eigenvalues=lam, eigenvectors=vec)
 
 
+def _in_range(num: np.ndarray, den, times: int = 1) -> bool:
+    """Whether every |entry| of ``num`` lies below ``2**1022 * den // times``."""
+    return bool(np.abs(num).max() < _FLOAT_SAFE * den // times)
+
+
 def _fits_float(A: SymMatrix) -> bool:
-    """Whether ``A`` has a float image that stays finite through the psd
-    tests' and the solvers' arithmetic."""
-    return bool(np.max(np.abs(A.entries)) < _FLOAT_SAFE)
+    """Whether ``A``'s float image stays finite through the solvers' and the
+    gate's arithmetic: ``_nd`` in range and ``||A||_F`` finite."""
+    return _in_range(*A._nd, A.n) or (  # ||A||_F <= n max|A|
+        _in_range(*A._nd) and math.isfinite(A.frob_norm()))
 
 
 def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
@@ -422,8 +429,7 @@ def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
     negative or non-finite tol, and on a positive one when they cannot."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    floats = (entries.dtype != object
-              or bool(np.max(np.abs(entries)) < _FLOAT_SAFE * den))
+    floats = entries.dtype != object or _in_range(entries, den)
     if not floats and tol > 0:
         raise ValueError("an entry lies beyond the float range; "
                          "only the exact battery (tol=0) decides it")
@@ -492,7 +498,7 @@ def _psd_battery(stack: np.ndarray, tol: float, den: int = 1):
         blocks = np.array(list(slot), object).reshape(-1, *stack.shape[1:])
     finite = _floats_decide(blocks, tol, den)
     # int / int rounds once, as float(Fraction) does
-    approx = (blocks / (den if finite else np.max(np.abs(blocks)))
+    approx = (blocks / (den if finite else np.abs(blocks).max())
               if exact else blocks).astype(float)
     lam = np.linalg.eigvalsh(approx)
     scales = 1.0 + np.abs(approx).max(axis=(1, 2))
@@ -511,7 +517,7 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     float range; the float path raises ValueError on such a matrix, as on a
     negative or non-finite ``tol``.
     """
-    a, den = A._nd if A.is_exact else (A.entries, 1)
+    a, den = A._nd
     floats = _floats_decide(a, tol, den)
     min_eig = float(eigen_sym(A).eigenvalues[0]) if floats else None
     if A.is_exact and tol == 0:
@@ -689,7 +695,7 @@ def load_matrix_json(obj) -> SymMatrix:
     has_float = any(isinstance(v, float) for r in parsed for v in r)
     if has_float:
         a = np.array(parsed, dtype=float)
-        _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.max(np.abs(a))))
+        _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.abs(a).max()))
         return SymMatrix.from_array(a)
     return SymMatrix.from_rows(parsed)
 

@@ -702,7 +702,8 @@ def _fresh_process(*argv):
     """Exit code, stdout and stderr of ``python -m factorwidth.cli`` in a new
     interpreter, importing the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "COLUMNS": "80",
+    # pytest's filterwarnings does not reach a subprocess
+    env = {**os.environ, "COLUMNS": "80", "PYTHONWARNINGS": "error",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "factorwidth.cli", *argv],
@@ -711,10 +712,14 @@ def _fresh_process(*argv):
 
 
 _ONES = [[1, 1, 1]] * 3
+# every entry 4e307 is below 2**1022, but ||J||_F = 2e308 is not a float
+_J = {"n": 5, "rows": [[4e307] * 5] * 5}
 
 # argv (with {} for the input file), the input written to that file, the
 # allowed exit codes, whether stderr must be empty, and the key and value
-# that the one JSON object on stdout must hold (None: any object)
+# that the one JSON object on stdout must hold (None: any object); a row
+# whose one exit code is 64 prints nothing on stdout, and the value is a
+# part of its error message instead
 _ENTRY_POINT_ROWS = [
     ("pna 4 3", None, {0}, False, None, None),
     # a verdict (0 found, 1 none), never 64 or 70
@@ -770,6 +775,14 @@ _ENTRY_POINT_ROWS = [
         {"exp": [4, 0], "coef": 1}, {"exp": [2, 2], "coef": 2},
         {"exp": [0, 4], "coef": 1}]},
      {0, 1}, False, None, None),
+    # J: malformed input, not an internal error
+    ("check-fw {} 2", _J, {64}, False, None, "||A||_F finite"),
+    ("check-fw {} 3", _J, {64}, False, None, "||A||_F finite"),
+    ("certify {} 3", _J, {64}, False, None, "||A||_F finite"),
+    # 4e307 on the diagonal and -5e306 off it: ||M||_F ~ 9.2e307, a member
+    ("check-fw {} 3", {"n": 5, "rows": [
+        [4e307 if i == j else -5e306 for j in range(5)] for i in range(5)]},
+     {0}, True, "verdict", "member"),
 ]
 
 
@@ -786,6 +799,9 @@ def test_entry_point_row(tmp_path, argv, data, codes, quiet, key, value):
     assert code in codes, err
     if quiet:
         assert err == ""
+    if codes == {64}:
+        assert out == "" and value in err
+        return
     report = json.loads(out)
     assert isinstance(report, dict)
     if key is not None:

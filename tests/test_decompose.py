@@ -333,6 +333,18 @@ class TestFwMembership:
         with pytest.raises(ValueError, match=r"below 2\*\*1022"):
             fw_membership(A, 2)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_an_infinite_frobenius_norm_is_rejected(self, k):
+        # every entry 4e307 lies below 2**1022, but ||J||_F = 2e308 does not
+        # fit a float: the certificate gate cannot normalize against it
+        J = SymMatrix.from_array(np.full((5, 5), 4e307))
+        with pytest.raises(ValueError, match=r"\|\|A\|\|_F finite"):
+            fw_membership(J, k)
+        assert J.frob_norm() == math.inf
+        M = SymMatrix.from_array(np.where(np.eye(5) > 0, 4e307, -5e306))
+        assert math.isfinite(M.frob_norm())
+        assert fw_membership(M, k).status == "member"
+
     def test_full_run_decomposes_what_the_supports_cannot_carry(self):
         # A is in FW_2, but the support list cannot reach entry (0,1); no
         # width-2 separating certificate exists, so the verdict is never

@@ -715,6 +715,21 @@ class TestBnrCertificate:
         assert all(type(e) is int for row in B.rows() for e in row)
         assert np.array_equal(B.entries, B.entries.T)
 
+    @pytest.mark.parametrize("args, named", [
+        ((3, 1, 2.5), "2.5"), ((3, True, 2), "True"), ((2.5, 1, 2), "2.5"),
+        ((3, 1.5, 2), "1.5")])
+    def test_non_integer_arguments_rejected(self, args, named):
+        # a float k once gave float entries under an exact flag, which the
+        # exact battery passed and the extreme-ray test did not
+        with pytest.raises(ValueError, match=f"^{named} is not an integer"):
+            bnr_certificate(*args)
+
+    def test_integral_floats_read_as_ints(self):
+        B = bnr_certificate(3.0, 1.0, 2.0)
+        assert B == bnr_certificate(3, 1, 2)
+        assert all(type(e) is int for row in B.rows() for e in row)
+        assert all(type(e) is int for e in B._nd[0].flat) and B._nd[1] == 1
+
     def test_r0_diag_structure(self):
         B = bnr_certificate(3, 0, 2)
         assert B == SymMatrix.from_rows([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
@@ -780,6 +795,33 @@ class TestLiftQuaternary:
     def test_requires_unit_diagonal(self):
         with pytest.raises(ValueError):
             lift_quaternary_certificate(SymMatrix.diag([1, 1, 2, 1]), 1)
+        half = SymMatrix.diag([Fraction(1, 2)] * 4)
+        with pytest.raises(ValueError, match="unit diagonal"):
+            lift_quaternary_certificate(half, 1)
+        with pytest.raises(ValueError, match="unit diagonal"):
+            lift_quaternary_certificate(SymMatrix.diag([1.0, 1.0, 1.0, 1.1]), 1)
+        near = SymMatrix.diag([1.0, 1.0, 1.0, 1.0 + 1e-13])
+        assert lift_quaternary_certificate(near, 1).n == math.comb(5, 2)
+
+    def test_unit_diagonal_read_off_the_view(self):
+        # an exact base whose diagonal is 1 over a common denominator
+        B4 = SymMatrix._wrap(None, True, (np.array(
+            [[3, 1, 0, 0], [1, 3, 0, 0], [0, 0, 3, -1], [0, 0, -1, 3]],
+            dtype=object), 3))
+        lifted = lift_quaternary_certificate(B4, 1)
+        assert lifted.is_exact
+        assert lifted == lift_quaternary_certificate(
+            SymMatrix.from_rows(B4.rows()), 1)
+
+    @pytest.mark.parametrize("r", [1.5, True, -1])
+    def test_non_integer_or_negative_r_rejected(self, r):
+        named = "r must be nonnegative" if r == -1 else f"^{r} is not"
+        with pytest.raises(ValueError, match=named):
+            lift_quaternary_certificate(SymMatrix.identity(4), r)
+
+    def test_integral_float_r_reads_as_int(self):
+        assert lift_quaternary_certificate(SymMatrix.identity(4), 1.0) == (
+            lift_quaternary_certificate(SymMatrix.identity(4), 1))
 
     def test_lifted_cos_ray_stays_in_dual(self):
         B4 = cos_ray(math.pi / 2, math.pi / 4)

@@ -106,12 +106,22 @@ def test_no_dead_private_definitions():
     assert not dead, f"private definitions referenced nowhere: {dead}"
 
 
+def _reads_outside_symcore(attrs):
+    return [f"{path.name}: .{node.attr} (line {node.lineno})"
+            for path in MODULES if path.name != "symcore.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
 def test_only_symcore_reads_numerators_and_denominators():
     # symcore._scaled is the package's one rational-to-integer map; every
     # other module reads the (num, den) view or converts through it
-    reads = [f"{path.name}: .{node.attr} (line {node.lineno})"
-             for path in MODULES if path.name != "symcore.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Attribute)
-             and node.attr in ("numerator", "denominator")]
+    reads = _reads_outside_symcore(("numerator", "denominator"))
     assert not reads, f"rational parts read outside symcore: {reads}"
+
+
+def test_only_symcore_reads_entries():
+    # every matrix answers for its numbers through its (num, den) view, so
+    # no other module chooses between the view and the entries array
+    reads = _reads_outside_symcore(("entries",))
+    assert not reads, f"SymMatrix.entries read outside symcore: {reads}"

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorwidth.decompose import fw_membership
 from factorwidth.polyforms import (
     GramMismatchError,
     HomogeneousPoly,
@@ -227,6 +228,23 @@ def test_to_exact_keeps_the_numerator_view():
     E = G.to_exact()
     assert E._nd is G._nd and E._entries is None
     assert E.rows() == G.rows()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_solvers_make_no_fraction_entries_of_a_library_gram(k):
+    # the range checks, the float image, the sparsity seed and the exact
+    # re-verification read a Gram built as a view through that view alone
+    q = QuadraticForm(Q=SymMatrix.from_rows(
+        [[Fraction(3, 2), 1, 1], [1, Fraction(3, 2), 1], [1, 1, Fraction(3, 2)]]))
+    lam = [1, Fraction(1, 2), 2]
+    G = multiplier_gram(q, lam, 1)
+    verdict = fw_membership(G, k)
+    assert verdict.status in ("member", "non_member")
+    assert G._entries is None
+    p = multiply_weighted_power(q, lam, 1)
+    D = default_gram(p, monomial_basis(3, 2))
+    assert soks_test(p, k, D).status in ("member", "non_member")
+    assert D._entries is None
 
 
 class TestMonomialBasis:
@@ -514,6 +532,19 @@ class TestMultiplierGram:
         rnd = random.Random(7)
         q = QuadraticForm(Q=random_rational_sym(rnd, 3))
         assert multiplier_gram(q, [1, 1, 1], 0) == q.Q
+
+    @pytest.mark.parametrize("r", [2.5, True, "1"])
+    def test_non_integer_power_named(self, r):
+        q = QuadraticForm(Q=SymMatrix.identity(3))
+        with pytest.raises(ValueError, match=f"^{r!r} is not an integer"):
+            multiplier_gram(q, [1, 1, 1], r)
+
+    def test_integral_float_power_reads_as_int(self):
+        q = QuadraticForm(Q=random_rational_sym(random.Random(8), 3))
+        assert multiplier_gram(q, [1, 2, 1], 1.0) == multiplier_gram(
+            q, [1, 2, 1], 1)
+        assert multiply_weighted_power(q, [1, 2, 1], 2.0) == (
+            multiply_weighted_power(q, [1, 2, 1], 2))
 
 
 @pytest.mark.parametrize("fn", [multiplier_gram, multiply_weighted_power])

@@ -200,6 +200,38 @@ class TestFrobeniusInner:
                     assert frobenius_inner(m, m) == sum(
                         m[i, j] ** 2 for i in range(n) for j in range(n))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.one_of(
+            st.integers(-10 ** 300, 10 ** 300),
+            st.builds(Fraction, st.integers(-10 ** 300, 10 ** 300),
+                      st.integers(1, 10 ** 330))),
+            min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))),
+        st.integers(1, 10 ** 6))
+    def test_float_image_and_max_abs_are_float_of_fraction(self, shape, c):
+        # from rows, and from a view whose denominator is c times the lcm:
+        # int / int rounds once, so both equal float(Fraction) to the bit
+        n, upper = shape
+        built = SymMatrix(n, upper)
+        ref = np.array([[float(Fraction(e)) for e in row]
+                        for row in built.rows()])
+        top = float(max(abs(Fraction(e)) for e in upper))
+        num, den = built._nd
+        view = SymMatrix._wrap(None, True, (num * c, den * c))
+        for m in (built, view):
+            assert m.as_array().tobytes() == ref.tobytes()
+            assert m.max_abs() == top
+        assert view._entries is None
+
+    def test_float_view_is_the_array_itself(self):
+        m = SymMatrix.from_array(np.array([[1.0, -2.5], [-2.5, 3.0]]))
+        num, den = m._nd
+        assert num is m.entries and den == 1
+        image = m.as_array()
+        assert image is not num and np.array_equal(image, num)
+        assert m.to_exact().rows() == [[1, Fraction(-5, 2)],
+                                       [Fraction(-5, 2), 3]]
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
     def test_frob_norm_neither_overflows_nor_underflows(self, scale):
         a = np.array([[3.0, -4.0], [-4.0, 0.5]])
