@@ -6,11 +6,15 @@ Every command prints one RunReport JSON object to stdout (schema shipped in
     0   member / psd / found
     1   non_member / not_psd / none
     2   inconclusive
-    64  malformed input
+    64  malformed input: a ``symcore._InputError`` from any check
     65  Gram/polynomial mismatch
-    70  internal error (an unexpected exception; never a verdict)
+    70  internal error (anything else, ``LinAlgError`` included; never a
+        verdict)
 
-All commands are deterministic for fixed inputs and flags.  ``certify``
+The library checks its arguments; this module checks only what it alone
+sees: the files, ``--lambda``, ``-r``, ``--max-cycles``, an odd ``soks``
+degree before its default Gram is built, and ``eig``'s spectrum.  All
+commands are deterministic for fixed inputs and flags.  ``certify``
 still accepts ``--max-cycles`` (a nonnegative integer), which has no effect.
 """
 
@@ -24,14 +28,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import (SymMatrix, load_matrix_json, _as_width, _fits_float,
-                      _psd_battery)
-from .decompose import (
-    SolverOptions,
-    decomposition_to_json,
-    fw_membership,
-    _support_index,
-)
+from .symcore import (SymMatrix, load_matrix_json, _InputError, _psd_battery,
+                      _require_float_range)
+from .decompose import SolverOptions, decomposition_to_json, fw_membership
 from .dualcone import (
     certificate_to_json,
     cos_certificate_search,
@@ -58,10 +57,6 @@ EXIT_GRAM_MISMATCH = 65
 EXIT_INTERNAL = 70
 
 
-class _CliInputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -74,48 +69,31 @@ def _load_json_file(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _CliInputError(f"cannot read {path}: {exc}")
+        raise _InputError(f"cannot read {path}: {exc}")
 
 
 def _load_matrix(path: str) -> SymMatrix:
     try:
         return load_matrix_json(_load_json_file(path))
     except (ValueError, TypeError) as exc:
-        raise _CliInputError(f"bad matrix file {path}: {exc}")
+        raise _InputError(f"bad matrix file {path}: {exc}")
 
 
 def _load_poly(path: str):
     try:
         return load_poly_json(_load_json_file(path))
     except (ValueError, TypeError, KeyError) as exc:
-        raise _CliInputError(f"bad polynomial file {path}: {exc}")
+        raise _InputError(f"bad polynomial file {path}: {exc}")
 
 
-def _load_supports(path: str, n: int, k: int):
-    """Supports of one size, at most k, inside range(n): ``_support_index``."""
+def _load_supports(path: str) -> list:
+    """A file's list of index lists; ``fw_membership`` checks the supports."""
     obj = _load_json_file(path)
     if isinstance(obj, dict):
         obj = obj.get("supports")
-    if not isinstance(obj, list):
-        raise _CliInputError(f"{path}: expected a list of index lists")
-    try:
-        _support_index(n, k, obj)
-    except (ValueError, TypeError) as exc:
-        raise _CliInputError(f"bad support list in {path}: {exc}")
+    if not (isinstance(obj, list) and all(isinstance(K, list) for K in obj)):
+        raise _InputError(f"{path}: expected a list of index lists")
     return obj
-
-
-def _check_float_range(A: SymMatrix, source: str) -> None:
-    if not _fits_float(A):  # sums of two entries and ||A||_F stay finite
-        raise _CliInputError(
-            f"{source}: every |entry| must be below 2**1022, ||A||_F finite")
-
-
-def _check_width(k: int, n: int) -> None:
-    try:
-        _as_width(n, k)
-    except ValueError as exc:
-        raise _CliInputError(str(exc))
 
 
 def _write_artifacts(base: str, decomposition=None, certificate=None
@@ -155,17 +133,6 @@ def _verdict_exit(verdict: str) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _solver_options(args, support_list=None) -> SolverOptions:
-    try:
-        return SolverOptions(
-            feas_tol=args.tol,
-            max_iter=args.max_iter,
-            support_list=support_list,
-        )
-    except ValueError as exc:
-        raise _CliInputError(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -173,11 +140,9 @@ def _solver_options(args, support_list=None) -> SolverOptions:
 
 def cmd_check_fw(args) -> dict:
     A = _load_matrix(args.matrix)
-    _check_width(args.k, A.n)
-    _check_float_range(A, args.matrix)
-    supports = (_load_supports(args.supports, A.n, args.k)
-                if args.supports else None)
-    verdict = fw_membership(A, args.k, _solver_options(args, supports))
+    supports = _load_supports(args.supports) if args.supports else None
+    verdict = fw_membership(
+        A, args.k, SolverOptions(args.tol, args.max_iter, supports))
     return {
         "command": "check-fw",
         "n": A.n,
@@ -190,10 +155,7 @@ def cmd_check_fw(args) -> dict:
 
 def cmd_check_dual(args) -> dict:
     B = _load_matrix(args.matrix)
-    try:  # dual_membership checks the width too
-        report = dual_membership(B, args.k, args.tol)
-    except ValueError as exc:
-        raise _CliInputError(str(exc))
+    report = dual_membership(B, args.k, args.tol)
     margin = report.worst_margin  # -inf when a block's eigenvalue overflows
     return {
         "command": "check-dual",
@@ -210,32 +172,24 @@ def cmd_check_dual(args) -> dict:
 
 def cmd_soks(args) -> dict:
     p = _load_poly(args.poly)
-    if p.degree % 2 != 0:
-        raise _CliInputError("so-k-s needs an even-degree polynomial")
+    if p.degree % 2 != 0:  # before default_gram builds a basis
+        raise _InputError("so-k-s needs an even-degree polynomial")
     if args.r < 0:
-        raise _CliInputError("-r must be nonnegative")
+        raise _InputError("-r must be nonnegative")
     if args.lam is not None and args.r == 0:
-        raise _CliInputError("--lambda needs -r >= 1")
+        raise _InputError("--lambda needs -r >= 1")
     if args.r > 0:
         try:
             lam = ([Fraction(tok) for tok in args.lam.split(",")]
                    if args.lam is not None else [1] * p.n)
         except (ValueError, ZeroDivisionError) as exc:
-            raise _CliInputError(f"bad --lambda: {exc}")
-        if p.degree != 2:
-            raise _CliInputError("-r expects a quadratic input polynomial")
-        q = QuadraticForm(Q=quadratic_gram(p))
-        if len(lam) != p.n or not any(lam):
-            raise _CliInputError("--lambda needs one weight per variable, "
-                                 "not all zero")
-        p = multiply_weighted_power(q, lam, args.r)
-    if args.gram:
-        gram = _load_matrix(args.gram)
-    else:
-        gram = default_gram(p, monomial_basis(p.n, p.degree // 2))
-    _check_width(args.k, gram.n)
-    _check_float_range(gram, args.gram or f"the Gram matrix of {args.poly}")
-    verdict = soks_test(p, args.k, gram, _solver_options(args))
+            raise _InputError(f"bad --lambda: {exc}")
+        p = multiply_weighted_power(QuadraticForm(Q=quadratic_gram(p)), lam,
+                                    args.r)
+    gram = (_load_matrix(args.gram) if args.gram
+            else default_gram(p, monomial_basis(p.n, p.degree // 2)))
+    verdict = soks_test(p, args.k, gram,
+                        SolverOptions(args.tol, args.max_iter))
     return {
         "command": "soks",
         "n": p.n,
@@ -249,10 +203,7 @@ def cmd_soks(args) -> dict:
 
 
 def cmd_pna(args) -> dict:
-    try:
-        threshold = pna_threshold(args.n, args.k)
-    except ValueError as exc:
-        raise _CliInputError(str(exc))
+    threshold = pna_threshold(args.n, args.k)
     report = {
         "command": "pna",
         "n": args.n,
@@ -266,7 +217,7 @@ def cmd_pna(args) -> dict:
     try:
         a = Fraction(args.a)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliInputError(f"bad value a={args.a!r}: {exc}")
+        raise _InputError(f"bad value a={args.a!r}: {exc}")
     report["a"] = str(a)
     report["verdict"] = "none"
     if a >= threshold:
@@ -279,13 +230,9 @@ def cmd_pna(args) -> dict:
 
 def cmd_certify(args) -> dict:
     Q = _load_matrix(args.matrix)
-    _check_width(args.k, Q.n)
-    _check_float_range(Q, args.matrix)
     if args.max_cycles < 0:
-        raise _CliInputError("--max-cycles must be nonnegative")
-    cert = None
-    if Q.n == 4 and args.k == 3:
-        cert = cos_certificate_search(Q)
+        raise _InputError("--max-cycles must be nonnegative")
+    cert = cos_certificate_search(Q) if Q.n == 4 and args.k == 3 else None
     if cert is None:
         cert = dykstra_dual_certificate(Q, args.k)
     return {
@@ -303,12 +250,12 @@ def cmd_certify(args) -> dict:
 def cmd_eig(args) -> dict:
     A = _load_matrix(args.matrix)
     if A.is_exact:  # a float input's spectrum is checked below
-        _check_float_range(A, args.matrix)
+        _require_float_range(A, "A")
     # one eigvalsh on the float image: psd iff lambda_min >= -1e-9 (1 + max|A|)
     psd, lam, _ = _psd_battery(A.as_array()[None], 1e-9)
     lam = lam[0].tolist()
     if not all(map(math.isfinite, lam)):
-        raise _CliInputError(f"{args.matrix}: an eigenvalue is not finite")
+        raise _InputError(f"{args.matrix}: an eigenvalue is not finite")
     return {
         "command": "eig",
         "verdict": "psd" if psd else "not_psd",
@@ -392,7 +339,7 @@ def main(argv=None) -> int:
         report = globals()["cmd_" + args.command.replace("-", "_")](args)
         print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return _verdict_exit(report["verdict"])
-    except (_CliInputError, GramMismatchError) as exc:
+    except (_InputError, GramMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_GRAM_MISMATCH if isinstance(exc, GramMismatchError)
                 else EXIT_BAD_INPUT)

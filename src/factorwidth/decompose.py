@@ -61,13 +61,14 @@ from .symcore import (
     load_matrix_json,
     matrix_to_json,
     _BlockIndex,
+    _InputError,
     _as_int,
     _as_width,
-    _fits_float,
     _frob,
     _full_index,
     _project_psd,
     _psd_battery,
+    _require_float_range,
     _sparsity_seed,
     _unit_frame,
 )
@@ -103,10 +104,10 @@ class SolverOptions:
 
     def __post_init__(self):
         if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
-            raise ValueError("feas_tol must be positive and finite")
+            raise _InputError("feas_tol must be positive and finite")
         self.max_iter = _as_int(self.max_iter)
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise _InputError("max_iter must be at least 1")
 
 
 @dataclass
@@ -129,16 +130,16 @@ class BlockDecomposition:
         decided = set()
         for K, block in blocks:
             if len(K) > k:
-                raise ValueError(f"support {K.indices} exceeds width {k}")
+                raise _InputError(f"support {K.indices} exceeds width {k}")
             if K.indices[-1] >= n:
-                raise ValueError(f"support {K.indices} out of range for n={n}")
+                raise _InputError(f"support {K.indices} out of range for n={n}")
             if block.n != len(K):
-                raise ValueError("block size does not match its support")
+                raise _InputError("block size does not match its support")
             num, den = block._nd
             key = (den, *num.flat) if block.is_exact else id(block)
             tol = 0 if block.is_exact else _BLOCK_PSD_TOL
             if key not in decided and not is_psd(block, tol).is_psd:
-                raise ValueError(f"block on {K.indices} is not psd")
+                raise _InputError(f"block on {K.indices} is not psd")
             decided.add(key)
         exact = A.is_exact and all(b.is_exact for _, b in blocks)
         # exact: the numerators over one denominator D, else the float images
@@ -172,14 +173,14 @@ def _support_index(n: int, k: int, support_list) -> _BlockIndex:
     for K in support_list:
         K = Support.of(K)
         if len(K) > k:
-            raise ValueError(f"support {K.indices} larger than k={k}")
+            raise _InputError(f"support {K.indices} larger than k={k}")
         if K.indices[-1] >= n:
-            raise ValueError(f"support {K.indices} out of range for n={n}")
+            raise _InputError(f"support {K.indices} out of range for n={n}")
         rows.add(K.indices)
     if not rows:
-        raise ValueError("the support list is empty")
+        raise _InputError("the support list is empty")
     if len({len(r) for r in rows}) > 1:
-        raise ValueError("mixed support sizes are not supported")
+        raise _InputError("mixed support sizes are not supported")
     return _BlockIndex(n, np.array(sorted(rows)))
 
 
@@ -465,8 +466,7 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     """
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
-    if not _fits_float(A):
-        raise ValueError("every |entry| must be below 2**1022, ||A||_F finite")
+    _require_float_range(A, "A")
     index = seed = None
     if opts.support_list is not None:
         index = _support_index(A.n, k, opts.support_list)

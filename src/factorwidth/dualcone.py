@@ -36,11 +36,12 @@ from .symcore import (
     _as_width,
     _checked,
     _congruence,
+    _InputError,
     _exact_psd,
-    _fits_float,
     _frob,
     _full_index,
     _psd_battery,
+    _require_float_range,
     _unit_frame,
 )
 from .polyforms import _odd_masks
@@ -74,7 +75,7 @@ class DualCertificate:
     def __post_init__(self):
         bound = -1e-9 * (1.0 + self.B.max_abs())
         if self.worst_minor_margin < bound:
-            raise ValueError(
+            raise _InputError(
                 f"certificate has an infeasible minor (margin "
                 f"{self.worst_minor_margin:.3e} < {bound:.3e})")
 
@@ -103,9 +104,9 @@ class CosExtremeRay:
 
     def __post_init__(self):
         if sorted(self.permutation) != [0, 1, 2, 3]:
-            raise ValueError("permutation must order 0, 1, 2, 3")
+            raise _InputError("permutation must order 0, 1, 2, 3")
         if any(d == 0 for d in self.diag_scale):
-            raise ValueError("diagonal scales must be nonzero")
+            raise _InputError("diagonal scales must be nonzero")
 
     def matrix(self) -> SymMatrix:
         """``D P B(a, c) P^T D`` with ``P[permutation[i], i] = 1`` and
@@ -201,9 +202,8 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     reaches 2**1022 or ||Q||_F overflows.
     """
     if Q.n != 4:
-        raise ValueError("the cosine family lives on 4x4 targets")
-    if not _fits_float(Q):
-        raise ValueError("every |entry| must be below 2**1022, ||Q||_F finite")
+        raise _InputError("the cosine family lives on 4x4 targets")
+    _require_float_range(Q, "Q")
     Qf = Q.as_array()
     d = _unit_frame(Qf)
     if d is None:
@@ -324,9 +324,9 @@ def check_extreme_candidate(B: SymMatrix) -> ExtremeRayReport:
     """
     n = B.n
     if n < 2:
-        raise ValueError("need n >= 2")
-    if not (B.is_exact or _fits_float(B)):
-        raise ValueError("every |entry| must be below 2**1022, ||B||_F finite")
+        raise _InputError("need n >= 2")
+    if not B.is_exact:
+        _require_float_range(B, "B")
     a = B._nd[0]
     psd, (rank,) = _block_ranks(a[None])
     if psd:
@@ -361,7 +361,7 @@ def bnr_certificate(n: int, r: int, k: int) -> SymMatrix:
     """
     n, r, k = map(_as_int, (n, r, k))
     if n < 1 or r < 0 or k < 2:
-        raise ValueError("need n >= 1, r >= 0, k >= 2")
+        raise _InputError("need n >= 1, r >= 0, k >= 2")
     # symmetric by construction: a gather through _odd_masks
     a = np.where(_odd_masks(n, r + 1) == 0, k - 1, -1).astype(object)
     return SymMatrix._wrap(a, True, (a, 1))
@@ -375,13 +375,13 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
     odd, 1 when none are, omega when all four are, and 0 otherwise.
     """
     if B4.n != 4:
-        raise ValueError("base certificate must be 4x4")
+        raise _InputError("base certificate must be 4x4")
     r, (num, den) = _as_int(r), B4._nd
     if r < 0:
-        raise ValueError("r must be nonnegative")
+        raise _InputError("r must be nonnegative")
     # exactly 1 on an exact diagonal, within 1e-12 on a float one
     if not all(abs(num.diagonal() - den) <= (0 if B4.is_exact else 1e-12)):
-        raise ValueError("base certificate must have unit diagonal")
+        raise _InputError("base certificate must have unit diagonal")
     exact = B4.is_exact and not isinstance(omega, float)
     # the lifted entry of each odd-position bitmask over the 4 variables
     table = [0] * 16

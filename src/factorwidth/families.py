@@ -17,7 +17,8 @@ from typing import Union
 
 import numpy as np
 
-from .symcore import SymMatrix, Support, is_psd, PsdReport, scale_congruence
+from .symcore import (SymMatrix, Support, is_psd, PsdReport, scale_congruence,
+                      _InputError, _as_int)
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -45,8 +46,9 @@ class PnaSpec:
     a: Number
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_int(self.n))
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise _InputError("n must be at least 1")
 
 
 def pna_form(spec: PnaSpec) -> QuadraticForm:
@@ -59,18 +61,20 @@ def pna_form(spec: PnaSpec) -> QuadraticForm:
 
 def rank_one_perturb_det(b: Number, c: Number, m: int) -> Number:
     """Determinant of the m x m matrix with b on the diagonal and c off it."""
+    m = _as_int(m)
     if m < 1:
-        raise ValueError("m must be at least 1")
+        raise _InputError("m must be at least 1")
     return (b - c + c * m) * (b - c) ** (m - 1)
 
 
 def pna_threshold(n: int, k: int) -> Fraction:
     """Smallest a for which the symmetric quadratic is a sum of k-nomial squares."""
+    n, k = _as_int(n), _as_int(k)
     if n < 2:
-        raise ValueError("threshold needs n >= 2")
+        raise _InputError("threshold needs n >= 2")
     if not 2 <= k <= n:
-        raise ValueError("threshold needs 2 <= k <= n (width 1 admits no "
-                         "off-diagonal mass at all)")
+        raise _InputError("threshold needs 2 <= k <= n (width 1 admits no "
+                          "off-diagonal mass at all)")
     return Fraction(n - 1, k - 1)
 
 
@@ -81,10 +85,10 @@ def pna_witness_decomposition(n: int, k: int, a: Number) -> BlockDecomposition:
     on the diagonal and 1 off it; summing the embedded copies reconstructs the
     Gram exactly, and ``BlockDecomposition.build`` proves the block psd once.
     """
-    a = Fraction(a)
+    n, k, a = _as_int(n), _as_int(k), Fraction(a)
     thr = pna_threshold(n, k)
     if a < thr:
-        raise ValueError(f"a = {a} is below the width-{k} threshold {thr}")
+        raise _InputError(f"a = {a} is below the width-{k} threshold {thr}")
     b_diag = Fraction(k - 1) * a / (n - 1)
     coeff = Fraction(1, math.comb(n - 2, k - 2))
     block = SymMatrix.from_rows([[coeff * (b_diag if i == j else 1)

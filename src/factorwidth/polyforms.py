@@ -25,8 +25,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decompose import fw_membership
-from .symcore import (SymMatrix, _as_int, _entry_to_json, _frozen,
-                      _parse_entry, _scaled)
+from .symcore import (SymMatrix, _InputError, _as_int, _as_width,
+                      _entry_to_json, _frozen, _parse_entry,
+                      _require_float_range, _scaled)
 
 __all__ = [
     "ExponentTuple",
@@ -76,7 +77,7 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
     """The degree-d monomials in n variables; checked, then cached."""
     n, d = _as_int(n), _as_int(d)
     if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+        raise _InputError("need n >= 1 and d >= 0")
     return _basis(n, d)
 
 
@@ -104,19 +105,19 @@ class HomogeneousPoly:
     def __post_init__(self):
         self.n, self.degree = _as_int(self.n), _as_int(self.degree)
         if self.n < 1 or self.degree < 0:
-            raise ValueError("need n >= 1 and degree >= 0")
+            raise _InputError("need n >= 1 and degree >= 0")
         clean = {}
         for t, c in self.coefficients.items():
             t = tuple(_as_int(e) for e in t)
             if len(t) != self.n or any(e < 0 for e in t):
-                raise ValueError(f"bad exponent tuple {t}")
+                raise _InputError(f"bad exponent tuple {t}")
             if sum(t) != self.degree:
-                raise ValueError(f"{t} does not have degree {self.degree}")
+                raise _InputError(f"{t} does not have degree {self.degree}")
             rational = (isinstance(c, numbers.Rational)
                         and not isinstance(c, bool))
             if not (rational or isinstance(c, float) and math.isfinite(c)):
-                raise ValueError(f"coefficient {c!r} of {t} is not a "
-                                 "non-boolean rational or a finite float")
+                raise _InputError(f"coefficient {c!r} of {t} is not a "
+                                  "non-boolean rational or a finite float")
             c = Fraction(c)
             if c != 0:
                 clean[t] = c
@@ -180,7 +181,7 @@ def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
     each coefficient is the sum of the entries in its monomial class, taken
     on the numerators of ``Qp``'s view and divided once."""
     if Qp.n != len(basis):
-        raise ValueError(
+        raise _InputError(
             f"Gram dimension {Qp.n} does not match basis size {len(basis)}")
     (num, den), (full, cls) = Qp.to_exact()._nd, _pair_classes(basis.n, basis.d)
     sums = np.zeros(len(full), dtype=object)
@@ -192,7 +193,7 @@ def gram_to_poly(Qp: SymMatrix, basis: MonomialBasis) -> HomogeneousPoly:
 def quadratic_gram(p: HomogeneousPoly) -> SymMatrix:
     """The unique Gram of a quadratic: Q_ii = c(x_i^2), Q_ij = c(x_i x_j)/2."""
     if p.degree != 2:
-        raise ValueError(f"expected a quadratic, got degree {p.degree}")
+        raise _InputError(f"expected a quadratic, got degree {p.degree}")
     return default_gram(p, monomial_basis(p.n, 1))
 
 
@@ -219,7 +220,7 @@ def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     entry is p_alpha/u_alpha and an off-diagonal one p_alpha/(2 u_alpha).
     Round-trips through :func:`gram_to_poly` exactly."""
     if p.degree != 2 * basis.d or p.n != basis.n:
-        raise ValueError("basis does not match the polynomial degree")
+        raise _InputError("basis does not match the polynomial degree")
     terms, scale, L, inv = _gram_plan(basis.n, basis.d)
     num, D = _scaled(np.array([p.coefficients.get(t, 0) for t in terms],
                               dtype=object))
@@ -239,7 +240,7 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     n, r = q.n, _as_int(r)
     lam = np.array([Fraction(v) for v in lam], dtype=object)
     if r < 0 or len(lam) != n or not any(lam):
-        raise ValueError("need r >= 0 and lambda of length n, not all zero")
+        raise _InputError("need r >= 0 and lambda of length n, not all zero")
     num, L = _scaled(lam)
     sq = (num * num).tolist()
     Q, den = q.Q.to_exact()._nd
@@ -287,7 +288,7 @@ def parity_aggregates(p: HomogeneousPoly):
     Other parity patterns are ignored.
     """
     if p.degree % 2 != 0:
-        raise ValueError("parity aggregates need an even-degree polynomial")
+        raise _InputError("parity aggregates need an even-degree polynomial")
     # integer sums over one denominator D; the all-even pattern is key ()
     num, D = _scaled(np.array(list(p.coefficients.values()), dtype=object))
     sums: dict = {}
@@ -310,9 +311,13 @@ def soks_test(p: HomogeneousPoly, k: int, gram: SymMatrix, opts=None):
     The Gram must reproduce ``p`` exactly.  For quadratics the Gram is unique,
     so a non-member verdict is conclusive for the polynomial; for higher degree
     the verdict is conditional on the supplied Gram (flagged in diagnostics).
+    The width and the Gram's float range are checked before the comparison,
+    so a malformed input is an ``_InputError`` even when the Gram mismatches.
     """
     if p.degree % 2 != 0:
-        raise ValueError("so-k-s requires an even-degree polynomial")
+        raise _InputError("so-k-s requires an even-degree polynomial")
+    k = _as_width(gram.n, k)
+    _require_float_range(gram, "A")
     basis = monomial_basis(p.n, p.degree // 2)
     if gram.n != len(basis) or gram_to_poly(gram, basis) != p:
         raise GramMismatchError("Gram matrix does not reproduce the polynomial")
@@ -336,7 +341,7 @@ def load_poly_json(obj) -> HomogeneousPoly:
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or not {"n", "degree", "terms"} <= obj.keys():
-        raise ValueError('polynomial JSON must be {"n", "degree", "terms"}')
+        raise _InputError('polynomial JSON must be {"n", "degree", "terms"}')
     coeffs: dict = {}
     for term in obj["terms"]:
         exp = tuple(term["exp"])

@@ -15,7 +15,11 @@ cones read their principal blocks through one :class:`_BlockIndex` over an
 leaves the package or a user's list comes in.  Both cones are invariant under
 congruence by a permutation times a nonsingular diagonal, applied through one
 ``_congruence`` (``scale_congruence``, the cosine rays); ``_unit_frame`` gives
-the diagonal the splitting core and the cosine search divide out.
+the diagonal the splitting core and the cosine search divide out.  Every
+argument check of the package raises ``_InputError``, the ``ValueError`` the
+command line maps to exit 64 (numpy's ``LinAlgError`` is a ``ValueError`` too,
+and is not one); ``_require_float_range`` is the one check that a matrix's
+float image stays finite through the solvers and the certificate gate.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ _PSD_TOL_DEFAULT = 1e-9
 _FLOAT_SAFE = 2 ** 1022
 
 
+class _InputError(ValueError):
+    """Malformed input: what every argument check of the package raises.
+    A ``ValueError``, but not numpy's ``LinAlgError``, which is one too."""
+
+
 class SymMatrix:
     """Real symmetric ``n x n`` matrix held as one read-only dense array.
 
@@ -71,10 +80,10 @@ class SymMatrix:
 
     def __init__(self, n: int, upper: Sequence[Scalar]):
         if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
+            raise _InputError(f"dimension must be >= 1, got {n}")
         upper = list(upper)
         if len(upper) != n * (n + 1) // 2:
-            raise ValueError(
+            raise _InputError(
                 f"upper triangle of a {n}x{n} matrix needs {n * (n + 1) // 2} "
                 f"entries, got {len(upper)}")
         a = np.empty((n, n), dtype=object)
@@ -117,7 +126,7 @@ class SymMatrix:
         """Build from full rows; the strict upper triangle must mirror the lower."""
         n = len(rows)
         if any(len(r) != n for r in rows):
-            raise ValueError("rows must form a square matrix")
+            raise _InputError("rows must form a square matrix")
         a = np.array(rows, dtype=object).reshape(n, n)
         _check_symmetric(a != a.T)
         return cls._wrap(*_checked(a))
@@ -127,7 +136,7 @@ class SymMatrix:
         """Build a float matrix from a numpy array, averaging the triangles."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square 2-D array")
+            raise _InputError("expected a square 2-D array")
         return cls._wrap(*_checked(_average_triangles(a)))
 
     @classmethod
@@ -204,7 +213,7 @@ def _check_symmetric(differs: np.ndarray) -> None:
     bad = np.argwhere(np.triu(differs, 1))
     if len(bad):
         i, j = bad[0]
-        raise ValueError(f"asymmetric input at ({i},{j})")
+        raise _InputError(f"asymmetric input at ({i},{j})")
 
 
 def _average_triangles(a: np.ndarray) -> np.ndarray:
@@ -226,7 +235,7 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
     its exactness: ``float64`` when any entry is a float, else the object
     array of ``int``/``Fraction`` entries."""
     if a.shape[0] < 1:
-        raise ValueError("dimension must be >= 1, got 0")
+        raise _InputError("dimension must be >= 1, got 0")
     if a.dtype == object:
         # each entry type once, in order of first appearance
         types = dict.fromkeys(map(type, a.ravel().tolist()))
@@ -240,7 +249,7 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
                 "mixed Fraction and float entries; convert explicitly first")
     a = a.astype(float)
     if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
+        raise _InputError("entries must be finite")
     return a, False
 
 
@@ -253,11 +262,11 @@ class Support:
     def __post_init__(self):
         idx = self.indices
         if len(idx) == 0:
-            raise ValueError("support must be nonempty")
+            raise _InputError("support must be nonempty")
         if any(i < 0 for i in idx):
-            raise ValueError("support indices must be nonnegative")
+            raise _InputError("support indices must be nonnegative")
         if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-            raise ValueError("support indices must be strictly increasing")
+            raise _InputError("support indices must be strictly increasing")
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "Support":
@@ -271,19 +280,20 @@ class Support:
 
 
 def _as_int(v) -> int:
-    """``v`` as an int; booleans and non-integral values raise ValueError."""
+    """``v`` as an int; booleans and non-integral values raise
+    ``_InputError``."""
     if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or
                                    isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"{v!r} is not an integer")
+        raise _InputError(f"{v!r} is not an integer")
     return int(v)
 
 
 def _as_width(n: int, k) -> int:
-    """``k`` as an int, ValueError unless 1 <= k <= n: the check before
+    """``k`` as an int, ``_InputError`` unless 1 <= k <= n: the check before
     ``_full_index``, whose cache takes ``True`` and ``2.0`` for 1 and 2."""
     k = _as_int(k)
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise _InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     return k
 
 
@@ -374,7 +384,7 @@ class PsdReport:
 def frobenius_inner(A: SymMatrix, B: SymMatrix):
     """``<A, B> = sum_ij A_ij B_ij``; exact (Fraction) when both are rational."""
     if A.n != B.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
+        raise _InputError(f"dimension mismatch: {A.n} vs {B.n}")
     if A.is_exact and B.is_exact:
         (a, p), (b, q) = A._nd, B._nd
         return Fraction(np.sum(a * b), p * q)
@@ -393,7 +403,7 @@ def embed(B: SymMatrix, K, n: int) -> SymMatrix:
     """Place ``B`` on the support ``K x K`` inside an ``n x n`` zero matrix."""
     K = Support.of(K)
     if len(K) != B.n:
-        raise ValueError(f"support size {len(K)} does not match block size {B.n}")
+        raise _InputError(f"support size {len(K)} does not match block size {B.n}")
     if K.indices[-1] >= n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={n}")
     out = np.zeros((n, n), dtype=B.entries.dtype)
@@ -417,22 +427,25 @@ def _in_range(num: np.ndarray, den, times: int = 1) -> bool:
     return bool(np.abs(num).max() < _FLOAT_SAFE * den // times)
 
 
-def _fits_float(A: SymMatrix) -> bool:
-    """Whether ``A``'s float image stays finite through the solvers' and the
-    gate's arithmetic: ``_nd`` in range and ``||A||_F`` finite."""
-    return _in_range(*A._nd, A.n) or (  # ||A||_F <= n max|A|
-        _in_range(*A._nd) and math.isfinite(A.frob_norm()))
+def _require_float_range(A: SymMatrix, name: str) -> None:
+    """``_InputError`` unless ``A``'s float image stays finite through the
+    solvers' and the gate's arithmetic: ``_nd`` in range and ``||A||_F``
+    finite; ``name`` is A's name in the message."""
+    if not (_in_range(*A._nd, A.n) or (  # ||A||_F <= n max|A|
+            _in_range(*A._nd) and math.isfinite(A.frob_norm()))):
+        raise _InputError(
+            f"every |entry| must be below 2**1022, ||{name}||_F finite")
 
 
 def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
-    """Whether float tests can read ``entries / den``; ValueError on a
+    """Whether float tests can read ``entries / den``; _InputError on a
     negative or non-finite tol, and on a positive one when they cannot."""
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+        raise _InputError(f"tol must be finite and nonnegative, got {tol}")
     floats = entries.dtype != object or _in_range(entries, den)
     if not floats and tol > 0:
-        raise ValueError("an entry lies beyond the float range; "
-                         "only the exact battery (tol=0) decides it")
+        raise _InputError("an entry lies beyond the float range; "
+                          "only the exact battery (tol=0) decides it")
     return floats
 
 
@@ -629,11 +642,11 @@ def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
     """
     q = np.array(Q, dtype=object)
     if q.shape != (A.n, A.n):
-        raise ValueError("congruence matrix must match the operand dimension")
+        raise _InputError("congruence matrix must match the operand dimension")
     nonzero = q != 0
     if np.any(nonzero.sum(axis=0) != 1) or np.any(nonzero.sum(axis=1) != 1):
-        raise ValueError("congruence matrix needs exactly one nonzero in each "
-                         "row and each column")
+        raise _InputError("congruence matrix needs exactly one nonzero in each "
+                          "row and each column")
     rows = nonzero.argmax(axis=0)
     d = q[rows, np.arange(A.n)]
     if all(x == 1 for x in d):  # a permutation (1.0 too) keeps entry types
@@ -651,20 +664,20 @@ def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
 
 def _parse_entry(v) -> Scalar:
     if isinstance(v, bool):
-        raise ValueError("boolean is not a matrix entry")
+        raise _InputError("boolean is not a matrix entry")
     if isinstance(v, int):
         return v
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise ValueError(f"entry {v!r} is not finite")
+            raise _InputError(f"entry {v!r} is not finite")
         return v
     if isinstance(v, str):
         num, sep, den = v.partition("/")
         den = int(den) if sep else 1
         if den == 0:
-            raise ValueError(f"zero denominator in {v!r}")
+            raise _InputError(f"zero denominator in {v!r}")
         return Fraction(int(num), den)
-    raise ValueError(f"cannot parse matrix entry {v!r}")
+    raise _InputError(f"cannot parse matrix entry {v!r}")
 
 
 def _entry_to_json(e: Scalar):
@@ -684,13 +697,13 @@ def load_matrix_json(obj) -> SymMatrix:
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
-        raise ValueError('matrix JSON must be {"n": ..., "rows": [[...]]}')
+        raise _InputError('matrix JSON must be {"n": ..., "rows": [[...]]}')
     n = _as_int(obj["n"])
     rows = obj["rows"]
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise _InputError("n must be a positive integer")
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"rows must form an {n}x{n} matrix")
+        raise _InputError(f"rows must form an {n}x{n} matrix")
     parsed = [[_parse_entry(v) for v in r] for r in rows]
     has_float = any(isinstance(v, float) for r in parsed for v in r)
     if has_float:

@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from factorwidth.cli import main
@@ -602,6 +603,12 @@ def _write(path, obj):
     ("check-fw", "{missing}", 2),
     ("check-fw", "{not_json}", 2),
     ("check-fw", "{M}", 4, "--supports", "{supports_not_list}"),
+    # supports the file format or fw_membership rejects
+    ("check-fw", "{M}", 4, "--supports", "{null_support}"),
+    ("check-fw", "{M}", 4, "--supports", "{str_support}"),
+    ("check-fw", "{M}", 4, "--supports", "{null_index}"),
+    # a width beyond the Gram's size, which also mismatches: 64 before 65
+    ("soks", "{quad}", 3, "--gram", "{one_by_one}"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
 def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     files = {
@@ -650,6 +657,13 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
         "missing": tmp_path / "missing.json",
         "supports_not_list": _write(tmp_path / "supports_not_list.json",
                                     {"supports": {"0": [0, 1, 2, 3]}}),
+        "null_support": _write(tmp_path / "null_support.json",
+                               {"supports": [None]}),
+        "str_support": _write(tmp_path / "str_support.json", ["01"]),
+        "null_index": _write(tmp_path / "null_index.json",
+                             [[0, None, 2, 3]]),
+        "one_by_one": _write(tmp_path / "one_by_one.json",
+                             {"n": 1, "rows": [[1]]}),
     }
     (tmp_path / "not_json.json").write_text("{not json")
     files["not_json"] = tmp_path / "not_json.json"
@@ -670,6 +684,22 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch, fixture_files):
     assert code == 70
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: ")
+
+
+def test_a_linalg_error_exits_70(capsys, monkeypatch, fixture_files):
+    # numpy's LinAlgError is a ValueError, and still an internal error:
+    # only the library's _InputError means malformed input
+    from factorwidth import cli
+
+    def broken(A, k, opts):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "fw_membership", broken)
+    code = main(["check-fw", str(fixture_files["M"]), "4"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: LinAlgError")
 
 
 @pytest.mark.parametrize("where", ["report", "artifact"])

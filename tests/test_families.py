@@ -22,7 +22,10 @@ from factorwidth.polyforms import (
     monomial_basis,
     multiply_weighted_power,
 )
-from factorwidth.symcore import SymMatrix, frobenius_inner, is_psd
+from factorwidth.symcore import SymMatrix, _InputError, frobenius_inner, is_psd
+
+# a boolean or a non-integral size is named; an integral float reads as int
+_NOT_SIZES = [(True, "True"), (2.5, "2.5"), ("2", "'2'")]
 
 
 class TestPnaForm:
@@ -42,6 +45,14 @@ class TestPnaForm:
             Q = pna_form(PnaSpec(n, a)).Q
             assert sum(Fraction(Q[i, i]) for i in range(n)) == n * a
 
+    @pytest.mark.parametrize("n, named", _NOT_SIZES)
+    def test_non_integer_n_rejected(self, n, named):
+        # PnaSpec(True, 3) once built a 1 x 1 matrix
+        with pytest.raises(_InputError, match=f"^{named} is not an integer"):
+            pna_form(PnaSpec(n, 3))
+        assert PnaSpec(3.0, 2).n == 3 and type(PnaSpec(3.0, 2).n) is int
+        assert pna_form(PnaSpec(3.0, 2)).Q == pna_form(PnaSpec(3, 2)).Q
+
 
 class TestRankOnePerturbDet:
     def test_equal_entries_singular(self):
@@ -51,6 +62,13 @@ class TestRankOnePerturbDet:
     def test_2x2(self):
         # det [[3,1],[1,3]] by the 2x2 formula
         assert rank_one_perturb_det(3, 1, 2) == 8
+
+    @pytest.mark.parametrize("m, named", _NOT_SIZES)
+    def test_non_integer_m_rejected(self, m, named):
+        # m = 2.5 once gave 3.5, and True ran as m = 1
+        with pytest.raises(_InputError, match=f"^{named} is not an integer"):
+            rank_one_perturb_det(2, 1, m)
+        assert rank_one_perturb_det(3, 1, 2.0) == 8
 
     def test_matches_cofactor_oracle(self):
         def oracle_det(b, c, m):
@@ -88,6 +106,14 @@ class TestPnaThreshold:
         with pytest.raises(ValueError):
             pna_threshold(3, 1)
 
+    @pytest.mark.parametrize("size, named", _NOT_SIZES)
+    def test_non_integer_sizes_rejected(self, size, named):
+        # a float k once raised TypeError from Fraction
+        for args in ((size, 2), (4, size)):
+            with pytest.raises(_InputError, match=f"^{named} is not an integer"):
+                pna_threshold(*args)
+        assert pna_threshold(4.0, 3.0) == Fraction(3, 2)
+
 
 class TestPnaWitness:
     def test_n3_k2_a2(self):
@@ -114,6 +140,14 @@ class TestPnaWitness:
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             pna_witness_decomposition(4, 3, Fraction(14, 10))
+
+    @pytest.mark.parametrize("size, named", _NOT_SIZES)
+    def test_non_integer_sizes_rejected(self, size, named):
+        for args in ((size, 3, 2), (4, size, 2)):
+            with pytest.raises(_InputError, match=f"^{named} is not an integer"):
+                pna_witness_decomposition(*args)
+        d = pna_witness_decomposition(4, 3.0, 2)
+        assert d.k == 3 and len(d.blocks) == 4 and d.residual == 0
 
     def test_reconstruction_exact_above_threshold(self):
         for (n, k) in [(4, 2), (5, 3), (6, 4)]:

@@ -125,3 +125,51 @@ def test_only_symcore_reads_entries():
     # no other module chooses between the view and the entries array
     reads = _reads_outside_symcore(("entries",))
     assert not reads, f"SymMatrix.entries read outside symcore: {reads}"
+
+
+def test_no_bare_value_error_raised():
+    # every argument check raises symcore._InputError, a ValueError that
+    # the command line can tell from numpy's LinAlgError (also a ValueError)
+    bare = [f"{path.name} (line {node.lineno})" for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "ValueError"]
+    assert not bare, f"raise ValueError( instead of _InputError: {bare}"
+
+
+def _called_names(statements):
+    for sub in (s for stmt in statements for s in ast.walk(stmt)):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            yield getattr(func, "attr", getattr(func, "id", None))
+
+
+def test_cli_leaves_input_checks_to_the_library():
+    # cli.py maps the library's _InputError to exit 64 and re-checks nothing:
+    # it catches ValueError, TypeError or KeyError only around its file
+    # loaders and the --lambda and ``pna a`` parsers (calls to Fraction)
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    caught = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Try):
+                continue
+            names = {sub.id for handler in node.handlers if handler.type
+                     for sub in ast.walk(handler.type)
+                     if isinstance(sub, ast.Name)}
+            if not names & {"ValueError", "TypeError", "KeyError"}:
+                continue
+            calls = set(_called_names(node.body))
+            if not (func.name.startswith("_load_")
+                    or calls <= {"Fraction", "split"}):
+                caught.append(f"{func.name} (line {node.lineno})")
+    assert not caught, f"cli.py catches library errors itself: {caught}"
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {name for name, _ in _imported_names(tree)}
+    gone = {"_CliInputError", "_check_width", "_check_float_range",
+            "_solver_options", "_as_width", "_fits_float", "_support_index"}
+    assert not (defined | imported) & gone
