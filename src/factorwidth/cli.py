@@ -73,15 +73,17 @@ def _load_json_file(path: str):
 
 
 def _load_matrix(path: str) -> SymMatrix:
+    obj = _load_json_file(path)
     try:
-        return load_matrix_json(_load_json_file(path))
+        return load_matrix_json(obj)
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad matrix file {path}: {exc}")
 
 
 def _load_poly(path: str):
+    obj = _load_json_file(path)
     try:
-        return load_poly_json(_load_json_file(path))
+        return load_poly_json(obj)
     except (ValueError, TypeError, KeyError) as exc:
         raise _InputError(f"bad polynomial file {path}: {exc}")
 

@@ -364,7 +364,7 @@ def bnr_certificate(n: int, r: int, k: int) -> SymMatrix:
         raise _InputError("need n >= 1, r >= 0, k >= 2")
     # symmetric by construction: a gather through _odd_masks
     a = np.where(_odd_masks(n, r + 1) == 0, k - 1, -1).astype(object)
-    return SymMatrix._wrap(a, True, (a, 1))
+    return SymMatrix._wrap(a, 1)
 
 
 def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
@@ -383,14 +383,16 @@ def lift_quaternary_certificate(B4: SymMatrix, r: int, omega=1) -> SymMatrix:
     if not all(abs(num.diagonal() - den) <= (0 if B4.is_exact else 1e-12)):
         raise _InputError("base certificate must have unit diagonal")
     exact = B4.is_exact and not isinstance(omega, float)
-    # the lifted entry of each odd-position bitmask over the 4 variables
+    # the lifted entry of each odd-position bitmask over the 4 variables,
+    # times scale: den on an exact base's numerators, 1 on its float image
+    base, scale = (num, den) if exact else (B4.as_array(), 1)
     table = [0] * 16
-    table[0], table[15] = 1, omega
+    table[0], table[15] = scale, omega * scale
     for i, j in itertools.combinations(range(4), 2):
-        table[(1 << i) | (1 << j)] = B4[i, j]
+        table[(1 << i) | (1 << j)] = base[i, j]
     # omega is the one entry not read off B4; the gather is symmetric
-    table, exact = _checked(np.array(table, dtype=object if exact else float))
-    return SymMatrix._wrap(table[_odd_masks(4, r + 1)], exact)
+    table, d = _checked(np.array(table, dtype=object if exact else float))
+    return SymMatrix._wrap(table[_odd_masks(4, r + 1)], d * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything in this module is exact, so the parity-aggregate identities hold
 with equality rather than within a tolerance.  It computes on ``int``
-numerators over one denominator: a Gram's cached ``(num, den)`` view, and
+numerators over one denominator: a Gram's stored ``(num, den)`` view, and
 coefficients and weights through ``symcore._scaled``; it builds its Grams
 as views and makes one ``Fraction`` per coefficient it returns.  Built once
 per (n, d): a basis, and ``_pair_classes``, the one map of a pair of basis
@@ -224,7 +224,7 @@ def default_gram(p: HomogeneousPoly, basis: MonomialBasis) -> SymMatrix:
     terms, scale, L, inv = _gram_plan(basis.n, basis.d)
     num, D = _scaled(np.array([p.coefficients.get(t, 0) for t in terms],
                               dtype=object))
-    return SymMatrix._wrap(None, True, ((num * scale)[inv], D * L))
+    return SymMatrix._wrap((num * scale)[inv], D * L)
 
 
 def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
@@ -250,7 +250,7 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     m = math.comb(n + r, r + 1)  # the size of the degree-(r+1) basis
     out = np.zeros(m * m, dtype=object)
     np.add.at(out, flat, np.multiply.outer(w, Q.ravel()))
-    return SymMatrix._wrap(None, True, (out.reshape(m, m), den * L ** (2 * r)))
+    return SymMatrix._wrap(out.reshape(m, m), den * L ** (2 * r))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 A :class:`SymMatrix` is exact (``int``/``Fraction`` entries, exact arithmetic:
 paper fixtures, certificates) or float (``float64``: the iterative solvers);
-conversion between the two is explicit (``to_float``, ``to_exact``).  Every
-matrix answers for its numbers through one ``(num, den)`` view, ``_nd``: a
-float one's own array over 1; an exact one's ``int`` object array over one
-``int``, made by ``_scaled`` (the package's one rational-to-integer map) and
-cached, or given (a Gram of ``polyforms``, whose ``Fraction`` entries are
-made only when read).  No module but this one reads ``entries``; the view
-feeds ``as_array``, the range checks, ``frobenius_inner``, ``polyforms`` and
+conversion between the two is explicit (``to_float``, ``to_exact``).  A
+matrix stores only its ``(num, den)`` view, ``_nd``: a float one's own array
+over 1.0; an exact one's ``int`` object array over one ``int``, made by
+``_scaled`` (the package's one rational-to-integer map) at construction, or
+given (a Gram of ``polyforms``).  ``entries`` is derived from the view on
+first read, and no module but this one reads it; the view feeds
+``as_array``, the range checks, ``frobenius_inner``, ``polyforms`` and
 ``_exact_psd`` (fraction-free elimination on ``num`` as given).  Both
 cones read their principal blocks through one :class:`_BlockIndex` over an
 ``(m, k)`` int array of supports; a :class:`Support` is built only where one
@@ -66,19 +66,20 @@ class _InputError(ValueError):
 
 
 class SymMatrix:
-    """Real symmetric ``n x n`` matrix held as one read-only dense array.
+    """Real symmetric ``n x n`` matrix stored as its ``(num, den)`` view.
 
-    ``entries`` is the ``n x n`` numpy array: dtype ``object`` holding Python
-    ``int``/``Fraction`` entries when ``is_exact``, else ``float64``.  Every
-    constructor checks symmetry and the entry types once; no array is written
-    afterwards, so ``A[i, j] == A[j, i]`` holds for the instance's lifetime.
-    ``_nd`` is the one ``(num, den)`` view (a float array over 1, or ``int``
-    numerators over an ``int``); ``entries`` of a view is made on first read.
+    ``_nd`` is a ``float64`` array over 1.0 or, when ``is_exact``, an ``int``
+    object array over one ``int`` (not necessarily the least).  ``entries``
+    is a float matrix's own array, or its ``int``/``Fraction`` entries (an
+    ``int`` exactly when integral), made on first read.  Every constructor
+    checks symmetry and the entry types once; no array is written afterwards,
+    so ``A[i, j] == A[j, i]`` holds for the instance's lifetime.
     """
 
-    __slots__ = ("n", "is_exact", "_entries", "_num_den")
+    __slots__ = ("n", "is_exact", "_nd", "_entries")
 
     def __init__(self, n: int, upper: Sequence[Scalar]):
+        n = _as_int(n)
         if n < 1:
             raise _InputError(f"dimension must be >= 1, got {n}")
         upper = list(upper)
@@ -91,35 +92,28 @@ class SymMatrix:
         a[iu] = a.T[iu] = upper
         self._set(*_checked(a))
 
-    def _set(self, a: Optional[np.ndarray], exact: bool, nd=None) -> None:
-        self.n = len(_frozen(nd[0]) if a is None else _frozen(a))
-        self._entries, self.is_exact = a, exact
-        self._num_den = nd if exact else (a, 1.0)
+    def _set(self, num: np.ndarray, den) -> None:
+        self.n, self._nd = len(_frozen(num)), (num, den)
+        self.is_exact = num.dtype == object
+        self._entries = None if self.is_exact else num
 
     @classmethod
-    def _wrap(cls, a: Optional[np.ndarray], exact: bool, nd=None
-              ) -> "SymMatrix":
-        """An instance on ``a``, a symmetric array already checked, or on its
-        exact view ``nd`` alone (``a`` None); the array is made read-only, so
-        only arrays nothing else writes may be passed."""
+    def _wrap(cls, num: np.ndarray, den) -> "SymMatrix":
+        """An instance on the view ``(num, den)`` of a symmetric matrix already
+        checked; ``num`` is made read-only, so only arrays nothing else writes
+        may be passed."""
         m = cls.__new__(cls)
-        m._set(a, exact, nd)
+        m._set(num, den)
         return m
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            num, den = self._num_den
-            frac = {v: Fraction(v, den) for v in set(num.flat)}
+            num, den = self._nd
+            frac = {v: v // den if v % den == 0 else Fraction(v, den)
+                    for v in set(num.flat)}
             self._entries = _frozen(np.frompyfunc(frac.__getitem__, 1, 1)(num))
         return self._entries
-
-    @property
-    def _nd(self) -> tuple[np.ndarray, int]:
-        if self._num_den is None:
-            num, den = _scaled(self._entries)
-            self._num_den = _frozen(num), den
-        return self._num_den
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "SymMatrix":
@@ -168,12 +162,11 @@ class SymMatrix:
         return (self._nd[0] / self._nd[1]).astype(float, copy=False)
 
     def to_float(self) -> "SymMatrix":
-        return SymMatrix._wrap(self.as_array(), False)
+        return SymMatrix._wrap(self.as_array(), 1.0)
 
     def to_exact(self) -> "SymMatrix":
         """``self`` if exact (no array is written), else via ``_scaled``."""
-        return self if self.is_exact else SymMatrix._wrap(
-            None, True, _scaled(self._nd[0]))
+        return self if self.is_exact else SymMatrix._wrap(*_scaled(self._nd[0]))
 
     def max_abs(self) -> float:
         return float(np.abs(self._nd[0]).max() / self._nd[1])
@@ -230,10 +223,10 @@ def _average_triangles(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A square symmetric array of entries as ``SymMatrix`` stores it, with
-    its exactness: ``float64`` when any entry is a float, else the object
-    array of ``int``/``Fraction`` entries."""
+def _checked(a: np.ndarray) -> tuple[np.ndarray, Union[int, float]]:
+    """The ``(num, den)`` view ``SymMatrix`` stores of a square symmetric
+    array of entries: the ``float64`` array over 1.0 when any entry is a
+    float, else ``_scaled`` of the ``int``/``Fraction`` entries."""
     if a.shape[0] < 1:
         raise _InputError("dimension must be >= 1, got 0")
     if a.dtype == object:
@@ -243,14 +236,14 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, bool]:
             for t in types:
                 if not issubclass(t, (int, Fraction)):
                     raise TypeError(f"unsupported entry type {t.__name__}")
-            return a, True
+            return _scaled(a)
         if any(issubclass(t, Fraction) for t in types):
             raise TypeError(
                 "mixed Fraction and float entries; convert explicitly first")
     a = a.astype(float)
     if not np.all(np.isfinite(a)):
         raise _InputError("entries must be finite")
-    return a, False
+    return a, 1.0
 
 
 @dataclass(frozen=True)
@@ -299,6 +292,7 @@ def _as_width(n: int, k) -> int:
 
 def enumerate_supports(n: int, k: int) -> list[Support]:
     """All C(n, k) supports of size k, in lexicographic order."""
+    n = _as_int(n)
     rows = _full_index(n, _as_width(n, k)).rows
     return [Support(r) for r in map(tuple, rows.tolist())]
 
@@ -396,7 +390,8 @@ def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
     K = Support.of(K)
     if K.indices[-1] >= A.n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={A.n}")
-    return SymMatrix._wrap(A.entries[np.ix_(K.indices, K.indices)], A.is_exact)
+    num, den = A._nd
+    return SymMatrix._wrap(num[np.ix_(K.indices, K.indices)], den)
 
 
 def embed(B: SymMatrix, K, n: int) -> SymMatrix:
@@ -406,9 +401,10 @@ def embed(B: SymMatrix, K, n: int) -> SymMatrix:
         raise _InputError(f"support size {len(K)} does not match block size {B.n}")
     if K.indices[-1] >= n:
         raise IndexError(f"support index {K.indices[-1]} out of range for n={n}")
-    out = np.zeros((n, n), dtype=B.entries.dtype)
-    out[np.ix_(K.indices, K.indices)] = B.entries
-    return SymMatrix._wrap(out, B.is_exact)
+    num, den = B._nd
+    out = np.zeros((n, n), dtype=num.dtype)
+    out[np.ix_(K.indices, K.indices)] = num
+    return SymMatrix._wrap(out, den)
 
 
 # ---------------------------------------------------------------------------

@@ -672,6 +672,23 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     assert report is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-fw", "{missing}", 4),
+    ("soks", "{missing}", 2),
+    ("soks", "{quad}", 2, "--gram", "{missing}"),
+], ids=["check-fw", "soks", "gram"])
+def test_an_unreadable_file_is_reported_once(capsys, tmp_path, argv):
+    # the loader's "cannot read" error is not wrapped again as a bad file
+    missing = tmp_path / "missing.json"
+    quad = _write(tmp_path / "quad.json", {
+        "n": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": 1}]})
+    code = main([str(a).format(missing=missing, quad=quad) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert err.count(f"cannot read {missing}") == 1 and "bad " not in err
+
+
 def test_unexpected_exception_exits_70(capsys, monkeypatch, fixture_files):
     from factorwidth import cli
 

@@ -28,6 +28,7 @@ from factorwidth.symcore import (
     SymMatrix,
     Support,
     eigen_sym,
+    embed,
     enumerate_supports,
     frobenius_inner,
     is_psd,
@@ -805,13 +806,30 @@ class TestLiftQuaternary:
 
     def test_unit_diagonal_read_off_the_view(self):
         # an exact base whose diagonal is 1 over a common denominator
-        B4 = SymMatrix._wrap(None, True, (np.array(
+        B4 = SymMatrix._wrap(np.array(
             [[3, 1, 0, 0], [1, 3, 0, 0], [0, 0, 3, -1], [0, 0, -1, 3]],
-            dtype=object), 3))
+            dtype=object), 3)
         lifted = lift_quaternary_certificate(B4, 1)
         assert lifted.is_exact
         assert lifted == lift_quaternary_certificate(
             SymMatrix.from_rows(B4.rows()), 1)
+
+    def test_a_view_built_base_lifts_to_a_view(self):
+        # the lift, principal_submatrix and embed read and build (num, den)
+        # views: no Fraction entries are made of the input or the output
+        B4 = SymMatrix._wrap(np.array(
+            [[6, 2, 0, 0], [2, 6, 0, -3], [0, 0, 6, -2], [0, -3, -2, 6]],
+            dtype=object), 6)
+        lifted = lift_quaternary_certificate(B4, 1, Fraction(1, 2))
+        sub = principal_submatrix(lifted, [0, 3, 7])
+        big = embed(sub, [1, 2, 4], 5)
+        for m in (B4, lifted, sub, big):
+            assert m._entries is None
+        ref = lift_quaternary_certificate(
+            SymMatrix.from_rows(B4.rows()), 1, Fraction(1, 2))
+        assert lifted == ref
+        assert sub == principal_submatrix(ref, [0, 3, 7])
+        assert big == embed(principal_submatrix(ref, [0, 3, 7]), [1, 2, 4], 5)
 
     @pytest.mark.parametrize("r", [1.5, True, -1])
     def test_non_integer_or_negative_r_rejected(self, r):

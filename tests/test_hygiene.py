@@ -127,6 +127,33 @@ def test_only_symcore_reads_entries():
     assert not reads, f"SymMatrix.entries read outside symcore: {reads}"
 
 
+def _symcore_functions():
+    """Each module-level function of symcore and each method of its classes,
+    with its name and whether it is a ``SymMatrix`` method."""
+    for node in ast.parse((PACKAGE / "symcore.py").read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for func in members:
+            if isinstance(func, ast.FunctionDef):
+                yield func.name, func, getattr(node, "name", "") == "SymMatrix"
+
+
+def test_symcore_reads_entries_only_to_hand_out_or_compare_numbers():
+    # a matrix stores its (num, den) view alone; entries, made from it on
+    # first read, are read only where numbers leave as values or compare
+    readers = {name for name, func, _ in _symcore_functions()
+               if any(isinstance(node, ast.Attribute) and node.attr == "entries"
+                      for node in ast.walk(func))}
+    assert readers == {"__getitem__", "rows", "__eq__", "scale_congruence"}
+
+
+def test_no_symmatrix_accessor_converts_into_the_view():
+    # every constructor stores the view, so the one SymMatrix method that
+    # calls _scaled is to_exact, which builds a new matrix from a float one
+    callers = {name for name, func, method in _symcore_functions()
+               if method and "_scaled" in set(_called_names([func]))}
+    assert callers == {"to_exact"}
+
+
 def test_no_bare_value_error_raised():
     # every argument check raises symcore._InputError, a ValueError that
     # the command line can tell from numpy's LinAlgError (also a ValueError)

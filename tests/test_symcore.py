@@ -10,6 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorwidth import symcore
+from factorwidth.polyforms import (
+    QuadraticForm,
+    default_gram,
+    gram_to_poly,
+    monomial_basis,
+    multiplier_gram,
+)
 from factorwidth.symcore import (
     SymMatrix,
     Support,
@@ -75,6 +82,13 @@ class TestSymMatrix:
     def test_upper_triangle_storage_length(self):
         with pytest.raises(ValueError):
             SymMatrix(3, [1, 2, 3])
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_dimension_reads_as_an_int(self, n):
+        # an integral float is its int; a bool or a non-integral value is not
+        assert SymMatrix(2.0, [1, 0, 1]) == SymMatrix.identity(2)
+        with pytest.raises(symcore._InputError, match=f"^{n} is not an integer"):
+            SymMatrix(n, [1, 0, 1])
 
     def test_one_read_only_dense_array(self):
         exact = SymMatrix(2, [1, Fraction(1, 2), 3])
@@ -217,7 +231,7 @@ class TestFrobeniusInner:
                         for row in built.rows()])
         top = float(max(abs(Fraction(e)) for e in upper))
         num, den = built._nd
-        view = SymMatrix._wrap(None, True, (num * c, den * c))
+        view = SymMatrix._wrap(num * c, den * c)
         for m in (built, view):
             assert m.as_array().tobytes() == ref.tobytes()
             assert m.max_abs() == top
@@ -251,6 +265,78 @@ class TestFrobeniusInner:
                                    max_size=n * (n + 1) // 2))
         a, b = SymMatrix(n, upper), SymMatrix(n, other)
         assert frobenius_inner(a, b) == frobenius_inner(b, a)
+
+
+def _entry_json(e):
+    return int(e) if e.denominator == 1 else str(e)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(Fraction, st.integers(-9, 9)),  # an integral Fraction as given
+    st.fractions(max_denominator=10 ** 6))
+
+
+class TestStoredForm:
+    """Every constructor stores the ``(num, den)`` view alone; the entries
+    derived from it are those of a plain-``Fraction`` reference, each an
+    ``int`` exactly when integral, with the reference's float image and
+    JSON."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_every_constructor_reads_as_a_fraction_reference(self, data):
+        n = data.draw(st.integers(1, 4))
+        upper = data.draw(st.lists(_ENTRIES, min_size=n * (n + 1) // 2,
+                                   max_size=n * (n + 1) // 2))
+        given_rows = [[None] * n for _ in range(n)]
+        for (i, j), e in zip(zip(*np.triu_indices(n)), upper):
+            given_rows[i][j] = given_rows[j][i] = e
+        ref = [[Fraction(e) for e in row] for row in given_rows]
+        built = SymMatrix(n, upper)
+        floats = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n,
+                                    max_size=n))
+        K = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               unique=True).map(sorted))
+        at = sorted(data.draw(st.permutations(range(n + 2)))[:n])
+        perm = data.draw(st.permutations(range(n)))
+        d = data.draw(st.lists(st.fractions(max_denominator=50).filter(bool),
+                               min_size=n, max_size=n))
+        Q = [[0] * n for _ in range(n)]
+        for j, (i, x) in enumerate(zip(perm, d)):
+            Q[i][j] = x
+        padded = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
+        for (p, i), (q, j) in itertools.product(enumerate(at), repeat=2):
+            padded[i][j] = ref[p][q]
+        basis = monomial_basis(n, 1)  # a quadratic's Gram is unique
+        cases = [
+            (built, ref),
+            (SymMatrix.from_rows(given_rows), ref),
+            (SymMatrix.diag(upper[:n]), [
+                [Fraction(upper[i]) if i == j else Fraction(0)
+                 for j in range(n)] for i in range(n)]),
+            (SymMatrix.from_array(np.diag(floats)).to_exact(), [
+                [Fraction(floats[i]) if i == j else Fraction(0)
+                 for j in range(n)] for i in range(n)]),
+            (principal_submatrix(built, K), [[ref[i][j] for j in K]
+                                             for i in K]),
+            (embed(built, at, n + 2), padded),
+            (scale_congruence(built, Q), [
+                [d[j] * d[l] * ref[perm[j]][perm[l]] for l in range(n)]
+                for j in range(n)]),
+            (default_gram(gram_to_poly(built, basis), basis), ref),
+            (multiplier_gram(QuadraticForm(Q=built), d, 0), ref),
+        ]
+        for M, rows in cases:
+            assert M.is_exact and M.rows() == rows
+            assert all(type(e) is (int if Fraction(e).denominator == 1
+                                   else Fraction) for row in M.rows()
+                       for e in row)
+            assert M.as_array().tobytes() == np.array(
+                [[float(e) for e in row] for row in rows]).tobytes()
+            assert matrix_to_json(M) == {
+                "n": len(rows),
+                "rows": [[_entry_json(e) for e in row] for row in rows]}
 
 
 class TestSubmatrixAndEmbed:
@@ -342,6 +428,12 @@ class TestSubmatrixAndEmbed:
                     tuple(r) for r in rows.tolist()]
                 assert rows.tolist() == [
                     list(c) for c in itertools.combinations(range(n), k)]
+
+    @pytest.mark.parametrize("n, k", [(2.5, 2), (True, 1)])
+    def test_enumerate_supports_reads_n_as_an_int(self, n, k):
+        assert enumerate_supports(4.0, 2) == enumerate_supports(4, 2)
+        with pytest.raises(symcore._InputError, match=f"^{n} is not an integer"):
+            enumerate_supports(n, k)
 
     def test_sparsity_seed_restricts_the_full_index(self):
         rng = np.random.default_rng(3)
