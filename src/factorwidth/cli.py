@@ -68,7 +68,7 @@ def _load_json_file(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bytes or int digits
         raise _InputError(f"cannot read {path}: {exc}")
 
 

@@ -633,8 +633,8 @@ def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
     """Return ``Q^T A Q`` for any monomial ``Q`` (exactly one nonzero in each
     row and each column): a permutation times a nonsingular diagonal.
 
-    The result is exact when ``A`` is and no nonzero of ``Q`` is a float; a
-    permutation (every nonzero equal to 1) keeps ``A``'s entries as they are.
+    The result is exact when ``A`` is and no nonzero of ``Q`` is a float,
+    a permutation's 1.0 (every nonzero equal to 1) excepted.
     """
     q = np.array(Q, dtype=object)
     if q.shape != (A.n, A.n):
@@ -645,7 +645,7 @@ def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
                           "row and each column")
     rows = nonzero.argmax(axis=0)
     d = q[rows, np.arange(A.n)]
-    if all(x == 1 for x in d):  # a permutation (1.0 too) keeps entry types
+    if all(x == 1 for x in d):  # a permutation (1.0 too) keeps an exact A exact
         d = np.ones(A.n, dtype=object)
     exact = A.is_exact and not any(isinstance(x, float) for x in d)
     d = d.astype(object if exact else float)

@@ -672,21 +672,30 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     assert report is None
 
 
+@pytest.mark.parametrize("bad", ["missing", "not_utf8", "long_int"])
 @pytest.mark.parametrize("argv", [
-    ("check-fw", "{missing}", 4),
-    ("soks", "{missing}", 2),
-    ("soks", "{quad}", 2, "--gram", "{missing}"),
-], ids=["check-fw", "soks", "gram"])
-def test_an_unreadable_file_is_reported_once(capsys, tmp_path, argv):
-    # the loader's "cannot read" error is not wrapped again as a bad file
-    missing = tmp_path / "missing.json"
+    ("check-fw", "{bad}", 4),
+    ("soks", "{bad}", 2),
+    ("soks", "{quad}", 2, "--gram", "{bad}"),
+    ("check-fw", "{M}", 4, "--supports", "{bad}"),
+], ids=["check-fw", "soks", "gram", "supports"])
+def test_an_unreadable_file_is_reported_once(capsys, tmp_path, fixture_files,
+                                             argv, bad):
+    # the loader's "cannot read" error is not wrapped again as a bad file;
+    # json.load's UnicodeDecodeError and int digit limit are ValueErrors
+    path = tmp_path / f"{bad}.json"
+    if bad == "not_utf8":
+        path.write_bytes(b'{"n": 1, "rows": [[\xff]]}')
+    elif bad == "long_int":
+        path.write_text('{"n": 1, "rows": [[' + "7" * 5000 + "]]}")
     quad = _write(tmp_path / "quad.json", {
         "n": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": 1}]})
-    code = main([str(a).format(missing=missing, quad=quad) for a in argv])
-    err = capsys.readouterr().err
-    assert code == 64
-    assert err.startswith(f"error: cannot read {missing}: ")
-    assert err.count(f"cannot read {missing}") == 1 and "bad " not in err
+    code = main([str(a).format(bad=path, quad=quad, M=fixture_files["M"])
+                 for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 64 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count(f"cannot read {path}") == 1 and "bad " not in err
 
 
 def test_unexpected_exception_exits_70(capsys, monkeypatch, fixture_files):
