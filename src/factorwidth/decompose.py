@@ -11,7 +11,9 @@ the consensus-exact Z = Pi V with its blocks clipped to the psd cone or the
 projected X = P(2Z - V), whichever has the smaller recomputed residual.  The
 core is given the ``symcore._BlockIndex`` of its supports, and every block
 read and write goes through it; only ``BlockDecomposition.build``
-re-accumulates the blocks on its own, as the independent re-verification.
+re-accumulates the blocks on its own, in one scatter on flat positions it
+computes itself, as the independent re-verification, and it decides the
+float blocks of each size in one ``symcore._psd_battery``.
 
 The core iterates on A's unit-diagonal frame U = D^-1 A D^-1
 (``symcore._unit_frame``), which both cones respect, and maps blocks back as
@@ -36,12 +38,12 @@ ended its run in ``diagnostics["stop"]``.
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), which
 ``_width_two`` decides from the comparison matrix.  Every exit, there and in
-the splitting core, passes the one member gate ``_accept`` and leaves through
-the one verdict builder ``_verdict``.  Otherwise the first run is on a
-``support_list`` or the sparsity seed (cf. the column generation of Ahmadi,
-Dash and Hall, Discrete Optim. 2017), then on all C(n, k) supports
-(``fw_membership``, the one boundary, which checks the width, A's float range
-and a ``support_list``).
+the splitting core, passes the one member gate ``_accept``, its witness one
+stack of blocks, and leaves through the one verdict builder ``_verdict``.
+Otherwise the first run is on a ``support_list`` or the sparsity seed (cf.
+the column generation of Ahmadi, Dash and Hall, Discrete Optim. 2017), then
+on all C(n, k) supports (``fw_membership``, the one boundary, which checks
+the width, A's float range and a ``support_list``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .symcore import (
     _InputError,
     _as_int,
     _as_width,
+    _average_triangles,
     _frob,
     _full_index,
     _project_psd,
@@ -115,7 +118,10 @@ class BlockDecomposition:
     """Certified witness of FW_k membership: psd blocks summing to A.
 
     The residual is recomputed from the blocks at construction time, never
-    trusted from a solver, and every distinct block is re-checked psd once.
+    trusted from a solver.  The float blocks of each size are decided psd by
+    one ``_psd_battery``, and every distinct exact block once by ``is_psd``
+    at tol 0; the first bad block in list order is named.  All blocks are
+    summed, in list order, by one scatter on flat positions computed here.
     """
 
     ambient_n: int
@@ -127,30 +133,45 @@ class BlockDecomposition:
     def build(cls, A: SymMatrix, k: int, blocks) -> "BlockDecomposition":
         n = A.n
         k = _as_width(n, k)
-        decided = set()
-        for K, block in blocks:
+        blocks, sizes, bad, decided = list(blocks), {}, set(), set()
+        for p, (_, block) in enumerate(blocks):
+            if not block.is_exact:
+                sizes.setdefault(block.n, []).append(p)
+        # the float blocks of each size in one battery, whose lambda_min >=
+        # -tol (1 + max|block|) is is_psd's threshold
+        for at in sizes.values():
+            stack = np.stack([blocks[p][1]._nd[0] for p in at])
+            psd, lam, _ = _psd_battery(stack, _BLOCK_PSD_TOL)
+            if not psd:
+                bad.update(np.array(at)[~(lam[:, 0] >= -_BLOCK_PSD_TOL * (
+                    1.0 + np.abs(stack).max(axis=(1, 2))))].tolist())
+        for p, (K, block) in enumerate(blocks):
             if len(K) > k:
                 raise _InputError(f"support {K.indices} exceeds width {k}")
             if K.indices[-1] >= n:
                 raise _InputError(f"support {K.indices} out of range for n={n}")
             if block.n != len(K):
                 raise _InputError("block size does not match its support")
-            num, den = block._nd
-            key = (den, *num.flat) if block.is_exact else id(block)
-            tol = 0 if block.is_exact else _BLOCK_PSD_TOL
-            if key not in decided and not is_psd(block, tol).is_psd:
+            if block.is_exact:
+                num, den = block._nd
+                key = (den, *num.flat)
+                if key not in decided and not is_psd(block, 0).is_psd:
+                    bad.add(p)
+                decided.add(key)
+            if p in bad:
                 raise _InputError(f"block on {K.indices} is not psd")
-            decided.add(key)
         exact = A.is_exact and all(b.is_exact for _, b in blocks)
         # exact: the numerators over one denominator D, else the float images
         D = math.lcm(A._nd[1], *(b._nd[1] for _, b in blocks)) if exact else 1
         image = ((lambda M: M._nd[0] * (D // M._nd[1])) if exact
                  else SymMatrix.as_array)
-        acc = np.zeros((n, n), dtype=object if exact else float)
-        for K, block in blocks:
-            acc[np.ix_(K.indices, K.indices)] += image(block)
-        residual = float(np.abs(image(A) - acc).max() / D)
-        return cls(ambient_n=n, k=k, blocks=list(blocks), residual=residual)
+        acc = np.zeros(n * n, dtype=object if exact else float)
+        if blocks:
+            np.add.at(acc, [i * n + j for K, _ in blocks for i in K.indices
+                            for j in K.indices],
+                      np.concatenate([image(b) for _, b in blocks], axis=None))
+        residual = float(np.abs(image(A) - acc.reshape(n, n)).max() / D)
+        return cls(ambient_n=n, k=k, blocks=blocks, residual=residual)
 
 
 @dataclass
@@ -191,14 +212,21 @@ def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
     return gap / norm if norm else None
 
 
-def _accept(A: SymMatrix, k: int, blocks, target: float):
-    """The one member gate: the nonzero ones of the ``(Support, array)``
-    ``blocks`` re-verified by ``BlockDecomposition.build``, if they reproduce
-    A within ``target``, else None."""
+def _accept(A: SymMatrix, k: int, rows: np.ndarray, stack: np.ndarray,
+            target: float):
+    """The one member gate: the nonzero blocks of the ``(m, s, s)`` float
+    ``stack``, block ``b`` on the support ``rows[b]``, re-verified by
+    ``BlockDecomposition.build``, if they reproduce A within ``target``, else
+    None.  The stack is read once as ``SymMatrix.from_array`` reads one
+    array: its triangles averaged, and None unless every entry is finite."""
+    keep = np.abs(stack).max(axis=(1, 2)) > 0.0
+    stack = _average_triangles(stack[keep])
+    if not np.all(np.isfinite(stack)):
+        return None
     try:
         d = BlockDecomposition.build(A, k, [
-            (K, SymMatrix.from_array(b)) for K, b in blocks
-            if np.abs(b).max() > 0.0])
+            (Support(K), SymMatrix._wrap(b, 1.0))
+            for K, b in zip(map(tuple, rows[keep].tolist()), stack)])
     except ValueError:
         return None
     return d if d.residual <= target else None
@@ -332,8 +360,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             Xz = _project_psd(Z)
             resz = float(np.abs(U - index.accumulate(Xz)).max())
             r, stack = (resz, Xz) if resz <= res else (res, X)
-            dec = _accept(A, k, zip(map(index.support, range(m)),
-                                    stack * index.gather(dd)),
+            dec = _accept(A, k, index.rows, stack * index.gather(dd),
                           gate) if r <= target else None
             if dec is not None:
                 return _verdict(it, history, None, None, decomposition=dec)
@@ -419,19 +446,23 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     # and v = inf leaves no diagonal
     v = vec @ (vec.sum(axis=0) / (w + s)) if margin else np.full(n, np.inf)
     edges = (Af != 0) & ~np.eye(n, dtype=bool)
-    blocks = {}
-    for i, j in zip(*np.nonzero(np.triu(edges))):
-        r, a = v[j] / v[i], Af[i, j]
-        blocks[i, j] = np.array([[abs(a) * r, a], [a, abs(a) / r]])
+    ii, jj = np.nonzero(np.triu(edges))
+    slot = {K: b for b, K in enumerate(zip(ii.tolist(), jj.tolist()))}
     rest = np.ldexp(1.0 / v - s, e)
     pairs = [] if listed is None or listed.k != 2 else listed.rows.tolist()
-    for i in np.flatnonzero(rest > 0.0):
+    # the edge blocks, then at most one block per vertex
+    stack = np.zeros((len(ii) + n, 2, 2))
+    r, a = v[jj] / v[ii], Af[ii, jj]
+    stack[:len(ii)] = np.stack([abs(a) * r, a, a, abs(a) / r], -1).reshape(
+        -1, 2, 2)
+    for i in np.flatnonzero(rest > 0.0).tolist():
         nbrs = np.flatnonzero(edges[i]).tolist()
         j = nbrs[0] if nbrs else next(
             (p + q - i for p, q in pairs if i in (p, q)), (i + 1) % n)
-        block = blocks.setdefault((min(i, j), max(i, j)), np.zeros((2, 2)))
-        block[int(i > j), int(i > j)] += rest[i]
-    d = _accept(A, 2, [(Support.of(K), b) for K, b in blocks.items()], target)
+        b = slot.setdefault((min(i, j), max(i, j)), len(slot))
+        stack[b, int(i > j), int(i > j)] += rest[i]
+    d = _accept(A, 2, np.array(list(slot), np.intp).reshape(-1, 2),
+                stack[:len(slot)], target)
     # a member carries no stop; the message is read only when d is None
     return _verdict(0, [], None, f"{quote}: its decomposition did not verify",
                     decomposition=d)

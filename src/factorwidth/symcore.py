@@ -79,9 +79,7 @@ class SymMatrix:
     __slots__ = ("n", "is_exact", "_nd", "_entries")
 
     def __init__(self, n: int, upper: Sequence[Scalar]):
-        n = _as_int(n)
-        if n < 1:
-            raise _InputError(f"dimension must be >= 1, got {n}")
+        n = _as_dim(n)
         upper = list(upper)
         if len(upper) != n * (n + 1) // 2:
             raise _InputError(
@@ -135,11 +133,11 @@ class SymMatrix:
 
     @classmethod
     def zeros(cls, n: int, exact: bool = True) -> "SymMatrix":
-        return cls.diag([0 if exact else 0.0] * n)
+        return cls.diag([0 if exact else 0.0] * _as_dim(n))
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "SymMatrix":
-        return cls.diag([1 if exact else 1.0] * n)
+        return cls.diag([1 if exact else 1.0] * _as_dim(n))
 
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> "SymMatrix":
@@ -210,16 +208,16 @@ def _check_symmetric(differs: np.ndarray) -> None:
 
 
 def _average_triangles(a: np.ndarray) -> np.ndarray:
-    """A new float array: ``(a + a.T) / 2`` off the diagonal and the diagonal
-    of ``a`` on it, since doubling an entry above half the float range would
-    overflow.  A finite mirrored pair whose sum overflows is averaged as
-    ``a / 2 + a.T / 2`` instead; every other entry is ``(a + a.T) / 2``, and
-    an inf or nan input still leaves a non-finite entry for ``_checked``."""
+    """A new float array, ``(a + a.T) / 2`` of a square float array or of
+    each matrix of a stack, but for a finite mirrored pair whose sum
+    overflows, averaged as ``a / 2 + a.T / 2``.  So a finite diagonal entry
+    stays as it is, and an inf or nan input still leaves a non-finite entry
+    for the caller's finiteness check."""
+    t = np.swapaxes(a, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (a + a.T) / 2.0
-    over = np.isinf(out) & np.isfinite(a) & np.isfinite(a.T)
-    out[over] = a[over] / 2.0 + a.T[over] / 2.0
-    np.fill_diagonal(out, a.diagonal())
+        out = (a + t) / 2.0
+    over = np.isinf(out) & np.isfinite(a) & np.isfinite(t)
+    out[over] = a[over] / 2.0 + t[over] / 2.0
     return out
 
 
@@ -279,6 +277,14 @@ def _as_int(v) -> int:
                                    isinstance(v, float) and v.is_integer()):
         raise _InputError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _as_dim(n) -> int:
+    """``n`` as an int, ``_InputError`` unless it is at least 1."""
+    n = _as_int(n)
+    if n < 1:
+        raise _InputError(f"dimension must be >= 1, got {n}")
+    return n
 
 
 def _as_width(n: int, k) -> int:
@@ -396,7 +402,7 @@ def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
 
 def embed(B: SymMatrix, K, n: int) -> SymMatrix:
     """Place ``B`` on the support ``K x K`` inside an ``n x n`` zero matrix."""
-    K = Support.of(K)
+    K, n = Support.of(K), _as_dim(n)
     if len(K) != B.n:
         raise _InputError(f"support size {len(K)} does not match block size {B.n}")
     if K.indices[-1] >= n:

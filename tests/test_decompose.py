@@ -165,25 +165,34 @@ class TestBlockDecomposition:
     def test_decides_each_distinct_block_once(self, monkeypatch):
         from factorwidth import decompose
 
-        seen = []
-        real = decompose.is_psd
+        seen, stacks = [], []
+        real, battery = decompose.is_psd, decompose._psd_battery
         monkeypatch.setattr(decompose, "is_psd",
                             lambda B, tol: seen.append(B) or real(B, tol))
+        monkeypatch.setattr(decompose, "_psd_battery", lambda stack, tol: (
+            stacks.append(stack) or battery(stack, tol)))
         # the witness repeats one block object on all C(6, 3) supports
         d = pna_witness_decomposition(6, 3, 3)
         assert len(d.blocks) == 20 and len(seen) == 1
-        # equal exact blocks are one decision; float blocks one per object
+        # equal exact blocks are one decision; the float blocks of one size
+        # one battery, holding every float block of that size
         A, one = SymMatrix.identity(4), SymMatrix.identity(2)
         pairs = [Support.of(K) for K in ([0, 1], [2, 3], [0, 3], [1, 2])]
         seen.clear()
         BlockDecomposition.build(A, 2, [(pairs[0], one),
                                         (pairs[1], SymMatrix.identity(2))])
-        assert len(seen) == 1
+        assert len(seen) == 1 and not stacks
         flt = one.to_float()
         seen.clear()
         BlockDecomposition.build(A, 2, [(pairs[0], flt), (pairs[1], flt),
                                         (pairs[2], one.to_float())])
-        assert len(seen) == 2
+        assert not seen and [s.shape for s in stacks] == [(3, 2, 2)]
+        stacks.clear()
+        BlockDecomposition.build(A, 3, [
+            (pairs[0], flt), (Support.of([1, 2, 3]), SymMatrix.identity(
+                3, exact=False)), (pairs[3], one), (pairs[1], flt)])
+        assert len(seen) == 1
+        assert sorted(s.shape for s in stacks) == [(1, 3, 3), (2, 2, 2)]
         # a repeated bad block still names the first support it sits on
         bad = SymMatrix.from_rows([[1, 2], [2, 1]])
         for blocks in ([(pairs[2], bad), (pairs[0], bad)],
@@ -460,15 +469,210 @@ class TestMemberGate:
     def test_rejected_block_gives_none(self, block):
         from factorwidth import decompose
 
-        blocks = [(Support.of([0, 1]), np.array(block))]
-        assert decompose._accept(self.A, 2, blocks, 10.0) is None
+        assert decompose._accept(self.A, 2, np.array([[0, 1]]),
+                                 np.array([block]), 10.0) is None
 
     def test_verified_blocks_are_accepted(self):
         from factorwidth import decompose
 
-        d = decompose._accept(self.A, 2, [
-            (Support.of([0, 1]), self.A.as_array())], 0.0)
+        d = decompose._accept(self.A, 2, np.array([[0, 1]]),
+                              self.A.as_array()[None], 0.0)
         assert d is not None and d.residual == 0.0
+
+
+def _per_block_build(A, k, blocks):
+    """The per-block reference of ``BlockDecomposition.build``: each block's
+    support checked, then ``is_psd``, in list order, then one ``np.ix_`` add
+    per block; the residual, or the error text."""
+    n = A.n
+    try:
+        for K, block in blocks:
+            if len(K) > k:
+                raise ValueError(f"support {K.indices} exceeds width {k}")
+            if K.indices[-1] >= n:
+                raise ValueError(f"support {K.indices} out of range for n={n}")
+            if block.n != len(K):
+                raise ValueError("block size does not match its support")
+            if not is_psd(block, 0 if block.is_exact else 1e-8).is_psd:
+                raise ValueError(f"block on {K.indices} is not psd")
+    except ValueError as exc:
+        return str(exc)
+    if A.is_exact and all(b.is_exact for _, b in blocks):
+        D = math.lcm(A._nd[1], *(b._nd[1] for _, b in blocks))
+        acc = np.zeros((n, n), dtype=object)
+        for K, b in blocks:
+            acc[np.ix_(K.indices, K.indices)] += b._nd[0] * (D // b._nd[1])
+        return float(np.abs(A._nd[0] * (D // A._nd[1]) - acc).max() / D)
+    acc = np.zeros((n, n))
+    for K, b in blocks:
+        acc[np.ix_(K.indices, K.indices)] += b.as_array()
+    return float(np.abs(A.as_array() - acc).max())
+
+
+def _per_block_accept(A, k, rows, stack, target):
+    """The per-block reference of ``decompose._accept``: ``from_array`` on
+    each nonzero block, then ``_per_block_build``."""
+    try:
+        blocks = [(Support.of(K), SymMatrix.from_array(b))
+                  for K, b in zip(rows.tolist(), stack) if np.abs(b).max() > 0]
+    except ValueError:
+        return None
+    r = _per_block_build(A, k, blocks)
+    return r if isinstance(r, float) and r <= target else None
+
+
+class TestBatchedGate:
+    """``BlockDecomposition.build`` and ``_accept`` give what deciding and
+    adding block by block gives, to the bit."""
+
+    @staticmethod
+    def _built(A, k, blocks):
+        try:
+            return BlockDecomposition.build(A, k, blocks).residual
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _random_blocks(rng, n, k, m, exact):
+        blocks = []
+        for _ in range(m):
+            K = Support.of(sorted(rng.choice(n, size=k, replace=False)))
+            w = rng.integers(-3, 4, (k, k)) if exact else rng.standard_normal(
+                (k, k))
+            # one block in six is indefinite
+            b = w @ w.T if rng.random() > 1 / 6 else w + w.T
+            blocks.append((K, SymMatrix.from_rows(b.tolist()) if exact
+                           else SymMatrix.from_array(b)))
+        return blocks
+
+    def test_build_matches_the_per_block_reference(self):
+        rng = np.random.default_rng(36)
+        for case in range(300):
+            n = int(rng.integers(3, 7))
+            k = int(rng.integers(1, n + 1))
+            kind = ("float", "exact", "mixed")[case % 3]
+            blocks = self._random_blocks(rng, n, k, int(rng.integers(1, 9)),
+                                         kind == "exact")
+            if kind == "mixed":
+                blocks += self._random_blocks(rng, n, k, 3, True)
+                rng.shuffle(blocks)
+            # repeated block objects, and one support in ten too wide
+            blocks += [blocks[int(i)] for i in rng.integers(0, len(blocks), 2)]
+            if k < n and case % 10 == 0:
+                blocks.insert(int(rng.integers(0, len(blocks))),
+                              self._random_blocks(rng, n, k + 1, 1, False)[0])
+            acc = np.zeros((n, n))
+            for K, b in blocks:
+                acc[np.ix_(K.indices, K.indices)] += b.as_array()
+            A = (SymMatrix.from_rows(np.rint(acc).astype(int).tolist())
+                 if case % 2 else SymMatrix.from_array(acc))
+            want = _per_block_build(A, k, blocks)
+            got = self._built(A, k, blocks)
+            assert type(got) is type(want), case
+            assert (got == want if isinstance(want, str)
+                    else got.hex() == want.hex()), case
+        # lambda_min -5e-7 is psd within 1e-8 (1 + max|block|), not within 1e-8
+        near = SymMatrix.from_array(np.diag([100.0, -5e-7]))
+        bad = SymMatrix.from_array(np.diag([1.0, -1.0]))
+        blocks = [(Support.of([0, 1]), near), (Support.of([2, 3]), bad)]
+        A = SymMatrix.identity(4, exact=False)
+        assert self._built(A, 2, blocks) == _per_block_build(A, 2, blocks)
+        assert "(2, 3)" in _per_block_build(A, 2, blocks)
+
+    def test_mixed_sizes_from_json_match_the_reference(self):
+        rng = np.random.default_rng(37)
+        for case in range(60):
+            n = 5
+            blocks = []
+            for s in rng.integers(1, 4, int(rng.integers(2, 8))):
+                K = sorted(rng.choice(n, size=int(s), replace=False).tolist())
+                w = rng.standard_normal((int(s), int(s)))
+                rows = (w @ w.T if rng.random() > 0.1 else w + w.T).tolist()
+                if case % 2:
+                    rows = [[str(Fraction(round(8 * x), 8)) for x in r]
+                            for r in rows]
+                blocks.append({"support": K, "rows": rows})
+            A = SymMatrix.identity(n, exact=bool(case % 4 == 1))
+            obj = {"k": 3, "blocks": blocks}
+            try:
+                got = decomposition_from_json(obj, A).residual
+            except ValueError as exc:
+                got = str(exc)
+            want = _per_block_build(A, 3, [
+                (Support.of(e["support"]), symcore.load_matrix_json(
+                    {"n": len(e["rows"]), "rows": e["rows"]}))
+                for e in blocks])
+            assert type(got) is type(want), case
+            assert (got == want if isinstance(want, str)
+                    else got.hex() == want.hex()), case
+
+    def test_accept_matches_the_per_block_reference(self):
+        from factorwidth import decompose
+
+        rng = np.random.default_rng(38)
+        for case in range(300):
+            n = int(rng.integers(3, 7))
+            k = int(rng.integers(2, n + 1))
+            m = int(rng.integers(1, 9))
+            rows = np.array([sorted(rng.choice(n, size=k, replace=False))
+                             for _ in range(m)])
+            w = rng.standard_normal((m, k, k))
+            stack = w @ np.swapaxes(w, 1, 2)
+            # rounding-level asymmetry, zero blocks, indefinite blocks
+            stack += 1e-15 * rng.standard_normal((m, k, k))
+            stack[rng.random(m) < 0.2] = 0.0
+            stack[rng.random(m) < 0.1] *= -1.0
+            acc = np.zeros((n, n))
+            for K, b in zip(rows, stack):
+                acc[np.ix_(K, K)] += b
+            A = SymMatrix.from_array(acc + 1e-9 * (case % 2))
+            for target in (0.0, 1e-8):
+                want = _per_block_accept(A, k, rows, stack, target)
+                got = decompose._accept(A, k, rows, stack, target)
+                assert (got is None) == (want is None), case
+                if got is not None:
+                    assert got.residual.hex() == want.hex(), case
+
+    def test_accept_averages_an_overflowing_pair_as_from_array(self):
+        from factorwidth import decompose
+
+        big = np.array([[[1.7e308, 1.6e308], [1.5e308, 1.7e308]],
+                        [[1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0]],
+                        [[1.0, np.inf], [np.inf, 1.0]]])
+        rows = np.array([[0, 1], [0, 2], [1, 2], [1, 2]])
+        A = SymMatrix.from_array(np.array(
+            [[1.7e308 + 1.0, 1.55e308, 0.0], [1.55e308, 1.7e308, 0.0],
+             [0.0, 0.0, 0.0]]))
+        for m in (3, 4):
+            for target in (0.0, 1e300):
+                want = _per_block_accept(A, 2, rows[:m], big[:m], target)
+                got = decompose._accept(A, 2, rows[:m], big[:m], target)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.residual.hex() == want.hex()
+                    assert got.blocks[0][1][0, 1] == 1.55e308
+
+    def test_member_exits_decide_their_blocks_in_one_battery(
+            self, monkeypatch):
+        from factorwidth import decompose
+
+        build = BlockDecomposition.build.__func__.__code__
+        battery, stacks, exact = decompose._psd_battery, [], []
+
+        def spy(stack, tol):
+            if sys._getframe(1).f_code is build:
+                stacks.append(stack.shape)
+            return battery(stack, tol)
+
+        monkeypatch.setattr(decompose, "_psd_battery", spy)
+        monkeypatch.setattr(decompose, "is_psd", lambda *a: exact.append(a))
+        width_two = SymMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        for A, k in [(example_m_fixtures().Qprime, 4), (width_two, 2)]:
+            stacks.clear()
+            v = fw_membership(A, k)
+            assert v.status == "member" and not exact
+            assert stacks == [(len(v.decomposition.blocks), k, k)]
 
 
 class TestSolverOptions:

@@ -86,9 +86,18 @@ class TestSymMatrix:
     @pytest.mark.parametrize("n", [2.5, True])
     def test_dimension_reads_as_an_int(self, n):
         # an integral float is its int; a bool or a non-integral value is not
+        one = SymMatrix.identity(1)
         assert SymMatrix(2.0, [1, 0, 1]) == SymMatrix.identity(2)
-        with pytest.raises(symcore._InputError, match=f"^{n} is not an integer"):
-            SymMatrix(n, [1, 0, 1])
+        assert SymMatrix.identity(2.0) == SymMatrix.identity(2)
+        assert SymMatrix.zeros(2.0, exact=False) == SymMatrix.zeros(2)
+        assert embed(one, [1], 2.0) == SymMatrix.diag([0, 1])
+        for make in (lambda: SymMatrix(n, [1, 0, 1]),
+                     lambda: SymMatrix.zeros(n), lambda: SymMatrix.identity(n),
+                     lambda: SymMatrix.zeros(n, exact=False),
+                     lambda: embed(one, [0], n)):
+            with pytest.raises(symcore._InputError,
+                               match=f"^{n} is not an integer"):
+                make()
 
     def test_one_read_only_dense_array(self):
         exact = SymMatrix(2, [1, Fraction(1, 2), 3])
