@@ -763,6 +763,7 @@ class TestIterationBudget:
         assert v.diagnostics["seed_supports"] == 39
         assert v.diagnostics["stop"].startswith(
             "no decomposition within 50 iterations")
+        _assert_history_ends_at_the_stop(v)
         assert "seed_stop" not in v.diagnostics
         assert v.diagnostics["iterations"] == 50
 
@@ -933,6 +934,7 @@ class TestRestrictedFallback:
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"] == (
             "restricted cone excludes A after 25 iterations")
+        _assert_history_ends_at_the_stop(v)
 
     def test_uncovered_entry_certified_by_the_full_run(self, monkeypatch):
         # (0, 1) is outside every support, but the width-2 comparison
@@ -998,6 +1000,14 @@ class TestSparsitySeed:
         assert v.diagnostics["seed_supports"] is None
 
 
+def _assert_history_ends_at_the_stop(v):
+    """The last history point is at the run's last iteration, and the
+    reported residual is at most its residual."""
+    last_it, last_res = v.diagnostics["residual_history"][-1]
+    assert last_it == v.diagnostics["iterations"]
+    assert v.diagnostics["primal_residual"] <= last_res
+
+
 class TestStopReason:
     """Every verdict but a member names the exit that ended its run."""
 
@@ -1005,6 +1015,10 @@ class TestStopReason:
         v = fw_membership(SymMatrix.from_rows([[1, 1], [1, 1]]), 1)
         assert v.status == "non_member"
         assert "(0,1) is outside every support" in v.diagnostics["stop"]
+        # the run ends before its first iteration, with no history point
+        assert v.diagnostics["iterations"] == 0
+        assert v.diagnostics["residual_history"] == []
+        assert v.diagnostics["primal_residual"] == 1.0
 
     def test_in_loop_gap(self):
         v = fw_membership(example_m_fixtures().M, 4)
@@ -1012,6 +1026,7 @@ class TestStopReason:
         assert v.diagnostics["stop"] == (
             f"gap direction certified non-membership after "
             f"{v.diagnostics['iterations']} iterations")
+        _assert_history_ends_at_the_stop(v)
 
     def test_iteration_budget(self):
         fx = example_m_fixtures()
@@ -1020,6 +1035,7 @@ class TestStopReason:
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"].startswith(
             "no decomposition within 50 iterations")
+        _assert_history_ends_at_the_stop(v)
 
     def test_plateau(self):
         # 10^-6 below the width-3 threshold 3/2, so a non-member, but even in
@@ -1030,7 +1046,9 @@ class TestStopReason:
         P = np.eye(4)[:, [2, 0, 1, 3]] @ np.diag(2.0 ** np.array([-2, -1, -2, 4]))
         v = fw_membership(scale_congruence(Q, P), 3)
         assert v.status == "inconclusive"
-        assert v.diagnostics["stop"].startswith("residual plateau")
+        assert v.diagnostics["stop"].startswith(
+            f"residual plateau at {v.diagnostics['primal_residual']:.3e} ")
+        _assert_history_ends_at_the_stop(v)
 
     def test_scaled_family_once_stalled_is_certified(self):
         # the same non-member under diag(1/8, 8, 1/2, 1/4, 1/4, 1) stalled
