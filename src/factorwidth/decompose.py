@@ -28,10 +28,12 @@ the multiple of the identity that puts it in the dual cone and, when the
 shifted direction pairs negatively with A, hands it to the certificate gate;
 a pass stops the run with the certificate.
 
-The exits that end a run (plateau, iteration budget, an entry outside every
-support) try their final gap direction through the same shift.  Non-membership
-is never declared from a solver stall; it requires a certificate that passed
-the gate of :mod:`factorwidth.dualcone`.  Every run returns a
+Every exit but a member's (an entry outside every support, the in-loop
+certificate, a restricted cone that excludes A, the plateau, the iteration
+budget) leaves through one tail, where a run that holds no certificate tries
+its final gap direction through the same shift.  Non-membership is never
+declared from a solver stall; it requires a certificate that passed the gate
+of :mod:`factorwidth.dualcone`.  Every run returns a
 :class:`MembershipVerdict`, and every verdict but a member names the exit that
 ended its run in ``diagnostics["stop"]``.
 
@@ -294,12 +296,14 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     ``spent`` counts the iterations an earlier run of the same call used.
 
     A member is found at a residual hit or a z-check, from the clipped Z or
-    from X, which the residual and the stall test read too; a z-check whose
-    shifted gap X - Z certifies ends the run ``non_member`` (``in_loop_gap``).
-    A stall resets V to Z at most twice and then gives up, as does the end
-    of the budget or an entry outside every support; the final gap then
-    certifies (``final_gap``) or the verdict is ``inconclusive``.  The
-    budget exit's ``stop`` names the call's whole budget and, after
+    from X, which the residual and the stall test read too.  Every other
+    exit records its ``stop``, residual and certificate, if any, for one
+    tail: an entry outside every support, a z-check whose shifted gap X - Z
+    certifies (``in_loop_gap``) or finds A outside the run's cone, a stall
+    after two resets of V to Z, and the budget, at the head of iteration
+    ``max_iter + 1``.  The tail adds the last history point, lets the final
+    gap certify (``final_gap``) when there is no certificate, and builds the
+    verdict.  The budget's ``stop`` names the call's whole budget and, after
     ``spent``, each run's share.  The residuals (but a member's) and the
     targets in ``stop`` are the unit frame's.
     """
@@ -316,94 +320,89 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     target = min(opts.feas_tol * (1.0 + np.abs(U).max()), gate / dd.max())
 
     history: list[tuple[int, float]] = []
-
-    def _give_up(message, residual, it, gap):
-        """The exits that end the run: the final gap direction goes through
-        the same shift as the z-checks."""
-        cert = _gap_certificate(A, U, dd, k, index, gap)
-        return _verdict(it, history, residual, message,
-                        certificate=None if cert is _EXCLUDED else cert,
-                        source="final_gap")
-
+    cert = source = None
     mult = index.accumulate(np.ones((m, index.k, index.k)))
     uncovered = (mult == 0) & (np.abs(U) > target)
     if np.any(uncovered):
         # the direction -sign(A_ij)(e_i e_j^T + e_j e_i^T) has zero blocks
         # on the run's supports, so at k = 1 it needs no shift at all
         i, j = map(int, np.argwhere(uncovered)[0])
-        direction = np.zeros((n, n))
-        direction[i, j] = direction[j, i] = -np.sign(U[i, j])
-        return _give_up(
-            f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0",
-            float(np.abs(U[mult == 0]).max()), 0, direction)
-    inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
-
-    # consensus initialisation: distribute A over the supports by multiplicity
-    V = Z = index.gather(U * inv_mult)
-
-    best = math.inf
-    last_improve = 0
-    stall_window = 600
-    zcheck_every = 25
-    resets_left = 2
-
-    for it in range(1, opts.max_iter + 1):
-        X = _project_psd(2.0 * Z - V)
-        res = float(np.abs(U - index.accumulate(X)).max())
-        if it % 100 == 0 or it == 1:
-            history.append((it, res))
-        zcheck = it % zcheck_every == 0
-        if res <= target or zcheck:
-            # the Z iterate is consensus-exact by construction; once its
-            # blocks are (numerically) psd, clipping them is a solution.
-            # The stack with the smaller recomputed residual is the witness
-            Xz = _project_psd(Z)
-            resz = float(np.abs(U - index.accumulate(Xz)).max())
-            r, stack = (resz, Xz) if resz <= res else (res, X)
-            dec = _accept(A, k, index.rows, stack * index.gather(dd),
-                          gate) if r <= target else None
-            if dec is not None:
-                return _verdict(it, history, None, None, decomposition=dec)
-        if zcheck:
-            # infeasibility detection: the gap X - Z converges to a
-            # separating direction on non-members
-            cert = _gap_certificate(A, U, dd, k, index,
-                                    _assemble_gap(index, inv_mult, X, Z))
-            if cert is not None:
-                history.append((it, res))
-                if cert is _EXCLUDED:
-                    return _verdict(it, history, min(best, res),
-                                    f"restricted cone excludes A after {it} "
-                                    f"iterations")
-                return _verdict(it, history, min(best, res),
-                                f"gap direction certified non-membership "
-                                f"after {it} iterations", certificate=cert,
-                                source="in_loop_gap")
-        if res < best * (1.0 - 2e-3):
-            best = res
-            last_improve = it
-        if it - last_improve > stall_window:
-            if not resets_left:
-                stop = (f"residual plateau at {best:.3e} after {it} "
-                        f"iterations (target {target:.3e})")
-                break
-            # restart from Z: spiralling near a spurious configuration is
-            # broken by dropping the dual bias V - Z
-            V = Z
-            resets_left -= 1
-            last_improve = it
-        V = V + _RELAX * (X - Z)
-        Z = V + index.gather((U - index.accumulate(V)) * inv_mult)
+        gap = np.zeros((n, n))
+        gap[i, j] = gap[j, i] = -np.sign(U[i, j])
+        it, residual = 0, float(np.abs(U[mult == 0]).max())
+        stop = f"entry ({i},{j}) is outside every support but A[{i}][{j}] != 0"
     else:
-        X = _project_psd(2.0 * Z - V)
-        res = float(np.abs(U - index.accumulate(X)).max())
-        split = (f"{spent} on the first supports, {opts.max_iter} on all {m} "
-                 "supports; ") if spent else ""
-        stop = (f"no decomposition within {spent + opts.max_iter} iterations "
-                f"({split}best residual {best:.3e}, target {target:.3e})")
-        best = min(best, res)
-    history.append((it, res))
-    return _give_up(stop, best, it, _assemble_gap(index, inv_mult, X, Z))
+        inv_mult = np.where(mult > 0, 1.0 / np.where(mult > 0, mult, 1.0), 0.0)
+        # consensus initialisation: distribute A over the supports by
+        # multiplicity
+        V = Z = index.gather(U * inv_mult)
+        best = math.inf
+        last_improve = 0
+        stall_window = 600
+        zcheck_every = 25
+        resets_left = 2
+        for it in range(1, opts.max_iter + 2):
+            X = _project_psd(2.0 * Z - V)
+            res = float(np.abs(U - index.accumulate(X)).max())
+            residual = min(best, res)
+            if it > opts.max_iter:
+                it = opts.max_iter
+                split = (f"{spent} on the first supports, {opts.max_iter} on "
+                         f"all {m} supports; ") if spent else ""
+                stop = (f"no decomposition within {spent + opts.max_iter} "
+                        f"iterations ({split}best residual {best:.3e}, "
+                        f"target {target:.3e})")
+                break
+            if it % 100 == 0 or it == 1:
+                history.append((it, res))
+            zcheck = it % zcheck_every == 0
+            if res <= target or zcheck:
+                # the Z iterate is consensus-exact by construction; once its
+                # blocks are (numerically) psd, clipping them is a solution.
+                # The stack with the smaller recomputed residual is the
+                # witness
+                Xz = _project_psd(Z)
+                resz = float(np.abs(U - index.accumulate(Xz)).max())
+                r, stack = (resz, Xz) if resz <= res else (res, X)
+                dec = _accept(A, k, index.rows, stack * index.gather(dd),
+                              gate) if r <= target else None
+                if dec is not None:
+                    return _verdict(it, history, None, None, decomposition=dec)
+            if zcheck:
+                # infeasibility detection: the gap X - Z converges to a
+                # separating direction on non-members
+                cert = _gap_certificate(A, U, dd, k, index,
+                                        _assemble_gap(index, inv_mult, X, Z))
+                if cert is _EXCLUDED:
+                    stop = f"restricted cone excludes A after {it} iterations"
+                    break
+                if cert is not None:
+                    stop, source = (f"gap direction certified non-membership "
+                                    f"after {it} iterations", "in_loop_gap")
+                    break
+            if res < best * (1.0 - 2e-3):
+                best = res
+                last_improve = it
+            if it - last_improve > stall_window:
+                if not resets_left:
+                    residual = best
+                    stop = (f"residual plateau at {best:.3e} after {it} "
+                            f"iterations (target {target:.3e})")
+                    break
+                # restart from Z: spiralling near a spurious configuration
+                # is broken by dropping the dual bias V - Z
+                V = Z
+                resets_left -= 1
+                last_improve = it
+            V = V + _RELAX * (X - Z)
+            Z = V + index.gather((U - index.accumulate(V)) * inv_mult)
+        history.append((it, res))
+        gap = _assemble_gap(index, inv_mult, X, Z)
+    if cert is None:
+        # the final gap direction goes through the same shift as a z-check's
+        cert, source = _gap_certificate(A, U, dd, k, index, gap), "final_gap"
+    return _verdict(it, history, residual, stop, certificate=None
+                    if cert is _EXCLUDED else cert, source=source)
 
 
 def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
@@ -503,22 +502,21 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
         index = _support_index(A.n, k, opts.support_list)
     if k == 2:
         verdict = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
-        verdict.diagnostics["seed_supports"] = None
-        return verdict
-    if index is None:
-        seed = _sparsity_seed(A._nd[0] != 0, k)
-        index = _full_index(A.n, k) if seed is None else seed
-    verdict = _fw_decompose_impl(A, k, opts, index)
-    used = verdict.diagnostics["iterations"]
-    if (verdict.status == "inconclusive" and used < opts.max_iter
-            and index is not _full_index(A.n, k)):
-        rerun = _fw_decompose_impl(
-            A, k, replace(opts, max_iter=opts.max_iter - used),
-            _full_index(A.n, k), used)
-        rerun.diagnostics["iterations"] += used
-        if seed is not None:
-            rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
-        verdict = rerun
+    else:
+        if index is None:
+            seed = _sparsity_seed(A._nd[0] != 0, k)
+            index = _full_index(A.n, k) if seed is None else seed
+        verdict = _fw_decompose_impl(A, k, opts, index)
+        used = verdict.diagnostics["iterations"]
+        if (verdict.status == "inconclusive" and used < opts.max_iter
+                and index is not _full_index(A.n, k)):
+            rerun = _fw_decompose_impl(
+                A, k, replace(opts, max_iter=opts.max_iter - used),
+                _full_index(A.n, k), used)
+            rerun.diagnostics["iterations"] += used
+            if seed is not None:
+                rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
+            verdict = rerun
     verdict.diagnostics["seed_supports"] = (None if seed is None
                                             else len(seed.rows))
     return verdict
