@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import (SymMatrix, load_matrix_json, _InputError, _psd_battery,
+from .symcore import (load_matrix_json, _InputError, _psd_battery,
                       _require_float_range)
 from .decompose import SolverOptions, decomposition_to_json, fw_membership
 from .dualcone import (
@@ -72,20 +72,13 @@ def _load_json_file(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
 
 
-def _load_matrix(path: str) -> SymMatrix:
+def _load_file(path: str, loader=load_matrix_json, what: str = "matrix"):
+    """``loader`` on the JSON value in ``path``; its errors name the file."""
     obj = _load_json_file(path)
     try:
-        return load_matrix_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise _InputError(f"bad matrix file {path}: {exc}")
-
-
-def _load_poly(path: str):
-    obj = _load_json_file(path)
-    try:
-        return load_poly_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _InputError(f"bad polynomial file {path}: {exc}")
+        return loader(obj)
+    except ValueError as exc:
+        raise _InputError(f"bad {what} file {path}: {exc}")
 
 
 def _load_supports(path: str) -> list:
@@ -141,7 +134,7 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_check_fw(args) -> dict:
-    A = _load_matrix(args.matrix)
+    A = _load_file(args.matrix)
     supports = _load_supports(args.supports) if args.supports else None
     verdict = fw_membership(
         A, args.k, SolverOptions(args.tol, args.max_iter, supports))
@@ -156,7 +149,7 @@ def cmd_check_fw(args) -> dict:
 
 
 def cmd_check_dual(args) -> dict:
-    B = _load_matrix(args.matrix)
+    B = _load_file(args.matrix)
     report = dual_membership(B, args.k, args.tol)
     margin = report.worst_margin  # -inf when a block's eigenvalue overflows
     return {
@@ -173,7 +166,7 @@ def cmd_check_dual(args) -> dict:
 
 
 def cmd_soks(args) -> dict:
-    p = _load_poly(args.poly)
+    p = _load_file(args.poly, load_poly_json, "polynomial")
     if p.degree % 2 != 0:  # before default_gram builds a basis
         raise _InputError("so-k-s needs an even-degree polynomial")
     if args.r < 0:
@@ -188,7 +181,7 @@ def cmd_soks(args) -> dict:
             raise _InputError(f"bad --lambda: {exc}")
         p = multiply_weighted_power(QuadraticForm(Q=quadratic_gram(p)), lam,
                                     args.r)
-    gram = (_load_matrix(args.gram) if args.gram
+    gram = (_load_file(args.gram) if args.gram
             else default_gram(p, monomial_basis(p.n, p.degree // 2)))
     verdict = soks_test(p, args.k, gram,
                         SolverOptions(args.tol, args.max_iter))
@@ -231,7 +224,7 @@ def cmd_pna(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    Q = _load_matrix(args.matrix)
+    Q = _load_file(args.matrix)
     if args.max_cycles < 0:
         raise _InputError("--max-cycles must be nonnegative")
     cert = cos_certificate_search(Q) if Q.n == 4 and args.k == 3 else None
@@ -250,7 +243,7 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_eig(args) -> dict:
-    A = _load_matrix(args.matrix)
+    A = _load_file(args.matrix)
     if A.is_exact:  # a float input's spectrum is checked below
         _require_float_range(A, "A")
     # one eigvalsh on the float image: psd iff lambda_min >= -1e-9 (1 + max|A|)

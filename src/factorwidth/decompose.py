@@ -29,13 +29,12 @@ shifted direction pairs negatively with A, hands it to the certificate gate;
 a pass stops the run with the certificate.
 
 Every exit but a member's (an entry outside every support, the in-loop
-certificate, a restricted cone that excludes A, the plateau, the iteration
-budget) leaves through one tail, where a run that holds no certificate tries
-its final gap direction through the same shift.  Non-membership is never
-declared from a solver stall; it requires a certificate that passed the gate
-of :mod:`factorwidth.dualcone`.  Every run returns a
-:class:`MembershipVerdict`, and every verdict but a member names the exit that
-ended its run in ``diagnostics["stop"]``.
+certificate, a cone that excludes A, the plateau, the budget) leaves through
+one tail, which tries the final gap direction through the same shift if the
+run holds no certificate.  Non-membership is never declared from a stall; it
+needs a certificate that passed the gate of :mod:`factorwidth.dualcone`.
+Every verdict but a member names the exit that ended its run in
+``diagnostics["stop"]``.
 
 Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), which
@@ -71,6 +70,7 @@ from .symcore import (
     _average_triangles,
     _frob,
     _full_index,
+    _json_fields,
     _project_psd,
     _psd_battery,
     _require_float_range,
@@ -336,11 +336,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
         # consensus initialisation: distribute A over the supports by
         # multiplicity
         V = Z = index.gather(U * inv_mult)
-        best = math.inf
-        last_improve = 0
+        best, last_improve, resets_left = math.inf, 0, 2
         stall_window = 600
         zcheck_every = 25
-        resets_left = 2
         for it in range(1, opts.max_iter + 2):
             X = _project_psd(2.0 * Z - V)
             res = float(np.abs(U - index.accumulate(X)).max())
@@ -373,12 +371,11 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
                 # separating direction on non-members
                 cert = _gap_certificate(A, U, dd, k, index,
                                         _assemble_gap(index, inv_mult, X, Z))
-                if cert is _EXCLUDED:
-                    stop = f"restricted cone excludes A after {it} iterations"
-                    break
                 if cert is not None:
-                    stop, source = (f"gap direction certified non-membership "
-                                    f"after {it} iterations", "in_loop_gap")
+                    source = "in_loop_gap"
+                    stop = (f"restricted cone excludes A after {it} iterations"
+                            if cert is _EXCLUDED else f"gap direction "
+                            f"certified non-membership after {it} iterations")
                     break
             if res < best * (1.0 - 2e-3):
                 best = res
@@ -490,9 +487,8 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     but a member says why that run ended in ``stop``, and a non-member adds
     ``certificate_value`` and ``certificate_source``: ``"in_loop_gap"`` (a
     z-check), ``"final_gap"`` (the exit that ended the run) or
-    ``"comparison"``.  ``seed_supports``
-    is the seed's size (None if no seed ran), and ``seed_stop`` the seeded
-    run's ``stop`` after an escalation.
+    ``"comparison"``.  ``seed_supports`` is the seed's size (None if no seed
+    ran), and ``seed_stop`` the seeded run's ``stop`` after an escalation.
     """
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
@@ -503,16 +499,16 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     if k == 2:
         verdict = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
     else:
+        full = _full_index(A.n, k)
         if index is None:
             seed = _sparsity_seed(A._nd[0] != 0, k)
-            index = _full_index(A.n, k) if seed is None else seed
+            index = full if seed is None else seed
         verdict = _fw_decompose_impl(A, k, opts, index)
         used = verdict.diagnostics["iterations"]
         if (verdict.status == "inconclusive" and used < opts.max_iter
-                and index is not _full_index(A.n, k)):
+                and index is not full):
             rerun = _fw_decompose_impl(
-                A, k, replace(opts, max_iter=opts.max_iter - used),
-                _full_index(A.n, k), used)
+                A, k, replace(opts, max_iter=opts.max_iter - used), full, used)
             rerun.diagnostics["iterations"] += used
             if seed is not None:
                 rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]
@@ -555,7 +551,10 @@ def decomposition_to_json(d: BlockDecomposition) -> dict:
 
 def decomposition_from_json(obj, A: SymMatrix) -> BlockDecomposition:
     """Rebuild (and re-verify against A) a decomposition from its JSON form."""
-    blocks = [(Support.of(e["support"]),
-               load_matrix_json({"n": len(e["rows"]), "rows": e["rows"]}))
-              for e in obj["blocks"]]
-    return BlockDecomposition.build(A, obj["k"], blocks)
+    k, blocks = _json_fields(obj, "decomposition JSON", "k", "blocks",
+                             lists=["blocks"])
+    blocks = [_json_fields(e, "a block", "support", "rows",
+                           lists=["support", "rows"]) for e in blocks]
+    return BlockDecomposition.build(A, k, [
+        (Support.of(K), load_matrix_json({"n": len(rows), "rows": rows}))
+        for K, rows in blocks])

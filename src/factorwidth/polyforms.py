@@ -26,7 +26,7 @@ import numpy as np
 
 from .decompose import fw_membership
 from .symcore import (SymMatrix, _InputError, _as_int, _as_width,
-                      _entry_to_json, _frozen, _parse_entry,
+                      _entry_to_json, _frozen, _json_fields, _parse_entry,
                       _require_float_range, _scaled)
 
 __all__ = [
@@ -340,12 +340,11 @@ def poly_to_json(p: HomogeneousPoly) -> dict:
 def load_poly_json(obj) -> HomogeneousPoly:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if not isinstance(obj, dict) or not {"n", "degree", "terms"} <= obj.keys():
-        raise _InputError('polynomial JSON must be {"n", "degree", "terms"}')
+    n, degree, terms = _json_fields(obj, "polynomial JSON", "n", "degree",
+                                    "terms", lists=["terms"])
     coeffs: dict = {}
-    for term in obj["terms"]:
-        exp = tuple(term["exp"])
-        c = Fraction(_parse_entry(term["coef"]))
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
-    return HomogeneousPoly(n=obj["n"], degree=obj["degree"],
-                           coefficients=coeffs)
+    for term in terms:
+        exp, coef = _json_fields(term, "a term", "exp", "coef", lists=["exp"])
+        exp = tuple(exp)
+        coeffs[exp] = coeffs.get(exp, 0) + Fraction(_parse_entry(coef))
+    return HomogeneousPoly(n=n, degree=degree, coefficients=coeffs)

@@ -675,11 +675,20 @@ def _parse_entry(v) -> Scalar:
         return v
     if isinstance(v, str):
         num, sep, den = v.partition("/")
-        den = int(den) if sep else 1
-        if den == 0:
-            raise _InputError(f"zero denominator in {v!r}")
-        return Fraction(int(num), den)
+        try:
+            return Fraction(int(num), int(den) if sep else 1)
+        except (ValueError, ZeroDivisionError):
+            raise _InputError(f"{v!r} is not an integer or p/q") from None
     raise _InputError(f"cannot parse matrix entry {v!r}")
+
+
+def _json_fields(obj, what: str, *keys, lists=()) -> list:
+    """The values of ``keys`` in the JSON object ``obj``; ``_InputError``
+    naming ``what`` unless it is a dict holding each, a list at ``lists``."""
+    if not (isinstance(obj, dict) and set(keys) <= obj.keys()
+            and all(isinstance(obj[key], list) for key in lists)):
+        raise _InputError(f"{what} needs the keys {keys}, lists at {lists}")
+    return [obj[key] for key in keys]
 
 
 def _entry_to_json(e: Scalar):
@@ -698,17 +707,15 @@ def load_matrix_json(obj) -> SymMatrix:
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
-        raise _InputError('matrix JSON must be {"n": ..., "rows": [[...]]}')
-    n = _as_int(obj["n"])
-    rows = obj["rows"]
+    n, rows = _json_fields(obj, "matrix JSON", "n", "rows", lists=["rows"])
+    n = _as_int(n)
     if n < 1:
         raise _InputError("n must be a positive integer")
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or any(not isinstance(r, list) or len(r) != n
+                             for r in rows):
         raise _InputError(f"rows must form an {n}x{n} matrix")
     parsed = [[_parse_entry(v) for v in r] for r in rows]
-    has_float = any(isinstance(v, float) for r in parsed for v in r)
-    if has_float:
+    if any(isinstance(v, float) for r in parsed for v in r):
         a = np.array(parsed, dtype=float)
         _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.abs(a).max()))
         return SymMatrix.from_array(a)

@@ -609,6 +609,15 @@ def _write(path, obj):
     ("check-fw", "{M}", 4, "--supports", "{null_index}"),
     # a width beyond the Gram's size, which also mismatches: 64 before 65
     ("soks", "{quad}", 3, "--gram", "{one_by_one}"),
+    # JSON values of the wrong shape, which the readers name
+    ("check-fw", "{rows_null}", 2),
+    ("check-fw", "{row_null}", 2),
+    ("check-fw", "{row_int}", 2),
+    ("eig", "{two_slashes}"),
+    ("soks", "{term_int}", 2),
+    ("soks", "{terms_int}", 2),
+    ("soks", "{exp_int}", 2),
+    ("soks", "{quad}", 2, "--gram", "{rows_null}"),
 ], ids=lambda argv: "-".join(str(a).strip("{}") for a in argv))
 def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
     files = {
@@ -664,6 +673,20 @@ def test_malformed_input_exits_64(capsys, tmp_path, fixture_files, argv):
                              [[0, None, 2, 3]]),
         "one_by_one": _write(tmp_path / "one_by_one.json",
                              {"n": 1, "rows": [[1]]}),
+        "rows_null": _write(tmp_path / "rows_null.json",
+                            {"n": 2, "rows": None}),
+        "row_null": _write(tmp_path / "row_null.json",
+                           {"n": 2, "rows": [None, None]}),
+        "row_int": _write(tmp_path / "row_int.json",
+                          {"n": 2, "rows": [[1, 0], 5]}),
+        "two_slashes": _write(tmp_path / "two_slashes.json",
+                              {"n": 1, "rows": [["1/2/3"]]}),
+        "term_int": _write(tmp_path / "term_int.json",
+                           {"n": 2, "degree": 2, "terms": [5]}),
+        "terms_int": _write(tmp_path / "terms_int.json",
+                            {"n": 2, "degree": 2, "terms": 5}),
+        "exp_int": _write(tmp_path / "exp_int.json", {
+            "n": 2, "degree": 2, "terms": [{"exp": 2, "coef": 1}]}),
     }
     (tmp_path / "not_json.json").write_text("{not json")
     files["not_json"] = tmp_path / "not_json.json"
