@@ -344,6 +344,8 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             res = float(np.abs(U - index.accumulate(X)).max())
             residual = min(best, res)
             if it > opts.max_iter:
+                # the head of one iteration past the budget, reported as
+                # the budget's last
                 it = opts.max_iter
                 split = (f"{spent} on the first supports, {opts.max_iter} on "
                          f"all {m} supports; ") if spent else ""
@@ -394,12 +396,12 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             V = V + _RELAX * (X - Z)
             Z = V + index.gather((U - index.accumulate(V)) * inv_mult)
         history.append((it, res))
-        gap = _assemble_gap(index, inv_mult, X, Z)
+        gap = _assemble_gap(index, inv_mult, X, Z) if cert is None else None
     if cert is None:
         # the final gap direction goes through the same shift as a z-check's
         cert, source = _gap_certificate(A, U, dd, k, index, gap), "final_gap"
-    return _verdict(it, history, residual, stop, certificate=None
-                    if cert is _EXCLUDED else cert, source=source)
+    return _verdict(it, history, residual, stop, source=source,
+                    certificate=None if cert is _EXCLUDED else cert)
 
 
 def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:

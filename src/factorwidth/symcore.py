@@ -678,7 +678,8 @@ def _parse_entry(v) -> Scalar:
         try:
             return Fraction(int(num), int(den) if sep else 1)
         except (ValueError, ZeroDivisionError):
-            raise _InputError(f"{v!r} is not an integer or p/q") from None
+            raise _InputError(f"{v!r} is not an integer or p/q, q != 0"
+                              ) from None
     raise _InputError(f"cannot parse matrix entry {v!r}")
 
 

@@ -9,11 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from factorwidth.decompose import (
-    BlockDecomposition,
-    decomposition_from_json,
-    decomposition_to_json,
-)
+from factorwidth.decompose import decomposition_from_json
 from factorwidth.dualcone import (
     CosExtremeRay,
     bnr_certificate,
@@ -37,7 +33,6 @@ from factorwidth.symcore import (
     SymMatrix,
     Support,
     _InputError,
-    _parse_entry,
     load_matrix_json,
 )
 
@@ -118,13 +113,3 @@ def test_malformed_json_raises_the_input_error_naming_its_part(read, obj,
                                                                names):
     with pytest.raises(_InputError, match=names):
         read(obj)
-
-
-def test_a_well_formed_decomposition_still_round_trips():
-    A = SymMatrix.from_rows([[2, 1], [1, 2]])
-    d = BlockDecomposition.build(A, 2, [(Support.of([0, 1]), A)])
-    assert decomposition_from_json(decomposition_to_json(d), A) == d
-
-
-def test_parse_entry_reads_integers_and_fractions():
-    assert [_parse_entry(v) for v in ("3", "-1/2", " 4 ")] == [3, -0.5, 4]
