@@ -683,7 +683,7 @@ def _parse_entry(v) -> Scalar:
     raise _InputError(f"cannot parse matrix entry {v!r}")
 
 
-def _json_fields(obj, what: str, *keys, lists=()) -> list:
+def _json_fields(obj, what: str, *keys, lists=()):
     """The values of ``keys`` in the JSON object ``obj``; ``_InputError``
     naming ``what`` unless it is a dict holding each, a list at ``lists``."""
     if not (isinstance(obj, dict) and set(keys) <= obj.keys()
@@ -716,7 +716,8 @@ def load_matrix_json(obj) -> SymMatrix:
                              for r in rows):
         raise _InputError(f"rows must form an {n}x{n} matrix")
     parsed = [[_parse_entry(v) for v in r] for r in rows]
-    if any(isinstance(v, float) for r in parsed for v in r):
+    has_float = any(isinstance(v, float) for r in parsed for v in r)
+    if has_float:
         a = np.array(parsed, dtype=float)
         _check_symmetric(np.abs(a - a.T) > 1e-12 * (1.0 + np.abs(a).max()))
         return SymMatrix.from_array(a)
