@@ -72,11 +72,12 @@ def _load_json_file(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
 
 
-def _load_file(path: str, loader=load_matrix_json, what: str = "matrix"):
-    """``loader`` on the JSON value in ``path``; its errors name the file."""
+def _load_file(path: str, what: str = "matrix"):
+    """The ``what`` in the JSON file ``path``; its reader's errors name it."""
     obj = _load_json_file(path)
-    try:
-        return loader(obj)
+    try:  # the reader by name at call time, so a traced one is the one run
+        return (load_poly_json if what == "polynomial"
+                else load_matrix_json)(obj)
     except ValueError as exc:
         raise _InputError(f"bad {what} file {path}: {exc}")
 
@@ -166,7 +167,7 @@ def cmd_check_dual(args) -> dict:
 
 
 def cmd_soks(args) -> dict:
-    p = _load_file(args.poly, load_poly_json, "polynomial")
+    p = _load_file(args.poly, "polynomial")
     if p.degree % 2 != 0:  # before default_gram builds a basis
         raise _InputError("so-k-s needs an even-degree polynomial")
     if args.r < 0:

@@ -344,8 +344,7 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
             res = float(np.abs(U - index.accumulate(X)).max())
             residual = min(best, res)
             if it > opts.max_iter:
-                # the head of one iteration past the budget, reported as
-                # the budget's last
+                # one head past the budget, reported as its last iteration
                 it = opts.max_iter
                 split = (f"{spent} on the first supports, {opts.max_iter} on "
                          f"all {m} supports; ") if spent else ""
@@ -375,9 +374,9 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
                                         _assemble_gap(index, inv_mult, X, Z))
                 if cert is not None:
                     source = "in_loop_gap"
-                    stop = (f"restricted cone excludes A after {it} iterations"
-                            if cert is _EXCLUDED else f"gap direction "
-                            f"certified non-membership after {it} iterations")
+                    stop = (("restricted cone excludes A" if cert is _EXCLUDED
+                             else "gap direction certified non-membership")
+                            + f" after {it} iterations")
                     break
             if res < best * (1.0 - 2e-3):
                 best = res
