@@ -83,12 +83,12 @@ def _load_file(path: str, what: str = "matrix"):
 
 
 def _load_supports(path: str) -> list:
-    """A file's list of index lists; ``fw_membership`` checks the supports."""
+    """A file's list of supports; ``fw_membership`` reads each support."""
     obj = _load_json_file(path)
     if isinstance(obj, dict):
         obj = obj.get("supports")
-    if not (isinstance(obj, list) and all(isinstance(K, list) for K in obj)):
-        raise _InputError(f"{path}: expected a list of index lists")
+    if not isinstance(obj, list):
+        raise _InputError(f"{path}: expected a list of supports")
     return obj
 
 

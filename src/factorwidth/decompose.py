@@ -50,6 +50,7 @@ the width, A's float range and a ``support_list``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -57,7 +58,6 @@ import numpy as np
 
 from .symcore import (
     SymMatrix,
-    Support,
     eigen_sym,
     enumerate_supports,
     is_psd,
@@ -75,6 +75,7 @@ from .symcore import (
     _psd_battery,
     _require_float_range,
     _sparsity_seed,
+    _support,
     _unit_frame,
 )
 
@@ -108,8 +109,10 @@ class SolverOptions:
     support_list: Optional[Sequence] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.feas_tol) and self.feas_tol > 0):
-            raise _InputError("feas_tol must be positive and finite")
+        if isinstance(self.feas_tol, bool) or not (isinstance(
+                self.feas_tol, numbers.Real) and 0 < self.feas_tol < math.inf):
+            raise _InputError(
+                f"feas_tol must be positive and finite, got {self.feas_tol!r}")
         self.max_iter = _as_int(self.max_iter)
         if self.max_iter < 1:
             raise _InputError("max_iter must be at least 1")
@@ -119,6 +122,7 @@ class SolverOptions:
 class BlockDecomposition:
     """Certified witness of FW_k membership: psd blocks summing to A.
 
+    ``build`` reads each support, any index sequence, by ``symcore._support``.
     The residual is recomputed from the blocks at construction time, never
     trusted from a solver.  The float blocks of each size are decided psd by
     one ``_psd_battery``, and every distinct exact block once by ``is_psd``
@@ -148,10 +152,8 @@ class BlockDecomposition:
                 bad.update(np.array(at)[~(lam[:, 0] >= -_BLOCK_PSD_TOL * (
                     1.0 + np.abs(stack).max(axis=(1, 2))))].tolist())
         for p, (K, block) in enumerate(blocks):
-            if len(K) > k:
-                raise _InputError(f"support {K.indices} exceeds width {k}")
-            if K.indices[-1] >= n:
-                raise _InputError(f"support {K.indices} out of range for n={n}")
+            K = _support(K, n, k)
+            blocks[p] = K, block
             if block.n != len(K):
                 raise _InputError("block size does not match its support")
             if block.is_exact:
@@ -190,16 +192,11 @@ class MembershipVerdict:
 
 
 def _support_index(n: int, k: int, support_list) -> _BlockIndex:
-    """The index over a user's ``support_list``: each support validated
-    against n and k, duplicates dropped, in lexicographic order."""
-    rows = set()
-    for K in support_list:
-        K = Support.of(K)
-        if len(K) > k:
-            raise _InputError(f"support {K.indices} larger than k={k}")
-        if K.indices[-1] >= n:
-            raise _InputError(f"support {K.indices} out of range for n={n}")
-        rows.add(K.indices)
+    """The index over a user's ``support_list``, each support read by
+    ``symcore._support``, duplicates dropped, in lexicographic order."""
+    if not hasattr(support_list, "__iter__"):
+        raise _InputError(f"support_list {support_list!r} is not iterable")
+    rows = {_support(K, n, k).indices for K in support_list}
     if not rows:
         raise _InputError("the support list is empty")
     if len({len(r) for r in rows}) > 1:
@@ -217,7 +214,7 @@ def _assemble_gap(index: _BlockIndex, inv_mult, X, Z):
 def _accept(A: SymMatrix, k: int, rows: np.ndarray, stack: np.ndarray,
             target: float):
     """The one member gate: the nonzero blocks of the ``(m, s, s)`` float
-    ``stack``, block ``b`` on the support ``rows[b]``, re-verified by
+    ``stack``, block ``b`` on the index list ``rows[b]``, re-verified by
     ``BlockDecomposition.build``, if they reproduce A within ``target``, else
     None.  The stack is read once as ``SymMatrix.from_array`` reads one
     array: its triangles averaged, and None unless every entry is finite."""
@@ -227,8 +224,8 @@ def _accept(A: SymMatrix, k: int, rows: np.ndarray, stack: np.ndarray,
         return None
     try:
         d = BlockDecomposition.build(A, k, [
-            (Support(K), SymMatrix._wrap(b, 1.0))
-            for K, b in zip(map(tuple, rows[keep].tolist()), stack)])
+            (K, SymMatrix._wrap(b, 1.0))
+            for K, b in zip(rows[keep].tolist(), stack)])
     except ValueError:
         return None
     return d if d.residual <= target else None
@@ -313,9 +310,8 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     Af = A.as_array()
     # the run's frame U = D^-1 A D^-1; a hit on its target meets A's gate,
     # as |R_ij| = d_i d_j |R'_ij|
-    d = _unit_frame(Af)
-    dd = np.ones((n, n)) if d is None else np.outer(d, d)
-    U = Af / dd
+    d, U = _unit_frame(Af) or (np.ones(n), Af)
+    dd = np.outer(d, d)
     gate = opts.feas_tol * (1.0 + A.max_abs())
     target = min(opts.feas_tol * (1.0 + np.abs(U).max()), gate / dd.max())
 
@@ -557,5 +553,5 @@ def decomposition_from_json(obj, A: SymMatrix) -> BlockDecomposition:
     blocks = [_json_fields(e, "a block", "support", "rows",
                            lists=["support", "rows"]) for e in blocks]
     return BlockDecomposition.build(A, k, [
-        (Support.of(K), load_matrix_json({"n": len(rows), "rows": rows}))
+        (K, load_matrix_json({"n": len(rows), "rows": rows}))
         for K, rows in blocks])

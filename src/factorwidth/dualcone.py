@@ -204,11 +204,10 @@ def cos_certificate_search(Q: SymMatrix) -> Optional[DualCertificate]:
     if Q.n != 4:
         raise _InputError("the cosine family lives on 4x4 targets")
     _require_float_range(Q, "Q")
-    Qf = Q.as_array()
-    d = _unit_frame(Qf)
-    if d is None:
+    frame = _unit_frame(Q.as_array())
+    if frame is None:
         return None
-    U = Qf / np.outer(d, d)
+    d, U = frame
     signs = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
     Ys = np.stack([_congruence(U, np.arange(4), s) for s in signs])
     step = 2.0 * math.pi / _COS_GRID

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .symcore import (SymMatrix, Support, is_psd, PsdReport, scale_congruence,
-                      _InputError, _as_int)
+                      _InputError, _as_dim, _as_int)
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -46,9 +46,7 @@ class PnaSpec:
     a: Number
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n))
-        if self.n < 1:
-            raise _InputError("n must be at least 1")
+        object.__setattr__(self, "n", _as_dim(self.n))
 
 
 def pna_form(spec: PnaSpec) -> QuadraticForm:
@@ -61,9 +59,7 @@ def pna_form(spec: PnaSpec) -> QuadraticForm:
 
 def rank_one_perturb_det(b: Number, c: Number, m: int) -> Number:
     """Determinant of the m x m matrix with b on the diagonal and c off it."""
-    m = _as_int(m)
-    if m < 1:
-        raise _InputError("m must be at least 1")
+    m = _as_dim(m)
     return (b - c + c * m) * (b - c) ** (m - 1)
 
 
@@ -211,8 +207,7 @@ def example_m_fixtures() -> Fixtures:
     M = SymMatrix.from_rows([list(r) for r in _M_ROWS])
     A = SymMatrix.from_rows([list(r) for r in _A_ROWS])
     Qp = SymMatrix.from_rows([list(r) for r in _QPRIME_ROWS])
-    supports = tuple(Support.of(tuple(i - 1 for i in sup))
-                     for sup in _SUPPORTS27_1BASED)
+    supports = tuple(Support(i - 1 for i in s) for s in _SUPPORTS27_1BASED)
     return Fixtures(M=M, A=A, Qprime=Qp, supports27=supports)
 
 
@@ -240,6 +235,5 @@ def qprime_canonical():
     paper_order = _colex_pair_order(5)
     perm = [basis.position(t) for t in paper_order]  # paper index -> canonical
     canon = scale_congruence(fx.Qprime, np.eye(len(perm), dtype=int)[perm])
-    supports = [Support.of(sorted(perm[i] for i in K.indices))
-                for K in fx.supports27]
+    supports = [Support(sorted(perm[i] for i in K)) for K in fx.supports27]
     return canon, supports

@@ -11,15 +11,16 @@ first read, and no module but this one reads it; the view feeds
 ``as_array``, the range checks, ``frobenius_inner``, ``polyforms`` and
 ``_exact_psd`` (fraction-free elimination on ``num`` as given).  Both
 cones read their principal blocks through one :class:`_BlockIndex` over an
-``(m, k)`` int array of supports; a :class:`Support` is built only where one
-leaves the package or a user's list comes in.  Both cones are invariant under
-congruence by a permutation times a nonsingular diagonal, applied through one
-``_congruence`` (``scale_congruence``, the cosine rays); ``_unit_frame`` gives
-the diagonal the splitting core and the cosine search divide out.  Every
-argument check of the package raises ``_InputError``, the ``ValueError`` the
-command line maps to exit 64 (numpy's ``LinAlgError`` is a ``ValueError`` too,
-and is not one); ``_require_float_range`` is the one check that a matrix's
-float image stays finite through the solvers and the certificate gate.
+``(m, k)`` int array of supports; a :class:`Support` is built where one leaves
+the package, and one that comes in is read by ``_support``.  Both cones are
+invariant under congruence by a permutation times a nonsingular diagonal,
+applied through one ``_congruence`` (``scale_congruence``, the cosine rays);
+``_unit_frame`` gives the frame the splitting core and the cosine search
+solve in.  Every argument check of the package raises ``_InputError``, the
+``ValueError`` the command line maps to exit 64 (numpy's ``LinAlgError`` is a
+``ValueError`` too, and is not one); ``_require_float_range`` is the one check
+that a matrix's float image stays finite through the solvers and the
+certificate gate.
 """
 
 from __future__ import annotations
@@ -246,22 +247,23 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, Union[int, float]]:
 
 @dataclass(frozen=True)
 class Support:
-    """Strictly increasing index set selecting a principal submatrix."""
+    """Strictly increasing nonnegative indices selecting a principal
+    submatrix, read from any iterable of integers through ``_as_int``, else
+    ``_InputError``; ``_support`` adds the width and range bounds."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.indices
-        if len(idx) == 0:
-            raise _InputError("support must be nonempty")
-        if any(i < 0 for i in idx):
-            raise _InputError("support indices must be nonnegative")
-        if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
-            raise _InputError("support indices must be strictly increasing")
+        idx = (tuple(map(_as_int, self.indices))
+               if hasattr(self.indices, "__iter__") else ())
+        if not idx or idx[0] < 0 or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise _InputError(f"support {self.indices!r} is not a nonempty, "
+                              "strictly increasing list of indices >= 0")
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def of(cls, indices: Iterable[int]) -> "Support":
-        return cls(tuple(_as_int(i) for i in indices))
+        return cls(indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -273,7 +275,7 @@ class Support:
 def _as_int(v) -> int:
     """``v`` as an int; booleans and non-integral values raise
     ``_InputError``."""
-    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or
+    if isinstance(v, bool) or not (isinstance(v, (int, numbers.Integral)) or
                                    isinstance(v, float) and v.is_integer()):
         raise _InputError(f"{v!r} is not an integer")
     return int(v)
@@ -296,11 +298,21 @@ def _as_width(n: int, k) -> int:
     return k
 
 
+def _support(K, n: int, k: int) -> Support:
+    """``K`` as a ``Support`` of at most ``k`` indices below ``n``: the one
+    bounds check of every support the package takes."""
+    K = K if isinstance(K, Support) else Support(K)
+    if len(K) > k:
+        raise _InputError(f"support {K.indices} exceeds width {k}")
+    if K.indices[-1] >= n:
+        raise _InputError(f"support {K.indices} out of range for n={n}")
+    return K
+
+
 def enumerate_supports(n: int, k: int) -> list[Support]:
     """All C(n, k) supports of size k, in lexicographic order."""
     n = _as_int(n)
-    rows = _full_index(n, _as_width(n, k)).rows
-    return [Support(r) for r in map(tuple, rows.tolist())]
+    return list(map(Support, _full_index(n, _as_width(n, k)).rows.tolist()))
 
 
 class _BlockIndex:
@@ -393,23 +405,19 @@ def frobenius_inner(A: SymMatrix, B: SymMatrix):
 
 def principal_submatrix(A: SymMatrix, K) -> SymMatrix:
     """Rows and columns of ``A`` restricted to the support ``K``."""
-    K = Support.of(K)
-    if K.indices[-1] >= A.n:
-        raise IndexError(f"support index {K.indices[-1]} out of range for n={A.n}")
-    num, den = A._nd
-    return SymMatrix._wrap(num[np.ix_(K.indices, K.indices)], den)
+    K = _support(K, A.n, A.n).indices
+    return SymMatrix._wrap(A._nd[0][np.ix_(K, K)], A._nd[1])
 
 
 def embed(B: SymMatrix, K, n: int) -> SymMatrix:
     """Place ``B`` on the support ``K x K`` inside an ``n x n`` zero matrix."""
-    K, n = Support.of(K), _as_dim(n)
+    n = _as_dim(n)
+    K = _support(K, n, n).indices
     if len(K) != B.n:
         raise _InputError(f"support size {len(K)} does not match block size {B.n}")
-    if K.indices[-1] >= n:
-        raise IndexError(f"support index {K.indices[-1]} out of range for n={n}")
     num, den = B._nd
     out = np.zeros((n, n), dtype=num.dtype)
-    out[np.ix_(K.indices, K.indices)] = num
+    out[np.ix_(K, K)] = num
     return SymMatrix._wrap(out, den)
 
 
@@ -440,10 +448,11 @@ def _require_float_range(A: SymMatrix, name: str) -> None:
 
 
 def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
-    """Whether float tests can read ``entries / den``; _InputError on a
-    negative or non-finite tol, and on a positive one when they cannot."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise _InputError(f"tol must be finite and nonnegative, got {tol}")
+    """Whether float tests can read ``entries / den``; _InputError unless tol
+    is a finite real >= 0, and on a positive one when they cannot."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
+                                     and 0 <= tol < math.inf):
+        raise _InputError(f"tol must be finite and nonnegative, got {tol!r}")
     floats = entries.dtype != object or _in_range(entries, den)
     if not floats and tol > 0:
         raise _InputError("an entry lies beyond the float range; "
@@ -530,7 +539,7 @@ def is_psd(A: SymMatrix, tol: float = _PSD_TOL_DEFAULT) -> PsdReport:
     (no floating error); ``min_eigenvalue`` is then a float approximation
     reported for information only, and ``None`` when an entry lies beyond the
     float range; the float path raises ValueError on such a matrix, as on a
-    negative or non-finite ``tol``.
+    ``tol`` that is not a finite nonnegative real (a bool included).
     """
     a, den = A._nd
     floats = _floats_decide(a, tol, den)
@@ -624,15 +633,16 @@ def _congruence(a: np.ndarray, rows, d) -> np.ndarray:
     return np.outer(d, d) * a[np.ix_(rows, rows)]
 
 
-def _unit_frame(a: np.ndarray) -> Optional[np.ndarray]:
-    """The scaling ``d`` of ``a``'s unit-diagonal frame U = a / outer(d, d):
-    sqrt(a_ii), with 1 where a_ii <= 0; None where 1 / (d_i d_j) or U leaves
-    the float range."""
+def _unit_frame(a: np.ndarray):
+    """``a``'s unit-diagonal frame ``(d, U)``, U = a / outer(d, d) with d =
+    sqrt(a_ii), 1 where a_ii <= 0; None where 1 / (d_i d_j) or U leaves the
+    float range."""
     d = np.sqrt(np.where(np.diagonal(a) > 0, np.diagonal(a), 1.0))
     if d.min() ** 2 < np.finfo(float).tiny:
         return None
     with np.errstate(over="ignore"):
-        return d if np.all(np.isfinite(a / np.outer(d, d))) else None
+        U = a / np.outer(d, d)
+    return (d, U) if np.all(np.isfinite(U)) else None
 
 
 def scale_congruence(A: SymMatrix, Q) -> SymMatrix:

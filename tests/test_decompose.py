@@ -104,6 +104,12 @@ class TestBlockDecomposition:
             BlockDecomposition.build(
                 A, 2, [(Support.of([0, 1]), SymMatrix.diag([1, -1]))])
 
+    def test_reads_an_index_list_as_its_support(self):
+        A, B = SymMatrix.identity(3), SymMatrix.from_rows([[1]])
+        d = BlockDecomposition.build(A, 3, [([0], B)])
+        assert d == BlockDecomposition.build(A, 3, [(Support.of([0]), B)])
+        assert d.blocks[0][0] == Support.of([0])
+
     def test_rejects_oversized_support(self):
         A = SymMatrix.identity(3)
         with pytest.raises(ValueError):

@@ -165,6 +165,20 @@ def test_no_bare_value_error_raised():
     assert not bare, f"raise ValueError( instead of _InputError: {bare}"
 
 
+def test_one_reader_bounds_every_support():
+    # a support's width and range are checked once, in symcore._support,
+    # which every entry point that takes a support calls
+    sites = [(path.name, n) for path in MODULES
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if ".indices[-1]" in line]
+    assert len(sites) == 1, f"supports bounded in several places: {sites}"
+    (name, line), = sites
+    reader, = (func for fname, func, _ in _symcore_functions()
+               if fname == "_support")
+    assert name == "symcore.py"
+    assert reader.lineno <= line <= reader.end_lineno
+
+
 def _called_names(statements):
     for sub in (s for stmt in statements for s in ast.walk(stmt)):
         if isinstance(sub, ast.Call):

@@ -9,12 +9,18 @@ import json
 import numpy as np
 import pytest
 
-from factorwidth.decompose import decomposition_from_json
+from factorwidth.decompose import (
+    BlockDecomposition,
+    SolverOptions,
+    decomposition_from_json,
+    fw_membership,
+)
 from factorwidth.dualcone import (
     CosExtremeRay,
     bnr_certificate,
     check_extreme_candidate,
     cos_certificate_search,
+    dual_membership,
     lift_quaternary_certificate,
     verify_candidate,
 )
@@ -33,8 +39,13 @@ from factorwidth.symcore import (
     SymMatrix,
     Support,
     _InputError,
+    embed,
+    is_psd,
     load_matrix_json,
+    principal_submatrix,
 )
+
+_I4 = SymMatrix.identity(4)
 
 
 @pytest.mark.parametrize("call", [
@@ -57,6 +68,18 @@ from factorwidth.symcore import (
     lambda: monomial_basis(0, 1),
     lambda: monomial_basis(1, -1),
     lambda: HomogeneousPoly(2, 2, {(2,): 1}),
+    lambda: fw_membership(_I4, 3, SolverOptions(support_list=[5])),
+    lambda: fw_membership(_I4, 3, SolverOptions(support_list=5)),
+    lambda: principal_submatrix(_I4, None),
+    lambda: embed(SymMatrix.identity(1), 0, 3),
+    lambda: BlockDecomposition.build(_I4, 3, [(0, SymMatrix.identity(1))]),
+    lambda: Support((0.5, 1.5)),
+    lambda: Support(5),
+    lambda: SolverOptions(feas_tol=True),
+    lambda: SolverOptions(feas_tol=None),
+    lambda: SolverOptions(feas_tol="1e-7"),
+    lambda: is_psd(_I4, None),
+    lambda: dual_membership(_I4, 2, None),
 ], ids=[
     "from_rows-ragged", "from_array-not-square", "from_rows-empty",
     "zeros-0", "support-negative", "matrix-json-null-entry",
@@ -64,6 +87,10 @@ from factorwidth.symcore import (
     "bnr-n-0", "bnr-r-negative", "bnr-k-1", "lift-3x3", "pna-spec-n-0",
     "perturb-det-m-0", "threshold-n-1", "monomial-basis-n-0",
     "monomial-basis-d-negative", "poly-short-exponent",
+    "support-list-entry-int", "support-list-int", "submatrix-support-none",
+    "embed-support-int", "build-support-int", "support-half-integers",
+    "support-int", "feas-tol-bool", "feas-tol-none", "feas-tol-string",
+    "is-psd-tol-none", "dual-tol-none",
 ])
 def test_argument_check_raises_the_input_error(call):
     with pytest.raises(_InputError):

@@ -464,9 +464,9 @@ class TestSubmatrixAndEmbed:
         assert seeds > 5
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"\(0, 3\) out of range for n=3"):
             principal_submatrix(SymMatrix.identity(3), Support.of([0, 3]))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"\(1, 4\) out of range for n=4"):
             embed(SymMatrix.identity(2), Support.of([1, 4]), 4)
 
     def test_support_validation(self):
