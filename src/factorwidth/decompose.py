@@ -40,11 +40,12 @@ Width 2 needs no splitting: FW_2 is the set of scaled diagonally dominant
 matrices (Boman, Chen, Parekh and Toledo, Linear Algebra Appl. 2005), which
 ``_width_two`` decides from the comparison matrix.  Every exit, there and in
 the splitting core, passes the one member gate ``_accept``, its witness one
-stack of blocks, and leaves through the one verdict builder ``_verdict``.
-Otherwise the first run is on a ``support_list`` or the sparsity seed (cf.
-the column generation of Ahmadi, Dash and Hall, Discrete Optim. 2017), then
-on all C(n, k) supports (``fw_membership``, the one boundary, which checks
-the width, A's float range and a ``support_list``).
+stack of blocks symmetric to the bit, and leaves through the one verdict
+builder ``_verdict``.  Otherwise the first run is on a ``support_list`` or
+the sparsity seed (cf. the column generation of Ahmadi, Dash and Hall,
+Discrete Optim. 2017), then on all C(n, k) supports (``fw_membership``, the
+one boundary: it checks the width, A's float range and a ``support_list``,
+and sets the member target ``gate`` = feas_tol (1 + max|A|) for both).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .symcore import (
     _InputError,
     _as_int,
     _as_width,
-    _average_triangles,
     _frob,
     _full_index,
     _json_fields,
@@ -125,9 +125,10 @@ class BlockDecomposition:
     ``build`` reads each support, any index sequence, by ``symcore._support``.
     The residual is recomputed from the blocks at construction time, never
     trusted from a solver.  The float blocks of each size are decided psd by
-    one ``_psd_battery``, and every distinct exact block once by ``is_psd``
-    at tol 0; the first bad block in list order is named.  All blocks are
-    summed, in list order, by one scatter on flat positions computed here.
+    one ``_psd_battery`` (a failing stack block by block), every distinct
+    exact block once by ``is_psd`` at tol 0; the first bad block in list
+    order is named.  All blocks are summed, in list order, by one scatter on
+    flat positions computed here.
     """
 
     ambient_n: int
@@ -143,14 +144,13 @@ class BlockDecomposition:
         for p, (_, block) in enumerate(blocks):
             if not block.is_exact:
                 sizes.setdefault(block.n, []).append(p)
-        # the float blocks of each size in one battery, whose lambda_min >=
-        # -tol (1 + max|block|) is is_psd's threshold
+        # the float blocks of each size in one battery; only a stack that
+        # fails is asked about again, one block at a time
         for at in sizes.values():
             stack = np.stack([blocks[p][1]._nd[0] for p in at])
-            psd, lam, _ = _psd_battery(stack, _BLOCK_PSD_TOL)
-            if not psd:
-                bad.update(np.array(at)[~(lam[:, 0] >= -_BLOCK_PSD_TOL * (
-                    1.0 + np.abs(stack).max(axis=(1, 2))))].tolist())
+            if not _psd_battery(stack, _BLOCK_PSD_TOL)[0]:
+                bad.update(p for p, b in zip(at, stack)
+                           if not _psd_battery(b[None], _BLOCK_PSD_TOL)[0])
         for p, (K, block) in enumerate(blocks):
             K = _support(K, n, k)
             blocks[p] = K, block
@@ -216,16 +216,16 @@ def _accept(A: SymMatrix, k: int, rows: np.ndarray, stack: np.ndarray,
     """The one member gate: the nonzero blocks of the ``(m, s, s)`` float
     ``stack``, block ``b`` on the index list ``rows[b]``, re-verified by
     ``BlockDecomposition.build``, if they reproduce A within ``target``, else
-    None.  The stack is read once as ``SymMatrix.from_array`` reads one
-    array: its triangles averaged, and None unless every entry is finite."""
-    keep = np.abs(stack).max(axis=(1, 2)) > 0.0
-    stack = _average_triangles(stack[keep])
-    if not np.all(np.isfinite(stack)):
+    None.  Every exit hands it a stack symmetric to the bit, which is kept as
+    given: None unless it equals its transpose and every entry is finite."""
+    if not (np.array_equal(stack, np.swapaxes(stack, 1, 2))
+            and np.all(np.isfinite(stack))):
         return None
+    keep = np.abs(stack).max(axis=(1, 2)) > 0.0
     try:
         d = BlockDecomposition.build(A, k, [
             (K, SymMatrix._wrap(b, 1.0))
-            for K, b in zip(rows[keep].tolist(), stack)])
+            for K, b in zip(rows[keep].tolist(), stack[keep])])
     except ValueError:
         return None
     return d if d.residual <= target else None
@@ -288,9 +288,10 @@ def _gap_certificate(A: SymMatrix, U: np.ndarray, dd: np.ndarray, k: int,
 
 
 def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
-                       index: _BlockIndex, spent=0) -> MembershipVerdict:
-    """Splitting core: one run on the supports of ``index``, one verdict;
-    ``spent`` counts the iterations an earlier run of the same call used.
+                       index: _BlockIndex, gate: float,
+                       spent=0) -> MembershipVerdict:
+    """Splitting core: one run on the supports of ``index``, one verdict (a
+    member within ``gate``); ``spent`` is the iterations of an earlier run.
 
     A member is found at a residual hit or a z-check, from the clipped Z or
     from X, which the residual and the stall test read too.  Every other
@@ -312,7 +313,6 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
     # as |R_ij| = d_i d_j |R'_ij|
     d, U = _unit_frame(Af) or (np.ones(n), Af)
     dd = np.outer(d, d)
-    gate = opts.feas_tol * (1.0 + A.max_abs())
     target = min(opts.feas_tol * (1.0 + np.abs(U).max()), gate / dd.max())
 
     history: list[tuple[int, float]] = []
@@ -399,21 +399,22 @@ def _fw_decompose_impl(A: SymMatrix, k: int, opts: SolverOptions,
                     certificate=None if cert is _EXCLUDED else cert)
 
 
-def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
+def _width_two(A: SymMatrix, gate: float, listed) -> MembershipVerdict:
     """FW_2 from one ``eigh`` of the comparison matrix comp(A): the diagonal
     of A, -|a_ij| off it, decided on A 2^-e, with 2^e the power of two of
     max|A| (an exact scaling, so nothing below overflows or underflows).
 
-    Below -1e-8 ||A||_F (the gate's margin) x = |least eigenvector| makes
-    B_ii = x_i^2, B_ij = -sign(a_ij) x_i x_j: psd on every 2 x 2 block, with
-    <B, A> = x^T comp(A) x = lambda_min.  Otherwise s = max(0, margin -
-    lambda_min) makes comp + sI a nonsingular M-matrix, so v = (comp + sI)^-1
-    1 >= 1/(a_ii + s) > 0 (s = 0 above the margin).  Each a_ij != 0 gives
-    the rank-1 block [[|a_ij| v_j/v_i, a_ij], [a_ij, |a_ij| v_i/v_j]], which
-    leaves (1/v_i - s) 2^e on vertex i's diagonal; where that is positive it
-    goes in one block on the vertex (for a vertex without edges, on a listed
-    pair if there is one).  The witness goes to its usual gate; if it fails,
-    the verdict is ``inconclusive`` and its ``stop`` says which side failed.
+    Below -margin, ``dualcone._PAIRING_MARGIN`` ||A||_F, x = |least
+    eigenvector| makes B_ii = x_i^2, B_ij = -sign(a_ij) x_i x_j: psd on
+    every 2 x 2 block, with <B, A> = x^T comp(A) x = lambda_min.  Otherwise
+    s = max(0, margin - lambda_min) makes comp + sI a nonsingular M-matrix,
+    so v = (comp + sI)^-1 1 >= 1/(a_ii + s) > 0 (s = 0 above the margin).
+    Each a_ij != 0 gives the rank-1 block [[|a_ij| v_j/v_i, a_ij], [a_ij,
+    |a_ij| v_i/v_j]], which leaves (1/v_i - s) 2^e on vertex i's diagonal;
+    where that is positive it goes in one block on the vertex (for a vertex
+    without edges, on a listed pair if there is one).  The witness goes to
+    its gate (a member's within ``gate``); if it fails, the verdict is
+    ``inconclusive`` and its ``stop`` says which side failed.
     """
     from . import dualcone
 
@@ -423,7 +424,7 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
     comp = -np.abs(scaled)
     np.fill_diagonal(comp, scaled.diagonal())
     w, vec = np.linalg.eigh(comp)
-    least, margin = float(w[0]), 1e-8 * _frob(scaled)
+    least, margin = float(w[0]), dualcone._PAIRING_MARGIN * _frob(scaled)
     quote = f"least comparison eigenvalue {math.ldexp(least, e):.6e}"
     if least < -margin:
         x = np.abs(vec[:, 0])
@@ -455,7 +456,7 @@ def _width_two(A: SymMatrix, target: float, listed) -> MembershipVerdict:
         b = slot.setdefault((min(i, j), max(i, j)), len(slot))
         stack[b, int(i > j), int(i > j)] += rest[i]
     d = _accept(A, 2, np.array(list(slot), np.intp).reshape(-1, 2),
-                stack[:len(slot)], target)
+                stack[:len(slot)], gate)
     # a member carries no stop; the message is read only when d is None
     return _verdict(0, [], None, f"{quote}: its decomposition did not verify",
                     decomposition=d)
@@ -490,22 +491,24 @@ def fw_membership(A: SymMatrix, k: int, opts: Optional[SolverOptions] = None
     opts = opts or SolverOptions()
     k = _as_width(A.n, k)
     _require_float_range(A, "A")
+    gate = opts.feas_tol * (1.0 + A.max_abs())
     index = seed = None
     if opts.support_list is not None:
         index = _support_index(A.n, k, opts.support_list)
     if k == 2:
-        verdict = _width_two(A, opts.feas_tol * (1.0 + A.max_abs()), index)
+        verdict = _width_two(A, gate, index)
     else:
         full = _full_index(A.n, k)
         if index is None:
             seed = _sparsity_seed(A._nd[0] != 0, k)
             index = full if seed is None else seed
-        verdict = _fw_decompose_impl(A, k, opts, index)
+        verdict = _fw_decompose_impl(A, k, opts, index, gate)
         used = verdict.diagnostics["iterations"]
         if (verdict.status == "inconclusive" and used < opts.max_iter
                 and index is not full):
             rerun = _fw_decompose_impl(
-                A, k, replace(opts, max_iter=opts.max_iter - used), full, used)
+                A, k, replace(opts, max_iter=opts.max_iter - used), full,
+                gate, used)
             rerun.diagnostics["iterations"] += used
             if seed is not None:
                 rerun.diagnostics["seed_stop"] = verdict.diagnostics["stop"]

@@ -12,9 +12,8 @@ of extreme rays of (FW_3^4)* (``cos_certificate_search``) and, for any (n,
 k), the shifted gap direction of the ``decompose`` splitting core
 (``dykstra_dual_certificate`` reads it from ``fw_membership``).
 
-``verify_candidate`` is the one certificate gate: every ``DualCertificate``
-is built there, after one dual membership battery and the scale-free strict
-check <B, Q> < -1e-8 ||B||_F ||Q||_F.  No other path tests a candidate.
+Every ``DualCertificate`` is built by the one gate ``verify_candidate``: a
+battery at ``_DUAL_TOL``, then <B, Q> < -``_PAIRING_MARGIN`` ||B||_F ||Q||_F.
 """
 
 from __future__ import annotations
@@ -62,6 +61,10 @@ __all__ = [
     "certificate_to_json",
 ]
 
+# the certificate gate's rules, its one home (_width_two reads the margin)
+_DUAL_TOL = 1e-9
+_PAIRING_MARGIN = 1e-8
+
 
 @dataclass
 class DualCertificate:
@@ -73,7 +76,7 @@ class DualCertificate:
     worst_minor_margin: float
 
     def __post_init__(self):
-        bound = -1e-9 * (1.0 + self.B.max_abs())
+        bound = -_DUAL_TOL * (1.0 + self.B.max_abs())
         if self.worst_minor_margin < bound:
             raise _InputError(
                 f"certificate has an infeasible minor (margin "
@@ -262,21 +265,21 @@ def verify_candidate(candidate: np.ndarray, Q: SymMatrix, k: int
     """The one certificate gate: normalize a candidate direction, verify it.
 
     The candidate becomes a certificate only if it passes one
-    ``dual_membership`` battery at tolerance 1e-9 and pairs strictly
-    negatively with Q, <B, Q> < -1e-8 ||B||_F ||Q||_F.  Both checks are
-    scale-free.  Nothing is repaired: a candidate outside the dual cone is
-    rejected.
+    ``dual_membership`` battery at ``_DUAL_TOL`` and pairs strictly
+    negatively with Q, <B, Q> < -``_PAIRING_MARGIN`` ||B||_F ||Q||_F.  Both
+    checks are scale-free.  Nothing is repaired: a candidate outside the
+    dual cone is rejected.
     """
     qnorm = Q.frob_norm()
     norm = _frob(candidate) if np.all(np.isfinite(candidate)) else 0.0
     if norm == 0.0 or qnorm == 0.0:
         return None
     B = SymMatrix.from_array(candidate / norm)
-    report = dual_membership(B, k, 1e-9)
+    report = dual_membership(B, k, _DUAL_TOL)
     if not report.is_member:
         return None
     value = float(frobenius_inner(B, Q))
-    if value >= -1e-8 * B.frob_norm() * qnorm:
+    if value >= -_PAIRING_MARGIN * B.frob_norm() * qnorm:
         return None
     return DualCertificate(B=B, k=k, value=value,
                            worst_minor_margin=report.worst_margin)

@@ -126,11 +126,17 @@ class SymMatrix:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "SymMatrix":
-        """Build a float matrix from a numpy array, averaging the triangles."""
+        """Build a float matrix from a numpy array, averaging the triangles:
+        ``(a + a.T) / 2``, but ``a / 2 + a.T / 2`` for a finite mirrored pair
+        whose sum overflows; an inf or nan entry is refused."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise _InputError("expected a square 2-D array")
-        return cls._wrap(*_checked(_average_triangles(a)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (a + a.T) / 2.0
+        over = np.isinf(out) & np.isfinite(a) & np.isfinite(a.T)
+        out[over] = a[over] / 2.0 + a.T[over] / 2.0
+        return cls._wrap(*_checked(out))
 
     @classmethod
     def zeros(cls, n: int, exact: bool = True) -> "SymMatrix":
@@ -206,20 +212,6 @@ def _check_symmetric(differs: np.ndarray) -> None:
     if len(bad):
         i, j = bad[0]
         raise _InputError(f"asymmetric input at ({i},{j})")
-
-
-def _average_triangles(a: np.ndarray) -> np.ndarray:
-    """A new float array, ``(a + a.T) / 2`` of a square float array or of
-    each matrix of a stack, but for a finite mirrored pair whose sum
-    overflows, averaged as ``a / 2 + a.T / 2``.  So a finite diagonal entry
-    stays as it is, and an inf or nan input still leaves a non-finite entry
-    for the caller's finiteness check."""
-    t = np.swapaxes(a, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (a + t) / 2.0
-    over = np.isinf(out) & np.isfinite(a) & np.isfinite(t)
-    out[over] = a[over] / 2.0 + t[over] / 2.0
-    return out
 
 
 def _checked(a: np.ndarray) -> tuple[np.ndarray, Union[int, float]]:
@@ -523,7 +515,7 @@ def _psd_battery(stack: np.ndarray, tol: float, den: int = 1):
     finite = _floats_decide(blocks, tol, den)
     # int / int rounds once, as float(Fraction) does
     approx = (blocks / (den if finite else np.abs(blocks).max())
-              if exact else blocks).astype(float)
+              if exact else blocks).astype(float, copy=False)
     lam = np.linalg.eigvalsh(approx)
     scales = 1.0 + np.abs(approx).max(axis=(1, 2))
     psd = (all(_exact_psd(b) is not None for b in blocks)
@@ -719,9 +711,7 @@ def load_matrix_json(obj) -> SymMatrix:
     if isinstance(obj, str):
         obj = json.loads(obj)
     n, rows = _json_fields(obj, "matrix JSON", "n", "rows", lists=["rows"])
-    n = _as_int(n)
-    if n < 1:
-        raise _InputError("n must be a positive integer")
+    n = _as_dim(n)
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n
                              for r in rows):
         raise _InputError(f"rows must form an {n}x{n} matrix")

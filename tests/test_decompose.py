@@ -471,7 +471,10 @@ class TestMemberGate:
     @pytest.mark.parametrize("block", [
         [[1.0, 2.0], [2.0, 1.0]],  # not psd
         [[2.0, np.inf], [np.inf, 2.0]],  # not finite
-    ], ids=["non-psd", "non-finite"])
+        [[2.0, np.nan], [np.nan, 2.0]],  # not finite, nor a zero block
+        # one ulp off its mirror: the stack is kept as given, never averaged
+        [[2.0, 1.0 + 2.0 ** -52], [1.0, 2.0]],
+    ], ids=["non-psd", "non-finite", "nan", "asymmetric"])
     def test_rejected_block_gives_none(self, block):
         from factorwidth import decompose
 
@@ -484,6 +487,33 @@ class TestMemberGate:
         d = decompose._accept(self.A, 2, np.array([[0, 1]]),
                               self.A.as_array()[None], 0.0)
         assert d is not None and d.residual == 0.0
+
+    def test_every_exit_hands_a_bit_symmetric_stack(self, monkeypatch):
+        # the witness contract: both member exits (the width-2 closed form
+        # and the splitting core) build their stack symmetric to the bit
+        from factorwidth import decompose
+
+        seen, real = [], decompose._accept
+
+        def spy(A, k, rows, stack, target):
+            seen.append(stack.tobytes()
+                        == np.swapaxes(stack, 1, 2).tobytes())
+            return real(A, k, rows, stack, target)
+
+        monkeypatch.setattr(decompose, "_accept", spy)
+        rng = np.random.default_rng(39)
+        members = 0
+        for trial in range(200):
+            n = 3 + trial % 2
+            w, noise = rng.standard_normal((2, n, n))
+            A = SymMatrix.from_array(w @ w.T / n + 0.3 * (noise + noise.T))
+            members += fw_membership(A, 2).status == "member"
+        cases = [(example_m_fixtures().Qprime, 4)] + [
+            s for s in map(_rank_one_block_sum, range(120)) if s[1] >= 3]
+        for A, k in cases:
+            assert fw_membership(A, k).status == "member"
+        assert members > 20 and len(seen) >= members + len(cases)
+        assert all(seen)
 
 
 def _per_block_build(A, k, blocks):
@@ -624,8 +654,10 @@ class TestBatchedGate:
                              for _ in range(m)])
             w = rng.standard_normal((m, k, k))
             stack = w @ np.swapaxes(w, 1, 2)
-            # rounding-level asymmetry, zero blocks, indefinite blocks
+            # rounding-level noise, symmetrized to the bit as every exit
+            # hands its stack; zero blocks, indefinite blocks
             stack += 1e-15 * rng.standard_normal((m, k, k))
+            stack = (stack + np.swapaxes(stack, 1, 2)) / 2.0
             stack[rng.random(m) < 0.2] = 0.0
             stack[rng.random(m) < 0.1] *= -1.0
             acc = np.zeros((n, n))
@@ -639,10 +671,12 @@ class TestBatchedGate:
                 if got is not None:
                     assert got.residual.hex() == want.hex(), case
 
-    def test_accept_averages_an_overflowing_pair_as_from_array(self):
+    def test_accept_keeps_a_finite_pair_near_the_overflow_as_given(self):
+        # a mirrored pair whose sum overflows is read as it stands: no
+        # average is taken, so nothing overflows and the entries stay exact
         from factorwidth import decompose
 
-        big = np.array([[[1.7e308, 1.6e308], [1.5e308, 1.7e308]],
+        big = np.array([[[1.7e308, 1.55e308], [1.55e308, 1.7e308]],
                         [[1.0, 0.0], [0.0, 0.0]],
                         [[0.0, 0.0], [0.0, 0.0]],
                         [[1.0, np.inf], [np.inf, 1.0]]])
@@ -655,9 +689,11 @@ class TestBatchedGate:
                 want = _per_block_accept(A, 2, rows[:m], big[:m], target)
                 got = decompose._accept(A, 2, rows[:m], big[:m], target)
                 assert (got is None) == (want is None)
+                assert (got is None) == (m == 4)
                 if got is not None:
                     assert got.residual.hex() == want.hex()
                     assert got.blocks[0][1][0, 1] == 1.55e308
+                    assert got.blocks[0][1][0, 0] == 1.7e308
 
     def test_member_exits_decide_their_blocks_in_one_battery(
             self, monkeypatch):
@@ -935,8 +971,10 @@ class TestRestrictedFallback:
 
         supports = [K for K in enumerate_supports(5, 4)
                     if K.indices != (0, 1, 2, 3)]
-        v = _fw_decompose_impl(example_m_fixtures().M, 4, SolverOptions(),
-                               _support_index(5, 4, supports))
+        M = example_m_fixtures().M
+        v = _fw_decompose_impl(M, 4, SolverOptions(),
+                               _support_index(5, 4, supports),
+                               1e-7 * (1.0 + M.max_abs()))
         assert v.status == "inconclusive"
         assert v.diagnostics["stop"] == (
             "restricted cone excludes A after 25 iterations")

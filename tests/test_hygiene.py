@@ -127,14 +127,21 @@ def test_only_symcore_reads_entries():
     assert not reads, f"SymMatrix.entries read outside symcore: {reads}"
 
 
+def _functions(path):
+    """``(class name or "", function)`` for each module-level function of
+    ``path`` and each method of its classes."""
+    for node in ast.parse(path.read_text()).body:
+        cls = isinstance(node, ast.ClassDef)
+        for func in node.body if cls else [node]:
+            if isinstance(func, ast.FunctionDef):
+                yield node.name if cls else "", func
+
+
 def _symcore_functions():
     """Each module-level function of symcore and each method of its classes,
     with its name and whether it is a ``SymMatrix`` method."""
-    for node in ast.parse((PACKAGE / "symcore.py").read_text()).body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for func in members:
-            if isinstance(func, ast.FunctionDef):
-                yield func.name, func, getattr(node, "name", "") == "SymMatrix"
+    for cls, func in _functions(PACKAGE / "symcore.py"):
+        yield func.name, func, cls == "SymMatrix"
 
 
 def test_symcore_reads_entries_only_to_hand_out_or_compare_numbers():
@@ -177,6 +184,66 @@ def test_one_reader_bounds_every_support():
                if fname == "_support")
     assert name == "symcore.py"
     assert reader.lineno <= line <= reader.end_lineno
+
+
+def _function(path, qualname):
+    func, = (func for cls, func in _functions(path)
+             if qualname in (func.name, f"{cls}.{func.name}"))
+    return func
+
+
+def _is_member_target(node):
+    """Whether ``node`` is ``<...>.feas_tol * (<... max_abs() ...>)``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and getattr(node.left, "attr", None) == "feas_tol"
+            and "max_abs" in set(_called_names([node.right])))
+
+
+def test_one_home_for_the_member_target():
+    # feas_tol (1 + max|A|) is computed once, in fw_membership, and handed
+    # to both member exits
+    sites = [path.name for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _is_member_target(node)]
+    assert sites == ["decompose.py"], sites
+    assert any(map(_is_member_target, ast.walk(
+        _function(PACKAGE / "decompose.py", "fw_membership"))))
+
+
+def test_one_home_for_the_certificate_gate_margins():
+    # the dual tolerance and the pairing margin are dualcone's two named
+    # constants; the width-2 closed form reads the margin from there
+    dual, decomp = PACKAGE / "dualcone.py", PACKAGE / "decompose.py"
+    tree = ast.parse(decomp.read_text())
+    literals = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == 1e-8]
+    tol_line, = (node.lineno for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and node.targets[0].id == "_BLOCK_PSD_TOL")
+    assert literals == [tol_line], "decompose.py restates a 1e-8 margin"
+    for path, qualname, wanted in (
+            (dual, "verify_candidate", {"_DUAL_TOL", "_PAIRING_MARGIN"}),
+            (dual, "DualCertificate.__post_init__", {"_DUAL_TOL"}),
+            (decomp, "_width_two", {"_PAIRING_MARGIN"})):
+        nodes = list(ast.walk(_function(path, qualname)))
+        read = {getattr(node, "id", getattr(node, "attr", None))
+                for node in nodes}
+        constants = {node.value for node in nodes
+                     if isinstance(node, ast.Constant)}
+        assert wanted <= read, (qualname, wanted - read)
+        assert not constants & {1e-8, 1e-9}, (qualname, constants)
+
+
+def test_build_asks_the_battery_for_its_failing_blocks():
+    # BlockDecomposition.build keeps no psd threshold of its own: its block
+    # tolerance goes only to _psd_battery, whose verdict it reads
+    build = _function(PACKAGE / "decompose.py", "BlockDecomposition.build")
+    args = {id(arg) for node in ast.walk(build) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_psd_battery"
+            for arg in node.args}
+    tol = [node for node in ast.walk(build)
+           if isinstance(node, ast.Name) and node.id == "_BLOCK_PSD_TOL"]
+    assert tol and all(id(node) in args for node in tol)
 
 
 def _called_names(statements):

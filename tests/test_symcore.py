@@ -1005,7 +1005,7 @@ class TestMatrixJson:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             load_matrix_json({"rows": [[1]]})
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             load_matrix_json({"n": 0, "rows": []})
         with pytest.raises(ValueError, match="boolean is not a matrix entry"):
             load_matrix_json({"n": 2, "rows": [[1, True], [True, 1]]})
