@@ -28,8 +28,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .symcore import (load_matrix_json, _InputError, _psd_battery,
-                      _require_float_range)
+from .symcore import (load_matrix_json, _InputError, _PSD_TOL_DEFAULT,
+                      _psd_battery, _require_float_range)
 from .decompose import SolverOptions, decomposition_to_json, fw_membership
 from .dualcone import (
     certificate_to_json,
@@ -247,8 +247,8 @@ def cmd_eig(args) -> dict:
     A = _load_file(args.matrix)
     if A.is_exact:  # a float input's spectrum is checked below
         _require_float_range(A, "A")
-    # one eigvalsh on the float image: psd iff lambda_min >= -1e-9 (1 + max|A|)
-    psd, lam, _ = _psd_battery(A.as_array()[None], 1e-9)
+    # one eigvalsh on the float image: psd iff lambda_min >= -tol (1 + max|A|)
+    psd, lam, _ = _psd_battery(A.as_array()[None], _PSD_TOL_DEFAULT)
     lam = lam[0].tolist()
     if not all(map(math.isfinite, lam)):
         raise _InputError(f"{args.matrix}: an eigenvalue is not finite")
@@ -268,11 +268,11 @@ def cmd_eig(args) -> dict:
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--tol", type=float, default=1e-7,
-                     help="relative feasibility tolerance (default 1e-7)")
-    sub.add_argument("--max-iter", type=int, default=20000,
+    sub.add_argument("--tol", type=float, default=SolverOptions.feas_tol,
+                     help="relative feasibility tolerance (default %(default)s)")
+    sub.add_argument("--max-iter", type=int, default=SolverOptions.max_iter,
                      help="splitting iterations for the whole decision, "
-                          "all runs together (default 20000)")
+                          "all runs together (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -291,7 +291,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("check-dual", help="decide membership in (FW_k)*")
     s.add_argument("matrix")
     s.add_argument("k", type=int)
-    s.add_argument("--tol", type=float, default=1e-9,
+    s.add_argument("--tol", type=float, default=_PSD_TOL_DEFAULT,
                    help="psd tolerance; 0 selects the exact path on rationals")
 
     s = subs.add_parser("soks", help="sum-of-k-nomial-squares test")

@@ -51,7 +51,6 @@ and sets the member target ``gate`` = feas_tol (1 + max|A|) for both).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -67,6 +66,7 @@ from .symcore import (
     _BlockIndex,
     _InputError,
     _as_int,
+    _as_tol,
     _as_width,
     _frob,
     _full_index,
@@ -109,10 +109,8 @@ class SolverOptions:
     support_list: Optional[Sequence] = None
 
     def __post_init__(self):
-        if isinstance(self.feas_tol, bool) or not (isinstance(
-                self.feas_tol, numbers.Real) and 0 < self.feas_tol < math.inf):
-            raise _InputError(
-                f"feas_tol must be positive and finite, got {self.feas_tol!r}")
+        if _as_tol(self.feas_tol, "feas_tol") == 0:
+            raise _InputError(f"feas_tol must be positive, got {self.feas_tol!r}")
         self.max_iter = _as_int(self.max_iter)
         if self.max_iter < 1:
             raise _InputError("max_iter must be at least 1")

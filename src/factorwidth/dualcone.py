@@ -31,6 +31,7 @@ from .symcore import (
     Support,
     frobenius_inner,
     matrix_to_json,
+    _PSD_TOL_DEFAULT,
     _as_int,
     _as_width,
     _checked,
@@ -134,7 +135,7 @@ class ExtremeRayReport:
 # ---------------------------------------------------------------------------
 
 
-def dual_membership(B: SymMatrix, k: int, tol: float = 1e-9
+def dual_membership(B: SymMatrix, k: int, tol: float = _PSD_TOL_DEFAULT
                     ) -> DualMembershipReport:
     """Check all C(n, k) principal submatrices of B for psd-ness.
 

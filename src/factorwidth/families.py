@@ -13,12 +13,12 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-from .symcore import (SymMatrix, Support, is_psd, PsdReport, scale_congruence,
-                      _InputError, _as_dim, _as_int)
+from .symcore import (Scalar, SymMatrix, Support, is_psd, PsdReport,
+                      scale_congruence, _InputError, _PSD_TOL_DEFAULT, _as_dim,
+                      _as_int, _as_rational)
 from .decompose import BlockDecomposition, enumerate_supports
 from .polyforms import QuadraticForm, monomial_basis
 
@@ -35,29 +35,28 @@ __all__ = [
     "qprime_canonical",
 ]
 
-Number = Union[int, Fraction, float]
-
 
 @dataclass(frozen=True)
 class PnaSpec:
     """Parameters of the symmetric quadratic (sum x_i)^2 + (a-1) sum x_i^2."""
 
     n: int
-    a: Number
+    a: Scalar
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_dim(self.n))
+        object.__setattr__(self, "a", _as_rational(self.a, "parameter a"))
 
 
 def pna_form(spec: PnaSpec) -> QuadraticForm:
     """Gram matrix with a on the diagonal and 1 off it."""
     n, a = spec.n, spec.a
-    one: Number = 1.0 if isinstance(a, float) else 1
+    one: Scalar = 1.0 if isinstance(a, float) else 1
     rows = [[a if i == j else one for j in range(n)] for i in range(n)]
     return QuadraticForm(Q=SymMatrix.from_rows(rows))
 
 
-def rank_one_perturb_det(b: Number, c: Number, m: int) -> Number:
+def rank_one_perturb_det(b: Scalar, c: Scalar, m: int) -> Scalar:
     """Determinant of the m x m matrix with b on the diagonal and c off it."""
     m = _as_dim(m)
     return (b - c + c * m) * (b - c) ** (m - 1)
@@ -74,14 +73,14 @@ def pna_threshold(n: int, k: int) -> Fraction:
     return Fraction(n - 1, k - 1)
 
 
-def pna_witness_decomposition(n: int, k: int, a: Number) -> BlockDecomposition:
+def pna_witness_decomposition(n: int, k: int, a: Scalar) -> BlockDecomposition:
     """The uniform exact witness: one scaled block per k-subset.
 
     Each block is C(n-2, k-2)^{-1} times the k x k matrix with (k-1)a/(n-1)
     on the diagonal and 1 off it; summing the embedded copies reconstructs the
     Gram exactly, and ``BlockDecomposition.build`` proves the block psd once.
     """
-    n, k, a = _as_int(n), _as_int(k), Fraction(a)
+    n, k, a = _as_int(n), _as_int(k), Fraction(_as_rational(a, "parameter a"))
     thr = pna_threshold(n, k)
     if a < thr:
         raise _InputError(f"a = {a} is below the width-{k} threshold {thr}")
@@ -113,7 +112,7 @@ def sobs_comparison(Q: SymMatrix) -> SobsReport:
     rows = [[Q[i, i] if i == j else -abs(Q[i, j]) for j in range(n)]
             for i in range(n)]
     comp = SymMatrix.from_rows(rows)
-    rep = is_psd(comp, 0 if comp.is_exact else 1e-9)
+    rep = is_psd(comp, 0 if comp.is_exact else _PSD_TOL_DEFAULT)
     return SobsReport(is_sobs=rep.is_psd, comparison=comp, psd_report=rep)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -25,9 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decompose import fw_membership
-from .symcore import (SymMatrix, _InputError, _as_int, _as_width,
-                      _entry_to_json, _frozen, _json_fields, _parse_entry,
-                      _require_float_range, _scaled)
+from .symcore import (SymMatrix, _InputError, _as_int, _as_rational,
+                      _as_width, _entry_to_json, _frozen, _json_fields,
+                      _parse_entry, _require_float_range, _scaled)
 
 __all__ = [
     "ExponentTuple",
@@ -95,8 +94,7 @@ class HomogeneousPoly:
     """Homogeneous polynomial as a sparse map exponent tuple -> Fraction.
 
     The one input check: n, degree and exponents are read by ``_as_int``,
-    with n >= 1 and degree >= 0; a coefficient is a non-boolean
-    ``numbers.Rational`` or a finite float, else ValueError names its term."""
+    with n >= 1 and degree >= 0, and each coefficient by ``_as_rational``."""
 
     n: int
     degree: int
@@ -113,12 +111,7 @@ class HomogeneousPoly:
                 raise _InputError(f"bad exponent tuple {t}")
             if sum(t) != self.degree:
                 raise _InputError(f"{t} does not have degree {self.degree}")
-            rational = (isinstance(c, numbers.Rational)
-                        and not isinstance(c, bool))
-            if not (rational or isinstance(c, float) and math.isfinite(c)):
-                raise _InputError(f"coefficient {c!r} of {t} is not a "
-                                  "non-boolean rational or a finite float")
-            c = Fraction(c)
+            c = Fraction(_as_rational(c, f"coefficient of {t}"))
             if c != 0:
                 clean[t] = c
         self.coefficients = clean
@@ -238,7 +231,8 @@ def multiplier_gram(q: QuadraticForm, lam: Sequence, r: int) -> SymMatrix:
     weight ``C(r; alpha) prod (L lam_i)^(2 alpha_i)`` over ``L^(2r)``.
     """
     n, r = q.n, _as_int(r)
-    lam = np.array([Fraction(v) for v in lam], dtype=object)
+    lam = np.array([Fraction(_as_rational(v, "weight in lam")) for v in lam],
+                   dtype=object)
     if r < 0 or len(lam) != n or not any(lam):
         raise _InputError("need r >= 0 and lambda of length n, not all zero")
     num, L = _scaled(lam)

@@ -148,9 +148,7 @@ class SymMatrix:
 
     @classmethod
     def diag(cls, values: Sequence[Scalar]) -> "SymMatrix":
-        has_float = any(isinstance(v, float) for v in values)
-        return cls._wrap(*_checked(
-            np.diag(np.array(values, dtype=float if has_float else object))))
+        return cls._wrap(*_checked(np.diag(np.array(values, dtype=object))))
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
@@ -223,10 +221,10 @@ def _checked(a: np.ndarray) -> tuple[np.ndarray, Union[int, float]]:
     if a.dtype == object:
         # each entry type once, in order of first appearance
         types = dict.fromkeys(map(type, a.ravel().tolist()))
+        for t in types:
+            if not issubclass(t, (int, Fraction, float)):
+                raise TypeError(f"unsupported entry type {t.__name__}")
         if not any(issubclass(t, float) for t in types):
-            for t in types:
-                if not issubclass(t, (int, Fraction)):
-                    raise TypeError(f"unsupported entry type {t.__name__}")
             return _scaled(a)
         if any(issubclass(t, Fraction) for t in types):
             raise TypeError(
@@ -271,6 +269,27 @@ def _as_int(v) -> int:
                                    isinstance(v, float) and v.is_integer()):
         raise _InputError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _as_rational(v, what: str):
+    """``v`` if a non-boolean int or finite float; any other rational as a
+    ``Fraction`` of ``int``s (numpy integers, also inside one, would wrap)."""
+    if isinstance(v, bool):
+        raise _InputError(f"boolean is not a {what}")
+    if not (isinstance(v, numbers.Rational) or
+            isinstance(v, float) and math.isfinite(v)):
+        raise _InputError(f"{what} must be a rational or a finite float, "
+                          f"got {v!r}")
+    return (v if isinstance(v, (int, float))
+            else Fraction(int(v.numerator), int(v.denominator)))
+
+
+def _as_tol(v, what: str):
+    """``v`` if a non-boolean finite real >= 0, else _InputError."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real)
+                                   and 0 <= v < math.inf):
+        raise _InputError(f"{what} must be a finite real >= 0, got {v!r}")
+    return v
 
 
 def _as_dim(n) -> int:
@@ -440,13 +459,10 @@ def _require_float_range(A: SymMatrix, name: str) -> None:
 
 
 def _floats_decide(entries: np.ndarray, tol: float, den: int = 1) -> bool:
-    """Whether float tests can read ``entries / den``; _InputError unless tol
-    is a finite real >= 0, and on a positive one when they cannot."""
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
-                                     and 0 <= tol < math.inf):
-        raise _InputError(f"tol must be finite and nonnegative, got {tol!r}")
+    """Whether float tests can read ``entries / den``; ``tol`` is read by
+    ``_as_tol``, and a positive one raises _InputError when they cannot."""
     floats = entries.dtype != object or _in_range(entries, den)
-    if not floats and tol > 0:
+    if _as_tol(tol, "tol") > 0 and not floats:
         raise _InputError("an entry lies beyond the float range; "
                           "only the exact battery (tol=0) decides it")
     return floats
@@ -667,14 +683,6 @@ def scale_congruence(A: SymMatrix, Q) -> SymMatrix:
 
 
 def _parse_entry(v) -> Scalar:
-    if isinstance(v, bool):
-        raise _InputError("boolean is not a matrix entry")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise _InputError(f"entry {v!r} is not finite")
-        return v
     if isinstance(v, str):
         num, sep, den = v.partition("/")
         try:
@@ -682,7 +690,7 @@ def _parse_entry(v) -> Scalar:
         except (ValueError, ZeroDivisionError):
             raise _InputError(f"{v!r} is not an integer or p/q, q != 0"
                               ) from None
-    raise _InputError(f"cannot parse matrix entry {v!r}")
+    return _as_rational(v, "matrix entry")
 
 
 def _json_fields(obj, what: str, *keys, lists=()):

@@ -284,3 +284,35 @@ def test_cli_leaves_input_checks_to_the_library():
     gone = {"_CliInputError", "_check_width", "_check_float_range",
             "_solver_options", "_as_width", "_fits_float", "_support_index"}
     assert not (defined | imported) & gone
+
+
+def _attribute_sites(attr):
+    """``(module, line)`` of each ``numbers.<attr>`` in the package."""
+    return [(path.name, node.lineno) for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and getattr(node.value, "id", None) == "numbers"]
+
+
+@pytest.mark.parametrize("attr, reader", [("Rational", "_as_rational"),
+                                          ("Real", "_as_tol")])
+def test_one_reader_per_kind_of_number(attr, reader):
+    # a rational argument is read by symcore._as_rational, a tolerance by
+    # symcore._as_tol; no other module imports numbers
+    importers = [path.name for path in MODULES
+                 if "numbers" in {name for name, _ in _imported_names(
+                     ast.parse(path.read_text()))}]
+    assert importers == ["symcore.py"], importers
+    (name, line), = _attribute_sites(attr)
+    func, = (func for fname, func, _ in _symcore_functions()
+             if fname == reader)
+    assert name == "symcore.py" and func.lineno <= line <= func.end_lineno
+
+
+def test_cli_takes_its_default_tolerances_from_the_library():
+    # the psd tolerance is symcore._PSD_TOL_DEFAULT, and --tol and --max-iter
+    # of check-fw and soks default to SolverOptions' own defaults
+    constants = {node.value for node in ast.walk(
+        ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Constant)}
+    assert not constants & {1e-9, 1e-7, 20000}

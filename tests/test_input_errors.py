@@ -5,6 +5,9 @@ Each row calls one entry point with one malformed argument and expects
 """
 
 import json
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,12 +30,15 @@ from factorwidth.dualcone import (
 from factorwidth.families import (
     PnaSpec,
     pna_threshold,
+    pna_witness_decomposition,
     rank_one_perturb_det,
 )
 from factorwidth.polyforms import (
     HomogeneousPoly,
+    QuadraticForm,
     load_poly_json,
     monomial_basis,
+    multiplier_gram,
     poly_to_json,
 )
 from factorwidth.symcore import (
@@ -79,7 +85,9 @@ _I4 = SymMatrix.identity(4)
     lambda: SolverOptions(feas_tol=None),
     lambda: SolverOptions(feas_tol="1e-7"),
     lambda: is_psd(_I4, None),
+    lambda: is_psd(_I4, True),
     lambda: dual_membership(_I4, 2, None),
+    lambda: dual_membership(_I4, 2, True),
 ], ids=[
     "from_rows-ragged", "from_array-not-square", "from_rows-empty",
     "zeros-0", "support-negative", "matrix-json-null-entry",
@@ -90,7 +98,7 @@ _I4 = SymMatrix.identity(4)
     "support-list-entry-int", "support-list-int", "submatrix-support-none",
     "embed-support-int", "build-support-int", "support-half-integers",
     "support-int", "feas-tol-bool", "feas-tol-none", "feas-tol-string",
-    "is-psd-tol-none", "dual-tol-none",
+    "is-psd-tol-none", "is-psd-tol-bool", "dual-tol-none", "dual-tol-bool",
 ])
 def test_argument_check_raises_the_input_error(call):
     with pytest.raises(_InputError):
@@ -140,3 +148,51 @@ def test_malformed_json_raises_the_input_error_naming_its_part(read, obj,
                                                                names):
     with pytest.raises(_InputError, match=names):
         read(obj)
+
+
+# Every rational argument is read by symcore._as_rational: a non-boolean
+# rational or a finite float, else the input error naming the argument.
+_Q3 = QuadraticForm(Q=SymMatrix.identity(3))
+_RATIONAL_ARGUMENTS = {
+    "weight": (lambda v: multiplier_gram(_Q3, [v, 1, 1], 1), "weight in lam"),
+    "pna-spec": (lambda v: PnaSpec(3, v), "parameter a"),
+    "pna-witness": (lambda v: pna_witness_decomposition(3, 2, v),
+                    "parameter a"),
+    "coefficient": (lambda v: HomogeneousPoly(2, 2, {(2, 0): v}),
+                    "coefficient of (2, 0)"),
+    "matrix-json-entry": (lambda v: load_matrix_json({"n": 1, "rows": [[v]]}),
+                          "matrix entry"),
+}
+_NOT_RATIONAL = {"inf": math.inf, "nan": math.nan, "bool": True,
+                 "string": "1/2", "none": None}
+
+
+@pytest.mark.parametrize("arg, bad", [
+    (arg, bad) for arg in _RATIONAL_ARGUMENTS for bad in _NOT_RATIONAL
+    # a matrix JSON entry may be a "p/q" string (TestMatrixJson)
+    if (arg, bad) != ("matrix-json-entry", "string")])
+def test_a_rational_argument_names_itself_when_malformed(arg, bad):
+    call, name = _RATIONAL_ARGUMENTS[arg]
+    with pytest.raises(_InputError, match=re.escape(name)):
+        call(_NOT_RATIONAL[bad])
+
+
+@pytest.mark.parametrize("arg", _RATIONAL_ARGUMENTS)
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.int64(2), 0.5],
+                         ids=["fraction", "np-int64", "float"])
+def test_a_rational_argument_reads_as_its_value(arg, value):
+    call, _ = _RATIONAL_ARGUMENTS[arg]
+    shift = 2 if arg == "pna-witness" else 0  # the width-2 threshold is 2
+    assert call(value + shift) == call(Fraction(value) + shift)
+
+
+def test_a_numpy_integer_is_read_as_an_exact_int():
+    # np.int64 arithmetic would wrap: (2**20)**6 is 2**120
+    exact = multiplier_gram(_Q3, [2 ** 20, 1, 1], 3)
+    for big in (np.int64(2 ** 20), Fraction(np.int64(2 ** 20))):
+        assert multiplier_gram(_Q3, [big, 1, 1], 3) == exact
+    coef = HomogeneousPoly(1, 2, {(2,): np.int64(2 ** 40)}).coefficients
+    assert type(coef[(2,)].numerator) is int
+    assert type(PnaSpec(3, np.int64(2)).a.numerator) is int
+    assert pna_witness_decomposition(3, 2, np.int64(2 ** 62)).residual == 0
+    assert load_matrix_json({"n": 1, "rows": [[np.int64(3)]]}).is_exact

@@ -169,17 +169,28 @@ class TestEntryTypes:
         assert m.is_exact is exact
         assert m[0, 0] == entry
 
-    @pytest.mark.parametrize("rows, message", [
-        ([[np.int64(1), 0], [0, 1]], "unsupported entry type int64"),
-        ([[np.float32(1), 0], [0, 1]], "unsupported entry type float32"),
-        ([[Fraction(1, 2), 0.5], [0.5, 1]], "mixed Fraction and float"),
-        ([[1, "1"], ["1", np.int64(1)]], "unsupported entry type str"),
-        ([[1, np.int64(1)], [np.int64(1), "1"]],
+    @pytest.mark.parametrize("build, entries, message", [
+        (SymMatrix.from_rows, [[np.int64(1), 0], [0, 1]],
          "unsupported entry type int64"),
-    ], ids=["np-int64", "np-float32", "mixed", "str-first", "int64-first"])
-    def test_rejected(self, rows, message):
+        (SymMatrix.from_rows, [[np.float32(1), 0], [0, 1]],
+         "unsupported entry type float32"),
+        (SymMatrix.from_rows, [[Fraction(1, 2), 0.5], [0.5, 1]],
+         "mixed Fraction and float"),
+        (SymMatrix.from_rows, [[1, "1"], ["1", np.int64(1)]],
+         "unsupported entry type str"),
+        (SymMatrix.from_rows, [[1, np.int64(1)], [np.int64(1), "1"]],
+         "unsupported entry type int64"),
+        # with a float present, every entry type is still checked
+        (SymMatrix.from_rows, [[np.float32(1), 0], [0, 0.5]],
+         "unsupported entry type float32"),
+        (SymMatrix.from_rows, [["a", 0], [0, 0.5]],
+         "unsupported entry type str"),
+        (SymMatrix.diag, [Fraction(1, 3), 0.5], "mixed Fraction and float"),
+    ], ids=["np-int64", "np-float32", "mixed", "str-first", "int64-first",
+            "np-float32-with-float", "str-with-float", "diag-mixed"])
+    def test_rejected(self, build, entries, message):
         with pytest.raises(TypeError, match=message):
-            SymMatrix.from_rows(rows)
+            build(entries)
 
 class TestFrobeniusInner:
     def test_identity_case(self):
